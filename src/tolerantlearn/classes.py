@@ -121,8 +121,8 @@ class HypothesisClass:
         self.domain_size = int(arr.shape[1])
         self.row_map = row_map
         self._col_masks = None       # per-column {label: row bitmask}
-        self._ldim_cache = {}        # (tau, mask) -> Ldim value
-        self._predictor_cache = {}   # mask -> predictor label tuple (tau=0)
+        self._ldim_cache = {}        # tau -> Ldim_tau split engine
+        self._predictor_cache = {}   # (tau, mask) -> predictor label tuple
 
     def col_masks(self):
         """Per-column map label -> bitmask of rows carrying that label."""

@@ -2,11 +2,13 @@
 
 Computes the tolerant Littlestone dimension, the sequential fat-shattering
 dimension and the sequential Pollard pseudo-dimension of explicit finite
-classes, each together with a mistake tree certifying the value.  All values
-are exact; the computations are exponential in the number of rows, which is
-inherent, so the memoized paths are capped at 64 rows (row subsets live in a
-single machine-word bitmask).  Larger structured classes use the analytic
-certificate constructors in `trees`.
+classes, each together with a mistake tree certifying the value.  All three
+are one recursion over row subsets (Python-int bitmasks) under a family of
+splits, and all values are exact.  The worst case is exponential in |H|,
+which is inherent; the sides of a split are disjoint, so a subset of m rows
+has value at most floor(log2 m), and pruning with that bound makes
+structured classes with hundreds of rows fast.  The one 64-row limit left
+is the tournament sampler's uint64 consistency LUT (`stability`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .classes import HypothesisClass, RealFunctionClass
 from .trees import (McNode, MistakeTree, RealNode, WITNESS_EPS,
                     check_mc_tree, check_real_tree)
 
-MEMO_ROW_CAP = 64
-
 # Ldim of the empty class; internal sentinel that keeps the recursion and the
 # SOA argmax total.  Never reported.
 EMPTY_LDIM = -1
@@ -35,27 +35,92 @@ class DimensionReport:
     value: int
     certificate: MistakeTree
     params: dict = field(default_factory=dict)
-    context: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.certificate.height != self.value:
             raise ValueError("certificate height must equal the dimension")
 
 
-def _require_memoizable(num_rows: int, what: str):
-    if num_rows > MEMO_ROW_CAP:
-        raise ValueError(
-            f"{what} uses subset-bitmask memoization and is capped at "
-            f"{MEMO_ROW_CAP} rows (got {num_rows}); supply an analytic "
-            "certificate instead")
+class _SplitEngine:
+    """Mistake-tree depth of row subsets under a fixed list of splits.
+
+    A split `(tag, a, b)` sends the rows in `a` left and those in `b` right.
+    `value(mask)` is the best 1 + min(value(mask & a), value(mask & b)) over
+    the splits with both sides inhabited (0 if none, EMPTY_LDIM if mask is
+    empty).  The sides are disjoint, so a depth-d tree needs 2^d rows: a
+    split whose smaller side has m rows reaches at most 1 + floor(log2 m),
+    and a mask of m rows at most floor(log2 m).  Live splits are tried in
+    decreasing order of that bound and the scan stops at the first one that
+    cannot beat the best so far, which also stops it at the mask's cap.
+    Trying the most balanced split first keeps the recursion shallow on
+    structured classes.  Every memoized value is exact.
+    """
+
+    def __init__(self, splits):
+        self.splits = splits
+        self._memo = {}
+
+    def value(self, mask: int) -> int:
+        if mask == 0:
+            return EMPTY_LDIM
+        hit = self._memo.get(mask)
+        if hit is not None:
+            return hit
+        # (rows on the smaller side, smaller side, larger side) per live split
+        live = []
+        for _, a, b in self.splits:
+            lo, hi = mask & a, mask & b
+            n_lo, n_hi = lo.bit_count(), hi.bit_count()
+            if n_lo and n_hi:
+                live.append((n_lo, lo, hi) if n_lo <= n_hi else (n_hi, hi, lo))
+        live.sort(key=lambda t: t[0], reverse=True)
+        best = 0
+        for n, lo, hi in live:
+            # n.bit_length() == 1 + floor(log2 n) bounds this split and
+            # every later one
+            if n.bit_length() <= best:
+                break
+            v = self.value(lo)
+            if v >= best:
+                # a nonempty side is worth >= 0, so v == 0 settles the min
+                best = max(best, 1 + (min(v, self.value(hi)) if v else 0))
+        self._memo[mask] = best
+        return best
+
+    def certificate(self, mask: int, height: int, make_node):
+        """The first split in list order whose sides both reach height - 1,
+        as `make_node(*tag, left, right)`, with subtrees built the same way."""
+        if height == 0:
+            return None
+        need = height - 1
+        for tag, a, b in self.splits:
+            lo, hi = mask & a, mask & b
+            # a side of fewer than 2^need rows cannot reach need
+            if (min(lo.bit_count(), hi.bit_count()) >= 1 << need
+                    and self.value(lo) >= need and self.value(hi) >= need):
+                return make_node(*tag, self.certificate(lo, need, make_node),
+                                 self.certificate(hi, need, make_node))
+        raise AssertionError("no split supports the computed dimension")
 
 
 # ---------------------------------------------------------------------------
 # tolerant Littlestone dimension
 # ---------------------------------------------------------------------------
 
-def _present_labels(H: HypothesisClass, x: int, mask: int):
-    return [k for k, m in H.col_masks()[x].items() if m & mask]
+def _ldim_engine(H: HypothesisClass, tau: int) -> _SplitEngine:
+    """The engine of Ldim_tau: splits (x, k, k') over each column's sorted
+    label pairs with k' - k > tau, cached on H per tau."""
+    engine = H._ldim_cache.get(tau)
+    if engine is None:
+        splits = []
+        for x, col in enumerate(H.col_masks()):
+            labels = sorted(col)
+            for i, k in enumerate(labels):
+                for kp in labels[i + 1:]:
+                    if kp - k > tau:
+                        splits.append(((x, k, kp), col[k], col[kp]))
+        engine = H._ldim_cache[tau] = _SplitEngine(splits)
+    return engine
 
 
 def ldim_value(H: HypothesisClass, tau: int, mask: Optional[int] = None) -> int:
@@ -67,58 +132,15 @@ def ldim_value(H: HypothesisClass, tau: int, mask: Optional[int] = None) -> int:
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    _require_memoizable(H.num_rows, "ldim")
     if mask is None:
         mask = H.full_mask
-    if mask == 0:
-        return EMPTY_LDIM
-    cache = H._ldim_cache
-    key = (tau, mask)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    col_masks = H.col_masks()
-    best = 0
-    for x in range(H.domain_size):
-        labels = sorted(_present_labels(H, x, mask))
-        for i, k in enumerate(labels):
-            for kp in labels[i + 1:]:
-                if kp - k <= tau:
-                    continue
-                lo = ldim_value(H, tau, mask & col_masks[x][k])
-                hi = ldim_value(H, tau, mask & col_masks[x][kp])
-                cand = 1 + min(lo, hi)
-                if cand > best:
-                    best = cand
-    cache[key] = best
-    return best
-
-
-def _build_ldim_cert(H: HypothesisClass, tau: int, mask: int, height: int):
-    """First (x, k < k') in lexicographic order supporting the given height."""
-    if height == 0:
-        return None
-    col_masks = H.col_masks()
-    for x in range(H.domain_size):
-        labels = sorted(_present_labels(H, x, mask))
-        for i, k in enumerate(labels):
-            for kp in labels[i + 1:]:
-                if kp - k <= tau:
-                    continue
-                m_lo = mask & col_masks[x][k]
-                m_hi = mask & col_masks[x][kp]
-                if (ldim_value(H, tau, m_lo) >= height - 1
-                        and ldim_value(H, tau, m_hi) >= height - 1):
-                    return McNode(x, k, kp,
-                                  _build_ldim_cert(H, tau, m_lo, height - 1),
-                                  _build_ldim_cert(H, tau, m_hi, height - 1))
-    raise AssertionError("no branching supports the computed dimension")
+    return _ldim_engine(H, tau).value(mask)
 
 
 def ldim_tau(H: HypothesisClass, tau: int) -> DimensionReport:
     """Exact Ldim_tau with a certificate tree attached."""
     value = ldim_value(H, tau)
-    root = _build_ldim_cert(H, tau, H.full_mask, value)
+    root = _ldim_engine(H, tau).certificate(H.full_mask, value, McNode)
     tree = MistakeTree("multiclass", root, value)
     return DimensionReport(value, tree, params={"tau": tau})
 
@@ -192,48 +214,22 @@ def _fat_candidates(F: RealFunctionClass, gamma: float):
     return grids
 
 
+def _real_dimension(splits, num_rows: int, params: dict) -> DimensionReport:
+    engine = _SplitEngine(splits)
+    full = (1 << num_rows) - 1
+    d = engine.value(full)
+    tree = MistakeTree("real", engine.certificate(full, d, RealNode), d)
+    return DimensionReport(d, tree, params=params)
+
+
 def fat_gamma(F: RealFunctionClass, gamma: float) -> DimensionReport:
     """Exact sequential fat-shattering dimension at scale gamma."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    _require_memoizable(F.num_rows, "fat_gamma")
     grids = _fat_candidates(F, gamma)
-    memo = {}
-
-    def value(mask: int) -> int:
-        if mask == 0:
-            return EMPTY_LDIM
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        best = 0
-        for x in range(F.domain_size):
-            for _, below, above in grids[x]:
-                lo = mask & below
-                hi = mask & above
-                if lo and hi:
-                    cand = 1 + min(value(lo), value(hi))
-                    if cand > best:
-                        best = cand
-        memo[mask] = best
-        return best
-
-    def build(mask: int, height: int):
-        if height == 0:
-            return None
-        for x in range(F.domain_size):
-            for s, below, above in grids[x]:
-                lo = mask & below
-                hi = mask & above
-                if lo and hi and value(lo) >= height - 1 and value(hi) >= height - 1:
-                    return RealNode(x, s, build(lo, height - 1),
-                                    build(hi, height - 1))
-        raise AssertionError("no witness supports the computed dimension")
-
-    full = (1 << F.num_rows) - 1
-    d = value(full)
-    tree = MistakeTree("real", build(full, d), d)
-    return DimensionReport(d, tree, params={"gamma": gamma})
+    splits = [((x, s), below, above) for x in range(F.domain_size)
+              for s, below, above in grids[x]]
+    return _real_dimension(splits, F.num_rows, {"gamma": gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +250,24 @@ def _sign_witness_grid(F: RealFunctionClass):
     return grids
 
 
+def _row_mask(rows: np.ndarray) -> int:
+    """Bitmask with bit r set iff rows[r] is true."""
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(),
+                          "little")
+
+
 def pdim(F: RealFunctionClass) -> DimensionReport:
     """Pollard pseudo-dimension: Ldim of the sign class f -> sign(f(x) - s).
 
     sign(0) = +1.  Witnesses range over the per-column value grid, which
-    realizes every sign pattern the class can produce.
+    realizes every sign pattern the class can produce.  The split at (x, s)
+    sends f < s left (sign -1) and f >= s right (sign +1).
     """
-    _require_memoizable(F.num_rows, "pdim")
     grids = _sign_witness_grid(F)
-    columns = [(x, s) for x in range(F.domain_size) for s in grids[x]]
-    binary = np.empty((F.num_rows, len(columns)), dtype=np.int64)
-    for j, (x, s) in enumerate(columns):
-        binary[:, j] = np.where(F.table[:, x] >= s, 2, 1)
-    Hb = HypothesisClass(2, binary)
-    value = ldim_value(Hb, 0)
-    mc_root = _build_ldim_cert(Hb, 0, Hb.full_mask, value)
-
-    def translate(node):
-        if node is None:
-            return None
-        x, s = columns[node.x]
-        # label 1 = sign -1 (f < s) on the left, label 2 = sign +1 on the right
-        return RealNode(x, s, translate(node.left), translate(node.right))
-
-    tree = MistakeTree("real", translate(mc_root), value)
-    return DimensionReport(value, tree, params={},
-                           context={"sign_class": Hb, "columns": columns})
+    splits = [((x, s), _row_mask(F.table[:, x] < s),
+               _row_mask(F.table[:, x] >= s))
+              for x in range(F.domain_size) for s in grids[x]]
+    return _real_dimension(splits, F.num_rows, {})
 
 
 def check_sign_tree(F: RealFunctionClass, tree: MistakeTree):

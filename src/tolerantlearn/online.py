@@ -145,25 +145,8 @@ class SoaLearner:
         self.tau = tau
 
     def predict(self, x: int, history) -> int:
-        H, tau = self.H, self.tau
-        mask = H.full_mask
-        base = None
-        patches = {}
-        for hx, hy in history:
-            if base is None:
-                new_mask = mask & H.col_masks()[hx].get(hy, 0)
-                if new_mask == 0:
-                    base = predictor_table(H, tau, mask)
-                    patches[hx] = hy
-                else:
-                    mask = new_mask
-            else:
-                patches[hx] = hy
-        if base is None:
-            if mask == 0:
-                return 1
-            return _argmax_label(H, tau, mask, x)
-        return patches.get(x, base[x])
+        sequence = [LabeledExample(hx, hy) for hx, hy in history]
+        return soa_final_predictor(self.H, sequence, self.tau)[x]
 
 
 class ConstantLearner:

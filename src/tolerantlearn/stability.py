@@ -78,6 +78,11 @@ class TournamentSample:
     tournament_positions: list = field(default_factory=list)
 
 
+# Rows of a class the sampler accepts: its consistency LUT holds one uint64
+# row bitmask per domain point.
+LUT_ROW_LIMIT = 64
+
+
 def _consistent_mask_lut(H: HypothesisClass, D: FiniteDistribution) -> np.ndarray:
     """Per-point bitmask of rows consistent with (x, target(x))."""
     lut = np.zeros(H.domain_size, dtype=np.uint64)
@@ -136,6 +141,10 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
+    if H.num_rows > LUT_ROW_LIMIT:
+        raise ValueError(
+            f"the tournament sampler keeps row subsets in a uint64 consistency "
+            f"LUT and takes at most {LUT_ROW_LIMIT} rows (got {H.num_rows})")
     rng = as_generator(seed)
     if k == 0:
         return TournamentSample([], False, 0, [])

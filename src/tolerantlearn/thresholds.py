@@ -255,7 +255,7 @@ def extract_thresholds_mc(H: HypothesisClass, tau: int,
 
     Returns (family, trace).  The family is the longest subsequence of steps
     sharing one (k, k') pair; its gap is tau.  With no tree supplied the
-    tolerance-2*tau certificate is computed, which needs <= 64 rows.
+    tolerance-2*tau certificate is computed by `ldim_tau`.
     """
     if tree is None:
         tree = ldim_tau(H, 2 * tau).certificate

@@ -79,19 +79,6 @@ def is_complete(node, height: int) -> bool:
     return is_complete(node.left, height - 1) and is_complete(node.right, height - 1)
 
 
-def truncate(node, height: int):
-    """Cut a tree to the given height; prefix paths stay realizable."""
-    if height == 0 or node is None:
-        return None
-    if isinstance(node, McNode):
-        return McNode(node.x, node.left_label, node.right_label,
-                      truncate(node.left, height - 1),
-                      truncate(node.right, height - 1))
-    return RealNode(node.x, node.witness,
-                    truncate(node.left, height - 1),
-                    truncate(node.right, height - 1))
-
-
 # ---------------------------------------------------------------------------
 # definitional shattering checkers
 # ---------------------------------------------------------------------------

@@ -167,6 +167,18 @@ def test_dp_learn_subcommand(tmp_path):
     assert names["dp-budget"] and names["dp-list-size"]
 
 
+def test_sampler_rejects_more_than_64_rows(tmp_path, capsys):
+    cls = tmp_path / "thr64.json"
+    classfile.save_class(threshold_class(64), cls)   # 65 rows
+    common = ["--input", cls, "--target", 0, "--alpha", 0.2, "--seed", 1,
+              "--out", tmp_path / "r.json"]
+    assert run_cli("gs", "--trials", 5, *common) == 2
+    assert "uint64 consistency LUT" in capsys.readouterr().err
+    assert run_cli("dp-learn", "--epsilon", 0.5, "--delta", 0.01,
+                   "--beta", 0.2, *common) == 2
+    assert "uint64 consistency LUT" in capsys.readouterr().err
+
+
 def test_check_subcommand_exit_code(tmp_path):
     cls = tmp_path / "c.json"
     classfile.save_class(RealFunctionClass([[1.0 if j == i else 0.0

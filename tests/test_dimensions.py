@@ -8,7 +8,7 @@ from tolerantlearn.classes import HypothesisClass, RealFunctionClass, discretize
 from tolerantlearn.dimensions import (EMPTY_LDIM, fat_gamma, ldim_brute_force,
                                       ldim_tau, ldim_value, log_star, pdim,
                                       twr, verify_report)
-from tolerantlearn.generators import complete_binary, threshold_class
+from tolerantlearn.generators import complete_binary, random_real, threshold_class
 from tolerantlearn.trees import check_mc_tree, check_real_tree
 
 
@@ -85,10 +85,21 @@ def test_certificates_deterministic():
     assert a == b
 
 
-def test_row_cap_enforced():
-    H = complete_binary(8)   # 256 rows
-    with pytest.raises(ValueError):
-        ldim_tau(H, 0)
+def test_large_classes_certified():
+    # no row cap: the floor(log2 |rows|) bound keeps hundreds of rows fast
+    for H, expected in ((complete_binary(8), 8), (threshold_class(255), 8)):
+        rep = ldim_tau(H, 0)
+        assert rep.value == expected
+        ok, msg = check_mc_tree(H, rep.certificate, 0)
+        assert ok, msg
+    F = random_real(128, 8, 0.25, 3)
+    fat = fat_gamma(F, 0.25)
+    ok, msg = check_real_tree(F, fat.certificate, 0.25)
+    assert ok, msg
+    p = pdim(F)
+    ok, msg = verify_report(p, F, kind="pdim")
+    assert ok, msg
+    assert 1 <= fat.value <= p.value <= math.log2(F.num_rows)
 
 
 # --- fat-shattering ------------------------------------------------------------
