@@ -33,7 +33,9 @@ class _DrawStream:
 
     Indices are pregenerated in chunks for speed; the logical draw count
     only advances by what the sampler actually requests, so the budget
-    semantics match example-by-example sampling.
+    semantics match example-by-example sampling.  A chunk is drawn only
+    when the next request needs it: the generator is shared with the
+    tournament labels, so drawing ahead would change every later label.
     """
 
     CHUNK = 512
@@ -47,18 +49,32 @@ class _DrawStream:
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
 
+    @property
+    def buffered(self) -> int:
+        return self._buf.size - self._pos
+
+    def refill(self):
+        """Append one chunk of fresh draws to the unread part of the buffer."""
+        fresh = np.searchsorted(self.D._cum, self.rng.random(self.CHUNK),
+                                side="right")
+        self._buf = np.concatenate([self._buf[self._pos:], fresh])
+        self._pos = 0
+
+    def peek(self, m: int) -> np.ndarray:
+        return self._buf[self._pos:self._pos + m]
+
+    def advance(self, m: int):
+        self._pos += m
+        self.used += m
+
     def take(self, n: int) -> np.ndarray:
         if self.used + n > self.budget:
             self.used += n  # record the attempt that tripped the cap
             raise _Fail
-        while self._pos + n > self._buf.size:
-            fresh = np.searchsorted(self.D._cum,
-                                    self.rng.random(self.CHUNK), side="right")
-            self._buf = np.concatenate([self._buf[self._pos:], fresh])
-            self._pos = 0
-        out = self._buf[self._pos:self._pos + n]
-        self._pos += n
-        self.used += n
+        while self.buffered < n:
+            self.refill()
+        out = self.peek(n)
+        self.advance(n)
         return out
 
 
@@ -91,44 +107,127 @@ def _consistent_mask_lut(H: HypothesisClass, D: FiniteDistribution) -> np.ndarra
     return lut
 
 
-def _sample_rec(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
-                stream: _DrawStream, rng: np.random.Generator, lut: np.ndarray):
-    """Recursive tournament sampling; returns (examples, positions)."""
-    if k == 0:
-        return [], []
-    full = H.full_mask
-    while True:
-        s0, p0 = _sample_rec(k - 1, D, H, n, stream, rng, lut)
-        t0 = stream.take(n)
-        s1, p1 = _sample_rec(k - 1, D, H, n, stream, rng, lut)
-        t1 = stream.take(n)
-        if not s0 and not s1:
-            # realizable prefixes: the final predictor is a pure function of
-            # the consistent row set, so compare those first
-            v0 = full & int(np.bitwise_and.reduce(lut[t0])) if n else full
-            v1 = full & int(np.bitwise_and.reduce(lut[t1])) if n else full
-            if v0 == v1:
+_NO_POINTS = np.empty(0, dtype=np.int64)
+
+
+class _Sampler:
+    """One draw of the capped tournament sampler.
+
+    A sample is kept as an int array of domain points (every point but the
+    tournament ones labeled by the target) plus the tournament positions
+    and labels, together with SOA_0's state after it: `(mask, base,
+    patches)`, where `base` is the predictor frozen when the prefix stopped
+    being realizable (None while it is) and `patches` the pointwise labels
+    seen since.  A round folds only its n fresh draws into the state its
+    child sample carried up, so no prefix is ever replayed.
+    """
+
+    def __init__(self, D: FiniteDistribution, H: HypothesisClass, n: int,
+                 stream: _DrawStream, rng: np.random.Generator):
+        self.H = H
+        self.n = n
+        self.stream = stream
+        self.rng = rng
+        self.lut = _consistent_mask_lut(H, D)
+        self.target = np.asarray(D.target).astype(np.int64)
+
+    def fold(self, state, t: np.ndarray):
+        """SOA_0's state after the target-labeled draws `t`; consumes `state`."""
+        mask, base, patches = state
+        start = 0
+        if base is None:
+            run = np.bitwise_and.accumulate(self.lut[t]) & np.uint64(mask)
+            broke = np.flatnonzero(run == 0)
+            if broke.size == 0:
+                return int(run[-1]), None, patches
+            start = int(broke[0])
+            if start:
+                mask = int(run[start - 1])
+            base = predictor_table(self.H, 0, mask)
+        tail = t[start:]
+        patches.update(zip(tail.tolist(), self.target[tail].tolist()))
+        return mask, base, patches
+
+    def fold_example(self, state, x: int, y: int):
+        mask, base, patches = state
+        if base is None:
+            new_mask = mask & self.H.col_masks()[x].get(y, 0)
+            if new_mask:
+                return new_mask, None, patches
+            base = predictor_table(self.H, 0, mask)
+        patches[x] = y
+        return mask, base, patches
+
+    def predictor(self, state) -> tuple:
+        mask, base, patches = state
+        if base is None:
+            return predictor_table(self.H, 0, mask)
+        return tuple(patches.get(x, base[x])
+                     for x in range(self.H.domain_size))
+
+    def accept(self, sides, f0: tuple, f1: tuple):
+        """Tournament label at the first disagreement; the losing side's sample.
+
+        Each side is (child points, round draws, positions, labels, state),
+        the draws already folded into the state.
+        """
+        x = next(i for i in range(self.H.domain_size) if f0[i] != f1[i])
+        y = int(self.rng.integers(1, self.H.K + 1))
+        prefix, t, positions, labels, state = sides[0] if f0[x] != y else sides[1]
+        xs = np.concatenate([prefix, t, [x]])
+        return (xs, positions + [xs.size - 1], labels + [y],
+                self.fold_example(state, x, y))
+
+    def first_level(self):
+        """k = 1: rounds scored a buffered block at a time.
+
+        No tournament label is drawn between k = 1 rounds, so every round
+        that fits both in the stream's buffer and in the remaining budget
+        is scored with one reduce; only rounds whose two consistent-row
+        masks differ are walked, in order.
+        """
+        n, stream = self.n, self.stream
+        two_n = 2 * n
+        while True:
+            left = stream.budget - stream.used
+            if left < two_n:
+                # trip on the half-round where one-at-a-time draws would
+                stream.used += n if left < n else two_n
+                raise _Fail
+            while stream.buffered < two_n:
+                stream.refill()
+            r = min(stream.buffered, left) // two_n
+            block = stream.peek(r * two_n).reshape(r, 2, n)
+            masks = np.bitwise_and.reduce(self.lut[block], axis=2)
+            for j in np.flatnonzero(masks[:, 0] != masks[:, 1]):
+                f0 = predictor_table(self.H, 0, int(masks[j, 0]))
+                f1 = predictor_table(self.H, 0, int(masks[j, 1]))
+                if f0 == f1:
+                    continue
+                stream.advance((int(j) + 1) * two_n)
+                sides = [(_NO_POINTS, t, [], [],
+                          self.fold((self.H.full_mask, None, {}), t))
+                         for t in block[j]]
+                return self.accept(sides, f0, f1)
+            stream.advance(r * two_n)
+
+    def level(self, k: int):
+        """A sample of depth k >= 1: (points, positions, labels, state)."""
+        if k == 1:
+            return self.first_level()
+        while True:
+            xs0, pos0, lab0, st0 = self.level(k - 1)
+            t0 = self.stream.take(self.n)
+            xs1, pos1, lab1, st1 = self.level(k - 1)
+            t1 = self.stream.take(self.n)
+            st0 = self.fold(st0, t0)
+            st1 = self.fold(st1, t1)
+            f0 = self.predictor(st0)
+            f1 = self.predictor(st1)
+            if f0 == f1:
                 continue
-            f0 = predictor_table(H, 0, v0)
-            f1 = predictor_table(H, 0, v1)
-        else:
-            e0 = s0 + [LabeledExample(int(x), int(D.target[x])) for x in t0]
-            e1 = s1 + [LabeledExample(int(x), int(D.target[x])) for x in t1]
-            f0 = soa_final_predictor(H, e0)
-            f1 = soa_final_predictor(H, e1)
-        if f0 == f1:
-            continue
-        x = next(i for i in range(H.domain_size) if f0[i] != f1[i])
-        y = int(rng.integers(1, H.K + 1))
-        if f0[x] != y:
-            examples, positions = s0, p0
-            t = t0
-        else:
-            examples, positions = s1, p1
-            t = t1
-        out = examples + [LabeledExample(int(xx), int(D.target[xx])) for xx in t]
-        out.append(LabeledExample(x, y))
-        return out, positions + [len(out) - 1]
+            return self.accept([(xs0, t0, pos0, lab0, st0),
+                                (xs1, t1, pos1, lab1, st1)], f0, f1)
 
 
 def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
@@ -149,12 +248,16 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     if k == 0:
         return TournamentSample([], False, 0, [])
     stream = _DrawStream(D, rng, N)
-    lut = _consistent_mask_lut(H, D)
+    sampler = _Sampler(D, H, n, stream, rng)
     try:
-        examples, positions = _sample_rec(k, D, H, n, stream, rng, lut)
-        return TournamentSample(examples, False, stream.used, positions)
+        xs, positions, labels, _ = sampler.level(k)
     except _Fail:
         return TournamentSample(None, True, stream.used, [])
+    ys = sampler.target[xs].tolist()
+    for pos, y in zip(positions, labels):
+        ys[pos] = y
+    examples = [LabeledExample(x, y) for x, y in zip(xs.tolist(), ys)]
+    return TournamentSample(examples, False, stream.used, positions)
 
 
 # ---------------------------------------------------------------------------
