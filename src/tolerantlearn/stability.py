@@ -183,8 +183,10 @@ class _Sampler:
 
         No tournament label is drawn between k = 1 rounds, so every round
         that fits both in the stream's buffer and in the remaining budget
-        is scored with one reduce; only rounds whose two consistent-row
-        masks differ are walked, in order.
+        is scored with one reduce of its consistent-row masks.  Two equal
+        nonempty masks give equal predictors; every other round is walked,
+        in order, and scored by the SOA fold (an empty mask means the draws
+        were not realizable, and SOA then freezes and patches).
         """
         n, stream = self.n, self.stream
         two_n = 2 * n
@@ -199,16 +201,18 @@ class _Sampler:
             r = min(stream.buffered, left) // two_n
             block = stream.peek(r * two_n).reshape(r, 2, n)
             masks = np.bitwise_and.reduce(self.lut[block], axis=2)
-            for j in np.flatnonzero(masks[:, 0] != masks[:, 1]):
-                f0 = predictor_table(self.H, 0, int(masks[j, 0]))
-                f1 = predictor_table(self.H, 0, int(masks[j, 1]))
+            walk = (masks[:, 0] != masks[:, 1]) | (masks[:, 0] == 0)
+            for j in np.flatnonzero(walk):
+                st0, st1 = (self.fold((self.H.full_mask, None, {}), t)
+                            for t in block[j])
+                f0 = self.predictor(st0)
+                f1 = self.predictor(st1)
                 if f0 == f1:
                     continue
                 stream.advance((int(j) + 1) * two_n)
-                sides = [(_NO_POINTS, t, [], [],
-                          self.fold((self.H.full_mask, None, {}), t))
-                         for t in block[j]]
-                return self.accept(sides, f0, f1)
+                return self.accept([(_NO_POINTS, block[j, 0], [], [], st0),
+                                    (_NO_POINTS, block[j, 1], [], [], st1)],
+                                   f0, f1)
             stream.advance(r * two_n)
 
     def level(self, k: int):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
-                                   TolerantZeroOne, evaluate_loss)
+                                   LabeledExample, TolerantZeroOne,
+                                   evaluate_loss)
 from tolerantlearn.generators import constants_class, threshold_class
-from tolerantlearn.online import soa_run
-from tolerantlearn.seeding import trial_rng
-from tolerantlearn.stability import (estimate_stability, g_parameters, run_g,
-                                     sample_dk_mc)
+from tolerantlearn.online import soa_final_predictor, soa_run
+from tolerantlearn.seeding import as_generator, trial_rng
+from tolerantlearn.stability import (_DrawStream, _Fail, estimate_stability,
+                                     g_parameters, run_g, sample_dk_mc)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,126 @@ def test_sampler_validates_arguments(threshold_setup):
         sample_dk_mc(-1, D, H, 3, 100, 0)
     with pytest.raises(ValueError):
         sample_dk_mc(1, D, H, 0, 100, 0)
+
+
+# --- the sampler against its definition -----------------------------------------
+
+def reference_sample(k, D, H, n, N, seed):
+    """The tournament sampler as defined: one round at a time, SOA replayed.
+
+    Every round draws through `_DrawStream.take` and folds SOA_0 over the
+    whole labeled prefix of each side.  Returns (examples, positions,
+    failed, draw_count) in `sample_dk_mc`'s conventions.
+    """
+    rng = as_generator(seed)
+    if k == 0:
+        return [], [], False, 0
+    stream = _DrawStream(D, rng, N)
+
+    def labeled(t):
+        return [LabeledExample(int(x), int(D.target[x])) for x in t]
+
+    def rec(k):
+        if k == 0:
+            return [], []
+        while True:
+            s0, p0 = rec(k - 1)
+            e0 = s0 + labeled(stream.take(n))
+            s1, p1 = rec(k - 1)
+            e1 = s1 + labeled(stream.take(n))
+            f0 = soa_final_predictor(H, e0)
+            f1 = soa_final_predictor(H, e1)
+            if f0 == f1:
+                continue
+            x = next(i for i in range(H.domain_size) if f0[i] != f1[i])
+            y = int(rng.integers(1, H.K + 1))
+            out, positions = (e0, p0) if f0[x] != y else (e1, p1)
+            return out + [LabeledExample(x, y)], positions + [len(out)]
+
+    try:
+        examples, positions = rec(k)
+    except _Fail:
+        return None, [], True, stream.used
+    return examples, positions, False, stream.used
+
+
+def assert_matches_reference(k, D, H, n, N, seed):
+    s = sample_dk_mc(k, D, H, n, N, seed)
+    got = (s.examples, s.tournament_positions, s.failed, s.draw_count)
+    assert got == reference_sample(k, D, H, n, N, seed), (k, n, N, seed)
+    return s
+
+
+def random_case(rs, realizable):
+    K = int(rs.integers(2, 5))
+    rows = int(rs.integers(1, 9))
+    dom = int(rs.integers(1, 7))
+    table = rs.integers(1, K + 1, size=(rows, dom))
+    H = HypothesisClass(K, table)
+    if realizable:
+        target = table[int(rs.integers(0, rows))]
+    else:
+        target = rs.integers(1, K + 1, size=dom)
+    w = rs.random(dom) + 0.05
+    return H, FiniteDistribution(w / w.sum(), target)
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_sampler_matches_reference_on_random_classes(realizable):
+    rs = np.random.default_rng(20 + realizable)
+    outcomes = set()
+    for _ in range(300):
+        H, D = random_case(rs, realizable)
+        k = int(rs.integers(0, 4))
+        n = int(rs.choice([1, 2, 3, 7]))
+        N = int(rs.choice([5, 50, 400, 3000]))
+        s = assert_matches_reference(k, D, H, n, N, int(rs.integers(0, 2**31)))
+        outcomes.add((k, s.failed))
+    assert outcomes == {(k, f) for k in range(4) for f in (False, True)} - {(0, True)}
+
+
+def test_sampler_matches_reference_on_non_realizable_break():
+    # target (1, 2, 1) is no row of the class: SOA freezes the predictor
+    # where the prefix stops being realizable and patches after it
+    H = threshold_class(3)
+    D = FiniteDistribution(np.full(3, 1 / 3), np.array([1, 2, 1]))
+    assert not D.realizable_by(H)
+    successes = 0
+    for k in (1, 2, 3):
+        for seed in range(40):
+            s = assert_matches_reference(k, D, H, 3, 2000, seed)
+            successes += not s.failed
+    assert successes > 0
+
+
+def test_sampler_matches_reference_across_chunks():
+    # n = 300: one round needs 600 draws, more than one 512-draw chunk; the
+    # rare points 1 and 2 keep some of the k = 1 rounds undecided
+    H = threshold_class(4)
+    w = np.array([0.497, 0.003, 0.002, 0.498])
+    outcomes = set()
+    for target in (H.table[2], np.array([2, 1, 2, 1])):
+        D = FiniteDistribution(w, target)
+        for k in (1, 2):
+            for seed in range(12):
+                s = assert_matches_reference(k, D, H, 300, 30000, seed)
+                outcomes.add((k, s.failed))
+    assert (1, False) in outcomes and (2, False) in outcomes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cap_trips_on_the_half_round_that_overflows(k):
+    # a constant class never disagrees, so every round is rejected and the
+    # cap trips: on the first half of a round when fewer than n draws are
+    # left, on the second half otherwise
+    H = HypothesisClass(2, [[1, 1]])
+    D = FiniteDistribution.uniform(H, 0)
+    n = 3
+    for N in range(1, 40):
+        s = assert_matches_reference(k, D, H, n, N, N)
+        assert s.failed
+        left = N % (2 * n)
+        assert s.draw_count == N - left + (n if left < n else 2 * n)
 
 
 # --- the stable learner ----------------------------------------------------------
