@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -47,14 +48,29 @@ class PrivacyParams:
             raise ValueError("delta must be nonnegative")
 
 
+def _exact_budget(v) -> Fraction:
+    """A budget as the decimal it was written as (its shortest float repr).
+
+    Fractions pass through, so a mechanism can be charged an exact share of
+    a declared budget.
+    """
+    return v if isinstance(v, Fraction) else Fraction(repr(float(v)))
+
+
 @dataclass
 class PrivacyLedger:
-    """Append-only record of mechanism invocations and their budgets."""
+    """Append-only record of mechanism invocations and their budgets.
+
+    `entries` keeps float budgets for reports; `matches` totals the exact
+    decimal budgets, so three debits of 0.1 match a declared 0.3.
+    """
 
     entries: list = field(default_factory=list)
+    exact_entries: list = field(default_factory=list, repr=False)
 
-    def debit(self, mechanism: str, eps: float, delta: float):
+    def debit(self, mechanism: str, eps, delta):
         self.entries.append((mechanism, float(eps), float(delta)))
+        self.exact_entries.append((_exact_budget(eps), _exact_budget(delta)))
 
     @property
     def total_eps(self) -> float:
@@ -65,7 +81,9 @@ class PrivacyLedger:
         return sum(d for _, _, d in self.entries)
 
     def matches(self, priv: PrivacyParams) -> bool:
-        return (self.total_eps == priv.eps and self.total_delta == priv.delta)
+        return (sum(e for e, _ in self.exact_entries) == _exact_budget(priv.eps)
+                and sum(d for _, d in self.exact_entries)
+                == _exact_budget(priv.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +244,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
     ledger = PrivacyLedger()
+    half_eps = _exact_budget(priv.eps) / 2
 
     items = []
     fail_batches = 0
@@ -239,7 +258,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
 
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),
                             eta / 8.0, trial_rng(seed, "hist"))
-    ledger.debit("stable-histogram", priv.eps / 2.0, priv.delta)
+    ledger.debit("stable-histogram", half_eps, priv.delta)
 
     pruned = [(it, est) for it, est in zip(hist.items, hist.estimates)
               if it is not None and est > 0.75 * eta]
@@ -252,7 +271,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
                                   "note": "calibration choices, not derived"},
     }
     if not pruned:
-        ledger.debit("generic-learner", priv.eps / 2.0, 0.0)
+        ledger.debit("generic-learner", half_eps, 0.0)
         diagnostics["reason"] = ("no hypothesis survived the histogram and "
                                  "prune steps" if fail_batches < k else
                                  "every stable-learner batch failed")
@@ -265,7 +284,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     sel_sample = D.draw_sample(trial_rng(seed, "sprime"), n_prime)
     chosen = generic_private_learner(tables, sel_sample, priv.eps / 2.0,
                                      trial_rng(seed, "select"))
-    ledger.debit("generic-learner", priv.eps / 2.0, 0.0)
+    ledger.debit("generic-learner", half_eps, 0.0)
     if not ledger.matches(priv):
         raise AssertionError("privacy ledger does not total the declared budget")
     return PipelineResult(chosen, False, eta, k, fail_batches,

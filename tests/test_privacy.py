@@ -145,6 +145,18 @@ def test_ledger_totals():
     assert not led.matches(PrivacyParams(0.6, 0.01))
 
 
+def test_ledger_matches_exact_decimal_totals():
+    led = PrivacyLedger()
+    for _ in range(3):
+        led.debit("m", 0.1, 0.0)
+    assert led.matches(PrivacyParams(0.3))
+    led = PrivacyLedger()
+    led.debit("a", 0.1, 0.0)
+    led.debit("b", 0.2, 0.0)
+    assert not led.matches(PrivacyParams(0.31))
+    assert led.matches(PrivacyParams(0.3))
+
+
 def test_pipeline_singleton():
     H = HypothesisClass(2, [[1, 2, 1]])
     D = FiniteDistribution.uniform(H, 0)
