@@ -108,11 +108,15 @@ class HypothesisClass:
         # multi-class setting proper always has K >= 2
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raw = np.asarray(table)
+        if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
             raise ValueError("table must be a nonempty 2-D matrix")
-        if arr.min() < 1 or arr.max() > K:
+        if raw.dtype.kind not in "iuf" or (
+                raw.dtype.kind == "f" and not np.all(np.mod(raw, 1) == 0)):
+            raise ValueError("labels must be integers")
+        if raw.min() < 1 or raw.max() > K:
             raise ValueError(f"labels must lie in 1..{K}")
+        arr = raw.astype(np.int64, copy=False)
         arr, row_map = _dedup_rows(arr)
         arr.setflags(write=False)
         self.K = int(K)
@@ -162,7 +166,8 @@ class RealFunctionClass:
         arr = np.asarray(table, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("table must be a nonempty 2-D matrix")
-        if arr.min() < -1.0 or arr.max() > 1.0:
+        # written so that NaN, which fails every comparison, is rejected
+        if not (arr.min() >= -1.0 and arr.max() <= 1.0):
             raise ValueError("values must lie in [-1, 1]")
         arr, row_map = _dedup_rows(arr)
         arr.setflags(write=False)
@@ -222,7 +227,8 @@ class FiniteDistribution:
         t = np.asarray(self.target)
         if w.ndim != 1 or t.ndim != 1 or w.shape != t.shape:
             raise ValueError("weights and target must be 1-D of equal length")
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
+        # written so that NaN, which fails every comparison, is rejected
+        if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
         w.setflags(write=False)
         t.setflags(write=False)

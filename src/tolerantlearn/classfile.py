@@ -65,7 +65,10 @@ def load_class(path):
     if len(rows) == 0 or any(len(r) != doc["domain_size"] for r in rows):
         raise ValueError(f"{path}: rows do not match domain_size")
     if kind == "multiclass":
-        return HypothesisClass(int(doc["K"]), rows)
+        K = doc["K"]
+        if not isinstance(K, int) or isinstance(K, bool):
+            raise ValueError(f"{path}: K must be an integer, found {K!r}")
+        return HypothesisClass(K, rows)
     if kind == "real":
         grid = doc.get("grid")
         table = np.asarray(rows, dtype=np.float64)

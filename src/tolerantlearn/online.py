@@ -119,6 +119,8 @@ def soa_final_predictor(H: HypothesisClass, sequence: Sequence,
     patches = {}
     for ex in sequence:
         x, y = ex.x, ex.y
+        if not (0 <= x < H.domain_size and 1 <= y <= H.K):
+            raise ValueError(f"example ({x}, {y}) outside the class domain")
         if base is None:
             new_mask = mask & col_masks[x].get(y, 0)
             if new_mask == 0:

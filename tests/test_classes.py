@@ -69,6 +69,19 @@ def test_class_validation():
         RealFunctionClass([[1.5]])
 
 
+def test_class_rejects_fractional_labels():
+    with pytest.raises(ValueError, match="integers"):
+        HypothesisClass(2, [[1.7, 2.2]])
+    with pytest.raises(ValueError, match="integers"):
+        HypothesisClass(2, [[1, float("nan")]])
+    assert HypothesisClass(2, [[1.0, 2.0]]).row(0) == (1, 2)
+
+
+def test_real_class_rejects_nan():
+    with pytest.raises(ValueError):
+        RealFunctionClass([[0.5, float("nan")]])
+
+
 # --- discretization ------------------------------------------------------------
 
 def test_discretize_two_constants_gamma_one():
@@ -143,6 +156,13 @@ def test_distribution_validation():
         FiniteDistribution(np.array([0.5, 0.6]), np.array([1, 1]))
     with pytest.raises(ValueError):
         FiniteDistribution(np.array([-0.1, 1.1]), np.array([1, 1]))
+
+
+def test_distribution_rejects_nan_weights():
+    with pytest.raises(ValueError):
+        FiniteDistribution(np.array([np.nan, 1.0]), np.array([1, 1]))
+    with pytest.raises(ValueError):
+        FiniteDistribution(np.array([np.nan, np.nan]), np.array([1, 1]))
 
 
 def test_realizable_target_loss_zero():

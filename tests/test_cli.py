@@ -179,6 +179,15 @@ def test_sampler_rejects_more_than_64_rows(tmp_path, capsys):
     assert "uint64 consistency LUT" in capsys.readouterr().err
 
 
+def test_float_labels_in_class_file_exit_2(tmp_path, capsys):
+    cls = tmp_path / "frac.json"
+    cls.write_text(json.dumps({"format": classfile.CLASS_FORMAT,
+                               "kind": "multiclass", "K": 2,
+                               "domain_size": 2, "rows": [[1.7, 2.2]]}))
+    assert run_cli("dim", "--input", cls) == 2
+    assert "labels must be integers" in capsys.readouterr().err
+
+
 def test_check_subcommand_exit_code(tmp_path):
     cls = tmp_path / "c.json"
     classfile.save_class(RealFunctionClass([[1.0 if j == i else 0.0

@@ -99,6 +99,14 @@ def test_invalid_example_rejected(threshold4):
         soa_run(threshold4, 0, make_sample([(0, 5)]))
 
 
+def test_final_predictor_rejects_examples_outside_class():
+    H = HypothesisClass(2, [[1, 2], [2, 1]])
+    with pytest.raises(ValueError):
+        soa_final_predictor(H, [LabeledExample(0, 7)])
+    with pytest.raises(ValueError):
+        soa_final_predictor(H, [LabeledExample(-1, 1)])
+
+
 # --- the adversary -------------------------------------------------------------
 
 def test_adversary_complete_binary_exact():
