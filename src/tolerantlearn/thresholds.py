@@ -35,6 +35,9 @@ def color_by_hypothesis(tree: MistakeTree, h_row) -> dict:
         walk(node.right)
 
     walk(tree.root)
+    # a recursive closure holds itself through its cell; dropping the name
+    # frees what it captured now instead of at a later cyclic collection
+    del walk
     return colors
 
 
@@ -101,7 +104,11 @@ def max_mono_subtree(tree: MistakeTree, coloring: dict):
                       rebuild(right_child, c, h - 1) if right_child else None)
 
     root = first_with(tree.root, top_color, top)
-    return top_color, MistakeTree("multiclass", rebuild(root, top_color, top), top)
+    mono = MistakeTree("multiclass", rebuild(root, top_color, top), top)
+    # the recursive closures hold themselves and the memos (one entry per
+    # node and color); dropping them frees the memos now
+    del compute, first_with, rebuild
+    return top_color, mono
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def check_mc_tree(H: HypothesisClass, tree: MistakeTree, tau: int):
         return None
 
     err = walk(tree.root, np.arange(H.num_rows))
+    # walk holds itself through its closure cell, and with it H; dropping the
+    # name frees them now instead of at a later cyclic collection
+    del walk
     return (err is None), (err or "ok")
 
 
