@@ -7,6 +7,15 @@ mistake at every tournament position, which is what makes some single output
 hypothesis land with probability bounded away from zero.  Only the
 Monte-Carlo variant with a draw cap is implemented; the idealized sampler
 needs exact output probabilities, which are not computable.
+
+Rejection rounds are cheap to score.  At k = 1 no tournament label is drawn
+between rounds, so every round already in the draw buffer (and within the
+budget) is scored at once by one reduce of per-point consistent-row masks,
+and only rounds whose masks differ or are empty are walked.  Deeper levels
+carry SOA's state (row mask, frozen predictor, patches) up from the child
+sample and fold only each round's fresh draws into it.  Buffer refills stay
+lazy: the generator is shared with the tournament labels, so drawing a
+chunk before a round needs it would change every later label.
 """
 
 from __future__ import annotations
@@ -166,10 +175,11 @@ class _Sampler:
                      for x in range(self.H.domain_size))
 
     def accept(self, sides, f0: tuple, f1: tuple):
-        """Tournament label at the first disagreement; the losing side's sample.
+        """Draw a label at the first disagreement x; keep the side that errs.
 
         Each side is (child points, round draws, positions, labels, state),
-        the draws already folded into the state.
+        the draws already folded into the state.  The kept side's predictor
+        disagrees with the drawn label at x, so SOA errs there.
         """
         x = next(i for i in range(self.H.domain_size) if f0[i] != f1[i])
         y = int(self.rng.integers(1, self.H.K + 1))
