@@ -338,7 +338,6 @@ def cmd_experiment(args) -> RunReport:
 
 
 def _namespace_for(command: str, params: dict) -> argparse.Namespace:
-    parser = build_parser()
     argv = [command]
     for key, val in params.items():
         if val is None or key == "out":
@@ -347,7 +346,7 @@ def _namespace_for(command: str, params: dict) -> argparse.Namespace:
         if not isinstance(val, bool):
             argv.append(str(val))
     try:
-        ns = parser.parse_args(argv)
+        ns = _shared_parser().parse_args(argv)
     except SystemExit:
         raise SystemExit(f"error: invalid parameters for {command!r}: {params}")
     ns.out = params.get("out")
