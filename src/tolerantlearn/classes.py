@@ -239,6 +239,9 @@ class FiniteDistribution:
     @classmethod
     def from_target_row(cls, cls_or_table, row: int, weights) -> "FiniteDistribution":
         table = getattr(cls_or_table, "table", cls_or_table)
+        rows = len(table)
+        if not 0 <= row < rows:
+            raise ValueError(f"target row {row} outside 0..{rows - 1}")
         return cls(np.asarray(weights, dtype=np.float64),
                    np.array(table[row]))
 

@@ -93,8 +93,7 @@ def cmd_soa(args) -> RunReport:
     report = RunReport("soa", {"input": args.input, "tolerance": args.tolerance,
                                "sequence": args.sequence})
     report.records = [{"x": r.x, "y_hat": r.y_hat, "y": r.y,
-                       "mistake": r.mistake, "flagged": r.flagged}
-                      for r in t.rounds]
+                       "mistake": r.mistake} for r in t.rounds]
     bound = ldim_value(H, args.tolerance)
     report.aggregates = {
         "mistakes": t.mistakes,

@@ -4,9 +4,10 @@ SOA_tau predicts, at each instance, the label whose version-space
 restriction has the largest tolerant Littlestone dimension.  Once the
 observed prefix stops being realizable the run switches to pointwise
 patching of the running predictor, which may leave the class (the learner
-becomes improper).  The adversary walks a tolerance-2*tau certificate tree
-and answers every prediction with an edge label that costs the learner a
-mistake.
+becomes improper).  `SoaState` is that one state machine; every SOA
+caller, the tournament sampler included, folds examples through it.  The
+adversary walks a tolerance-2*tau certificate tree and answers every
+prediction with an edge label that costs the learner a mistake.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .classes import HypothesisClass, LabeledExample, tolerant_loss
+from .classes import HypothesisClass, tolerant_loss
 from .dimensions import ldim_tau, ldim_value
 from .trees import check_mc_tree
 
@@ -25,7 +26,6 @@ class Round:
     y_hat: int
     y: int
     mistake: bool
-    flagged: bool = False  # prediction made with an empty version space
 
 
 @dataclass
@@ -69,70 +69,80 @@ def predictor_table(H: HypothesisClass, tau: int, mask: int) -> tuple:
     return hit
 
 
+class SoaState:
+    """SOA_tau's running state, folded one labeled example at a time.
+
+    While the observed prefix is realizable the state is the version space,
+    a row bitmask `mask`.  The example that empties it freezes the running
+    predictor into `base`; every later example is recorded in `patches`,
+    which overrides `base` pointwise.
+    """
+
+    __slots__ = ("H", "tau", "_cols", "mask", "base", "patches")
+
+    def __init__(self, H: HypothesisClass, tau: int = 0):
+        if tau < 0:
+            raise ValueError("tau must be >= 0")
+        self.H = H
+        self.tau = tau
+        self._cols = H.col_masks()
+        self.mask = H.full_mask
+        self.base = None      # predictor frozen when realizability breaks
+        self.patches = {}
+
+    def predict(self, x: int) -> int:
+        """SOA_tau's label at x after the examples observed so far."""
+        if not 0 <= x < self.H.domain_size:
+            raise ValueError(f"instance {x} outside the class domain")
+        if self.base is None:
+            return _argmax_label(self.H, self.tau, self.mask, x)
+        return self.patches.get(x, self.base[x])
+
+    def observe(self, x: int, y: int) -> None:
+        """Fold the labeled example (x, y) into the state."""
+        H = self.H
+        if not (0 <= x < H.domain_size and 1 <= y <= H.K):
+            raise ValueError(f"example ({x}, {y}) outside the class domain")
+        if self.base is None:
+            mask = self.mask & self._cols[x].get(y, 0)
+            if mask:
+                self.mask = mask
+                return
+            # prefix no longer realizable: freeze h_t, patch pointwise
+            self.base = predictor_table(H, self.tau, self.mask)
+        self.patches[x] = y
+
+    def predictor(self) -> tuple:
+        """Total prediction table of the running hypothesis."""
+        if self.base is None:
+            return predictor_table(self.H, self.tau, self.mask)
+        return tuple(self.patches.get(x, self.base[x])
+                     for x in range(self.H.domain_size))
+
+
 def soa_run(H: HypothesisClass, tau: int, sequence: Sequence) -> OnlineTranscript:
     """Run SOA_tau over a label sequence, recording a full transcript."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    state = SoaState(H, tau)
     t = OnlineTranscript(tau=tau)
-    col_masks = H.col_masks()
-    mask = H.full_mask
-    base = None      # predictor frozen when realizability breaks
-    patches = {}
-    for i, ex in enumerate(sequence):
+    for ex in sequence:
         x, y = int(ex.x), int(ex.y)
-        if not (0 <= x < H.domain_size) or not (1 <= y <= H.K):
-            raise ValueError(f"example ({x}, {y}) outside the class domain")
-        if base is None:
-            flagged = mask == 0
-            y_hat = 1 if flagged else _argmax_label(H, tau, mask, x)
-        else:
-            flagged = False
-            y_hat = patches.get(x, base[x])
-        mistake = tolerant_loss(y_hat, y, tau) == 1
-        t.rounds.append(Round(x, y_hat, y, mistake, flagged))
-        if base is None:
-            new_mask = mask & col_masks[x].get(y, 0)
-            if new_mask == 0:
-                # prefix no longer realizable: freeze h_t, patch pointwise
-                base = predictor_table(H, tau, mask)
-                patches[x] = y
-                t.break_round = i
-            else:
-                mask = new_mask
-        else:
-            patches[x] = y
-        t.vs_sizes.append(bin(mask).count("1") if base is None else 0)
-    if base is None:
-        t.final_predictor = predictor_table(H, tau, mask)
-    else:
-        t.final_predictor = tuple(patches.get(x, base[x])
-                                  for x in range(H.domain_size))
+        y_hat = state.predict(x)
+        t.rounds.append(Round(x, y_hat, y, tolerant_loss(y_hat, y, tau) == 1))
+        state.observe(x, y)
+        t.vs_sizes.append(state.mask.bit_count() if state.base is None else 0)
+    if 0 in t.vs_sizes:  # sizes are >= 1 while the prefix is realizable
+        t.break_round = t.vs_sizes.index(0)
+    t.final_predictor = state.predictor()
     return t
 
 
 def soa_final_predictor(H: HypothesisClass, sequence: Sequence,
                         tau: int = 0) -> tuple:
     """Final predictor of SOA_tau without transcript bookkeeping (hot path)."""
-    col_masks = H.col_masks()
-    mask = H.full_mask
-    base = None
-    patches = {}
+    state = SoaState(H, tau)
     for ex in sequence:
-        x, y = ex.x, ex.y
-        if not (0 <= x < H.domain_size and 1 <= y <= H.K):
-            raise ValueError(f"example ({x}, {y}) outside the class domain")
-        if base is None:
-            new_mask = mask & col_masks[x].get(y, 0)
-            if new_mask == 0:
-                base = predictor_table(H, tau, mask)
-                patches[x] = y
-            else:
-                mask = new_mask
-        else:
-            patches[x] = y
-    if base is None:
-        return predictor_table(H, tau, mask)
-    return tuple(patches.get(x, base[x]) for x in range(H.domain_size))
+        state.observe(ex.x, ex.y)
+    return state.predictor()
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +157,10 @@ class SoaLearner:
         self.tau = tau
 
     def predict(self, x: int, history) -> int:
-        sequence = [LabeledExample(hx, hy) for hx, hy in history]
-        return soa_final_predictor(self.H, sequence, self.tau)[x]
+        state = SoaState(self.H, self.tau)
+        for hx, hy in history:
+            state.observe(hx, hy)
+        return state.predict(x)
 
 
 class ConstantLearner:

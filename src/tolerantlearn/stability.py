@@ -12,10 +12,11 @@ Rejection rounds are cheap to score.  At k = 1 no tournament label is drawn
 between rounds, so every round already in the draw buffer (and within the
 budget) is scored at once by one reduce of per-point consistent-row masks,
 and only rounds whose masks differ or are empty are walked.  Deeper levels
-carry SOA's state (row mask, frozen predictor, patches) up from the child
-sample and fold only each round's fresh draws into it.  Buffer refills stay
-lazy: the generator is shared with the tournament labels, so drawing a
-chunk before a round needs it would change every later label.
+carry SOA's `online.SoaState` up from the child sample and fold only each
+round's fresh draws into it, the realizable stretch by one AND-accumulate
+over a uint64 consistency LUT.  Buffer refills stay lazy: the generator is
+shared with the tournament labels, so drawing a chunk before a round needs
+it would change every later label.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from .classes import (FiniteDistribution, HypothesisClass, LabeledExample,
                       TolerantZeroOne, evaluate_loss)
 from .dimensions import ldim_value
-from .online import predictor_table, soa_final_predictor
+# predictor_table is unused here; bench/tracing.py wraps this binding by name
+from .online import SoaState, predictor_table, soa_final_predictor  # noqa: F401
 from .seeding import as_generator, trial_rng
 
 
@@ -124,11 +126,9 @@ class _Sampler:
 
     A sample is kept as an int array of domain points (every point but the
     tournament ones labeled by the target) plus the tournament positions
-    and labels, together with SOA_0's state after it: `(mask, base,
-    patches)`, where `base` is the predictor frozen when the prefix stopped
-    being realizable (None while it is) and `patches` the pointwise labels
-    seen since.  A round folds only its n fresh draws into the state its
-    child sample carried up, so no prefix is ever replayed.
+    and labels, together with the `SoaState` of SOA_0 after it.  A round
+    folds only its n fresh draws into the state its child sample carried
+    up, so no prefix is ever replayed.
     """
 
     def __init__(self, D: FiniteDistribution, H: HypothesisClass, n: int,
@@ -140,39 +140,27 @@ class _Sampler:
         self.lut = _consistent_mask_lut(H, D)
         self.target = np.asarray(D.target).astype(np.int64)
 
-    def fold(self, state, t: np.ndarray):
-        """SOA_0's state after the target-labeled draws `t`; consumes `state`."""
-        mask, base, patches = state
+    def fold(self, state: SoaState, t: np.ndarray) -> SoaState:
+        """Fold the target-labeled draws `t` into `state`, in place.
+
+        While the prefix is realizable the running AND of the draws' LUT
+        masks is the version space; the draw that empties it and all later
+        ones go through `observe`.
+        """
         start = 0
-        if base is None:
-            run = np.bitwise_and.accumulate(self.lut[t]) & np.uint64(mask)
+        if state.base is None:
+            run = np.bitwise_and.accumulate(self.lut[t]) & np.uint64(state.mask)
             broke = np.flatnonzero(run == 0)
             if broke.size == 0:
-                return int(run[-1]), None, patches
+                state.mask = int(run[-1])
+                return state
             start = int(broke[0])
             if start:
-                mask = int(run[start - 1])
-            base = predictor_table(self.H, 0, mask)
+                state.mask = int(run[start - 1])
         tail = t[start:]
-        patches.update(zip(tail.tolist(), self.target[tail].tolist()))
-        return mask, base, patches
-
-    def fold_example(self, state, x: int, y: int):
-        mask, base, patches = state
-        if base is None:
-            new_mask = mask & self.H.col_masks()[x].get(y, 0)
-            if new_mask:
-                return new_mask, None, patches
-            base = predictor_table(self.H, 0, mask)
-        patches[x] = y
-        return mask, base, patches
-
-    def predictor(self, state) -> tuple:
-        mask, base, patches = state
-        if base is None:
-            return predictor_table(self.H, 0, mask)
-        return tuple(patches.get(x, base[x])
-                     for x in range(self.H.domain_size))
+        for x, y in zip(tail.tolist(), self.target[tail].tolist()):
+            state.observe(x, y)
+        return state
 
     def accept(self, sides, f0: tuple, f1: tuple):
         """Draw a label at the first disagreement x; keep the side that errs.
@@ -185,8 +173,8 @@ class _Sampler:
         y = int(self.rng.integers(1, self.H.K + 1))
         prefix, t, positions, labels, state = sides[0] if f0[x] != y else sides[1]
         xs = np.concatenate([prefix, t, [x]])
-        return (xs, positions + [xs.size - 1], labels + [y],
-                self.fold_example(state, x, y))
+        state.observe(x, y)
+        return xs, positions + [xs.size - 1], labels + [y], state
 
     def first_level(self):
         """k = 1: rounds scored a buffered block at a time.
@@ -213,10 +201,8 @@ class _Sampler:
             masks = np.bitwise_and.reduce(self.lut[block], axis=2)
             walk = (masks[:, 0] != masks[:, 1]) | (masks[:, 0] == 0)
             for j in np.flatnonzero(walk):
-                st0, st1 = (self.fold((self.H.full_mask, None, {}), t)
-                            for t in block[j])
-                f0 = self.predictor(st0)
-                f1 = self.predictor(st1)
+                st0, st1 = (self.fold(SoaState(self.H), t) for t in block[j])
+                f0, f1 = st0.predictor(), st1.predictor()
                 if f0 == f1:
                     continue
                 stream.advance((int(j) + 1) * two_n)
@@ -234,10 +220,8 @@ class _Sampler:
             t0 = self.stream.take(self.n)
             xs1, pos1, lab1, st1 = self.level(k - 1)
             t1 = self.stream.take(self.n)
-            st0 = self.fold(st0, t0)
-            st1 = self.fold(st1, t1)
-            f0 = self.predictor(st0)
-            f1 = self.predictor(st1)
+            f0 = self.fold(st0, t0).predictor()
+            f1 = self.fold(st1, t1).predictor()
             if f0 == f1:
                 continue
             return self.accept([(xs0, t0, pos0, lab0, st0),
@@ -254,6 +238,10 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
+    labels = D.target.tolist()
+    if len(labels) != H.domain_size or not set(labels) <= set(range(1, H.K + 1)):
+        raise ValueError(f"the distribution must label the class's "
+                         f"{H.domain_size} points with integers in 1..{H.K}")
     if H.num_rows > LUT_ROW_LIMIT:
         raise ValueError(
             f"the tournament sampler keeps row subsets in a uint64 consistency "

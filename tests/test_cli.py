@@ -179,6 +179,23 @@ def test_sampler_rejects_more_than_64_rows(tmp_path, capsys):
     assert "uint64 consistency LUT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("past_end", [False, True])
+def test_target_row_outside_class_exits_2(tmp_path, capsys, past_end):
+    # row -1 must not wrap to the last row, nor row `rows` crash as IndexError
+    mc = tmp_path / "thr.json"
+    classfile.save_class(threshold_class(3), mc)          # 4 rows
+    real = tmp_path / "real.json"
+    classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]), real)
+    dp = ["--epsilon", 0.5, "--delta", 0.01, "--beta", 0.2]
+    common = ["--alpha", 0.2, "--seed", 1, "--out", tmp_path / "r.json"]
+    for argv, rows in [(["gs", "--input", mc, "--trials", 5], 4),
+                       (["dp-learn", "--input", mc, *dp], 4),
+                       (["dp-learn", "--input", real, "--gamma", 0.5, *dp], 2)]:
+        target = rows if past_end else -1
+        assert run_cli(*argv, "--target", target, *common) == 2
+        assert "target row" in capsys.readouterr().err
+
+
 def test_float_labels_in_class_file_exit_2(tmp_path, capsys):
     cls = tmp_path / "frac.json"
     cls.write_text(json.dumps({"format": classfile.CLASS_FORMAT,

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tolerantlearn.classes import HypothesisClass, LabeledExample, make_sample, tolerant_loss
@@ -86,10 +87,30 @@ def test_extension_consistent_with_realizable_tail(threshold4):
         assert out[ex.x] == ex.y
 
 
+def random_label_sequences(H, length, count, rs):
+    """Sequences with uniformly random instances and labels (mostly unrealizable)."""
+    for _ in range(count):
+        xs = rs.integers(0, H.domain_size, size=length).tolist()
+        ys = rs.integers(1, H.K + 1, size=length).tolist()
+        yield make_sample(zip(xs, ys))
+
+
 def test_fast_path_matches_transcript(mc_corpus):
+    # the transcript's per-round argmax and the cached predictor tables must
+    # agree, before and after the prefix stops being realizable
+    rs = np.random.default_rng(89)
+    broke = 0
     for H in mc_corpus[:10]:
-        for seq in realizable_sequences(H, 3):
-            assert soa_final_predictor(H, seq) == soa_run(H, 0, seq).final_predictor
+        sequences = (list(realizable_sequences(H, 3))
+                     + list(random_label_sequences(H, 6, 20, rs)))
+        for tau in (0, 1):
+            for seq in sequences:
+                t = soa_run(H, tau, seq)
+                assert soa_final_predictor(H, seq, tau) == t.final_predictor
+                for i, r in enumerate(t.rounds):
+                    assert r.y_hat == soa_final_predictor(H, seq[:i], tau)[r.x]
+                broke += t.break_round is not None
+    assert broke > 0
 
 
 def test_invalid_example_rejected(threshold4):

@@ -6,6 +6,7 @@ from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    evaluate_loss)
 from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
+from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
 from tolerantlearn.stability import (_DrawStream, _Fail, estimate_stability,
                                      g_parameters, run_g, sample_dk_mc)
@@ -109,6 +110,24 @@ def test_sampler_validates_arguments(threshold_setup):
         sample_dk_mc(-1, D, H, 3, 100, 0)
     with pytest.raises(ValueError):
         sample_dk_mc(1, D, H, 0, 100, 0)
+
+
+@pytest.mark.parametrize("D", [
+    FiniteDistribution(np.full(2, 0.5), np.array([7, 1])),        # label > K
+    FiniteDistribution(np.full(2, 0.5), np.array([1.5, 1])),      # not a label
+    FiniteDistribution(np.full(3, 1 / 3), np.array([1, 2, 1])),   # 3 points
+], ids=["label-7", "fractional", "three-points"])
+def test_sampler_rejects_distribution_off_the_class(D):
+    H = HypothesisClass(2, [[1, 2], [2, 1]])
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError):
+            sample_dk_mc(k, D, H, 2, 100, k)
+    with pytest.raises(ValueError):
+        run_g(H, D, 0.3, 0)
+    with pytest.raises(ValueError):
+        estimate_stability(H, D, 0.3, 3, 0)
+    with pytest.raises(ValueError):
+        private_learn_mc(H, D, PrivacyParams(0.5, 0.01), 0.3, 0.2, 0)
 
 
 # --- the sampler against its definition -----------------------------------------
