@@ -204,6 +204,19 @@ class LabeledExample:
 Sample = Sequence[LabeledExample]
 
 
+def integer_example(x, y) -> tuple:
+    """(x, y) as ints; ValueError unless both are whole numbers."""
+    if type(x) is int and type(y) is int:     # the common case, kept cheap
+        return x, y
+    try:
+        pair = int(x), int(y)
+    except (TypeError, ValueError, OverflowError):
+        pair = None
+    if pair is None or pair != (x, y):
+        raise ValueError(f"example ({x!r}, {y!r}) is not a pair of integers")
+    return pair
+
+
 def make_sample(pairs) -> list:
     """Build a sample from an iterable of (x, y) pairs."""
     return [LabeledExample(int(x), y) for x, y in pairs]

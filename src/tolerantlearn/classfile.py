@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classes import HypothesisClass, LabeledExample, RealFunctionClass
+from .classes import (HypothesisClass, LabeledExample, RealFunctionClass,
+                      integer_example)
 from .thresholds import ThresholdFamily
 from .trees import MistakeTree, tree_from_dict, tree_to_dict
 
@@ -93,7 +94,7 @@ def save_sequence(examples, path) -> None:
 
 def load_sequence(path) -> list:
     doc = _load(path, SEQ_FORMAT)
-    return [LabeledExample(int(x), y) for x, y in doc["examples"]]
+    return [LabeledExample(*integer_example(x, y)) for x, y in doc["examples"]]
 
 
 # --- certificates ----------------------------------------------------------

@@ -14,6 +14,7 @@ is the tournament sampler's uint64 consistency LUT (`stability`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,6 +62,22 @@ class _SplitEngine:
         self._memo = {}
 
     def value(self, mask: int) -> int:
+        """Depth of the row subset `mask`; the entry point of the recursion.
+
+        The recursion nests one call per split it descends, so a class
+        whose splits are all unbalanced goes about |H|/2 calls deep.  Past
+        Python's recursion limit that is a ValueError, not a crash.
+        """
+        try:
+            return self._value(mask)
+        except RecursionError:
+            raise ValueError(
+                f"the dimension recursion went deeper than Python's recursion "
+                f"limit of {sys.getrecursionlimit()} calls (the class's splits "
+                "are too unbalanced); raise it with sys.setrecursionlimit"
+            ) from None
+
+    def _value(self, mask: int) -> int:
         if mask == 0:
             return EMPTY_LDIM
         hit = self._memo.get(mask)
@@ -80,10 +97,10 @@ class _SplitEngine:
             # every later one
             if n.bit_length() <= best:
                 break
-            v = self.value(lo)
+            v = self._value(lo)
             if v >= best:
                 # a nonempty side is worth >= 0, so v == 0 settles the min
-                best = max(best, 1 + (min(v, self.value(hi)) if v else 0))
+                best = max(best, 1 + (min(v, self._value(hi)) if v else 0))
         self._memo[mask] = best
         return best
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .classes import HypothesisClass, tolerant_loss
+from .classes import HypothesisClass, integer_example, tolerant_loss
 from .dimensions import ldim_tau, ldim_value
 from .trees import check_mc_tree
 
@@ -125,7 +125,7 @@ def soa_run(H: HypothesisClass, tau: int, sequence: Sequence) -> OnlineTranscrip
     state = SoaState(H, tau)
     t = OnlineTranscript(tau=tau)
     for ex in sequence:
-        x, y = int(ex.x), int(ex.y)
+        x, y = integer_example(ex.x, ex.y)
         y_hat = state.predict(x)
         t.rounds.append(Round(x, y_hat, y, tolerant_loss(y_hat, y, tau) == 1))
         state.observe(x, y)
@@ -141,7 +141,7 @@ def soa_final_predictor(H: HypothesisClass, sequence: Sequence,
     """Final predictor of SOA_tau without transcript bookkeeping (hot path)."""
     state = SoaState(H, tau)
     for ex in sequence:
-        state.observe(ex.x, ex.y)
+        state.observe(*integer_example(ex.x, ex.y))
     return state.predictor()
 
 

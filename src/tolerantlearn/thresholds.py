@@ -5,6 +5,10 @@ the tallest monochromatic subtree and restricts the class by the chosen
 edge label.  Iterating the step and keeping the longest run with a constant
 label pair yields a family of two-block threshold functions; a verifier
 re-checks the family pattern from its definition.
+
+The monochromatic search runs on the tree's preorder arrays
+(`trees.flatten_mc`): the (node, color) table is filled bottom-up one depth
+level at a time, and the subtree is rebuilt top-down a level at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .classes import HypothesisClass, RealFunctionClass, discretize, label_to_midpoint
 from .dimensions import ldim_tau
-from .trees import McNode, MistakeTree, check_mc_tree, node_height
+from .trees import McNode, MistakeTree, breadth_first, check_mc_tree, flatten_mc
 
 
 # ---------------------------------------------------------------------------
@@ -25,20 +29,9 @@ from .trees import McNode, MistakeTree, check_mc_tree, node_height
 
 def color_by_hypothesis(tree: MistakeTree, h_row) -> dict:
     """Color every internal vertex x by h(x)."""
-    colors = {}
-
-    def walk(node):
-        if node is None:
-            return
-        colors[node] = int(h_row[node.x])
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
-    # a recursive closure holds itself through its cell; dropping the name
-    # frees what it captured now instead of at a later cyclic collection
-    del walk
-    return colors
+    nodes = breadth_first(tree.root)[0]
+    xs = np.fromiter((v.x for v in nodes), np.int64, len(nodes))
+    return dict(zip(nodes, np.asarray(h_row)[xs].astype(np.int64).tolist()))
 
 
 def max_mono_subtree(tree: MistakeTree, coloring: dict):
@@ -48,6 +41,13 @@ def max_mono_subtree(tree: MistakeTree, coloring: dict):
     over v's two branches of the best height anywhere in that branch.
     Returns (color, subtree) where the subtree's nodes keep their original
     instances and edge labels.
+
+    The tree is flattened into preorder arrays and the (node, color) table
+    is filled bottom-up one depth level at a time.  The subtree is then
+    rebuilt top-down a level at a time: below each chosen node, the child
+    on each side is the first node in preorder in that branch whose
+    subtree of the color is tall enough.  A branch is a contiguous preorder
+    range, so that node is the first one at or after the branch's root.
     """
     if tree.root is None:
         raise ValueError("cannot search an empty tree")
@@ -56,59 +56,37 @@ def max_mono_subtree(tree: MistakeTree, coloring: dict):
             raise ValueError("coloring must map multiclass tree nodes")
 
     colors = sorted(set(coloring.values()))
-    m = {}      # (node, color) -> height of best c-subtree rooted at node
-    best = {}   # (node, color) -> max of m over the subtree at node
+    index = {c: i for i, c in enumerate(colors)}
+    t = flatten_mc(tree)
+    n = len(t.nodes)
+    own = np.fromiter((index[coloring[v]] for v in t.nodes), np.int64, n)
+    own = own[:, None] == np.arange(len(colors))
+    m = np.zeros((n, len(colors)), np.int64)          # best c-subtree rooted at v
+    best = np.zeros((n + 1, len(colors)), np.int64)   # max of m under v; row -1 = absent
+    for ids in reversed(t.levels):
+        bl, br = best[t.left[ids]], best[t.right[ids]]
+        m[ids] = mv = np.where(own[ids], 1 + np.minimum(bl, br), 0)
+        best[ids] = np.maximum(mv, np.maximum(bl, br))
+    ci = int(best[0].argmax())                        # first maximum: smallest color
+    top = int(best[0, ci])
 
-    def compute(node):
-        if node is None:
-            return
-        compute(node.left)
-        compute(node.right)
-        for c in colors:
-            if coloring[node] != c:
-                mv = 0
-            else:
-                bl = best.get((node.left, c), 0) if node.left else 0
-                br = best.get((node.right, c), 0) if node.right else 0
-                mv = 1 + min(bl, br)
-            m[(node, c)] = mv
-            sub = mv
-            if node.left:
-                sub = max(sub, best[(node.left, c)])
-            if node.right:
-                sub = max(sub, best[(node.right, c)])
-            best[(node, c)] = sub
+    def first_reaching(h):
+        """For each id, the first id at or after it in preorder with m >= h."""
+        ids = np.where(m[:, ci] >= h, np.arange(n), n)
+        return np.minimum.accumulate(ids[::-1])[::-1]
 
-    compute(tree.root)
-    top, top_color = -1, None
-    for c in colors:
-        h = best[(tree.root, c)]
-        if h > top:
-            top, top_color = h, c
-
-    def first_with(node, c, h):
-        """First node in preorder whose best c-subtree reaches height h."""
-        if node is None:
-            return None
-        if m[(node, c)] >= h:
-            return node
-        return first_with(node.left, c, h) or first_with(node.right, c, h)
-
-    def rebuild(node, c, h):
-        if h == 0:
-            return None
-        left_child = first_with(node.left, c, h - 1)
-        right_child = first_with(node.right, c, h - 1)
-        return McNode(node.x, node.left_label, node.right_label,
-                      rebuild(left_child, c, h - 1) if left_child else None,
-                      rebuild(right_child, c, h - 1) if right_child else None)
-
-    root = first_with(tree.root, top_color, top)
-    mono = MistakeTree("multiclass", rebuild(root, top_color, top), top)
-    # the recursive closures hold themselves and the memos (one entry per
-    # node and color); dropping them frees the memos now
-    del compute, first_with, rebuild
-    return top_color, mono
+    chosen = [first_reaching(top)[:1]]                # heap order, level by level
+    for h in range(top - 1, 0, -1):
+        nxt = first_reaching(h)
+        above = chosen[-1]
+        chosen.append(np.stack((nxt[t.left[above]], nxt[t.right[above]]),
+                               axis=1).ravel())
+    below = [None] * (2 << (top - 1))
+    for ids in reversed(chosen):
+        pairs = iter(below)
+        below = [McNode(v.x, v.left_label, v.right_label, next(pairs), next(pairs))
+                 for v in map(t.nodes.__getitem__, ids.tolist())]
+    return colors[ci], MistakeTree("multiclass", below[0], top)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +110,8 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree, tau: int,
     """One coloring/descent step on a tolerance-tau shattered tree.
 
     The gap test at the chosen edge is 2|k - k'| > tau, the integer form of
-    |k - k'| > tau/2.  When both edges qualify, the child with the taller
-    remaining subtree wins; ties go left.
+    |k - k'| > tau/2.  When both edges qualify the left one wins: the
+    monochromatic subtree is complete, so its two children are equally tall.
     """
     if tree.height < 1 or tree.root is None:
         raise ValueError("need a shattered tree of height >= 1")
@@ -148,16 +126,12 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree, tau: int,
     root = mono.root
     x0 = root.x
 
-    options = []
-    for label, child in ((root.left_label, root.left),
-                         (root.right_label, root.right)):
-        if 2 * abs(k - label) > tau:
-            options.append((label, child))
+    options = [(label, child) for label, child in ((root.left_label, root.left),
+                                                   (root.right_label, root.right))
+               if 2 * abs(k - label) > tau]
     if not options:
         raise AssertionError("no edge label clears the tau/2 gap")
-    k_prime, child = max(options, key=lambda lc: node_height(lc[1]))
-    if len(options) == 2 and node_height(options[0][1]) == node_height(options[1][1]):
-        k_prime, child = options[0]
+    k_prime, child = options[0]
 
     sel = np.flatnonzero(H.table[:, x0] == k_prime)
     if sel.size == 0:

@@ -1,7 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from tolerantlearn.classes import HypothesisClass
 from tolerantlearn.generators import random_multiclass, random_real, threshold_class
 
 
@@ -41,3 +43,16 @@ def real_corpus():
 @pytest.fixture(scope="session")
 def threshold4():
     return threshold_class(4)
+
+
+@pytest.fixture(scope="session")
+def unbalanced_pairs():
+    """200 row pairs: column c_i is 2 on rows 2i and 2i+1, column e_i on row
+    2i only.  Every split is unbalanced, so the dimension recursion goes
+    about |H|/2 calls deep."""
+    pairs = 200
+    table = np.ones((2 * pairs, 2 * pairs), dtype=np.int64)
+    for i in range(pairs):
+        table[2 * i:2 * i + 2, i] = 2
+        table[2 * i, pairs + i] = 2
+    return HypothesisClass(2, table)

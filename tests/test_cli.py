@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -203,6 +204,34 @@ def test_float_labels_in_class_file_exit_2(tmp_path, capsys):
                                "domain_size": 2, "rows": [[1.7, 2.2]]}))
     assert run_cli("dim", "--input", cls) == 2
     assert "labels must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example", [[0, 1.5], [0.5, 1]])
+def test_fractional_sequence_exits_2(tmp_path, capsys, example):
+    cls = tmp_path / "c.json"
+    classfile.save_class(HypothesisClass(2, [[1, 2], [2, 1]]), cls)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"format": classfile.SEQ_FORMAT,
+                               "examples": [[1, 2], example]}))
+    with pytest.raises(ValueError):
+        classfile.load_sequence(seq)
+    assert run_cli("soa", "--input", cls, "--sequence", seq,
+                   "--out", tmp_path / "r.json") == 2
+    assert "not a pair of integers" in capsys.readouterr().err
+
+
+def test_unbalanced_class_past_recursion_limit_exits_2(tmp_path, capsys,
+                                                       unbalanced_pairs):
+    cls = tmp_path / "pairs.json"
+    classfile.save_class(unbalanced_pairs, cls)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code = run_cli("dim", "--input", cls, "--out", tmp_path / "r.json")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert "recursion limit" in capsys.readouterr().err
 
 
 def test_check_subcommand_exit_code(tmp_path):

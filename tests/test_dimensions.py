@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,21 @@ def test_large_classes_certified():
     ok, msg = verify_report(p, F, kind="pdim")
     assert ok, msg
     assert 1 <= fat.value <= p.value <= math.log2(F.num_rows)
+
+
+def test_deep_recursion_is_a_value_error(unbalanced_pairs):
+    H = unbalanced_pairs
+    limit, low = sys.getrecursionlimit(), len(inspect.stack()) + 100
+    sys.setrecursionlimit(low)
+    try:
+        with pytest.raises(ValueError, match=f"recursion limit of {low} "):
+            ldim_value(H, 0)
+        with pytest.raises(ValueError, match=f"recursion limit of {low} "):
+            ldim_tau(H, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the memo holds only finished values, so a later call completes
+    assert ldim_tau(H, 0).value == 2
 
 
 # --- fat-shattering ------------------------------------------------------------

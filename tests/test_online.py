@@ -120,6 +120,27 @@ def test_invalid_example_rejected(threshold4):
         soa_run(threshold4, 0, make_sample([(0, 5)]))
 
 
+@pytest.mark.parametrize("example", [(0, 1.5), (0.5, 1), (0, "1"), (0, float("nan"))])
+def test_non_integer_examples_rejected(example):
+    # inside 1..K but not a label: must not be truncated or carried along
+    H = HypothesisClass(2, [[1, 2], [2, 1]])
+    seq = [LabeledExample(*example)]
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        soa_run(H, 0, seq)
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        soa_final_predictor(H, seq)
+
+
+def test_whole_float_examples_fold_as_ints():
+    H = HypothesisClass(2, [[1, 2], [2, 1]])
+    seq = [LabeledExample(1.0, 1.0), LabeledExample(1, 2.0)]
+    t = soa_run(H, 0, seq)
+    assert [(r.x, r.y) for r in t.rounds] == [(1, 1), (1, 2)]
+    final = soa_final_predictor(H, seq)
+    assert final == t.final_predictor
+    assert all(type(v) is int for v in final + t.final_predictor)
+
+
 def test_final_predictor_rejects_examples_outside_class():
     H = HypothesisClass(2, [[1, 2], [2, 1]])
     with pytest.raises(ValueError):

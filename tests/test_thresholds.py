@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tolerantlearn import thresholds
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass
 from tolerantlearn.dimensions import ldim_tau
 from tolerantlearn.generators import complete_binary, threshold_class
@@ -10,8 +12,9 @@ from tolerantlearn.thresholds import (ThresholdFamily, color_and_choose,
                                       extract_thresholds_reg, max_mono_subtree,
                                       verify_thresholds)
 from tolerantlearn.trees import (McNode, MistakeTree, check_mc_tree,
-                                 complete_binary_certificate, node_height,
-                                 threshold_class_certificate)
+                                 complete_binary_certificate, is_complete,
+                                 node_height, threshold_class_certificate,
+                                 tree_to_dict)
 
 
 def random_colored_tree(height, num_colors, seed, num_instances=8):
@@ -238,3 +241,276 @@ def test_extract_regression_closure(real_corpus):
     for F in real_corpus[:8]:
         fam, _ = extract_thresholds_reg(F, 0.8)
         assert verify_thresholds(fam).ok
+
+
+# --- the array checker and search against their definitions ------------------------
+
+def reference_check_mc_tree(H, tree, tau):
+    """`check_mc_tree` as defined: walk every path with its realizing rows."""
+    if tree.kind != "multiclass":
+        return False, "not a multiclass tree"
+    if not is_complete(tree.root, tree.height):
+        return False, f"tree is not complete at height {tree.height}"
+    if tree.root is None:
+        return True, "empty tree"
+
+    def walk(node, rows):
+        if node.x < 0 or node.x >= H.domain_size:
+            return f"instance {node.x} outside the domain"
+        if abs(node.left_label - node.right_label) <= tau:
+            return (f"edge gap |{node.left_label} - {node.right_label}| "
+                    f"<= {tau} at instance {node.x}")
+        for label, child in ((node.left_label, node.left),
+                             (node.right_label, node.right)):
+            if not (1 <= label <= H.K):
+                return f"label {label} outside 1..{H.K}"
+            sub = rows[H.table[rows, node.x] == label]
+            if child is None:
+                if sub.size == 0:
+                    return (f"path ending with ({node.x} -> {label}) "
+                            "is realized by no hypothesis")
+            else:
+                err = walk(child, sub)
+                if err:
+                    return err
+        return None
+
+    err = walk(tree.root, np.arange(H.num_rows))
+    return (err is None), (err or "ok")
+
+
+def reference_color_by_hypothesis(tree, h_row):
+    colors = {}
+
+    def walk(node):
+        if node is not None:
+            colors[node] = int(h_row[node.x])
+            walk(node.left)
+            walk(node.right)
+
+    walk(tree.root)
+    return colors
+
+
+def reference_max_mono_subtree(tree, coloring):
+    """`max_mono_subtree` as defined: a (node, color) memo filled by recursion."""
+    colors = sorted(set(coloring.values()))
+    m, best = {}, {}
+
+    def compute(node):
+        if node is None:
+            return
+        compute(node.left)
+        compute(node.right)
+        for c in colors:
+            if coloring[node] != c:
+                mv = 0
+            else:
+                bl = best[(node.left, c)] if node.left else 0
+                br = best[(node.right, c)] if node.right else 0
+                mv = 1 + min(bl, br)
+            m[(node, c)] = mv
+            sub = mv
+            for child in (node.left, node.right):
+                if child:
+                    sub = max(sub, best[(child, c)])
+            best[(node, c)] = sub
+
+    compute(tree.root)
+    top, top_color = -1, None
+    for c in colors:
+        if best[(tree.root, c)] > top:
+            top, top_color = best[(tree.root, c)], c
+
+    def first_with(node, c, h):
+        """First node in preorder whose best c-subtree reaches height h."""
+        if node is None:
+            return None
+        if m[(node, c)] >= h:
+            return node
+        return first_with(node.left, c, h) or first_with(node.right, c, h)
+
+    def rebuild(node, c, h):
+        if h == 0:
+            return None
+        left_child = first_with(node.left, c, h - 1)
+        right_child = first_with(node.right, c, h - 1)
+        return McNode(node.x, node.left_label, node.right_label,
+                      rebuild(left_child, c, h - 1) if left_child else None,
+                      rebuild(right_child, c, h - 1) if right_child else None)
+
+    root = first_with(tree.root, top_color, top)
+    return top_color, MistakeTree("multiclass", rebuild(root, top_color, top), top)
+
+
+def preorder(node):
+    if node is None:
+        return []
+    return [node] + preorder(node.left) + preorder(node.right)
+
+
+FAULTS = ("domain", "gap", "label", "incomplete", "unrealized")
+
+
+def shattered_case(rng, height, K, tau, domain):
+    """A random tolerance-tau tree and a class with one row per final edge.
+
+    Instances are distinct along each path, so every final edge is realized
+    by the row built for it (the other entries are random).
+    """
+    rows = []
+
+    def build(depth, path):
+        if depth == height:
+            return None
+        used = {x for x, _ in path}
+        x = int(rng.choice([v for v in range(domain) if v not in used]))
+        k = int(rng.integers(1, K - tau))
+        kp = int(rng.integers(k + tau + 1, K + 1))
+        labels = (k, kp) if rng.random() < 0.5 else (kp, k)
+        children = []
+        for label in labels:
+            step = path + [(x, label)]
+            if depth + 1 == height:
+                row = rng.integers(1, K + 1, domain)
+                for px, py in step:
+                    row[px] = py
+                rows.append(row)
+            children.append(build(depth + 1, step))
+        return McNode(x, labels[0], labels[1], *children)
+
+    tree = MistakeTree("multiclass", build(0, []), height)
+    return tree, np.array(rows)
+
+
+def inject(rng, fault, tree, rows, K, tau, domain):
+    """Break the tree (or drop rows) by one fault of the named kind."""
+    nodes = preorder(tree.root)
+    v = nodes[int(rng.integers(len(nodes)))]
+    if fault == "domain":
+        v.x = domain if rng.random() < 0.5 else -1
+    elif fault == "gap":
+        v.right_label = v.left_label + int(rng.integers(-tau, tau + 1))
+    elif fault == "label":
+        bad = 0 if rng.random() < 0.5 else K + 1
+        if rng.random() < 0.5:
+            v.left_label = bad
+        else:
+            v.right_label = bad
+    elif fault == "incomplete":
+        if v.left is None:
+            v.left = McNode(0, 1, K, None, None)
+        else:
+            v.right = None
+    else:  # drop the rows that realize one final edge
+        leaf = [u for u in nodes if u.left is None and u.right is None]
+        u = leaf[int(rng.integers(len(leaf)))]
+        label = (u.left_label, u.right_label)[int(rng.integers(2))]
+        path, node = [], tree.root
+        while node is not u:
+            side = u in preorder(node.left)
+            path.append((node.x, node.left_label if side else node.right_label))
+            node = node.left if side else node.right
+        path.append((u.x, label))
+        realizes = np.ones(len(rows), bool)
+        for x, y in path:
+            if 0 <= x < rows.shape[1]:
+                realizes &= rows[:, x] == y
+        if not realizes.all():      # a class keeps at least one row
+            rows = rows[~realizes]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 5), st.data(),
+       st.lists(st.sampled_from(FAULTS), max_size=3), st.integers(0, 2**32 - 1))
+def test_check_mc_tree_matches_reference(height, K, data, faults, seed):
+    tau = data.draw(st.integers(0, K - 2))
+    domain = height + data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(seed)
+    tree, rows = shattered_case(rng, height, K, tau, domain)
+    for fault in faults:
+        rows = inject(rng, fault, tree, rows, K, tau, domain)
+    H = HypothesisClass(K, rows)
+    got = check_mc_tree(H, tree, tau)
+    want = reference_check_mc_tree(H, tree, tau)
+    assert got[0] == want[0], (got, want)
+    if len(faults) <= 1:
+        assert got == want
+    if not faults:
+        assert got[0], got
+    if not got[0]:
+        return
+    colorings = []
+    for r in range(min(H.num_rows, 3)):
+        colorings.append(color_by_hypothesis(tree, H.row(r)))
+        assert colorings[-1] == reference_color_by_hypothesis(tree, H.row(r))
+    nodes = preorder(tree.root)
+    for q in (2, 3):
+        colorings.append({v: int(rng.integers(1, q + 1)) for v in nodes})
+    for coloring in colorings:
+        color, sub = max_mono_subtree(tree, coloring)
+        ref_color, ref_sub = reference_max_mono_subtree(tree, coloring)
+        assert color == ref_color
+        assert tree_to_dict(sub) == tree_to_dict(ref_sub)
+
+
+def test_single_faults_are_named_like_the_reference():
+    # every fault kind, alone, on trees of every height: the same message
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(200):
+        height, K = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        tau = int(rng.integers(0, K - 1))
+        fault = FAULTS[int(rng.integers(len(FAULTS)))]
+        tree, rows = shattered_case(rng, height, K, tau, height + 1)
+        rows = inject(rng, fault, tree, rows, K, tau, height + 1)
+        H = HypothesisClass(K, rows)
+        got = check_mc_tree(H, tree, tau)
+        assert got == reference_check_mc_tree(H, tree, tau), fault
+        if not got[0]:
+            seen.add(fault)
+    assert seen == set(FAULTS)
+
+
+def test_check_mc_tree_names_faults_in_documented_order():
+    tree = complete_binary_certificate(2)
+    left, right = tree.root.left, tree.root.right
+    # two unrealized final edges: the first in preorder is named
+    H = HypothesisClass(2, [[1, 2], [2, 1]])
+    assert check_mc_tree(H, tree, 0) == (
+        False, "path ending with (1 -> 1) is realized by no hypothesis")
+    # structural faults come before unrealized paths, and in preorder
+    right.right_label = 3
+    assert check_mc_tree(H, tree, 0) == (False, "label 3 outside 1..2")
+    left.x = 5
+    assert check_mc_tree(H, tree, 0) == (False, "instance 5 outside the domain")
+
+
+@pytest.mark.parametrize("field", ["x", "left_label"])
+def test_check_mc_tree_rejects_values_beyond_64_bits(field):
+    H = complete_binary(2)
+    tree = complete_binary_certificate(2)
+    setattr(tree.root.right, field, 2**64)
+    assert not check_mc_tree(H, tree, 0)[0]
+    assert not reference_check_mc_tree(H, tree, 0)[0]
+
+
+def test_check_mc_tree_rejects_negative_tolerance():
+    with pytest.raises(ValueError):
+        check_mc_tree(complete_binary(2), complete_binary_certificate(2), -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_extraction_matches_reference_path(seed, monkeypatch):
+    base = complete_binary(10).table
+    H = HypothesisClass(2, base[np.random.default_rng(seed).permutation(len(base))])
+    tree = complete_binary_certificate(10)
+    fam, trace = extract_thresholds_mc(H, 0, tree=tree)
+    monkeypatch.setattr(thresholds, "check_mc_tree", reference_check_mc_tree)
+    monkeypatch.setattr(thresholds, "color_by_hypothesis", reference_color_by_hypothesis)
+    monkeypatch.setattr(thresholds, "max_mono_subtree", reference_max_mono_subtree)
+    ref_fam, ref_trace = extract_thresholds_mc(H, 0, tree=tree)
+    assert fam == ref_fam
+    assert trace == ref_trace
+    assert verify_thresholds(fam).ok
