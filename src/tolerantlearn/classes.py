@@ -101,7 +101,8 @@ class HypothesisClass:
     """
 
     __slots__ = ("K", "table", "num_rows", "domain_size", "row_map",
-                 "_col_masks", "_ldim_cache", "_predictor_cache")
+                 "_col_masks", "_ldim_cache", "_predictor_cache",
+                 "_support_cache")
 
     def __init__(self, K: int, table):
         # K = 1 only arises from degenerate discretization (gamma = 2); the
@@ -127,6 +128,7 @@ class HypothesisClass:
         self._col_masks = None       # per-column {label: row bitmask}
         self._ldim_cache = {}        # tau -> Ldim_tau split engine
         self._predictor_cache = {}   # (tau, mask) -> predictor label tuple
+        self._support_cache = {}     # (target, support) -> sampler LUT, verdict
 
     def col_masks(self):
         """Per-column map label -> bitmask of rows carrying that label."""
@@ -247,7 +249,15 @@ class FiniteDistribution:
         t.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "target", t)
-        object.__setattr__(self, "_cum", np.cumsum(w))
+        # a float sum can end just below 1 (0.9999999999999998 for seven
+        # equal weights); from the last positive-weight point on it is
+        # exactly 1 (and never above, so it stays sorted), so every u in
+        # [0, 1) lands on a positive-weight point and every u below the
+        # float sum keeps its index
+        cum = np.minimum(np.cumsum(w), 1.0)
+        cum[np.flatnonzero(w)[-1]:] = 1.0
+        cum.setflags(write=False)
+        object.__setattr__(self, "_cum", cum)
 
     @classmethod
     def from_target_row(cls, cls_or_table, row: int, weights) -> "FiniteDistribution":

@@ -8,6 +8,8 @@ full float precision, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,9 +107,34 @@ def save_certificate(tree: MistakeTree, path, params: dict | None = None) -> Non
     _dump(doc, path)
 
 
+# a JSON string (skipped whole) or a bracket
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+
+
+def _nesting_depth(text: str) -> int:
+    """Deepest bracket nesting of a JSON text, found without recursion."""
+    depth = deepest = 0
+    for tok in _JSON_TOKEN.finditer(text):
+        c = tok.group()
+        if c in ("[", "{"):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in ("]", "}"):
+            depth -= 1
+    return deepest
+
+
 def load_certificate(path) -> MistakeTree:
-    doc = _load(path, CERT_FORMAT)
-    return tree_from_dict(doc)
+    """A certificate tree; ValueError if it nests past the recursion limit.
+
+    Both the JSON decoder and the tree decoder recurse once per level.
+    """
+    try:
+        return tree_from_dict(_load(path, CERT_FORMAT))
+    except RecursionError:
+        depth = _nesting_depth(Path(path).read_text())
+    raise ValueError(f"{path}: certificate nests {depth} levels deep, past "
+                     f"the recursion limit {sys.getrecursionlimit()}")
 
 
 # --- threshold families ----------------------------------------------------

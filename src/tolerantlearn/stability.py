@@ -8,6 +8,21 @@ hypothesis land with probability bounded away from zero.  Only the
 Monte-Carlo variant with a draw cap is implemented; the idealized sampler
 needs exact output probabilities, which are not computable.
 
+Some supports make every tournament fail, and that is decided without
+drawing.  If the target is realizable on supp(D) (the AND of the support
+points' consistent-row masks is nonzero), the version space a round half
+reaches by folding its n >= 1 target-labeled draws is the AND of their
+masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
+`predictor_table` is the same at every mask of that closure, every k = 1
+round has f0 == f1, so the first level runs into the cap with no label
+drawn and trips at N - N % 2n + (n if N % 2n < n else 2n); every deeper
+level starts by recursing into level 1 and trips at the same count.  The
+closure is searched breadth-first and stops at the first predictor that
+differs; above CLOSURE_LIMIT version spaces the sampler just runs.  The
+decision and the consistency LUT are cached on the class per target and
+support.  A decided Fail does not advance a generator the caller passed
+in; `run_g` and `estimate_stability` never use it after a Fail.
+
 Rejection rounds are cheap to score.  At k = 1 no tournament label is drawn
 between rounds, so every round already in the draw buffer (and within the
 budget) is scored at once by one reduce of per-point consistent-row masks,
@@ -30,8 +45,7 @@ import numpy as np
 from .classes import (FiniteDistribution, HypothesisClass, LabeledExample,
                       TolerantZeroOne, evaluate_loss)
 from .dimensions import ldim_value
-# predictor_table is unused here; bench/tracing.py wraps this binding by name
-from .online import SoaState, predictor_table, soa_final_predictor  # noqa: F401
+from .online import SoaState, predictor_table, soa_final_predictor
 from .seeding import as_generator, trial_rng
 
 
@@ -66,8 +80,7 @@ class _DrawStream:
 
     def refill(self):
         """Append one chunk of fresh draws to the unread part of the buffer."""
-        fresh = np.searchsorted(self.D._cum, self.rng.random(self.CHUNK),
-                                side="right")
+        fresh = self.D.draw_indices(self.rng, self.CHUNK)
         self._buf = np.concatenate([self._buf[self._pos:], fresh])
         self._pos = 0
 
@@ -110,12 +123,62 @@ class TournamentSample:
 LUT_ROW_LIMIT = 64
 
 
-def _consistent_mask_lut(H: HypothesisClass, D: FiniteDistribution) -> np.ndarray:
-    """Per-point bitmask of rows consistent with (x, target(x))."""
-    lut = np.zeros(H.domain_size, dtype=np.uint64)
-    for x in range(H.domain_size):
-        lut[x] = H.col_masks()[x].get(int(D.target[x]), 0)
-    return lut
+# Largest AND-closure of the support's masks searched for the k = 1
+# impossibility decision; past it the sampler runs.  The closure of m
+# support points can hold 2^m - 1 version spaces, each costing one
+# `predictor_table` call.
+CLOSURE_LIMIT = 1024
+
+
+def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
+    """True if SOA_0's predictor is one table on the AND-closure of `masks`.
+
+    `masks` are the support points' consistent-row masks.  Unless their
+    AND is nonzero (the target is realizable on the support) and the
+    closure fits in CLOSURE_LIMIT, nothing is decided and False returns.
+    """
+    basis = list(dict.fromkeys(masks))
+    whole = H.full_mask
+    for m in basis:
+        whole &= m
+    if not whole:
+        return False
+    seen = set(basis)
+    level = basis
+    first = predictor_table(H, 0, basis[0])
+    while level:
+        if len(seen) > CLOSURE_LIMIT:
+            return False
+        if any(predictor_table(H, 0, m) != first for m in level):
+            return False
+        grown = []
+        for m in level:
+            for b in basis:
+                c = m & b
+                if c not in seen:
+                    seen.add(c)
+                    grown.append(c)
+        level = grown
+    return True
+
+
+def _support_entry(H: HypothesisClass, D: FiniteDistribution,
+                   labels: list) -> tuple:
+    """(consistency LUT, whether every k >= 1 tournament fails), cached on H.
+
+    The LUT holds per point the bitmask of rows consistent with
+    (x, target(x)).
+    """
+    support = D.weights > 0
+    key = (tuple(labels), support.tobytes())
+    hit = H._support_cache.get(key)
+    if hit is None:
+        cols = H.col_masks()
+        masks = [cols[x].get(y, 0) for x, y in enumerate(labels)]
+        drawn = [m for m, on in zip(masks, support.tolist()) if on]
+        hit = (np.array(masks, dtype=np.uint64), _tournaments_fail(H, drawn))
+        H._support_cache[key] = hit
+    return hit
 
 
 _NO_POINTS = np.empty(0, dtype=np.int64)
@@ -132,12 +195,13 @@ class _Sampler:
     """
 
     def __init__(self, D: FiniteDistribution, H: HypothesisClass, n: int,
-                 stream: _DrawStream, rng: np.random.Generator):
+                 stream: _DrawStream, rng: np.random.Generator,
+                 lut: np.ndarray):
         self.H = H
         self.n = n
         self.stream = stream
         self.rng = rng
-        self.lut = _consistent_mask_lut(H, D)
+        self.lut = lut
         self.target = np.asarray(D.target).astype(np.int64)
 
     def fold(self, state: SoaState, t: np.ndarray) -> SoaState:
@@ -234,7 +298,9 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
 
     k = 0 returns the empty sample.  The global draw counter covers the
     whole recursive generation; exceeding N yields the Fail outcome, which
-    is a value, not an error.
+    is a value, not an error.  A Fail decided from the support (see the
+    module docstring) returns the same draw count without drawing and
+    leaves a generator passed as `seed` where it was.
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
@@ -249,8 +315,13 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     rng = as_generator(seed)
     if k == 0:
         return TournamentSample([], False, 0, [])
+    lut, always_fails = _support_entry(H, D, labels)
+    if always_fails:
+        left = N % (2 * n)
+        return TournamentSample(None, True, N - left + (n if left < n else 2 * n),
+                                [])
     stream = _DrawStream(D, rng, N)
-    sampler = _Sampler(D, H, n, stream, rng)
+    sampler = _Sampler(D, H, n, stream, rng, lut)
     try:
         xs, positions, labels, _ = sampler.level(k)
     except _Fail:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
-                                   HypothesisClass, RealFunctionClass,
-                                   TolerantZeroOne, absolute_loss, discretize,
+                                   HypothesisClass, LabeledExample,
+                                   RealFunctionClass, TolerantZeroOne,
+                                   absolute_loss, discretize,
                                    evaluate_loss, label_to_midpoint,
                                    make_sample, num_intervals, tolerant_loss,
                                    value_to_label)
@@ -197,6 +198,29 @@ def test_loss_ranges(mc_corpus):
         for r in range(H.num_rows):
             v = evaluate_loss(H.table[r], sample, TolerantZeroOne(1))
             assert 0.0 <= v <= 1.0
+
+
+class _StubRng:
+    """Stands in for a generator whose every uniform draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+@pytest.mark.parametrize("weights, last", [
+    (np.full(7, 1 / 7), 6),                  # float sum 0.9999999999999998
+    (np.r_[0.0, np.full(7, 1 / 7), 0.0, 0.0], 7),
+], ids=["uniform-7", "trailing-zeros"])
+def test_draws_near_one_land_on_the_last_drawable_point(weights, last):
+    D = FiniteDistribution(weights, np.ones(weights.size, dtype=np.int64))
+    top = 1 - 2 ** -53                       # the largest double below 1
+    assert D.draw_indices(_StubRng(top), 3).tolist() == [last] * 3
+    assert D.draw_sample(_StubRng(top), 2) == [LabeledExample(last, 1)] * 2
+    # a zero-weight point is never drawn, not even at u = 0
+    assert D.draw_indices(_StubRng(0.0), 1).tolist() == [np.flatnonzero(weights)[0]]
 
 
 def test_draws_are_deterministic_given_seed():

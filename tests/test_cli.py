@@ -234,6 +234,28 @@ def test_unbalanced_class_past_recursion_limit_exits_2(tmp_path, capsys,
     assert "recursion limit" in capsys.readouterr().err
 
 
+def test_deep_certificate_exits_2(thr_file, tmp_path, capsys):
+    # a root that is a 3,000-node chain: JSON and tree decoding both recurse
+    # once per level, so the load fails at any depth past the limit
+    node = ('{"x": 0, "left_label": 1, "right_label": 2, "right": null, '
+            '"left": ')
+    cert = tmp_path / "deep.json"
+    cert.write_text(f'{{"format": "{classfile.CERT_FORMAT}", "params": {{}}, '
+                    f'"kind": "multiclass", "height": 3000, "root": '
+                    + node * 3000 + "null" + "}" * 3001)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code = run_cli("thresholds", "--input", thr_file, "--certificate", cert,
+                       "--tolerance", 0, "--out", tmp_path / "fam.json")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "certificate nests 3001 levels deep" in err
+    assert "recursion limit" in err
+
+
 def test_check_subcommand_exit_code(tmp_path):
     cls = tmp_path / "c.json"
     classfile.save_class(RealFunctionClass([[1.0 if j == i else 0.0

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from tolerantlearn import stability
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    LabeledExample, TolerantZeroOne,
                                    evaluate_loss)
@@ -8,7 +12,8 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (_DrawStream, _Fail, estimate_stability,
+from tolerantlearn.stability import (CLOSURE_LIMIT, _DrawStream, _Fail,
+                                     _support_entry, estimate_stability,
                                      g_parameters, run_g, sample_dk_mc)
 
 
@@ -248,6 +253,83 @@ def test_cap_trips_on_the_half_round_that_overflows(k):
         assert s.failed
         left = N % (2 * n)
         assert s.draw_count == N - left + (n if left < n else 2 * n)
+
+
+# --- k >= 1 impossibility decided from the support ------------------------------
+
+def always_fails(H, D):
+    return _support_entry(H, D, D.target.tolist())[1]
+
+
+@pytest.mark.parametrize("H, target, support, fires", [
+    (constants_class(3, 3), 0, 3, True),
+    (constants_class(4, 2), 1, 2, True),
+    (threshold_class(7), 4, 7, False),
+    # one drawable point: every version space is that point's mask
+    (threshold_class(7), 4, 1, True),
+], ids=["constants-3-3", "constants-4-2", "threshold-7", "threshold-7-one-point"])
+def test_support_decision_fires_on_identified_targets(H, target, support, fires):
+    w = np.zeros(H.domain_size)
+    w[:support] = 1 / support
+    D = FiniteDistribution(w, H.table[target])
+    assert always_fails(H, D) == fires
+    d, n, cap = g_parameters(H, 0.1)
+    for k in range(1, d + 2):
+        rng = trial_rng(5, "decided", k)
+        state = rng.bit_generator.state
+        s = sample_dk_mc(k, D, H, n, cap, rng)
+        # a decided Fail draws nothing, so the generator is where it was
+        assert (rng.bit_generator.state == state) == fires
+        assert_matches_reference(k, D, H, n, cap, 5 + k)
+        if fires:
+            assert s.failed
+
+
+def point_class(d):
+    """The all-1 row and, per point, the row that labels only that point 2."""
+    return HypothesisClass(2, np.vstack([np.ones((1, d), dtype=np.int64),
+                                         1 + np.eye(d, dtype=np.int64)]))
+
+
+def test_closure_past_the_limit_runs_the_sampler():
+    # every version space reachable from the all-1 target predicts all 1s,
+    # so every tournament fails, but the closure holds 2^d - 1 of them
+    d = CLOSURE_LIMIT.bit_length()
+    H = point_class(d)
+    D = FiniteDistribution.uniform(H, 0)
+    assert 2 ** d - 1 > CLOSURE_LIMIT
+    assert not always_fails(H, D)
+    for k in (1, 2):
+        for seed in range(3):
+            assert assert_matches_reference(k, D, H, 2, 60, seed).failed
+    with mock.patch.object(stability, "CLOSURE_LIMIT", 2 ** d):
+        H = point_class(d)
+        assert always_fails(H, FiniteDistribution.uniform(H, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 5), st.data(),
+       st.sampled_from([1, 3, CLOSURE_LIMIT]), st.integers(0, 2**32 - 1))
+def test_support_decision_matches_reference(K, rows, dom, data, limit, seed):
+    # random classes and targets, realizable or not, with zero-weight points;
+    # a small CLOSURE_LIMIT sends decidable supports through the sampler
+    labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
+    H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
+                                              max_size=rows)))
+    if data.draw(st.booleans()):
+        target = H.table[data.draw(st.integers(0, H.num_rows - 1))]
+    else:
+        target = np.array(data.draw(labels))
+    w = np.array(data.draw(st.lists(st.integers(0, 3), min_size=dom,
+                                    max_size=dom)), dtype=np.float64)
+    w[-1] += w.sum() == 0
+    D = FiniteDistribution(w / w.sum(), target)
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(1, 300))
+    with mock.patch.object(stability, "CLOSURE_LIMIT", limit):
+        assert_matches_reference(k, D, H, n, N, seed)
+        event(f"decided: {always_fails(H, D)}, limit {limit}")
 
 
 # --- the stable learner ----------------------------------------------------------
