@@ -9,10 +9,9 @@ differentially private learner.
 """
 
 from .classes import (AbsoluteLoss, FiniteDistribution, HypothesisClass,
-                      LabeledExample, RealFunctionClass, TolerantZeroOne,
-                      absolute_loss, discretize, evaluate_loss,
-                      label_to_midpoint, make_sample, tolerant_loss,
-                      value_to_label)
+                      RealFunctionClass, TolerantZeroOne, absolute_loss,
+                      discretize, evaluate_loss, integer_sample,
+                      label_to_midpoint, tolerant_loss, value_to_label)
 from .dimensions import (DimensionReport, fat_gamma, ldim_brute_force,
                          ldim_tau, ldim_value, log_star, pdim, twr,
                          verify_report)

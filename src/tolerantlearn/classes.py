@@ -2,14 +2,15 @@
 
 Everything here is an explicit table: a multi-class hypothesis class is a
 |H| x |X| integer matrix with entries in 1..K, a real-valued function class
-is a |F| x |X| float matrix with entries in [-1, 1].  All objects are
+is a |F| x |X| float matrix with entries in [-1, 1].  A labeled sample is
+a pair (xs, ys) of int64 arrays (see `integer_sample`).  All objects are
 immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -52,16 +53,25 @@ class TolerantZeroOne:
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
-    def __call__(self, y_hat, y) -> float:
-        return float(tolerant_loss(int(y_hat), int(y), self.tau))
+    def __call__(self, y_hat, y) -> np.ndarray:
+        """Losses of broadcast label arrays, as floats."""
+        y_hat, y = np.asarray(y_hat), np.asarray(y)
+        if y_hat.min(initial=1) < 1 or y.min(initial=1) < 1:
+            raise ValueError("labels are 1-based")
+        return (np.abs(y - y_hat) > self.tau).astype(np.float64)
 
 
 @dataclass(frozen=True)
 class AbsoluteLoss:
     """Loss kind: absolute loss on [-1, 1]."""
 
-    def __call__(self, y_hat, y) -> float:
-        return absolute_loss(float(y_hat), float(y))
+    def __call__(self, y_hat, y) -> np.ndarray:
+        """Losses of broadcast value arrays."""
+        y_hat, y = np.asarray(y_hat, float), np.asarray(y, float)
+        # written so that NaN, which fails every comparison, is rejected
+        if not all(np.all((v >= -1.0) & (v <= 1.0)) for v in (y_hat, y)):
+            raise ValueError("values must lie in [-1, 1]")
+        return np.abs(y_hat - y)
 
 
 LossKind = Union[TolerantZeroOne, AbsoluteLoss]
@@ -78,17 +88,9 @@ def _dedup_rows(table: np.ndarray):
     index that original row i collapsed into.
     """
     seen = {}
-    keep = []
-    row_map = np.empty(table.shape[0], dtype=np.int64)
-    for i in range(table.shape[0]):
-        key = table[i].tobytes()
-        if key in seen:
-            row_map[i] = seen[key]
-        else:
-            seen[key] = len(keep)
-            row_map[i] = len(keep)
-            keep.append(i)
-    return table[keep], row_map
+    row_map = np.fromiter((seen.setdefault(row.tobytes(), len(seen))
+                           for row in table), np.int64, len(table))
+    return table[np.unique(row_map, return_index=True)[1]], row_map
 
 
 class HypothesisClass:
@@ -136,8 +138,7 @@ class HypothesisClass:
             masks = []
             for x in range(self.domain_size):
                 col = {}
-                for r in range(self.num_rows):
-                    k = int(self.table[r, x])
+                for r, k in enumerate(self.table[:, x].tolist()):
                     col[k] = col.get(k, 0) | (1 << r)
                 masks.append(col)
             self._col_masks = masks
@@ -195,33 +196,33 @@ class RealFunctionClass:
 # samples and distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (domain index, label-or-value) pair."""
-
-    x: int
-    y: Union[int, float]
-
-
-Sample = Sequence[LabeledExample]
+def _whole(a: np.ndarray) -> bool:
+    """Is every entry an integer, or a float holding an int64 value?"""
+    if a.dtype.kind != "f":
+        return a.dtype.kind in "biu"
+    with np.errstate(invalid="ignore"):   # NaN and the infinities fail
+        return bool(np.all((np.mod(a, 1) == 0) & (np.abs(a) < 2.0 ** 63)))
 
 
-def integer_example(x, y) -> tuple:
-    """(x, y) as ints; ValueError unless both are whole numbers."""
-    if type(x) is int and type(y) is int:     # the common case, kept cheap
-        return x, y
-    try:
-        pair = int(x), int(y)
-    except (TypeError, ValueError, OverflowError):
-        pair = None
-    if pair is None or pair != (x, y):
-        raise ValueError(f"example ({x!r}, {y!r}) is not a pair of integers")
-    return pair
+def integer_sample(xs, ys) -> tuple:
+    """A labeled sample as two equal-length 1-D int64 arrays.
 
-
-def make_sample(pairs) -> list:
-    """Build a sample from an iterable of (x, y) pairs."""
-    return [LabeledExample(int(x), y) for x, y in pairs]
+    `xs` holds domain indices and `ys` labels.  Whole floats such as 1.0
+    pass as ints; a fractional, NaN or non-numeric entry is a ValueError
+    naming its pair.
+    """
+    xa, ya = np.asarray(xs), np.asarray(ys)
+    if xa.ndim != 1 or ya.ndim != 1 or xa.shape != ya.shape:
+        raise ValueError(f"a sample is two 1-D arrays of equal length, "
+                         f"got shapes {xa.shape} and {ya.shape}")
+    if not (_whole(xa) and _whole(ya)):
+        # name the first bad pair as given (a mixed list reads as strings)
+        for x, y in zip(np.asarray(xs, dtype=object),
+                        np.asarray(ys, dtype=object)):
+            if not (_whole(np.asarray(x)) and _whole(np.asarray(y))):
+                raise ValueError(f"example ({x!r}, {y!r}) is not a pair "
+                                 f"of integers")
+    return xa.astype(np.int64, copy=False), ya.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,9 +283,10 @@ class FiniteDistribution:
         """Draw n domain indices; labels follow from the target table."""
         return np.searchsorted(self._cum, rng.random(n), side="right")
 
-    def draw_sample(self, rng: np.random.Generator, n: int) -> list:
-        idx = self.draw_indices(rng, n)
-        return [LabeledExample(int(x), self.target[x].item()) for x in idx]
+    def draw_sample(self, rng: np.random.Generator, n: int) -> tuple:
+        """Draw n labeled examples as (xs, target[xs])."""
+        xs = self.draw_indices(rng, n)
+        return xs, self.target[xs]
 
     def realizable_by(self, cls: HypothesisClass) -> bool:
         support = self.weights > 0
@@ -299,20 +301,21 @@ class FiniteDistribution:
 
 def num_intervals(gamma: float) -> int:
     """Number of length-gamma intervals partitioning [-1, 1]."""
-    if gamma <= 0 or gamma > 2:
+    if not 0 < gamma <= 2:   # NaN fails too
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     return int(np.ceil(2.0 / gamma - BOUNDARY_SNAP))
 
 
-def value_to_label(v: float, gamma: float) -> int:
-    """Index of the interval of [-1, 1] that v falls in.
+def value_to_label(v, gamma: float):
+    """Index of the interval of [-1, 1] that v falls in, elementwise.
 
     Interval j covers [-1 + (j-1)*gamma, -1 + j*gamma), the last interval is
-    closed at +1.
+    closed at +1.  An int for a number, an int64 array for an array.
     """
     K = num_intervals(gamma)
-    j = int(np.floor((v + 1.0) / gamma + BOUNDARY_SNAP)) + 1
-    return min(max(j, 1), K)
+    j = np.floor((np.asarray(v, dtype=np.float64) + 1.0) / gamma + BOUNDARY_SNAP)
+    labels = np.clip(j, 0, K - 1).astype(np.int64) + 1
+    return labels if labels.ndim else int(labels)
 
 
 def label_to_midpoint(j: int, gamma: float) -> float:
@@ -333,12 +336,7 @@ def discretize(F: RealFunctionClass, gamma: float):
     Returns (H, row_map): H has K = ceil(2/gamma) labels and row_map[i] is
     the row of H that row i of F lands on (rows may collapse).
     """
-    K = num_intervals(gamma)
-    labels = np.empty_like(F.table, dtype=np.int64)
-    for i in range(F.num_rows):
-        for x in range(F.domain_size):
-            labels[i, x] = value_to_label(float(F.table[i, x]), gamma)
-    H = HypothesisClass(K, labels)
+    H = HypothesisClass(num_intervals(gamma), value_to_label(F.table, gamma))
     return H, H.row_map
 
 
@@ -346,20 +344,25 @@ def discretize(F: RealFunctionClass, gamma: float):
 # loss evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_loss(h_row, data, loss: LossKind) -> float:
+def evaluate_loss(h, data, loss: LossKind):
     """Empirical mean over a sample, or exact expectation over a distribution.
 
-    `h_row` is a total prediction table over the domain (labels or reals).
+    `h` is a total prediction table over the domain (labels or reals).  On
+    a sample (xs, ys), `h` may also be a stack of tables, scored at once
+    into an array of means; a single table scores to a float.
     """
-    h = np.asarray(h_row)
+    h = np.asarray(h)
     if isinstance(data, FiniteDistribution):
+        # left to right, as a dot product could change the last bit
         total = 0.0
-        for x in range(data.domain_size):
-            w = float(data.weights[x])
+        for w, v in zip(data.weights.tolist(), loss(h, data.target).tolist()):
             if w > 0:
-                total += w * loss(h[x], data.target[x].item())
+                total += w * v
         return total
-    sample = list(data)
-    if not sample:
+    xs, ys = (np.asarray(v) for v in data)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("a sample is two 1-D arrays of equal length")
+    if xs.size == 0:
         raise ValueError("empirical loss of an empty sample is undefined")
-    return sum(loss(h[ex.x], ex.y) for ex in sample) / len(sample)
+    means = loss(h[..., xs], ys).sum(axis=-1) / xs.size
+    return float(means) if h.ndim == 1 else means

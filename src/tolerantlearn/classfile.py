@@ -1,8 +1,10 @@
 """Versioned JSON file formats: classes, sequences, certificates, families.
 
 A class file carries `kind` ("multiclass" with K, or "real" with its value
-grid), `domain_size` and `rows`.  All writers emit keys in a fixed order at
-full float precision, so identical inputs produce byte-identical files.
+grid), `domain_size` and `rows`; a sequence file carries `examples`, the
+[x, y] pairs of an (xs, ys) sample.  All writers emit keys in a fixed order
+at full float precision, so identical inputs produce byte-identical files.
+A malformed document is a ValueError naming the file and the key.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classes import (HypothesisClass, LabeledExample, RealFunctionClass,
-                      integer_example)
+from .classes import HypothesisClass, RealFunctionClass, integer_sample
 from .thresholds import ThresholdFamily
 from .trees import MistakeTree, tree_from_dict, tree_to_dict
 
@@ -29,11 +30,20 @@ def _dump(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _load(path, expected: str) -> dict:
+def read_json_object(path, expected: str | None = None, lists=()) -> dict:
+    """The JSON object at `path`, of format `expected` unless that is None,
+    whose keys `lists` hold JSON lists."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, "
+                         f"found {type(doc).__name__}")
     fmt = doc.get("format")
-    if fmt != expected:
+    if expected is not None and fmt != expected:
         raise ValueError(f"{path}: expected format {expected!r}, found {fmt!r}")
+    for key in lists:
+        if not isinstance(doc.get(key), list):
+            found = type(doc[key]).__name__ if key in doc else "no such key"
+            raise ValueError(f"{path}: key {key!r} must be a list, found {found}")
     return doc
 
 
@@ -41,39 +51,31 @@ def _load(path, expected: str) -> dict:
 
 def save_class(cls, path) -> None:
     if isinstance(cls, HypothesisClass):
-        doc = {
-            "format": CLASS_FORMAT,
-            "kind": "multiclass",
-            "K": cls.K,
-            "domain_size": cls.domain_size,
-            "rows": cls.table.tolist(),
-        }
+        kind = {"kind": "multiclass", "K": cls.K}
     elif isinstance(cls, RealFunctionClass):
-        doc = {
-            "format": CLASS_FORMAT,
-            "kind": "real",
-            "grid": cls.grid,
-            "domain_size": cls.domain_size,
-            "rows": cls.table.tolist(),
-        }
+        kind = {"kind": "real", "grid": cls.grid}
     else:
         raise TypeError(f"cannot save {type(cls).__name__} as a class file")
-    _dump(doc, path)
+    _dump({"format": CLASS_FORMAT, **kind, "domain_size": cls.domain_size,
+           "rows": cls.table.tolist()}, path)
 
 
 def load_class(path):
-    doc = _load(path, CLASS_FORMAT)
+    doc = read_json_object(path, CLASS_FORMAT, lists=("rows",))
     kind = doc.get("kind")
-    rows = doc["rows"]
-    if len(rows) == 0 or any(len(r) != doc["domain_size"] for r in rows):
-        raise ValueError(f"{path}: rows do not match domain_size")
+    rows, width = doc["rows"], doc.get("domain_size")
+    if not rows or any(not isinstance(r, list) or len(r) != width for r in rows):
+        raise ValueError(f"{path}: key 'rows' must list rows of "
+                         f"domain_size = {width!r} values")
     if kind == "multiclass":
-        K = doc["K"]
+        K = doc.get("K")
         if not isinstance(K, int) or isinstance(K, bool):
             raise ValueError(f"{path}: K must be an integer, found {K!r}")
         return HypothesisClass(K, rows)
     if kind == "real":
         grid = doc.get("grid")
+        if grid is not None and type(grid) not in (int, float):
+            raise ValueError(f"{path}: key 'grid' must be a number, found {grid!r}")
         table = np.asarray(rows, dtype=np.float64)
         if grid is not None:
             # values must sit on the declared decimal grid
@@ -86,17 +88,21 @@ def load_class(path):
 
 # --- sequences -------------------------------------------------------------
 
-def save_sequence(examples, path) -> None:
+def save_sequence(xs, ys, path) -> None:
+    xs, ys = integer_sample(xs, ys)
     doc = {
         "format": SEQ_FORMAT,
-        "examples": [[ex.x, ex.y] for ex in examples],
+        "examples": [list(ex) for ex in zip(xs.tolist(), ys.tolist())],
     }
     _dump(doc, path)
 
 
-def load_sequence(path) -> list:
-    doc = _load(path, SEQ_FORMAT)
-    return [LabeledExample(*integer_example(x, y)) for x, y in doc["examples"]]
+def load_sequence(path) -> tuple:
+    """The sequence file at `path` as int64 arrays (xs, ys)."""
+    pairs = read_json_object(path, SEQ_FORMAT, lists=("examples",))["examples"]
+    if not all(isinstance(ex, list) and len(ex) == 2 for ex in pairs):
+        raise ValueError(f"{path}: key 'examples' must list [x, y] pairs")
+    return integer_sample([x for x, _ in pairs], [y for _, y in pairs])
 
 
 # --- certificates ----------------------------------------------------------
@@ -130,7 +136,9 @@ def load_certificate(path) -> MistakeTree:
     Both the JSON decoder and the tree decoder recurse once per level.
     """
     try:
-        return tree_from_dict(_load(path, CERT_FORMAT))
+        return tree_from_dict(read_json_object(path, CERT_FORMAT))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed certificate: {exc!r}") from None
     except RecursionError:
         depth = _nesting_depth(Path(path).read_text())
     raise ValueError(f"{path}: certificate nests {depth} levels deep, past "
@@ -155,7 +163,7 @@ def save_family(fam: ThresholdFamily, path) -> None:
 
 
 def load_family(path) -> ThresholdFamily:
-    doc = _load(path, FAMILY_FORMAT)
+    doc = read_json_object(path, FAMILY_FORMAT, lists=("points", "functions"))
     return ThresholdFamily(
         kind=doc["kind"],
         points=[int(x) for x in doc["points"]],

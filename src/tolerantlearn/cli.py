@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classfile, generators
-from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
-                      TolerantZeroOne, evaluate_loss)
+from .classes import (AbsoluteLoss, FiniteDistribution, HypothesisClass,
+                      RealFunctionClass, TolerantZeroOne, evaluate_loss)
 from .dimensions import fat_gamma, ldim_tau, ldim_value, log_star, pdim
 from .online import (ConstantLearner, MajorityLearner, SoaLearner,
                      adversary_force, soa_run)
@@ -32,17 +32,12 @@ from .thresholds import extract_thresholds_mc, extract_thresholds_reg, verify_th
 from .trees import tree_to_dict
 
 
-def _load_mc(path) -> HypothesisClass:
+def _load_class(path, kind=HypothesisClass):
+    """The class file at `path`, which must hold a class of type `kind`."""
     cls = classfile.load_class(path)
-    if not isinstance(cls, HypothesisClass):
-        raise SystemExit(f"error: {path} is not a multiclass class file")
-    return cls
-
-
-def _load_real(path) -> RealFunctionClass:
-    cls = classfile.load_class(path)
-    if not isinstance(cls, RealFunctionClass):
-        raise SystemExit(f"error: {path} is not a real-valued class file")
+    if not isinstance(cls, kind):
+        what = "multiclass" if kind is HypothesisClass else "real-valued"
+        raise SystemExit(f"error: {path} is not a {what} class file")
     return cls
 
 
@@ -65,14 +60,14 @@ def cmd_dim(args) -> RunReport:
     report = RunReport("dim", {"input": args.input, "kind": args.kind,
                                "tolerance": args.tolerance, "gamma": args.gamma})
     if args.kind == "ldim":
-        H = _load_mc(args.input)
+        H = _load_class(args.input)
         res = ldim_tau(H, args.tolerance)
     elif args.kind == "fat":
         if args.gamma is None:
             raise SystemExit("error: --gamma is required for fat")
-        res = fat_gamma(_load_real(args.input), args.gamma)
+        res = fat_gamma(_load_class(args.input, RealFunctionClass), args.gamma)
     else:
-        res = pdim(_load_real(args.input))
+        res = pdim(_load_class(args.input, RealFunctionClass))
     report.aggregates = {
         "value": res.value,
         "params": res.params,
@@ -87,9 +82,9 @@ def cmd_dim(args) -> RunReport:
 
 
 def cmd_soa(args) -> RunReport:
-    H = _load_mc(args.input)
-    seq = classfile.load_sequence(args.sequence)
-    t = soa_run(H, args.tolerance, seq)
+    H = _load_class(args.input)
+    xs, ys = classfile.load_sequence(args.sequence)
+    t = soa_run(H, args.tolerance, xs, ys)
     report = RunReport("soa", {"input": args.input, "tolerance": args.tolerance,
                                "sequence": args.sequence})
     report.records = [{"x": r.x, "y_hat": r.y_hat, "y": r.y,
@@ -113,7 +108,7 @@ def cmd_soa(args) -> RunReport:
 
 
 def cmd_adversary(args) -> RunReport:
-    H = _load_mc(args.input)
+    H = _load_class(args.input)
     learner = _make_learner(args.learner, H, args.tolerance)
     t = adversary_force(H, args.tolerance, learner)
     bound = ldim_value(H, 2 * args.tolerance)
@@ -136,10 +131,10 @@ def cmd_thresholds(args) -> RunReport:
                                       "tolerance": args.tolerance,
                                       "gamma": args.gamma, "out": args.out})
     if args.gamma is not None:
-        F = _load_real(args.input)
+        F = _load_class(args.input, RealFunctionClass)
         fam, trace = extract_thresholds_reg(F, args.gamma)
     else:
-        H = _load_mc(args.input)
+        H = _load_class(args.input)
         tree = (classfile.load_certificate(args.certificate)
                 if args.certificate else None)
         fam, trace = extract_thresholds_mc(H, args.tolerance, tree=tree)
@@ -160,7 +155,7 @@ def cmd_thresholds(args) -> RunReport:
 
 
 def cmd_gs(args) -> RunReport:
-    H = _load_mc(args.input)
+    H = _load_class(args.input)
     D = FiniteDistribution.uniform(H, args.target)
     est = estimate_stability(H, D, args.alpha, args.trials, args.seed)
     d = ldim_value(H, 0)
@@ -199,7 +194,7 @@ def cmd_dp_learn(args) -> RunReport:
         "delta": args.delta, "alpha": args.alpha, "beta": args.beta,
         "gamma": args.gamma, "seed": args.seed})
     if args.gamma is not None:
-        F = _load_real(args.input)
+        F = _load_class(args.input, RealFunctionClass)
         D = FiniteDistribution.from_target_row(F, args.target,
                                                np.full(F.domain_size,
                                                        1.0 / F.domain_size))
@@ -207,12 +202,11 @@ def cmd_dp_learn(args) -> RunReport:
                                 args.beta, args.seed)
         res = reg.pipeline
         loss = (None if reg.values is None else
-                sum(float(D.weights[x]) * abs(reg.values[x] - float(D.target[x]))
-                    for x in range(F.domain_size)))
+                evaluate_loss(reg.values, D, AbsoluteLoss()))
         output = list(reg.values) if reg.values else None
         loss_bound = args.alpha + args.gamma / 2.0
     else:
-        H = _load_mc(args.input)
+        H = _load_class(args.input)
         D = FiniteDistribution.uniform(H, args.target)
         res = private_learn_mc(H, D, priv, args.alpha, args.beta, args.seed)
         loss = (None if res.table is None else
@@ -245,7 +239,7 @@ def cmd_dp_learn(args) -> RunReport:
 
 
 def cmd_check(args) -> RunReport:
-    F = _load_real(args.input)
+    F = _load_class(args.input, RealFunctionClass)
     scales = [float(s) for s in args.scales.split(",")]
     rep = check_conditions(F, scales)
     report = RunReport("check", {"input": args.input, "scales": scales})
@@ -303,15 +297,15 @@ def _need_seed(args):
 
 
 def cmd_experiment(args) -> RunReport:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = classfile.read_json_object(args.config)
     command = cfg.get("command")
     handler = HANDLERS.get(command)
     if handler is None:
         raise SystemExit(f"error: config field 'command' is invalid: {command!r}")
-    source = cfg.get("class", {})
-    params = dict(cfg.get("params", {}))
+    source = _config_object(args.config, cfg, "class")
+    params = dict(_config_object(args.config, cfg, "params"))
     if "generator" in source:
-        gen = dict(source["generator"])
+        gen = dict(_config_object(args.config, source, "generator"))
         class_path = str(Path(args.config).with_suffix(".class.json"))
         gen_args = argparse.Namespace(
             family=gen.pop("family", None), points=gen.pop("points", None),
@@ -334,6 +328,15 @@ def cmd_experiment(args) -> RunReport:
     if getattr(args, "out", None) is None:
         args.out = params.get("out")
     return report
+
+
+def _config_object(path, doc: dict, key: str) -> dict:
+    """doc[key], {} when absent; ValueError unless it is a JSON object."""
+    val = doc.get(key, {})
+    if not isinstance(val, dict):
+        raise ValueError(f"{path}: key {key!r} must be a JSON object, "
+                         f"found {type(val).__name__}")
+    return val
 
 
 def _namespace_for(command: str, params: dict) -> argparse.Namespace:

@@ -217,14 +217,8 @@ def _fat_candidates(F: RealFunctionClass, gamma: float):
                        | {float(v) + half for v in vals})
         entries = []
         for s in cands:
-            below = 0
-            above = 0
-            for r in range(F.num_rows):
-                v = float(vals[r])
-                if v <= s - half + WITNESS_EPS:
-                    below |= 1 << r
-                if v >= s + half - WITNESS_EPS:
-                    above |= 1 << r
+            below = _row_mask(vals <= s - half + WITNESS_EPS)
+            above = _row_mask(vals >= s + half - WITNESS_EPS)
             if below and above:
                 entries.append((s, below, above))
         grids.append(entries)
@@ -241,8 +235,8 @@ def _real_dimension(splits, num_rows: int, params: dict) -> DimensionReport:
 
 def fat_gamma(F: RealFunctionClass, gamma: float) -> DimensionReport:
     """Exact sequential fat-shattering dimension at scale gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not gamma > 0:   # NaN fails too
+        raise ValueError(f"gamma must be positive, got {gamma}")
     grids = _fat_candidates(F, gamma)
     splits = [((x, s), below, above) for x in range(F.domain_size)
               for s, below, above in grids[x]]

@@ -5,17 +5,20 @@ restriction has the largest tolerant Littlestone dimension.  Once the
 observed prefix stops being realizable the run switches to pointwise
 patching of the running predictor, which may leave the class (the learner
 becomes improper).  `SoaState` is that one state machine; every SOA
-caller, the tournament sampler included, folds examples through it.  The
-adversary walks a tolerance-2*tau certificate tree and answers every
-prediction with an edge label that costs the learner a mistake.
+caller, the tournament sampler included, folds examples through it, given
+as a pair (xs, ys) of int arrays.  The adversary walks a tolerance-2*tau
+certificate tree and answers every prediction with an edge label that
+costs the learner a mistake.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .classes import HypothesisClass, integer_example, tolerant_loss
+import numpy as np
+
+from .classes import HypothesisClass, integer_sample, tolerant_loss
 from .dimensions import ldim_tau, ldim_value
 from .trees import check_mc_tree
 
@@ -120,12 +123,12 @@ class SoaState:
                      for x in range(self.H.domain_size))
 
 
-def soa_run(H: HypothesisClass, tau: int, sequence: Sequence) -> OnlineTranscript:
-    """Run SOA_tau over a label sequence, recording a full transcript."""
+def soa_run(H: HypothesisClass, tau: int, xs, ys) -> OnlineTranscript:
+    """Run SOA_tau over the labeled sequence (xs, ys), with a full transcript."""
+    xs, ys = integer_sample(xs, ys)
     state = SoaState(H, tau)
     t = OnlineTranscript(tau=tau)
-    for ex in sequence:
-        x, y = integer_example(ex.x, ex.y)
+    for x, y in zip(xs.tolist(), ys.tolist()):
         y_hat = state.predict(x)
         t.rounds.append(Round(x, y_hat, y, tolerant_loss(y_hat, y, tau) == 1))
         state.observe(x, y)
@@ -136,17 +139,17 @@ def soa_run(H: HypothesisClass, tau: int, sequence: Sequence) -> OnlineTranscrip
     return t
 
 
-def soa_final_predictor(H: HypothesisClass, sequence: Sequence,
-                        tau: int = 0) -> tuple:
+def soa_final_predictor(H: HypothesisClass, xs, ys, tau: int = 0) -> tuple:
     """Final predictor of SOA_tau without transcript bookkeeping (hot path)."""
+    xs, ys = integer_sample(xs, ys)
     state = SoaState(H, tau)
-    for ex in sequence:
-        state.observe(*integer_example(ex.x, ex.y))
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        state.observe(x, y)
     return state.predictor()
 
 
 # ---------------------------------------------------------------------------
-# learners for the adversary game
+# learners for the adversary game: predict(x, xs, ys) after history (xs, ys)
 # ---------------------------------------------------------------------------
 
 class SoaLearner:
@@ -156,11 +159,8 @@ class SoaLearner:
         self.H = H
         self.tau = tau
 
-    def predict(self, x: int, history) -> int:
-        state = SoaState(self.H, self.tau)
-        for hx, hy in history:
-            state.observe(hx, hy)
-        return state.predict(x)
+    def predict(self, x: int, xs, ys) -> int:
+        return soa_final_predictor(self.H, xs, ys, self.tau)[x]
 
 
 class ConstantLearner:
@@ -169,7 +169,7 @@ class ConstantLearner:
     def __init__(self, k: int):
         self.k = int(k)
 
-    def predict(self, x: int, history) -> int:
+    def predict(self, x: int, xs, ys) -> int:
         return self.k
 
 
@@ -177,17 +177,11 @@ class MajorityLearner:
     """Predicts the most common label of the class at each instance."""
 
     def __init__(self, H: HypothesisClass):
-        table = []
-        for x in range(H.domain_size):
-            counts = {}
-            for r in range(H.num_rows):
-                k = int(H.table[r, x])
-                counts[k] = counts.get(k, 0) + 1
-            best = min(sorted(counts), key=lambda k: (-counts[k], k))
-            table.append(best)
-        self.table = tuple(table)
+        # argmax picks the first maximum, so ties go to the smallest label
+        self.table = tuple(int(np.bincount(H.table[:, x]).argmax())
+                           for x in range(H.domain_size))
 
-    def predict(self, x: int, history) -> int:
+    def predict(self, x: int, xs, ys) -> int:
         return self.table[x]
 
 
@@ -205,18 +199,18 @@ def adversary_force(H: HypothesisClass, tau: int, learner) -> OnlineTranscript:
     if not ok:
         raise AssertionError(f"internal certificate rejected: {msg}")
     t = OnlineTranscript(tau=tau)
-    history = []
     node = tree.root
     while node is not None:
         x = node.x
-        y_hat = int(learner.predict(x, list(history)))
+        xs = np.array([r.x for r in t.rounds], dtype=np.int64)
+        ys = np.array([r.y for r in t.rounds], dtype=np.int64)
+        y_hat = int(learner.predict(x, xs, ys))
         if tolerant_loss(y_hat, node.left_label, tau) == 1:
             y, node = node.left_label, node.left
         else:
             y, node = node.right_label, node.right
         mistake = tolerant_loss(y_hat, y, tau) == 1
         t.rounds.append(Round(x, y_hat, y, mistake))
-        history.append((x, y))
     if t.mistakes < tree.height:
         raise AssertionError("adversary failed to force a mistake per level")
     return t

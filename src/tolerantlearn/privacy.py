@@ -14,6 +14,7 @@ parameters.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -145,9 +146,7 @@ def stable_histogram(items: Sequence, priv: PrivacyParams, eta: float,
     m = len(items)
     t = histogram_threshold(priv.eps, priv.delta, m)
     b = histogram_noise_scale(priv.eps, m)
-    counts = {}
-    for it in items:
-        counts[it] = counts.get(it, 0) + 1
+    counts = Counter(items)
     released, estimates = [], []
     for item in sorted(counts, key=_sort_key):
         u = rng.random() - 0.5
@@ -165,10 +164,9 @@ def stable_histogram(items: Sequence, priv: PrivacyParams, eta: float,
 
 def selection_probabilities(hypotheses: Sequence, sample, eps: float,
                             loss=TolerantZeroOne(0)) -> np.ndarray:
-    """Exact output distribution of the exponential selection mechanism."""
-    n = len(sample)
-    losses = np.array([evaluate_loss(np.array(h), sample, loss)
-                       for h in hypotheses])
+    """Exact output distribution of the exponential selection on (xs, ys)."""
+    n = len(sample[0])
+    losses = evaluate_loss(np.array(hypotheses), sample, loss)
     scores = -eps * n * losses / 2.0
     scores -= scores.max()
     weights = np.exp(scores)
@@ -180,7 +178,7 @@ def generic_private_learner(hypotheses: Sequence, sample, eps: float, seed,
     """Select a low-empirical-loss hypothesis with pure eps-DP."""
     if not hypotheses:
         raise ValueError("empty hypothesis list")
-    if not sample:
+    if not len(sample[0]):
         raise ValueError("empty selection sample")
     probs = selection_probabilities(hypotheses, sample, eps, loss)
     rng = as_generator(seed)
@@ -310,8 +308,7 @@ def private_learn_reg(F: RealFunctionClass, D: FiniteDistribution,
     midpoints.
     """
     Hd, _ = discretize(F, gamma)
-    labels = np.array([value_to_label(float(v), gamma) for v in D.target])
-    Dd = FiniteDistribution(D.weights, labels)
+    Dd = FiniteDistribution(D.weights, value_to_label(D.target, gamma))
     res = private_learn_mc(Hd, Dd, priv, alpha, beta, seed)
     if res.failed:
         return RegressionResult(None, None, gamma, res)
@@ -332,18 +329,16 @@ def covering_number(F: RealFunctionClass, radius: float):
     Greedy gives an upper bound; exhaustive search over smaller center sets
     refines it to the exact minimum.  Returns (size, center row indices).
     """
+    # below 0 (or NaN) every ball is empty and the greedy cover never ends
+    if not radius >= 0:
+        raise ValueError(f"cover radius must be >= 0, got {radius}")
     m = F.num_rows
     if m > COVER_ROW_CAP:
         raise ValueError(f"exact covers are capped at {COVER_ROW_CAP} rows")
     dist = np.max(np.abs(F.table[:, None, :] - F.table[None, :, :]), axis=2)
-    balls = []
     full = (1 << m) - 1
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if dist[i, j] <= radius + 1e-12:
-                mask |= 1 << j
-        balls.append(mask)
+    balls = [sum(1 << j for j in np.flatnonzero(row <= radius + 1e-12).tolist())
+             for row in dist]
 
     covered, centers = 0, []
     while covered != full:

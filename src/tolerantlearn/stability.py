@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .classes import (FiniteDistribution, HypothesisClass, LabeledExample,
-                      TolerantZeroOne, evaluate_loss)
+from .classes import (FiniteDistribution, HypothesisClass, TolerantZeroOne,
+                      evaluate_loss)
 from .dimensions import ldim_value
 from .online import SoaState, predictor_table, soa_final_predictor
 from .seeding import as_generator, trial_rng
@@ -106,13 +106,14 @@ class _DrawStream:
 class TournamentSample:
     """Output of the capped tournament sampler.
 
-    On success `examples` holds k*(n+1) labeled examples, the k injected
-    tournament examples sitting at `tournament_positions`.  On failure
-    `examples` is None and `draw_count` records the attempt that exceeded
-    the cap.
+    On success `xs` and `ys` are the k*(n+1) domain points and labels of
+    the sample, the k injected tournament examples sitting at
+    `tournament_positions`.  On failure both are None and `draw_count`
+    records the attempt that exceeded the cap.
     """
 
-    examples: Optional[list]
+    xs: Optional[np.ndarray]
+    ys: Optional[np.ndarray]
     failed: bool
     draw_count: int
     tournament_positions: list = field(default_factory=list)
@@ -314,23 +315,21 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
             f"LUT and takes at most {LUT_ROW_LIMIT} rows (got {H.num_rows})")
     rng = as_generator(seed)
     if k == 0:
-        return TournamentSample([], False, 0, [])
+        return TournamentSample(_NO_POINTS.copy(), _NO_POINTS.copy(), False, 0, [])
     lut, always_fails = _support_entry(H, D, labels)
     if always_fails:
         left = N % (2 * n)
-        return TournamentSample(None, True, N - left + (n if left < n else 2 * n),
-                                [])
+        return TournamentSample(None, None, True,
+                                N - left + (n if left < n else 2 * n), [])
     stream = _DrawStream(D, rng, N)
     sampler = _Sampler(D, H, n, stream, rng, lut)
     try:
         xs, positions, labels, _ = sampler.level(k)
     except _Fail:
-        return TournamentSample(None, True, stream.used, [])
-    ys = sampler.target[xs].tolist()
-    for pos, y in zip(positions, labels):
-        ys[pos] = y
-    examples = [LabeledExample(x, y) for x, y in zip(xs.tolist(), ys)]
-    return TournamentSample(examples, False, stream.used, positions)
+        return TournamentSample(None, None, True, stream.used, [])
+    ys = sampler.target[xs]
+    ys[positions] = labels
+    return TournamentSample(xs, ys, False, stream.used, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +370,9 @@ def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, seed,
     sample = sample_dk_mc(k, D, H, n, cap, rng)
     if sample.failed:
         return GRunResult(None, True, k, n, cap, sample.draw_count)
-    tail = D.draw_sample(rng, n)
-    table = soa_final_predictor(H, sample.examples + tail)
+    tail_xs, tail_ys = D.draw_sample(rng, n)
+    table = soa_final_predictor(H, np.concatenate([sample.xs, tail_xs]),
+                                np.concatenate([sample.ys, tail_ys]))
     return GRunResult(table, False, k, n, cap, sample.draw_count)
 
 

@@ -283,8 +283,8 @@ def extract_thresholds_reg(F: RealFunctionClass, gamma: float):
     margin is gamma/5 with per-point deviation at most gamma/100.  An empty
     family means no tolerance-20 pair exists at this scale.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not gamma > 0:   # NaN fails too
+        raise ValueError(f"gamma must be positive, got {gamma}")
     scale = gamma / 50.0
     Hd, row_map = discretize(F, scale)
     report = ldim_tau(Hd, 20)

@@ -254,8 +254,8 @@ def check_real_tree(F: RealFunctionClass, tree: MistakeTree, gamma: float):
     """Check a real-valued tree: every path admits f with eps*(f(x)-s) >= gamma/2."""
     if tree.kind != "real":
         return False, "not a real-valued tree"
-    if gamma <= 0:
-        return False, "gamma must be positive"
+    if not gamma > 0:   # NaN fails too
+        return False, f"gamma must be positive, got {gamma}"
     if not is_complete(tree.root, tree.height):
         return False, f"tree is not complete at height {tree.height}"
     if tree.root is None:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
-                                   LabeledExample, RealFunctionClass,
-                                   TolerantZeroOne, discretize, evaluate_loss)
+                                   RealFunctionClass, TolerantZeroOne,
+                                   discretize, evaluate_loss)
 from tolerantlearn.dimensions import (fat_gamma, ldim_brute_force, ldim_tau,
                                       ldim_value, log_star, pdim)
 from tolerantlearn.generators import (complete_binary, constants_class,
@@ -82,8 +82,8 @@ def test_a03_soa_mistake_bound_exhaustive():
             bound = ldim_value(H, tau)
             for h in range(H.num_rows):
                 for xs in itertools.product(range(H.domain_size), repeat=6):
-                    seq = [LabeledExample(x, int(H.table[h, x])) for x in xs]
-                    assert soa_run(H, tau, seq).mistakes <= bound
+                    ys = H.table[h, list(xs)]
+                    assert soa_run(H, tau, xs, ys).mistakes <= bound
                     sequences += 1
     elapsed = time.monotonic() - start
     assert criterion("A3", elapsed < 60,
@@ -256,7 +256,7 @@ def test_a10_selection_accuracy():
         good += evaluate_loss(np.array(chosen), sample,
                               TolerantZeroOne(0)) <= 2 * alpha
     # exact two-point distribution against the closed form
-    sample = [LabeledExample(0, 1)] * 20
+    sample = ([0] * 20, [1] * 20)
     probs = selection_probabilities([(1,), (2,)], sample, 1.0)
     closed = 1.0 / (1.0 + math.exp(-10.0))
     exact_ok = abs(probs[0] - closed) < 1e-12

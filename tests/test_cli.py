@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tolerantlearn import classfile
-from tolerantlearn.classes import HypothesisClass, RealFunctionClass, make_sample
+from tolerantlearn.classes import HypothesisClass, RealFunctionClass
 from tolerantlearn.cli import main
 from tolerantlearn.generators import (complete_binary, constants_class,
                                       random_real, threshold_class)
@@ -54,10 +56,46 @@ def test_real_file_grid_validation(tmp_path):
 
 
 def test_sequence_round_trip(tmp_path):
-    seq = make_sample([(0, 1), (2, 2)])
     path = tmp_path / "s.json"
-    classfile.save_sequence(seq, path)
-    assert classfile.load_sequence(path) == seq
+    classfile.save_sequence([0, 2], [1, 2], path)
+    xs, ys = classfile.load_sequence(path)
+    assert (xs.tolist(), ys.tolist()) == ([0, 2], [1, 2])
+
+
+int64s = st.integers(-2**63, 2**63 - 1)
+no_fixture_check = settings(max_examples=100, deadline=None,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@no_fixture_check
+@given(st.lists(st.tuples(int64s, int64s), max_size=20))
+def test_sequence_round_trip_property(tmp_path, pairs):
+    xs = np.array([x for x, _ in pairs], dtype=np.int64)
+    ys = np.array([y for _, y in pairs], dtype=np.int64)
+    path = tmp_path / "s.json"
+    classfile.save_sequence(xs, ys, path)
+    back_xs, back_ys = classfile.load_sequence(path)
+    assert back_xs.dtype == back_ys.dtype == np.int64
+    assert (back_xs.tolist(), back_ys.tolist()) == (xs.tolist(), ys.tolist())
+
+
+@no_fixture_check
+@given(st.lists(st.tuples(int64s, int64s), min_size=1, max_size=8), st.data(),
+       st.one_of(st.floats().filter(lambda v: not float(v).is_integer()),
+                 st.text(), st.none()))
+def test_non_integral_sequence_entries_rejected(tmp_path, pairs, data, bad):
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    col = data.draw(st.integers(0, 1))
+    rows = [list(p) for p in pairs]
+    rows[i][col] = bad
+    xs, ys = [r[0] for r in rows], [r[1] for r in rows]
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        classfile.save_sequence(xs, ys, tmp_path / "never.json")
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"format": classfile.SEQ_FORMAT,
+                                "examples": rows}))
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        classfile.load_sequence(path)
 
 
 def test_certificate_round_trip(tmp_path):
@@ -112,7 +150,7 @@ def test_dim_writes_certificate(thr_file, tmp_path):
 
 def test_soa_subcommand(thr_file, tmp_path):
     seq = tmp_path / "seq.json"
-    classfile.save_sequence(make_sample([(0, 1), (1, 1), (2, 2), (3, 2)]), seq)
+    classfile.save_sequence([0, 1, 2, 3], [1, 1, 2, 2], seq)
     out = tmp_path / "r.json"
     code = run_cli("soa", "--input", thr_file, "--tolerance", 0,
                    "--sequence", seq, "--out", out)
@@ -218,6 +256,59 @@ def test_fractional_sequence_exits_2(tmp_path, capsys, example):
     assert run_cli("soa", "--input", cls, "--sequence", seq,
                    "--out", tmp_path / "r.json") == 2
     assert "not a pair of integers" in capsys.readouterr().err
+
+
+SEQ = classfile.SEQ_FORMAT
+CLASS = classfile.CLASS_FORMAT
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("soa", {"format": SEQ, "examples": 5}, "'examples' must be a list"),
+    ("soa", {"format": SEQ}, "'examples' must be a list, found no such key"),
+    ("soa", {"format": SEQ, "examples": [[0, 1], [2]]}, "[x, y] pairs"),
+    ("dim", {"format": CLASS, "kind": "multiclass", "K": 2,
+             "domain_size": 2}, "'rows' must be a list, found no such key"),
+    ("dim", {"format": CLASS, "kind": "multiclass", "K": 2, "domain_size": 2,
+             "rows": 5}, "'rows' must be a list"),
+    ("dim", {"format": CLASS, "kind": "multiclass", "K": 2, "domain_size": 2,
+             "rows": [5]}, "'rows' must list rows"),
+    ("dim", [1, 2], "expected a JSON object"),
+    ("experiment", [1, 2], "expected a JSON object"),
+    ("experiment", {"command": "dim", "params": 5}, "'params' must be a JSON"),
+    ("thresholds", {"format": classfile.CERT_FORMAT, "params": {},
+                    "kind": "multiclass", "height": 1}, "KeyError('root')"),
+], ids=["examples-int", "no-examples", "examples-not-pairs", "no-rows",
+        "rows-int", "row-int", "class-list", "config-list", "params-int",
+        "certificate-no-root"])
+def test_malformed_documents_exit_2(thr_file, tmp_path, capsys, command, doc,
+                                    key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {"soa": ["--input", thr_file, "--sequence", bad],
+            "dim": ["--input", bad],
+            "experiment": ["--config", bad],
+            "thresholds": ["--input", thr_file, "--certificate", bad]}[command]
+    assert run_cli(command, *argv, "--out", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and key in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "--kind", "fat", "--gamma", "nan"],
+     "gamma must be positive, got nan"),
+    (["thresholds", "--gamma", "nan"], "gamma must be positive, got nan"),
+    (["dp-learn", "--gamma", "nan", "--target", 0, "--epsilon", 0.5,
+      "--delta", 0.01, "--alpha", 0.2, "--beta", 0.2, "--seed", 1],
+     "gamma must lie in (0, 2], got nan"),
+    (["check", "--scales=-0.5"], "radius must be >= 0, got -0.5"),
+    (["check", "--scales=0.5,nan"], "radius must be >= 0, got nan"),
+], ids=["dim-fat", "thresholds", "dp-learn", "check-negative", "check-nan"])
+def test_nan_or_negative_scale_exits_2(tmp_path, capsys, argv, message):
+    real = tmp_path / "real.json"
+    classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]), real)
+    assert run_cli(argv[0], "--input", real, *argv[1:],
+                   "--out", tmp_path / "r.json") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unbalanced_class_past_recursion_limit_exits_2(tmp_path, capsys,

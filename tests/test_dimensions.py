@@ -145,6 +145,15 @@ def test_fat_rejects_bad_gamma():
         fat_gamma(RealFunctionClass([[0.0]]), 0.0)
 
 
+def test_nan_gamma_is_not_carried_along():
+    F = RealFunctionClass([[-1.0], [1.0]])
+    tree = fat_gamma(F, 1.0).certificate
+    with pytest.raises(ValueError, match="gamma must be positive, got nan"):
+        fat_gamma(F, math.nan)
+    assert check_real_tree(F, tree, math.nan) == (
+        False, "gamma must be positive, got nan")
+
+
 def test_fat_witness_grid_is_lossless(real_corpus):
     # perturbing the witness grid off its breakpoints never finds more depth
     from tolerantlearn.dimensions import _fat_candidates

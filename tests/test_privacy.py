@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
-                                   LabeledExample, RealFunctionClass,
-                                   TolerantZeroOne, evaluate_loss)
+from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
+                                   HypothesisClass, RealFunctionClass,
+                                   TolerantZeroOne, absolute_loss,
+                                   evaluate_loss, tolerant_loss)
 from tolerantlearn.generators import constants_class
 from tolerantlearn.privacy import (PrivacyLedger, PrivacyParams,
                                    check_conditions, covering_number,
@@ -94,7 +96,7 @@ def test_histogram_accuracy_battery():
 
 def test_two_point_distribution_closed_form():
     h_good, h_bad = (1,), (2,)
-    sample = [LabeledExample(0, 1)] * 20
+    sample = ([0] * 20, [1] * 20)
     probs = selection_probabilities([h_good, h_bad], sample, 1.0)
     expected = 1.0 / (1.0 + math.exp(-10.0))
     assert abs(probs[0] - expected) < 1e-12
@@ -102,14 +104,54 @@ def test_two_point_distribution_closed_form():
 
 
 def test_selection_degenerates_to_uniform():
-    sample = [LabeledExample(0, 1)] * 20
+    sample = ([0] * 20, [1] * 20)
     probs = selection_probabilities([(1,), (2,)], sample, 1e-6 / 20)
     assert abs(probs[0] - probs[1]) < 1e-5
 
 
 def test_singleton_list_returned():
-    sample = [LabeledExample(0, 2)]
+    sample = ([0], [2])
     assert generic_private_learner([(1,)], sample, 1.0, 0) == (1,)
+
+
+def looped_losses(hypotheses, xs, ys, loss):
+    """Empirical losses one example at a time, as a reference."""
+    if isinstance(loss, AbsoluteLoss):
+        one = absolute_loss
+    else:
+        def one(y_hat, y):
+            return float(tolerant_loss(y_hat, y, loss.tau))
+    return [sum(one(h[x], y) for x, y in zip(xs, ys)) / len(xs)
+            for h in hypotheses]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_array_losses_match_per_example_loop(data, real):
+    # values on a quarter grid keep the absolute-loss sums exact, so the
+    # array path must agree with the loop to the last bit
+    dom = data.draw(st.integers(1, 6))
+    if real:
+        values, loss = st.integers(-4, 4).map(lambda v: v / 4), AbsoluteLoss()
+    else:
+        K = data.draw(st.integers(2, 5))
+        values = st.integers(1, K)
+        loss = TolerantZeroOne(data.draw(st.integers(0, 3)))
+    row = st.lists(values, min_size=dom, max_size=dom).map(tuple)
+    hyps = data.draw(st.lists(row, min_size=1, max_size=5))
+    n = data.draw(st.integers(1, 30))
+    xs = data.draw(st.lists(st.integers(0, dom - 1), min_size=n, max_size=n))
+    ys = data.draw(st.lists(values, min_size=n, max_size=n))
+    want = looped_losses(hyps, xs, ys, loss)
+    assert evaluate_loss(np.array(hyps), (xs, ys), loss).tolist() == want
+    for h, w in zip(hyps, want):
+        got = evaluate_loss(np.array(h), (np.array(xs), np.array(ys)), loss)
+        assert type(got) is float and got == w
+    eps = data.draw(st.floats(0.01, 5.0))
+    scores = -eps * n * np.array(want) / 2.0
+    weights = np.exp(scores - scores.max())
+    assert (selection_probabilities(hyps, (xs, ys), eps, loss).tolist()
+            == (weights / weights.sum()).tolist())
 
 
 def test_selection_accuracy_battery():
@@ -242,6 +284,15 @@ def test_covering_number_exact_small():
     F2 = RealFunctionClass([[0.0], [0.25], [0.5], [0.75], [1.0]])
     size2, _ = covering_number(F2, 0.25)
     assert size2 == 2
+
+
+@pytest.mark.parametrize("radius", [-0.5, math.nan])
+def test_covering_number_rejects_radius_below_zero(radius):
+    # every ball is empty below 0, so a greedy cover would never end
+    F = RealFunctionClass([[0.0], [0.5]])
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        covering_number(F, radius)
+    assert covering_number(F, 0.0) == (2, [0, 1])
 
 
 def test_covering_number_cap():

@@ -6,8 +6,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from tolerantlearn import stability
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
-                                   LabeledExample, TolerantZeroOne,
-                                   evaluate_loss)
+                                   TolerantZeroOne, evaluate_loss)
 from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
@@ -31,7 +30,7 @@ def test_k_zero_empty_sample():
     D = FiniteDistribution.uniform(H, 0)
     s = sample_dk_mc(0, D, H, 3, 100, 1)
     assert not s.failed
-    assert s.examples == []
+    assert s.xs.tolist() == s.ys.tolist() == []
     assert s.draw_count == 0
 
 
@@ -63,7 +62,7 @@ def test_threshold_sample_structure(threshold_setup):
         if s.failed:
             continue
         found += 1
-        assert len(s.examples) == n + 1
+        assert len(s.xs) == len(s.ys) == n + 1
         assert s.tournament_positions == [n]
         assert s.draw_count <= 500
     assert found > 0
@@ -77,7 +76,7 @@ def test_soa_errs_at_every_tournament_position(threshold_setup):
             s = sample_dk_mc(k, D, H, 3, 2000, seed)
             if s.failed:
                 continue
-            t = soa_run(H, 0, s.examples)
+            t = soa_run(H, 0, s.xs, s.ys)
             assert len(s.tournament_positions) == k
             for pos in s.tournament_positions:
                 assert t.rounds[pos].mistake
@@ -104,7 +103,7 @@ def test_sampler_deterministic(threshold_setup):
     H, D = threshold_setup
     a = sample_dk_mc(2, D, H, 3, 2000, 17)
     b = sample_dk_mc(2, D, H, 3, 2000, 17)
-    assert a.examples == b.examples
+    assert a.xs.tolist() == b.xs.tolist() and a.ys.tolist() == b.ys.tolist()
     assert a.draw_count == b.draw_count
     assert a.tournament_positions == b.tournament_positions
 
@@ -141,44 +140,49 @@ def reference_sample(k, D, H, n, N, seed):
     """The tournament sampler as defined: one round at a time, SOA replayed.
 
     Every round draws through `_DrawStream.take` and folds SOA_0 over the
-    whole labeled prefix of each side.  Returns (examples, positions,
-    failed, draw_count) in `sample_dk_mc`'s conventions.
+    whole labeled prefix of each side.  Returns (xs, ys, positions, failed,
+    draw_count) in `sample_dk_mc`'s conventions, with lists for arrays.
     """
     rng = as_generator(seed)
     if k == 0:
-        return [], [], False, 0
+        return [], [], [], False, 0
     stream = _DrawStream(D, rng, N)
 
     def labeled(t):
-        return [LabeledExample(int(x), int(D.target[x])) for x in t]
+        return t.tolist(), [int(D.target[x]) for x in t]
 
     def rec(k):
         if k == 0:
-            return [], []
+            return [], [], []
         while True:
-            s0, p0 = rec(k - 1)
-            e0 = s0 + labeled(stream.take(n))
-            s1, p1 = rec(k - 1)
-            e1 = s1 + labeled(stream.take(n))
-            f0 = soa_final_predictor(H, e0)
-            f1 = soa_final_predictor(H, e1)
+            xs0, ys0, p0 = rec(k - 1)
+            t0, l0 = labeled(stream.take(n))
+            xs0, ys0 = xs0 + t0, ys0 + l0
+            xs1, ys1, p1 = rec(k - 1)
+            t1, l1 = labeled(stream.take(n))
+            xs1, ys1 = xs1 + t1, ys1 + l1
+            f0 = soa_final_predictor(H, xs0, ys0)
+            f1 = soa_final_predictor(H, xs1, ys1)
             if f0 == f1:
                 continue
             x = next(i for i in range(H.domain_size) if f0[i] != f1[i])
             y = int(rng.integers(1, H.K + 1))
-            out, positions = (e0, p0) if f0[x] != y else (e1, p1)
-            return out + [LabeledExample(x, y)], positions + [len(out)]
+            xs, ys, positions = ((xs0, ys0, p0) if f0[x] != y
+                                 else (xs1, ys1, p1))
+            return xs + [x], ys + [y], positions + [len(xs)]
 
     try:
-        examples, positions = rec(k)
+        xs, ys, positions = rec(k)
     except _Fail:
-        return None, [], True, stream.used
-    return examples, positions, False, stream.used
+        return None, None, [], True, stream.used
+    return xs, ys, positions, False, stream.used
 
 
 def assert_matches_reference(k, D, H, n, N, seed):
     s = sample_dk_mc(k, D, H, n, N, seed)
-    got = (s.examples, s.tournament_positions, s.failed, s.draw_count)
+    got = (None if s.failed else s.xs.tolist(),
+           None if s.failed else s.ys.tolist(),
+           s.tournament_positions, s.failed, s.draw_count)
     assert got == reference_sample(k, D, H, n, N, seed), (k, n, N, seed)
     return s
 
