@@ -30,8 +30,7 @@ from .stability import (GRunResult, GsEstimate, TournamentSample,
 from .thresholds import (ThresholdFamily, color_and_choose,
                          extract_thresholds_mc, extract_thresholds_reg,
                          max_mono_subtree, verify_thresholds)
-from .trees import (McNode, MistakeTree, RealNode, check_mc_tree,
-                    check_real_tree, complete_binary_certificate,
-                    threshold_class_certificate)
+from .trees import (MistakeTree, check_mc_tree, check_real_tree,
+                    complete_binary_certificate, threshold_class_certificate)
 
 __version__ = "0.1.0"

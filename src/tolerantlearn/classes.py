@@ -119,8 +119,17 @@ class HypothesisClass:
             raise ValueError("labels must be integers")
         if raw.min() < 1 or raw.max() > K:
             raise ValueError(f"labels must lie in 1..{K}")
-        arr = raw.astype(np.int64, copy=False)
-        arr, row_map = _dedup_rows(arr)
+        self._fill(K, *_dedup_rows(raw.astype(np.int64, copy=False)))
+
+    @classmethod
+    def _of_distinct_rows(cls, K: int, table: np.ndarray) -> "HypothesisClass":
+        """The class of an int64 table whose rows are distinct and in 1..K,
+        such as rows taken from a class's table: no checks, no dedup."""
+        self = cls.__new__(cls)
+        self._fill(K, table, np.arange(len(table)))
+        return self
+
+    def _fill(self, K: int, arr: np.ndarray, row_map: np.ndarray) -> None:
         arr.setflags(write=False)
         self.K = int(K)
         self.table = arr
@@ -197,9 +206,10 @@ class RealFunctionClass:
 # ---------------------------------------------------------------------------
 
 def _whole(a: np.ndarray) -> bool:
-    """Is every entry an integer, or a float holding an int64 value?"""
+    """Is every entry an integer (not a boolean), or a float holding an
+    int64 value?"""
     if a.dtype.kind != "f":
-        return a.dtype.kind in "biu"
+        return a.dtype.kind in "iu"
     with np.errstate(invalid="ignore"):   # NaN and the infinities fail
         return bool(np.all((np.mod(a, 1) == 0) & (np.abs(a) < 2.0 ** 63)))
 
@@ -208,14 +218,17 @@ def integer_sample(xs, ys) -> tuple:
     """A labeled sample as two equal-length 1-D int64 arrays.
 
     `xs` holds domain indices and `ys` labels.  Whole floats such as 1.0
-    pass as ints; a fractional, NaN or non-numeric entry is a ValueError
-    naming its pair.
+    pass as ints; a fractional, NaN, boolean or non-numeric entry is a
+    ValueError naming its pair.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
     if xa.ndim != 1 or ya.ndim != 1 or xa.shape != ya.shape:
         raise ValueError(f"a sample is two 1-D arrays of equal length, "
                          f"got shapes {xa.shape} and {ya.shape}")
-    if not (_whole(xa) and _whole(ya)):
+    # numpy reads [True, 2] as ints, so lists are searched for booleans
+    if not (_whole(xa) and _whole(ya)) or any(
+            isinstance(v, (bool, np.bool_)) for vals in (xs, ys)
+            if not isinstance(vals, np.ndarray) for v in vals):
         # name the first bad pair as given (a mixed list reads as strings)
         for x, y in zip(np.asarray(xs, dtype=object),
                         np.asarray(ys, dtype=object)):

@@ -2,15 +2,16 @@
 
 A class file carries `kind` ("multiclass" with K, or "real" with its value
 grid), `domain_size` and `rows`; a sequence file carries `examples`, the
-[x, y] pairs of an (xs, ys) sample.  All writers emit keys in a fixed order
-at full float precision, so identical inputs produce byte-identical files.
+[x, y] pairs of an (xs, ys) sample; a certificate file carries `params`,
+the tree's `kind` and its heap-order lists (`trees.tree_to_dict`).  All
+writers emit keys in a fixed order at full float precision, so identical
+inputs produce byte-identical files.
 A malformed document is a ValueError naming the file and the key.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -22,18 +23,22 @@ from .trees import MistakeTree, tree_from_dict, tree_to_dict
 
 CLASS_FORMAT = "classfile/1"
 SEQ_FORMAT = "seqfile/1"
-CERT_FORMAT = "certfile/1"
+CERT_FORMAT = "certfile/2"
 FAMILY_FORMAT = "familyfile/1"
 
 
-def _dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+def _dump(doc: dict, path, indent: int | None = 2) -> None:
+    Path(path).write_text(json.dumps(doc, indent=indent) + "\n")
 
 
 def read_json_object(path, expected: str | None = None, lists=()) -> dict:
     """The JSON object at `path`, of format `expected` unless that is None,
     whose keys `lists` hold JSON lists."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:   # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nests deeper than the recursion "
+                         f"limit {sys.getrecursionlimit()}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, "
                          f"found {type(doc).__name__}")
@@ -102,47 +107,27 @@ def load_sequence(path) -> tuple:
     pairs = read_json_object(path, SEQ_FORMAT, lists=("examples",))["examples"]
     if not all(isinstance(ex, list) and len(ex) == 2 for ex in pairs):
         raise ValueError(f"{path}: key 'examples' must list [x, y] pairs")
-    return integer_sample([x for x, _ in pairs], [y for _, y in pairs])
+    try:
+        return integer_sample([x for x, _ in pairs], [y for _, y in pairs])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- certificates ----------------------------------------------------------
 
 def save_certificate(tree: MistakeTree, path, params: dict | None = None) -> None:
-    doc = {"format": CERT_FORMAT, "params": params or {}}
-    doc.update(tree_to_dict(tree))
-    _dump(doc, path)
-
-
-# a JSON string (skipped whole) or a bracket
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
-
-
-def _nesting_depth(text: str) -> int:
-    """Deepest bracket nesting of a JSON text, found without recursion."""
-    depth = deepest = 0
-    for tok in _JSON_TOKEN.finditer(text):
-        c = tok.group()
-        if c in ("[", "{"):
-            depth += 1
-            deepest = max(deepest, depth)
-        elif c in ("]", "}"):
-            depth -= 1
-    return deepest
+    # one line: an indented list puts each of its 2^height - 1 entries on a line
+    _dump({"format": CERT_FORMAT, "params": params or {}, **tree_to_dict(tree)},
+          path, indent=None)
 
 
 def load_certificate(path) -> MistakeTree:
-    """A certificate tree; ValueError if it nests past the recursion limit.
-
-    Both the JSON decoder and the tree decoder recurse once per level.
-    """
+    """A certificate tree; a list of the wrong length or type is a ValueError."""
+    doc = read_json_object(path, CERT_FORMAT, lists=("x",))
     try:
-        return tree_from_dict(read_json_object(path, CERT_FORMAT))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed certificate: {exc!r}") from None
-    except RecursionError:
-        depth = _nesting_depth(Path(path).read_text())
-    raise ValueError(f"{path}: certificate nests {depth} levels deep, past "
-                     f"the recursion limit {sys.getrecursionlimit()}")
+        return tree_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- threshold families ----------------------------------------------------

@@ -9,6 +9,8 @@ which is inherent; the sides of a split are disjoint, so a subset of m rows
 has value at most floor(log2 m), and pruning with that bound makes
 structured classes with hundreds of rows fast.  The one 64-row limit left
 is the tournament sampler's uint64 consistency LUT (`stability`).
+Certificates are filled level by level into the heap-order arrays of
+`trees.MistakeTree`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .classes import HypothesisClass, RealFunctionClass
-from .trees import (McNode, MistakeTree, RealNode, WITNESS_EPS,
-                    check_mc_tree, check_real_tree)
+from .trees import MistakeTree, WITNESS_EPS, check_mc_tree, check_real_tree, child
 
 # Ldim of the empty class; internal sentinel that keeps the recursion and the
 # SOA argmax total.  Never reported.
@@ -104,20 +105,28 @@ class _SplitEngine:
         self._memo[mask] = best
         return best
 
-    def certificate(self, mask: int, height: int, make_node):
-        """The first split in list order whose sides both reach height - 1,
-        as `make_node(*tag, left, right)`, with subtrees built the same way."""
-        if height == 0:
-            return None
-        need = height - 1
-        for tag, a, b in self.splits:
-            lo, hi = mask & a, mask & b
-            # a side of fewer than 2^need rows cannot reach need
-            if (min(lo.bit_count(), hi.bit_count()) >= 1 << need
-                    and self.value(lo) >= need and self.value(hi) >= need):
-                return make_node(*tag, self.certificate(lo, need, make_node),
-                                 self.certificate(hi, need, make_node))
-        raise AssertionError("no split supports the computed dimension")
+    def certificate(self, mask: int, height: int) -> list:
+        """Split tags of a complete tree of `height` in heap order.
+
+        Each node takes the first split in list order whose sides both
+        reach the height left below it; its children split those sides.
+        """
+        tags, masks = [], [mask]
+        for need in range(height - 1, -1, -1):
+            below = []
+            for m in masks:
+                for tag, a, b in self.splits:
+                    lo, hi = m & a, m & b
+                    # a side of fewer than 2^need rows cannot reach need
+                    if (min(lo.bit_count(), hi.bit_count()) >= 1 << need
+                            and self.value(lo) >= need and self.value(hi) >= need):
+                        tags.append(tag)
+                        below += (lo, hi)
+                        break
+                else:
+                    raise AssertionError("no split supports the computed dimension")
+            masks = below
+        return tags
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +166,9 @@ def ldim_value(H: HypothesisClass, tau: int, mask: Optional[int] = None) -> int:
 def ldim_tau(H: HypothesisClass, tau: int) -> DimensionReport:
     """Exact Ldim_tau with a certificate tree attached."""
     value = ldim_value(H, tau)
-    root = _ldim_engine(H, tau).certificate(H.full_mask, value, McNode)
-    tree = MistakeTree("multiclass", root, value)
-    return DimensionReport(value, tree, params={"tau": tau})
+    tags = _ldim_engine(H, tau).certificate(H.full_mask, value)
+    x, k, kp = np.array(tags, np.int64).reshape(-1, 3).T
+    return DimensionReport(value, MistakeTree(x, k, kp), params={"tau": tau})
 
 
 def ldim_brute_force(H: HypothesisClass, tau: int, depth_cap: int) -> int:
@@ -229,7 +238,8 @@ def _real_dimension(splits, num_rows: int, params: dict) -> DimensionReport:
     engine = _SplitEngine(splits)
     full = (1 << num_rows) - 1
     d = engine.value(full)
-    tree = MistakeTree("real", engine.certificate(full, d, RealNode), d)
+    tags = engine.certificate(full, d)
+    tree = MistakeTree([x for x, _ in tags], witness=[s for _, s in tags])
     return DimensionReport(d, tree, params=params)
 
 
@@ -237,6 +247,8 @@ def fat_gamma(F: RealFunctionClass, gamma: float) -> DimensionReport:
     """Exact sequential fat-shattering dimension at scale gamma."""
     if not gamma > 0:   # NaN fails too
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if math.isinf(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     grids = _fat_candidates(F, gamma)
     splits = [((x, s), below, above) for x in range(F.domain_size)
               for s, below, above in grids[x]]
@@ -285,24 +297,26 @@ def check_sign_tree(F: RealFunctionClass, tree: MistakeTree):
     """Shattering checker for pdim certificates: f < s left, f >= s right."""
     if tree.kind != "real":
         return False, "not a real-valued tree"
-    if tree.root is None:
+    if tree.height == 0:
         return True, "empty tree"
+    n = len(tree.x)
 
-    def walk(node, rows: np.ndarray):
-        col = F.table[rows, node.x]
-        below = rows[col < node.witness]
-        above = rows[col >= node.witness]
-        for sub, child, side in ((below, node.left, -1), (above, node.right, +1)):
-            if child is None:
+    def walk(i, rows: np.ndarray):
+        x, s = int(tree.x[i]), float(tree.witness[i])
+        col = F.table[rows, x]
+        below = rows[col < s]
+        above = rows[col >= s]
+        for sub, right, side in ((below, False, -1), (above, True, +1)):
+            if child(i, right) >= n:
                 if sub.size == 0:
-                    return f"path ending with ({node.x}, {side:+d}) unrealized"
+                    return f"path ending with ({x}, {side:+d}) unrealized"
             else:
-                err = walk(child, sub)
+                err = walk(child(i, right), sub)
                 if err:
                     return err
         return None
 
-    err = walk(tree.root, np.arange(F.num_rows))
+    err = walk(0, np.arange(F.num_rows))
     return (err is None), (err or "ok")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classes import HypothesisClass, integer_sample, tolerant_loss
 from .dimensions import ldim_tau, ldim_value
-from .trees import check_mc_tree
+from .trees import check_mc_tree, child
 
 
 @dataclass(frozen=True)
@@ -199,16 +199,15 @@ def adversary_force(H: HypothesisClass, tau: int, learner) -> OnlineTranscript:
     if not ok:
         raise AssertionError(f"internal certificate rejected: {msg}")
     t = OnlineTranscript(tau=tau)
-    node = tree.root
-    while node is not None:
-        x = node.x
+    at = 0                                  # heap id of the current node
+    while at < len(tree.x):
+        x = int(tree.x[at])
         xs = np.array([r.x for r in t.rounds], dtype=np.int64)
         ys = np.array([r.y for r in t.rounds], dtype=np.int64)
         y_hat = int(learner.predict(x, xs, ys))
-        if tolerant_loss(y_hat, node.left_label, tau) == 1:
-            y, node = node.left_label, node.left
-        else:
-            y, node = node.right_label, node.right
+        went_right = tolerant_loss(y_hat, int(tree.left_label[at]), tau) == 0
+        y = int((tree.right_label if went_right else tree.left_label)[at])
+        at = child(at, went_right)
         mistake = tolerant_loss(y_hat, y, tau) == 1
         t.rounds.append(Round(x, y_hat, y, mistake))
     if t.mistakes < tree.height:

@@ -6,9 +6,10 @@ edge label.  Iterating the step and keeping the longest run with a constant
 label pair yields a family of two-block threshold functions; a verifier
 re-checks the family pattern from its definition.
 
-The monochromatic search runs on the tree's preorder arrays
-(`trees.flatten_mc`): the (node, color) table is filled bottom-up one depth
-level at a time, and the subtree is rebuilt top-down a level at a time.
+The monochromatic search runs on the tree's heap-order arrays: a coloring is
+one color per node, the (node, color) table is filled bottom-up one depth
+level (`trees.level`) at a time, and the subtree is gathered top-down a
+level at a time.
 """
 
 from __future__ import annotations
@@ -20,73 +21,71 @@ import numpy as np
 
 from .classes import HypothesisClass, RealFunctionClass, discretize, label_to_midpoint
 from .dimensions import ldim_tau
-from .trees import McNode, MistakeTree, breadth_first, check_mc_tree, flatten_mc
+from .trees import MistakeTree, check_mc_tree, child, children, level
 
 
 # ---------------------------------------------------------------------------
 # monochromatic subtree maximization
 # ---------------------------------------------------------------------------
 
-def color_by_hypothesis(tree: MistakeTree, h_row) -> dict:
-    """Color every internal vertex x by h(x)."""
-    nodes = breadth_first(tree.root)[0]
-    xs = np.fromiter((v.x for v in nodes), np.int64, len(nodes))
-    return dict(zip(nodes, np.asarray(h_row)[xs].astype(np.int64).tolist()))
+def color_by_hypothesis(tree: MistakeTree, h_row) -> np.ndarray:
+    """The color h(x) of every node, in heap order."""
+    return np.asarray(h_row)[tree.x]
 
 
-def max_mono_subtree(tree: MistakeTree, coloring: dict):
+def max_mono_subtree(tree: MistakeTree, coloring):
     """Tallest single-color subtree; ties broken toward the smallest color.
 
-    For a node v of color c, the best height through v is 1 plus the min
-    over v's two branches of the best height anywhere in that branch.
-    Returns (color, subtree) where the subtree's nodes keep their original
+    `coloring` gives each node's color in heap order.  For a node v of
+    color c, the best height through v is 1 plus the min over v's two
+    branches of the best height anywhere in that branch.  Returns
+    (color, subtree) where the subtree's nodes keep their original
     instances and edge labels.
 
-    The tree is flattened into preorder arrays and the (node, color) table
-    is filled bottom-up one depth level at a time.  The subtree is then
-    rebuilt top-down a level at a time: below each chosen node, the child
-    on each side is the first node in preorder in that branch whose
-    subtree of the color is tall enough.  A branch is a contiguous preorder
-    range, so that node is the first one at or after the branch's root.
+    The (node, color) table is filled bottom-up one depth level at a time.
+    The subtree is then gathered top-down a level at a time: below each
+    chosen node, the child on each side is the first node in preorder in
+    that branch whose subtree of the color is tall enough.
     """
-    if tree.root is None:
+    coloring = np.asarray(coloring)
+    if tree.height == 0:
         raise ValueError("cannot search an empty tree")
-    for node in coloring:
-        if not isinstance(node, McNode):
-            raise ValueError("coloring must map multiclass tree nodes")
+    if coloring.shape != tree.x.shape:
+        raise ValueError("a coloring gives one color per node, in heap order")
 
-    colors = sorted(set(coloring.values()))
-    index = {c: i for i, c in enumerate(colors)}
-    t = flatten_mc(tree)
-    n = len(t.nodes)
-    own = np.fromiter((index[coloring[v]] for v in t.nodes), np.int64, n)
+    colors, own = np.unique(coloring, return_inverse=True)
     own = own[:, None] == np.arange(len(colors))
-    m = np.zeros((n, len(colors)), np.int64)          # best c-subtree rooted at v
-    best = np.zeros((n + 1, len(colors)), np.int64)   # max of m under v; row -1 = absent
-    for ids in reversed(t.levels):
-        bl, br = best[t.left[ids]], best[t.right[ids]]
+    n = len(coloring)
+    depths = range(tree.height - 1, -1, -1)
+    m = np.zeros((n, len(colors)), np.int64)   # best c-subtree rooted at v
+    # max of m under v; the rows past n stand for the absent children of leaves
+    best = np.zeros((2 * n + 1, len(colors)), np.int64)
+    for d in depths:
+        ids, (lefts, rights) = level(d), children(d)
+        bl, br = best[lefts], best[rights]
         m[ids] = mv = np.where(own[ids], 1 + np.minimum(bl, br), 0)
         best[ids] = np.maximum(mv, np.maximum(bl, br))
-    ci = int(best[0].argmax())                        # first maximum: smallest color
+    ci = int(best[0].argmax())                 # first maximum: smallest color
     top = int(best[0, ci])
 
     def first_reaching(h):
-        """For each id, the first id at or after it in preorder with m >= h."""
-        ids = np.where(m[:, ci] >= h, np.arange(n), n)
-        return np.minimum.accumulate(ids[::-1])[::-1]
+        """For each id, the first id of its subtree in preorder with
+        m >= h (-1 if none): the node itself, else its left branch's,
+        else its right branch's."""
+        first = np.full(2 * n + 1, -1)
+        for d in depths:
+            ids, (lefts, rights) = level(d), children(d)
+            fl, fr = first[lefts], first[rights]
+            first[ids] = np.where(m[ids, ci] >= h, np.arange(ids.start, ids.stop),
+                                  np.where(fl >= 0, fl, fr))
+        return first
 
-    chosen = [first_reaching(top)[:1]]                # heap order, level by level
+    chosen = [first_reaching(top)[:1]]         # heap order, level by level
     for h in range(top - 1, 0, -1):
-        nxt = first_reaching(h)
-        above = chosen[-1]
-        chosen.append(np.stack((nxt[t.left[above]], nxt[t.right[above]]),
+        nxt, above = first_reaching(h), chosen[-1]
+        chosen.append(np.stack((nxt[child(above, False)], nxt[child(above, True)]),
                                axis=1).ravel())
-    below = [None] * (2 << (top - 1))
-    for ids in reversed(chosen):
-        pairs = iter(below)
-        below = [McNode(v.x, v.left_label, v.right_label, next(pairs), next(pairs))
-                 for v in map(t.nodes.__getitem__, ids.tolist())]
-    return colors[ci], MistakeTree("multiclass", below[0], top)
+    return int(colors[ci]), tree.take(np.concatenate(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree, tau: int,
     |k - k'| > tau/2.  When both edges qualify the left one wins: the
     monochromatic subtree is complete, so its two children are equally tall.
     """
-    if tree.height < 1 or tree.root is None:
+    if tree.height < 1:
         raise ValueError("need a shattered tree of height >= 1")
     if verify:
         ok, msg = check_mc_tree(H, tree, tau)
@@ -121,23 +120,24 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree, tau: int,
             raise ValueError(f"input tree is not shattered at tolerance {tau}: {msg}")
 
     h0 = H.row(0)
-    coloring = color_by_hypothesis(tree, h0)
-    k, mono = max_mono_subtree(tree, coloring)
-    root = mono.root
-    x0 = root.x
+    k, mono = max_mono_subtree(tree, color_by_hypothesis(tree, h0))
+    x0 = int(mono.x[0])
 
-    options = [(label, child) for label, child in ((root.left_label, root.left),
-                                                   (root.right_label, root.right))
+    # (edge label, which edge) at the subtree's root
+    options = [(int(label), right)
+               for label, right in ((mono.left_label[0], False),
+                                    (mono.right_label[0], True))
                if 2 * abs(k - label) > tau]
     if not options:
         raise AssertionError("no edge label clears the tau/2 gap")
-    k_prime, child = options[0]
+    k_prime, right = options[0]
 
     sel = np.flatnonzero(H.table[:, x0] == k_prime)
     if sel.size == 0:
         raise AssertionError("shattered tree admits no hypothesis on the chosen edge")
-    restricted = HypothesisClass(H.K, H.table[sel])
-    subtree = MistakeTree("multiclass", child, mono.height - 1)
+    # rows of a deduplicated table are distinct
+    restricted = HypothesisClass._of_distinct_rows(H.K, H.table[sel])
+    subtree = mono.subtree(child(0, right))
     return ChooseResult(k, k_prime, h0, x0, restricted, sel, subtree, mono.height)
 
 
@@ -285,6 +285,8 @@ def extract_thresholds_reg(F: RealFunctionClass, gamma: float):
     """
     if not gamma > 0:   # NaN fails too
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if not gamma <= 100:   # the discretization scale gamma/50 is at most 2
+        raise ValueError(f"gamma must lie in (0, 100], got {gamma}")
     scale = gamma / 50.0
     Hd, row_map = discretize(F, scale)
     report = ldim_tau(Hd, 20)

@@ -13,7 +13,8 @@ from tolerantlearn.cli import main
 from tolerantlearn.generators import (complete_binary, constants_class,
                                       random_real, threshold_class)
 from tolerantlearn.thresholds import verify_thresholds
-from tolerantlearn.trees import threshold_class_certificate
+from tolerantlearn.trees import (MistakeTree, threshold_class_certificate,
+                                 tree_to_dict)
 
 
 def run_cli(*argv):
@@ -104,8 +105,33 @@ def test_certificate_round_trip(tmp_path):
     classfile.save_certificate(cert, path, params={"tau": 0})
     back = classfile.load_certificate(path)
     assert back.height == cert.height
-    from tolerantlearn.trees import tree_to_dict
     assert tree_to_dict(back) == tree_to_dict(cert)
+
+
+@st.composite
+def heap_trees(draw):
+    n = 2 ** draw(st.integers(0, 6)) - 1
+    x = draw(st.lists(int64s, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return MistakeTree(x, witness=draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=n, max_size=n)))
+    labels = st.lists(int64s, min_size=n, max_size=n)
+    return MistakeTree(x, draw(labels), draw(labels))
+
+
+@no_fixture_check
+@given(heap_trees(), st.dictionaries(st.sampled_from(["tau", "gamma"]),
+                                     st.integers(0, 9)))
+def test_certificate_round_trip_property(tmp_path, tree, params):
+    path = tmp_path / "cert.json"
+    classfile.save_certificate(tree, path, params=params)
+    back = classfile.load_certificate(path)
+    assert back.kind == tree.kind and back.height == tree.height
+    for f in tree.fields:
+        assert getattr(back, f).dtype == getattr(tree, f).dtype
+        assert np.array_equal(getattr(back, f), getattr(tree, f))
+    assert json.loads(path.read_text())["params"] == params
 
 
 def test_generated_class_files_are_byte_identical(tmp_path):
@@ -260,6 +286,7 @@ def test_fractional_sequence_exits_2(tmp_path, capsys, example):
 
 SEQ = classfile.SEQ_FORMAT
 CLASS = classfile.CLASS_FORMAT
+CERT = classfile.CERT_FORMAT
 
 
 @pytest.mark.parametrize("command, doc, key", [
@@ -275,11 +302,36 @@ CLASS = classfile.CLASS_FORMAT
     ("dim", [1, 2], "expected a JSON object"),
     ("experiment", [1, 2], "expected a JSON object"),
     ("experiment", {"command": "dim", "params": 5}, "'params' must be a JSON"),
-    ("thresholds", {"format": classfile.CERT_FORMAT, "params": {},
-                    "kind": "multiclass", "height": 1}, "KeyError('root')"),
+    ("soa", {"format": SEQ, "examples": [[True, 1], [0, True]]},
+     "example (True, 1) is not a pair of integers"),
+    ("thresholds", {"format": CERT, "params": {}, "kind": "multiclass",
+                    "left_label": [1], "right_label": [2]},
+     "'x' must be a list, found no such key"),
+    *(("thresholds", {"format": CERT, "params": {}, "kind": "multiclass", **lists},
+       key) for lists, key in [
+        ({"x": [0, 1], "left_label": [1, 1], "right_label": [2, 2]},
+         "2 nodes do not make a complete tree"),
+        ({"x": [0, 1, 1], "left_label": [1, 1, 1], "right_label": [2, 2]},
+         "arrays must be 1-D of one length"),
+        ({"x": [0, 1, 1], "left_label": [1, True, 1], "right_label": [2, 2, 2]},
+         "'left_label' must list numbers of type int"),
+        ({"x": [False], "left_label": [1], "right_label": [2]},
+         "'x' must list numbers of type int"),
+        ({"x": [0, 1, 2**64], "left_label": [1, 1, 1], "right_label": [2, 2, 2]},
+         "does not fit in 64 bits"),
+        ({"x": [0], "left_label": [2**64], "right_label": [2]},
+         "does not fit in 64 bits")]),
+    ("thresholds", {"format": "certfile/1", "params": {}, "kind": "multiclass",
+                    "height": 1, "root": {"x": 0, "left_label": 1,
+                                          "right_label": 2, "left": None,
+                                          "right": None}},
+     "expected format 'certfile/2', found 'certfile/1'"),
 ], ids=["examples-int", "no-examples", "examples-not-pairs", "no-rows",
         "rows-int", "row-int", "class-list", "config-list", "params-int",
-        "certificate-no-root"])
+        "examples-bool", "certificate-no-x", "certificate-length-2",
+        "certificate-unequal-lengths", "certificate-bool-label",
+        "certificate-bool-x", "certificate-x-2**64",
+        "certificate-label-2**64", "certificate-version-1"])
 def test_malformed_documents_exit_2(thr_file, tmp_path, capsys, command, doc,
                                     key):
     bad = tmp_path / "bad.json"
@@ -302,7 +354,10 @@ def test_malformed_documents_exit_2(thr_file, tmp_path, capsys, command, doc,
      "gamma must lie in (0, 2], got nan"),
     (["check", "--scales=-0.5"], "radius must be >= 0, got -0.5"),
     (["check", "--scales=0.5,nan"], "radius must be >= 0, got nan"),
-], ids=["dim-fat", "thresholds", "dp-learn", "check-negative", "check-nan"])
+    (["dim", "--kind", "fat", "--gamma", "inf"], "gamma must be finite, got inf"),
+    (["thresholds", "--gamma", 150], "gamma must lie in (0, 100], got 150.0"),
+], ids=["dim-fat", "thresholds", "dp-learn", "check-negative", "check-nan",
+        "dim-fat-inf", "thresholds-above-100"])
 def test_nan_or_negative_scale_exits_2(tmp_path, capsys, argv, message):
     real = tmp_path / "real.json"
     classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]), real)
@@ -326,14 +381,12 @@ def test_unbalanced_class_past_recursion_limit_exits_2(tmp_path, capsys,
 
 
 def test_deep_certificate_exits_2(thr_file, tmp_path, capsys):
-    # a root that is a 3,000-node chain: JSON and tree decoding both recurse
-    # once per level, so the load fails at any depth past the limit
-    node = ('{"x": 0, "left_label": 1, "right_label": 2, "right": null, '
-            '"left": ')
+    # a list nested 3,000 deep: the JSON decoder recurses once per level, so
+    # the load fails at any depth past the limit
     cert = tmp_path / "deep.json"
     cert.write_text(f'{{"format": "{classfile.CERT_FORMAT}", "params": {{}}, '
-                    f'"kind": "multiclass", "height": 3000, "root": '
-                    + node * 3000 + "null" + "}" * 3001)
+                    '"kind": "multiclass", "left_label": [1], "right_label": [2], '
+                    '"x": ' + "[" * 3000 + "0" + "]" * 3000 + "}")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
@@ -343,8 +396,15 @@ def test_deep_certificate_exits_2(thr_file, tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code == 2
     err = capsys.readouterr().err
-    assert "certificate nests 3001 levels deep" in err
-    assert "recursion limit" in err
+    assert f"{cert}: " in err and "recursion limit" in err
+
+
+def test_deep_class_file_exits_2(tmp_path, capsys):
+    cls = tmp_path / "deep.json"
+    cls.write_text('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run_cli("dim", "--input", cls, "--out", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert f"{cls}: " in err and "recursion limit" in err
 
 
 def test_check_subcommand_exit_code(tmp_path):

@@ -11,52 +11,32 @@ from tolerantlearn.thresholds import (ThresholdFamily, color_and_choose,
                                       color_by_hypothesis, extract_thresholds_mc,
                                       extract_thresholds_reg, max_mono_subtree,
                                       verify_thresholds)
-from tolerantlearn.trees import (McNode, MistakeTree, check_mc_tree,
-                                 complete_binary_certificate, is_complete,
-                                 node_height, threshold_class_certificate,
+from tolerantlearn.trees import (MistakeTree, check_mc_tree,
+                                 complete_binary_certificate, level,
+                                 preorder_rank, threshold_class_certificate,
                                  tree_to_dict)
 
 
 def random_colored_tree(height, num_colors, seed, num_instances=8):
     rng = trial_rng(seed, "tree", height, num_colors)
-
-    def build(level):
-        if level == height:
-            return None
-        return McNode(int(rng.integers(0, num_instances)), 1, 2,
-                      build(level + 1), build(level + 1))
-
-    tree = MistakeTree("multiclass", build(0), height)
-    coloring = {}
-
-    def paint(node):
-        if node is None:
-            return
-        coloring[node] = int(rng.integers(1, num_colors + 1))
-        paint(node.left)
-        paint(node.right)
-
-    paint(tree.root)
-    return tree, coloring
+    n = 2**height - 1
+    tree = MistakeTree(rng.integers(0, num_instances, n), np.ones(n, int),
+                       np.full(n, 2))
+    return tree, rng.integers(1, num_colors + 1, n)
 
 
 # --- monochromatic subtrees -----------------------------------------------------
 
 def test_mono_subtree_of_monochromatic_tree():
     tree = complete_binary_certificate(4)
-    coloring = {n: 3 for n in color_by_hypothesis(tree, [0] * 16)}
-    color, sub = max_mono_subtree(tree, coloring)
+    color, sub = max_mono_subtree(tree, color_by_hypothesis(tree, [3] * 16))
     assert color == 3
     assert sub.height == 4
 
 
 def test_mono_subtree_tie_breaks_to_smallest_color():
-    root = McNode(0, 1, 2,
-                  McNode(1, 1, 2, None, None),
-                  McNode(2, 1, 2, None, None))
-    tree = MistakeTree("multiclass", root, 2)
-    coloring = {root: 1, root.left: 2, root.right: 2}
-    color, sub = max_mono_subtree(tree, coloring)
+    tree = MistakeTree([0, 1, 2], [1, 1, 1], [2, 2, 2])
+    color, sub = max_mono_subtree(tree, [1, 2, 2])
     assert color == 1
     assert sub.height == 1
 
@@ -76,17 +56,7 @@ def test_mono_subtree_paths_stay_shattered():
     H = complete_binary(4)
     tree = complete_binary_certificate(4)
     for seed in range(6):
-        rng = trial_rng(seed, "paint")
-        coloring = {}
-
-        def paint(node):
-            if node is None:
-                return
-            coloring[node] = int(rng.integers(1, 3))
-            paint(node.left)
-            paint(node.right)
-
-        paint(tree.root)
+        coloring = trial_rng(seed, "paint").integers(1, 3, len(tree.x))
         _, sub = max_mono_subtree(tree, coloring)
         ok, msg = check_mc_tree(H, sub, 0)
         assert ok, msg
@@ -103,15 +73,24 @@ def test_color_and_choose_complete_two_points():
     assert 2 * abs(res.k - res.k_prime) > 0
 
 
+def test_color_and_choose_restricts_without_dedup():
+    H = HypothesisClass(2, complete_binary(6).table[::-1])
+    res = color_and_choose(H, complete_binary_certificate(6), 0)
+    want = HypothesisClass(H.K, H.table[res.restricted_rows])
+    assert res.restricted == want
+    assert np.array_equal(res.restricted.row_map, want.row_map)
+    assert not res.restricted.table.flags.writeable
+
+
 def test_color_and_choose_rejects_height_zero():
     H = HypothesisClass(2, [[1]])
     with pytest.raises(ValueError):
-        color_and_choose(H, MistakeTree("multiclass", None, 0), 0)
+        color_and_choose(H, MistakeTree([], [], []), 0)
 
 
 def test_color_and_choose_rejects_unshattered():
     H = HypothesisClass(2, [[1, 1]])
-    bogus = MistakeTree("multiclass", McNode(0, 1, 2, None, None), 1)
+    bogus = MistakeTree([0], [1], [2])
     with pytest.raises(ValueError):
         color_and_choose(H, bogus, 0)
 
@@ -245,12 +224,36 @@ def test_extract_regression_closure(real_corpus):
 
 # --- the array checker and search against their definitions ------------------------
 
+@pytest.mark.parametrize("height", range(8))
+def test_heap_layout_matches_recursive_walk(height):
+    n = 2**height - 1
+    tree = MistakeTree(np.arange(n), np.ones(n, int), np.full(n, 2))
+    walked = preorder(tree.root)
+    rank = preorder_rank(height)
+    assert [v.index for v in walked] == np.argsort(rank).tolist()
+    for i in range(n):
+        d = (i + 1).bit_length() - 1
+        j = i + 1 - 2**d
+        assert rank[i] == d + j * 2**(height - d) - j.bit_count()
+    by_depth = {}
+
+    def depths(node, d):
+        if node is not None:
+            by_depth.setdefault(d, []).append(node.index)
+            depths(node.left, d + 1)
+            depths(node.right, d + 1)
+
+    depths(tree.root, 0)
+    assert all(list(range(n))[level(d)] == ids for d, ids in by_depth.items())
+    for v in walked:
+        assert (tree_to_dict(tree.subtree(v.index))
+                == tree_to_dict(from_nested(nested(v))))
+
+
 def reference_check_mc_tree(H, tree, tau):
     """`check_mc_tree` as defined: walk every path with its realizing rows."""
     if tree.kind != "multiclass":
         return False, "not a multiclass tree"
-    if not is_complete(tree.root, tree.height):
-        return False, f"tree is not complete at height {tree.height}"
     if tree.root is None:
         return True, "empty tree"
 
@@ -280,11 +283,12 @@ def reference_check_mc_tree(H, tree, tau):
 
 
 def reference_color_by_hypothesis(tree, h_row):
+    """Colors keyed by node index, found by a recursive walk."""
     colors = {}
 
     def walk(node):
         if node is not None:
-            colors[node] = int(h_row[node.x])
+            colors[node.index] = int(h_row[node.x])
             walk(node.left)
             walk(node.right)
 
@@ -292,9 +296,28 @@ def reference_color_by_hypothesis(tree, h_row):
     return colors
 
 
+def nested(node):
+    """The subtree under a node as nested (x, left label, right label,
+    left, right) tuples."""
+    if node is None:
+        return None
+    return (node.x, node.left_label, node.right_label,
+            nested(node.left), nested(node.right))
+
+
+def from_nested(root):
+    """A tree from nested tuples, gathered breadth first."""
+    nodes, layer = [], [] if root is None else [root]
+    while layer:
+        nodes += layer
+        layer = [child for v in layer for child in v[3:] if child is not None]
+    return MistakeTree([v[0] for v in nodes], [v[1] for v in nodes],
+                       [v[2] for v in nodes])
+
+
 def reference_max_mono_subtree(tree, coloring):
     """`max_mono_subtree` as defined: a (node, color) memo filled by recursion."""
-    colors = sorted(set(coloring.values()))
+    colors = sorted({coloring[v.index] for v in preorder(tree.root)})
     m, best = {}, {}
 
     def compute(node):
@@ -303,30 +326,30 @@ def reference_max_mono_subtree(tree, coloring):
         compute(node.left)
         compute(node.right)
         for c in colors:
-            if coloring[node] != c:
+            if coloring[node.index] != c:
                 mv = 0
             else:
-                bl = best[(node.left, c)] if node.left else 0
-                br = best[(node.right, c)] if node.right else 0
+                bl = best[(node.left.index, c)] if node.left else 0
+                br = best[(node.right.index, c)] if node.right else 0
                 mv = 1 + min(bl, br)
-            m[(node, c)] = mv
+            m[(node.index, c)] = mv
             sub = mv
             for child in (node.left, node.right):
                 if child:
-                    sub = max(sub, best[(child, c)])
-            best[(node, c)] = sub
+                    sub = max(sub, best[(child.index, c)])
+            best[(node.index, c)] = sub
 
     compute(tree.root)
     top, top_color = -1, None
     for c in colors:
-        if best[(tree.root, c)] > top:
-            top, top_color = best[(tree.root, c)], c
+        if best[(0, c)] > top:
+            top, top_color = best[(0, c)], c
 
     def first_with(node, c, h):
         """First node in preorder whose best c-subtree reaches height h."""
         if node is None:
             return None
-        if m[(node, c)] >= h:
+        if m[(node.index, c)] >= h:
             return node
         return first_with(node.left, c, h) or first_with(node.right, c, h)
 
@@ -335,12 +358,12 @@ def reference_max_mono_subtree(tree, coloring):
             return None
         left_child = first_with(node.left, c, h - 1)
         right_child = first_with(node.right, c, h - 1)
-        return McNode(node.x, node.left_label, node.right_label,
-                      rebuild(left_child, c, h - 1) if left_child else None,
-                      rebuild(right_child, c, h - 1) if right_child else None)
+        return (node.x, node.left_label, node.right_label,
+                rebuild(left_child, c, h - 1) if left_child else None,
+                rebuild(right_child, c, h - 1) if right_child else None)
 
     root = first_with(tree.root, top_color, top)
-    return top_color, MistakeTree("multiclass", rebuild(root, top_color, top), top)
+    return top_color, from_nested(rebuild(root, top_color, top))
 
 
 def preorder(node):
@@ -349,7 +372,7 @@ def preorder(node):
     return [node] + preorder(node.left) + preorder(node.right)
 
 
-FAULTS = ("domain", "gap", "label", "incomplete", "unrealized")
+FAULTS = ("domain", "gap", "label", "unrealized")
 
 
 def shattered_case(rng, height, K, tau, domain):
@@ -377,38 +400,32 @@ def shattered_case(rng, height, K, tau, domain):
                     row[px] = py
                 rows.append(row)
             children.append(build(depth + 1, step))
-        return McNode(x, labels[0], labels[1], *children)
+        return (x, labels[0], labels[1], *children)
 
-    tree = MistakeTree("multiclass", build(0, []), height)
-    return tree, np.array(rows)
+    return from_nested(build(0, [])), np.array(rows)
 
 
 def inject(rng, fault, tree, rows, K, tau, domain):
     """Break the tree (or drop rows) by one fault of the named kind."""
     nodes = preorder(tree.root)
-    v = nodes[int(rng.integers(len(nodes)))]
+    i = nodes[int(rng.integers(len(nodes)))].index
     if fault == "domain":
-        v.x = domain if rng.random() < 0.5 else -1
+        tree.x[i] = domain if rng.random() < 0.5 else -1
     elif fault == "gap":
-        v.right_label = v.left_label + int(rng.integers(-tau, tau + 1))
+        tree.right_label[i] = tree.left_label[i] + int(rng.integers(-tau, tau + 1))
     elif fault == "label":
         bad = 0 if rng.random() < 0.5 else K + 1
         if rng.random() < 0.5:
-            v.left_label = bad
+            tree.left_label[i] = bad
         else:
-            v.right_label = bad
-    elif fault == "incomplete":
-        if v.left is None:
-            v.left = McNode(0, 1, K, None, None)
-        else:
-            v.right = None
+            tree.right_label[i] = bad
     else:  # drop the rows that realize one final edge
         leaf = [u for u in nodes if u.left is None and u.right is None]
         u = leaf[int(rng.integers(len(leaf)))]
         label = (u.left_label, u.right_label)[int(rng.integers(2))]
         path, node = [], tree.root
-        while node is not u:
-            side = u in preorder(node.left)
+        while node.index != u.index:
+            side = u.index in {w.index for w in preorder(node.left)}
             path.append((node.x, node.left_label if side else node.right_label))
             node = node.left if side else node.right
         path.append((u.x, label))
@@ -444,10 +461,10 @@ def test_check_mc_tree_matches_reference(height, K, data, faults, seed):
     colorings = []
     for r in range(min(H.num_rows, 3)):
         colorings.append(color_by_hypothesis(tree, H.row(r)))
-        assert colorings[-1] == reference_color_by_hypothesis(tree, H.row(r))
-    nodes = preorder(tree.root)
+        ref = reference_color_by_hypothesis(tree, H.row(r))
+        assert dict(enumerate(colorings[-1].tolist())) == ref
     for q in (2, 3):
-        colorings.append({v: int(rng.integers(1, q + 1)) for v in nodes})
+        colorings.append(rng.integers(1, q + 1, len(tree.x)))
     for coloring in colorings:
         color, sub = max_mono_subtree(tree, coloring)
         ref_color, ref_sub = reference_max_mono_subtree(tree, coloring)
@@ -475,25 +492,15 @@ def test_single_faults_are_named_like_the_reference():
 
 def test_check_mc_tree_names_faults_in_documented_order():
     tree = complete_binary_certificate(2)
-    left, right = tree.root.left, tree.root.right
     # two unrealized final edges: the first in preorder is named
     H = HypothesisClass(2, [[1, 2], [2, 1]])
     assert check_mc_tree(H, tree, 0) == (
         False, "path ending with (1 -> 1) is realized by no hypothesis")
     # structural faults come before unrealized paths, and in preorder
-    right.right_label = 3
+    tree.right_label[2] = 3
     assert check_mc_tree(H, tree, 0) == (False, "label 3 outside 1..2")
-    left.x = 5
+    tree.x[1] = 5
     assert check_mc_tree(H, tree, 0) == (False, "instance 5 outside the domain")
-
-
-@pytest.mark.parametrize("field", ["x", "left_label"])
-def test_check_mc_tree_rejects_values_beyond_64_bits(field):
-    H = complete_binary(2)
-    tree = complete_binary_certificate(2)
-    setattr(tree.root.right, field, 2**64)
-    assert not check_mc_tree(H, tree, 0)[0]
-    assert not reference_check_mc_tree(H, tree, 0)[0]
 
 
 def test_check_mc_tree_rejects_negative_tolerance():
