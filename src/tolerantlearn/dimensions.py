@@ -303,6 +303,8 @@ def check_sign_tree(F: RealFunctionClass, tree: MistakeTree):
 
     def walk(i, rows: np.ndarray):
         x, s = int(tree.x[i]), float(tree.witness[i])
+        if x < 0 or x >= F.domain_size:
+            return f"instance {x} outside the domain"
         col = F.table[rows, x]
         below = rows[col < s]
         above = rows[col >= s]

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass, discretize
-from tolerantlearn.dimensions import (EMPTY_LDIM, fat_gamma, ldim_brute_force,
-                                      ldim_tau, ldim_value, log_star, pdim,
-                                      twr, verify_report)
+from tolerantlearn.dimensions import (EMPTY_LDIM, check_sign_tree, fat_gamma,
+                                      ldim_brute_force, ldim_tau, ldim_value,
+                                      log_star, pdim, twr, verify_report)
 from tolerantlearn.generators import complete_binary, random_real, threshold_class
-from tolerantlearn.trees import check_mc_tree, check_real_tree
+from tolerantlearn.trees import MistakeTree, check_mc_tree, check_real_tree
 
 
 # --- tolerant Littlestone dimension -------------------------------------------
@@ -193,6 +193,16 @@ def test_pdim_examples():
     ok, msg = verify_report(rep, point3, kind="pdim")
     assert ok, msg
     assert pdim(RealFunctionClass([[-1.0], [1.0]])).value == 1
+
+
+@pytest.mark.parametrize("x", [-1, 2])
+def test_sign_tree_instance_outside_domain_is_a_fault(x):
+    # numpy would read column -1 as the last one, and column 2 raises
+    # IndexError; the checker has to refuse both like check_real_tree does
+    F = RealFunctionClass([[0.0, 0.5], [1.0, -0.5]])
+    assert check_sign_tree(F, MistakeTree([x], witness=[0.0])) == (
+        False, f"instance {x} outside the domain")
+    assert check_sign_tree(F, MistakeTree([1], witness=[0.0])) == (True, "ok")
 
 
 def test_fat_below_pdim(real_corpus):
