@@ -31,11 +31,13 @@ def _dump(doc: dict, path, indent: int | None = 2) -> None:
     Path(path).write_text(json.dumps(doc, indent=indent) + "\n")
 
 
-def read_json_object(path, expected: str | None = None, lists=()) -> dict:
-    """The JSON object at `path`, of format `expected` unless that is None,
-    whose keys `lists` hold JSON lists."""
+def read_json_object(path, expected: str | None = None, lists=(),
+                     text: str | None = None) -> dict:
+    """The JSON object at `path` (parsed from `text` if the caller has read
+    the file), of format `expected` unless that is None, whose keys `lists`
+    hold JSON lists."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_bytes() if text is None else text)
     except RecursionError:   # the decoder recurses once per nesting level
         raise ValueError(f"{path}: JSON nests deeper than the recursion "
                          f"limit {sys.getrecursionlimit()}") from None
@@ -66,12 +68,20 @@ def save_class(cls, path) -> None:
 
 
 def load_class(path):
-    doc = read_json_object(path, CLASS_FORMAT, lists=("rows",))
+    # JSON booleans would load as 0 or 1.  Both literals hold an "e" and the
+    # rows open at or after the first "[", so only an "e" past it (a real
+    # class may hold 1e-05) calls for the per-value check.
+    text = Path(path).read_bytes().decode()
+    may_hold_bool = text.find("e", text.find("[")) != -1
+    doc = read_json_object(path, CLASS_FORMAT, lists=("rows",), text=text)
+    del text    # kept, the file's text would add to the peak memory
     kind = doc.get("kind")
     rows, width = doc["rows"], doc.get("domain_size")
     if not rows or any(not isinstance(r, list) or len(r) != width for r in rows):
         raise ValueError(f"{path}: key 'rows' must list rows of "
                          f"domain_size = {width!r} values")
+    if may_hold_bool and any(type(v) is bool for r in rows for v in r):
+        raise ValueError(f"{path}: key 'rows' must list numbers, found a boolean")
     if kind == "multiclass":
         K = doc.get("K")
         if not isinstance(K, int) or isinstance(K, bool):

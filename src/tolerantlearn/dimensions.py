@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .classes import HypothesisClass, RealFunctionClass
-from .trees import MistakeTree, WITNESS_EPS, check_mc_tree, check_real_tree, child
+from .trees import (MistakeTree, WITNESS_EPS, check_mc_tree, check_real_tree,
+                    check_sign_tree, gamma_fault)
 
 # Ldim of the empty class; internal sentinel that keeps the recursion and the
 # SOA argmax total.  Never reported.
@@ -245,8 +246,8 @@ def _real_dimension(splits, num_rows: int, params: dict) -> DimensionReport:
 
 def fat_gamma(F: RealFunctionClass, gamma: float) -> DimensionReport:
     """Exact sequential fat-shattering dimension at scale gamma."""
-    if not gamma > 0:   # NaN fails too
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if fault := gamma_fault(gamma):
+        raise ValueError(fault)
     if math.isinf(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     grids = _fat_candidates(F, gamma)
@@ -293,45 +294,15 @@ def pdim(F: RealFunctionClass) -> DimensionReport:
     return _real_dimension(splits, F.num_rows, {})
 
 
-def check_sign_tree(F: RealFunctionClass, tree: MistakeTree):
-    """Shattering checker for pdim certificates: f < s left, f >= s right."""
-    if tree.kind != "real":
-        return False, "not a real-valued tree"
-    if tree.height == 0:
-        return True, "empty tree"
-    n = len(tree.x)
-
-    def walk(i, rows: np.ndarray):
-        x, s = int(tree.x[i]), float(tree.witness[i])
-        if x < 0 or x >= F.domain_size:
-            return f"instance {x} outside the domain"
-        col = F.table[rows, x]
-        below = rows[col < s]
-        above = rows[col >= s]
-        for sub, right, side in ((below, False, -1), (above, True, +1)):
-            if child(i, right) >= n:
-                if sub.size == 0:
-                    return f"path ending with ({x}, {side:+d}) unrealized"
-            else:
-                err = walk(child(i, right), sub)
-                if err:
-                    return err
-        return None
-
-    err = walk(0, np.arange(F.num_rows))
-    return (err is None), (err or "ok")
-
-
-def verify_report(report: DimensionReport,
-                  cls, *, kind: str) -> tuple:
-    """Re-check a report's certificate against the definitional checkers."""
-    if kind == "ldim":
-        return check_mc_tree(cls, report.certificate, report.params["tau"])
-    if kind == "fat":
-        return check_real_tree(cls, report.certificate, report.params["gamma"])
-    if kind == "pdim":
-        return check_sign_tree(cls, report.certificate)
-    raise ValueError(f"unknown report kind {kind!r}")
+def verify_report(report: DimensionReport, cls) -> tuple:
+    """Re-check a report's certificate against the definitional checkers:
+    a `tau` param marks Ldim_tau, a `gamma` param fat_gamma, neither pdim."""
+    params, tree = report.params, report.certificate
+    if "tau" in params:
+        return check_mc_tree(cls, tree, params["tau"])
+    if "gamma" in params:
+        return check_real_tree(cls, tree, params["gamma"])
+    return check_sign_tree(cls, tree)
 
 
 # ---------------------------------------------------------------------------

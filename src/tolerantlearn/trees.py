@@ -8,10 +8,15 @@ multi-class node carries a domain index `x` and two edge labels
 `left_label`/`right_label`; a real-valued node carries `x` and a shattering
 `witness`, its left edge being direction -1 and its right edge +1.
 
-`check_mc_tree` routes every hypothesis down the tree one level at a time
-(the edge gap lets a hypothesis follow at most one path) and reports the
-first fault in a fixed order (per-node domain/gap/label faults in preorder,
-then unrealized final edges in preorder).
+The three definitional checkers, `check_mc_tree` (tolerance-tau trees),
+`check_real_tree` (gamma-fat trees) and `check_sign_tree` (Pollard sign
+trees), differ only in their edge rule, their per-node faults and their
+messages.  All of them route every row of the class down the tree one level
+at a time (each edge rule sends a row along at most one path) and report
+the first fault in one order: the first node in preorder with a structural
+fault (instance outside the domain; for multi-class trees also an edge gap
+of at most tau, then an edge label outside 1..K), else the first final edge
+in preorder, left edge before right, that no row realizes.
 """
 
 from __future__ import annotations
@@ -156,98 +161,101 @@ class Node:
 # definitional shattering checkers
 # ---------------------------------------------------------------------------
 
-def check_mc_tree(H: HypothesisClass, tree: MistakeTree, tau: int):
-    """Check a multi-class tree straight from the shattering definition.
+def gamma_fault(gamma: float) -> Optional[str]:
+    """Why gamma cannot be a fat-shattering scale, None if it can: both edge
+    tests of a fat tree allow WITNESS_EPS of slack, so at gamma <=
+    2 * WITNESS_EPS one value passes both and "shatters" any tree."""
+    if not gamma > 0:   # NaN fails too
+        return f"gamma must be positive, got {gamma}"
+    if gamma <= 2 * WITNESS_EPS:
+        return (f"gamma must exceed the two-sided witness slack "
+                f"2 * {WITNESS_EPS} = {2 * WITNESS_EPS}, got {gamma}")
+    return None
 
-    Verifies that every instance lies in the domain, the per-node edge gap
-    |k - k'| > tau, that edge labels lie in 1..K, and that every
-    root-to-leaf path (including the final edge choice) is realized by at
-    least one hypothesis.  Returns (ok, message).
 
-    The gap makes the two edge labels of a node differ, so a hypothesis
-    agrees with at most one of them and follows at most one path.  All rows
-    are therefore routed down the tree together, one level at a time, and
-    the tree is shattered iff every final edge receives a row.  When a tree
-    has several faults the message names the first in this order: the
-    first node in preorder that breaks the domain, gap or label test
-    (checked in that order at the node), then the first unrealized final
-    edge in preorder, left edge before right.
+def _check(cls, tree: MistakeTree, edges, unrealized, *faults):
+    """The checkers' shared sweep, reporting in the module's fault order.
+
+    `faults` pair a per-node bool array with the message of node i; they
+    are tested after the domain.  `edges(v, at)` says which rows, valued v
+    at their nodes `at`, follow the left and which the right edge; a row
+    following neither drops out.  `unrealized(i, right)` names node i's
+    final edge.
     """
+    if tree.height == 0:
+        return True, "empty tree"
+    xs = tree.x
+    faults = (((xs < 0) | (xs >= cls.domain_size),
+               lambda i: f"instance {xs[i]} outside the domain"), *faults)
+    bad = np.flatnonzero(np.logical_or.reduce([b for b, _ in faults]))
+    if bad.size:
+        i = bad[preorder_rank(tree.height)[bad].argmin()]
+        return False, next(message(i) for b, message in faults if b[i])
+
+    rows = np.arange(cls.num_rows)
+    at = np.zeros(cls.num_rows, np.int64)    # node each surviving row sits at
+    for _ in range(tree.height - 1):
+        go_left, go_right = edges(cls.table[rows, xs[at]], at)
+        moving = go_left | go_right
+        rows = rows[moving]
+        at = child(at, go_right)[moving]
+    go_left, go_right = edges(cls.table[rows, xs[at]], at)
+    # the last level's heap order is its preorder
+    leaves = level(tree.height - 1)
+    reached = np.zeros((leaves.stop - leaves.start, 2), bool)
+    reached[at[go_left] - leaves.start, 0] = True
+    reached[at[go_right] - leaves.start, 1] = True
+    missing = ~reached
+    if missing.any():
+        j = int(missing.ravel().argmax())
+        return False, unrealized(leaves.start + j // 2, j % 2)
+    return True, "ok"
+
+
+def check_mc_tree(H: HypothesisClass, tree: MistakeTree, tau: int):
+    """Check a tolerance-tau tree from the shattering definition: instances
+    in the domain, edge gaps |k - k'| > tau, labels in 1..K, and every path
+    with its final edge realized, a row valued k following the left edge
+    and one valued k' the right.  Returns (ok, message)."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tree.kind != "multiclass":
         return False, "not a multiclass tree"
-    if tree.height == 0:
-        return True, "empty tree"
-
     xs, kl, kr = tree.x, tree.left_label, tree.right_label
-    bad_x = (xs < 0) | (xs >= H.domain_size)
-    bad_gap = np.abs(kl - kr) <= tau
     bad_kl = (kl < 1) | (kl > H.K)
-    bad = np.flatnonzero(bad_x | bad_gap | bad_kl | (kr < 1) | (kr > H.K))
-    if bad.size:
-        i = bad[preorder_rank(tree.height)[bad].argmin()]
-        if bad_x[i]:
-            return False, f"instance {xs[i]} outside the domain"
-        if bad_gap[i]:
-            return False, f"edge gap |{kl[i]} - {kr[i]}| <= {tau} at instance {xs[i]}"
-        return False, f"label {kl[i] if bad_kl[i] else kr[i]} outside 1..{H.K}"
-
-    rows = np.arange(H.num_rows)
-    at = np.zeros(H.num_rows, np.int64)      # node each surviving row sits at
-    for _ in range(tree.height - 1):
-        vals = H.table[rows, xs[at]]
-        go_left, go_right = vals == kl[at], vals == kr[at]
-        moving = go_left | go_right
-        rows = rows[moving]
-        at = child(at, go_right)[moving]
-    vals = H.table[rows, xs[at]]
-    # the last level's heap order is its preorder
-    leaves = level(tree.height - 1)
-    reached = np.zeros((leaves.stop - leaves.start, 2), bool)
-    reached[at[vals == kl[at]] - leaves.start, 0] = True
-    reached[at[vals == kr[at]] - leaves.start, 1] = True
-    missing = ~reached
-    if missing.any():
-        j = int(missing.ravel().argmax())
-        i, side = leaves.start + j // 2, j % 2
-        label = (kl, kr)[side][i]
-        return False, (f"path ending with ({xs[i]} -> {label}) "
-                       "is realized by no hypothesis")
-    return True, "ok"
+    return _check(
+        H, tree, lambda v, at: (v == kl[at], v == kr[at]),
+        lambda i, right: (f"path ending with ({xs[i]} -> {(kl, kr)[right][i]}) "
+                          "is realized by no hypothesis"),
+        (np.abs(kl - kr) <= tau,
+         lambda i: f"edge gap |{kl[i]} - {kr[i]}| <= {tau} at instance {xs[i]}"),
+        (bad_kl | (kr < 1) | (kr > H.K),
+         lambda i: f"label {kl[i] if bad_kl[i] else kr[i]} outside 1..{H.K}"))
 
 
 def check_real_tree(F: RealFunctionClass, tree: MistakeTree, gamma: float):
-    """Check a real-valued tree: every path admits f with eps*(f(x)-s) >= gamma/2."""
+    """Check a gamma-fat tree: every path admits f with eps*(f(x) - s) >=
+    gamma/2 up to WITNESS_EPS, the left edge being eps = -1."""
     if tree.kind != "real":
         return False, "not a real-valued tree"
-    if not gamma > 0:   # NaN fails too
-        return False, f"gamma must be positive, got {gamma}"
-    if tree.height == 0:
-        return True, "empty tree"
-    half = gamma / 2.0 - WITNESS_EPS
-    n = len(tree.x)
+    if fault := gamma_fault(gamma):
+        return False, fault
+    half, s = gamma / 2.0 - WITNESS_EPS, tree.witness
+    return _check(F, tree, lambda v, at: (v <= s[at] - half, v >= s[at] + half),
+                  lambda i, right: (f"path ending with ({tree.x[i]}, "
+                                    f"eps={2 * right - 1:+d}) "
+                                    "is realized by no function"))
 
-    def walk(i, rows: np.ndarray):
-        x, s = int(tree.x[i]), float(tree.witness[i])
-        if x < 0 or x >= F.domain_size:
-            return f"instance {x} outside the domain"
-        col = F.table[rows, x]
-        below = rows[col <= s - half]
-        above = rows[col >= s + half]
-        for sub, right, side in ((below, False, -1), (above, True, +1)):
-            if child(i, right) >= n:
-                if sub.size == 0:
-                    return (f"path ending with ({x}, eps={side:+d}) "
-                            "is realized by no function")
-            else:
-                err = walk(child(i, right), sub)
-                if err:
-                    return err
-        return None
 
-    err = walk(0, np.arange(F.num_rows))
-    return (err is None), (err or "ok")
+def check_sign_tree(F: RealFunctionClass, tree: MistakeTree):
+    """Check a pdim certificate: every path admits f with f(x) < s on each
+    left edge and f(x) >= s on each right edge."""
+    if tree.kind != "real":
+        return False, "not a real-valued tree"
+    s = tree.witness
+    return _check(F, tree, lambda v, at: (v < s[at], v >= s[at]),
+                  lambda i, right: (f"path ending with ({tree.x[i]}, "
+                                    f"{2 * right - 1:+d}) unrealized"))
 
 
 # ---------------------------------------------------------------------------

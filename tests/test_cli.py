@@ -299,6 +299,10 @@ CERT = classfile.CERT_FORMAT
              "rows": 5}, "'rows' must be a list"),
     ("dim", {"format": CLASS, "kind": "multiclass", "K": 2, "domain_size": 2,
              "rows": [5]}, "'rows' must list rows"),
+    ("dim", {"format": CLASS, "kind": "multiclass", "K": 2, "domain_size": 2,
+             "rows": [[True, 1], [2, 1]]}, "'rows' must list numbers"),
+    ("dim", {"format": CLASS, "kind": "real", "domain_size": 2,
+             "rows": [[0.5, 1e-05], [False, 0.25]]}, "'rows' must list numbers"),
     ("dim", [1, 2], "expected a JSON object"),
     ("experiment", [1, 2], "expected a JSON object"),
     ("experiment", {"command": "dim", "params": 5}, "'params' must be a JSON"),
@@ -327,7 +331,7 @@ CERT = classfile.CERT_FORMAT
                                           "right": None}},
      "expected format 'certfile/2', found 'certfile/1'"),
 ], ids=["examples-int", "no-examples", "examples-not-pairs", "no-rows",
-        "rows-int", "row-int", "class-list", "config-list", "params-int",
+        "rows-int", "row-int", "rows-bool", "real-rows-bool", "class-list", "config-list", "params-int",
         "examples-bool", "certificate-no-x", "certificate-length-2",
         "certificate-unequal-lengths", "certificate-bool-label",
         "certificate-bool-x", "certificate-x-2**64",
@@ -355,9 +359,11 @@ def test_malformed_documents_exit_2(thr_file, tmp_path, capsys, command, doc,
     (["check", "--scales=-0.5"], "radius must be >= 0, got -0.5"),
     (["check", "--scales=0.5,nan"], "radius must be >= 0, got nan"),
     (["dim", "--kind", "fat", "--gamma", "inf"], "gamma must be finite, got inf"),
+    (["dim", "--kind", "fat", "--gamma", "1e-10"],
+     "gamma must exceed the two-sided witness slack"),
     (["thresholds", "--gamma", 150], "gamma must lie in (0, 100], got 150.0"),
 ], ids=["dim-fat", "thresholds", "dp-learn", "check-negative", "check-nan",
-        "dim-fat-inf", "thresholds-above-100"])
+        "dim-fat-inf", "dim-fat-slack", "thresholds-above-100"])
 def test_nan_or_negative_scale_exits_2(tmp_path, capsys, argv, message):
     real = tmp_path / "real.json"
     classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]), real)

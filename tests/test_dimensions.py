@@ -5,13 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass, discretize
 from tolerantlearn.dimensions import (EMPTY_LDIM, check_sign_tree, fat_gamma,
                                       ldim_brute_force, ldim_tau, ldim_value,
                                       log_star, pdim, twr, verify_report)
 from tolerantlearn.generators import complete_binary, random_real, threshold_class
-from tolerantlearn.trees import MistakeTree, check_mc_tree, check_real_tree
+from tolerantlearn.trees import (MistakeTree, WITNESS_EPS, check_mc_tree,
+                                 check_real_tree, child, level)
 
 
 # --- tolerant Littlestone dimension -------------------------------------------
@@ -99,7 +101,7 @@ def test_large_classes_certified():
     ok, msg = check_real_tree(F, fat.certificate, 0.25)
     assert ok, msg
     p = pdim(F)
-    ok, msg = verify_report(p, F, kind="pdim")
+    ok, msg = verify_report(p, F)
     assert ok, msg
     assert 1 <= fat.value <= p.value <= math.log2(F.num_rows)
 
@@ -154,6 +156,21 @@ def test_nan_gamma_is_not_carried_along():
         False, "gamma must be positive, got nan")
 
 
+@pytest.mark.parametrize("gamma", [1e-10, 2 * WITNESS_EPS])
+def test_gamma_within_the_witness_slack_is_refused(gamma):
+    # below and above overlap there: the split's two sides are the whole
+    # mask, and one function "shatters" a tree of any height
+    with pytest.raises(ValueError, match="two-sided witness slack"):
+        fat_gamma(random_real(5, 3, 0.25, 1), gamma)
+    F = RealFunctionClass([[0.0]])
+    tree = MistakeTree([0, 0, 0], witness=[0.0, 0.0, 0.0])
+    assert check_real_tree(F, tree, gamma) == (
+        False, "gamma must exceed the two-sided witness slack "
+               f"2 * {WITNESS_EPS} = {2 * WITNESS_EPS}, got {gamma}")
+    assert check_real_tree(F, tree, 3 * WITNESS_EPS) == (
+        False, "path ending with (0, eps=-1) is realized by no function")
+
+
 def test_fat_witness_grid_is_lossless(real_corpus):
     # perturbing the witness grid off its breakpoints never finds more depth
     from tolerantlearn.dimensions import _fat_candidates
@@ -190,7 +207,7 @@ def test_pdim_examples():
                                 for i in range(3)])
     rep = pdim(point3)
     assert rep.value == 1
-    ok, msg = verify_report(rep, point3, kind="pdim")
+    ok, msg = verify_report(rep, point3)
     assert ok, msg
     assert pdim(RealFunctionClass([[-1.0], [1.0]])).value == 1
 
@@ -203,6 +220,148 @@ def test_sign_tree_instance_outside_domain_is_a_fault(x):
     assert check_sign_tree(F, MistakeTree([x], witness=[0.0])) == (
         False, f"instance {x} outside the domain")
     assert check_sign_tree(F, MistakeTree([1], witness=[0.0])) == (True, "ok")
+
+
+def reference_check_real_tree(F, tree, gamma):
+    """`check_real_tree` as defined: walk every path with its realizing rows."""
+    if tree.kind != "real":
+        return False, "not a real-valued tree"
+    if not gamma > 0:   # NaN fails too
+        return False, f"gamma must be positive, got {gamma}"
+    if tree.height == 0:
+        return True, "empty tree"
+    half = gamma / 2.0 - WITNESS_EPS
+    n = len(tree.x)
+
+    def walk(i, rows: np.ndarray):
+        x, s = int(tree.x[i]), float(tree.witness[i])
+        if x < 0 or x >= F.domain_size:
+            return f"instance {x} outside the domain"
+        col = F.table[rows, x]
+        below = rows[col <= s - half]
+        above = rows[col >= s + half]
+        for sub, right, side in ((below, False, -1), (above, True, +1)):
+            if child(i, right) >= n:
+                if sub.size == 0:
+                    return (f"path ending with ({x}, eps={side:+d}) "
+                            "is realized by no function")
+            else:
+                err = walk(child(i, right), sub)
+                if err:
+                    return err
+        return None
+
+    err = walk(0, np.arange(F.num_rows))
+    return (err is None), (err or "ok")
+
+
+def reference_check_sign_tree(F, tree):
+    """`check_sign_tree` as defined: f < s left, f >= s right."""
+    if tree.kind != "real":
+        return False, "not a real-valued tree"
+    if tree.height == 0:
+        return True, "empty tree"
+    n = len(tree.x)
+
+    def walk(i, rows: np.ndarray):
+        x, s = int(tree.x[i]), float(tree.witness[i])
+        if x < 0 or x >= F.domain_size:
+            return f"instance {x} outside the domain"
+        col = F.table[rows, x]
+        below = rows[col < s]
+        above = rows[col >= s]
+        for sub, right, side in ((below, False, -1), (above, True, +1)):
+            if child(i, right) >= n:
+                if sub.size == 0:
+                    return f"path ending with ({x}, {side:+d}) unrealized"
+            else:
+                err = walk(child(i, right), sub)
+                if err:
+                    return err
+        return None
+
+    err = walk(0, np.arange(F.num_rows))
+    return (err is None), (err or "ok")
+
+
+GRID = np.linspace(-1.0, 1.0, 17)     # multiples of 1/8: boundaries are exact
+
+
+def shattered_real_case(rng, height, domain, half):
+    """A random real-valued tree and one function per final edge.
+
+    Left edges take values <= s - half (< s when half is 0, as in a sign
+    tree), right edges values >= s + half.  Instances are distinct along
+    each path, so every final edge is realized by the function built for
+    it; the function's other entries are random grid values.
+    """
+    n = 2**height - 1
+    xs, ws = np.zeros(n, np.int64), np.zeros(n)
+    for i in range(n):
+        used, j = set(), i
+        while j:
+            j = (j - 1) // 2
+            used.add(int(xs[j]))
+        xs[i] = rng.choice([v for v in range(domain) if v not in used])
+        ws[i] = rng.choice(GRID[(GRID - half > -1) & (GRID + half <= 1)])
+    rows = []
+    for leaf in range(*level(height - 1).indices(n)):
+        for right in (False, True):
+            row = rng.choice(GRID, domain)
+            i, go_right = leaf, right
+            while True:
+                s = ws[i]
+                side = (GRID >= s + half if go_right
+                        else (GRID <= s - half) & (GRID < s))
+                row[xs[i]] = rng.choice(GRID[side])
+                if i == 0:
+                    break
+                i, go_right = (i - 1) // 2, i % 2 == 0
+            rows.append(row)
+    return MistakeTree(xs, witness=ws), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.sampled_from([None, 0.25, 0.5, 1.0]),
+       st.lists(st.sampled_from(["domain", "dropped"]), max_size=2),
+       st.integers(0, 2**32 - 1))
+def test_real_checkers_match_reference(height, spare, gamma, faults, seed):
+    # gamma None builds a sign (pdim) tree, a number a gamma-fat tree
+    rng = np.random.default_rng(seed)
+    domain = height + spare
+    tree, rows = shattered_real_case(rng, height, domain,
+                                     0.0 if gamma is None else gamma / 2)
+    for fault in faults:
+        if fault == "domain":
+            tree.x[rng.integers(len(tree.x))] = domain if rng.random() < 0.5 else -1
+        elif len(rows) > 1:     # a class keeps at least one function
+            rows.pop(int(rng.integers(len(rows))))
+    F = RealFunctionClass(rows)
+    if gamma is None:
+        got, want = check_sign_tree(F, tree), reference_check_sign_tree(F, tree)
+    else:
+        got = check_real_tree(F, tree, gamma)
+        want = reference_check_real_tree(F, tree, gamma)
+    assert got[0] == want[0], (got, want)
+    if len(faults) <= 1:
+        assert got == want
+    if not faults:
+        assert got[0], got
+
+
+def test_real_checkers_name_structural_faults_first():
+    # the walkers named whichever fault came first in preorder; the sweep
+    # names a domain fault before any unrealized final edge
+    F = RealFunctionClass([[1.0, 0.0]])
+    tree = MistakeTree([0, 1, 5], witness=[0.0, 0.0, 0.0])
+    assert check_sign_tree(F, tree) == (False, "instance 5 outside the domain")
+    assert reference_check_sign_tree(F, tree) == (
+        False, "path ending with (1, -1) unrealized")
+    assert check_real_tree(F, tree, 0.5) == (False, "instance 5 outside the domain")
+    tree.x[2] = 1
+    assert check_sign_tree(F, tree) == (False, "path ending with (1, -1) unrealized")
+    assert check_real_tree(F, tree, 0.5) == (
+        False, "path ending with (1, eps=-1) is realized by no function")
 
 
 def test_fat_below_pdim(real_corpus):
