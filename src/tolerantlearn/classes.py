@@ -81,6 +81,13 @@ LossKind = Union[TolerantZeroOne, AbsoluteLoss]
 # classes
 # ---------------------------------------------------------------------------
 
+def row_mask(rows: np.ndarray) -> int:
+    """Bitmask with bit r set iff rows[r] is true: the one builder of the
+    Python-int row subsets every module works on."""
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(),
+                          "little")
+
+
 def _dedup_rows(table: np.ndarray):
     """Drop duplicate rows, keeping first occurrences in order.
 
@@ -139,18 +146,14 @@ class HypothesisClass:
         self._col_masks = None       # per-column {label: row bitmask}
         self._ldim_cache = {}        # tau -> Ldim_tau split engine
         self._predictor_cache = {}   # (tau, mask) -> predictor label tuple
-        self._support_cache = {}     # (target, support) -> sampler LUT, verdict
+        self._support_cache = {}     # (target, support) -> point masks, verdict
 
     def col_masks(self):
         """Per-column map label -> bitmask of rows carrying that label."""
         if self._col_masks is None:
-            masks = []
-            for x in range(self.domain_size):
-                col = {}
-                for r, k in enumerate(self.table[:, x].tolist()):
-                    col[k] = col.get(k, 0) | (1 << r)
-                masks.append(col)
-            self._col_masks = masks
+            self._col_masks = [{k: row_mask(col == k)
+                                for k in dict.fromkeys(col.tolist())}
+                               for col in self.table.T]
         return self._col_masks
 
     @property

@@ -41,6 +41,8 @@ def read_json_object(path, expected: str | None = None, lists=(),
     except RecursionError:   # the decoder recurses once per nesting level
         raise ValueError(f"{path}: JSON nests deeper than the recursion "
                          f"limit {sys.getrecursionlimit()}") from None
+    except ValueError as e:   # bytes that are not UTF-8, or not JSON
+        raise ValueError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, "
                          f"found {type(doc).__name__}")
@@ -71,7 +73,10 @@ def load_class(path):
     # JSON booleans would load as 0 or 1.  Both literals hold an "e" and the
     # rows open at or after the first "[", so only an "e" past it (a real
     # class may hold 1e-05) calls for the per-value check.
-    text = Path(path).read_bytes().decode()
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     may_hold_bool = text.find("e", text.find("[")) != -1
     doc = read_json_object(path, CLASS_FORMAT, lists=("rows",), text=text)
     del text    # kept, the file's text would add to the peak memory

@@ -7,10 +7,8 @@ are one recursion over row subsets (Python-int bitmasks) under a family of
 splits, and all values are exact.  The worst case is exponential in |H|,
 which is inherent; the sides of a split are disjoint, so a subset of m rows
 has value at most floor(log2 m), and pruning with that bound makes
-structured classes with hundreds of rows fast.  The one 64-row limit left
-is the tournament sampler's uint64 consistency LUT (`stability`).
-Certificates are filled level by level into the heap-order arrays of
-`trees.MistakeTree`.
+structured classes with hundreds of rows fast.  Certificates are filled
+level by level into the heap-order arrays of `trees.MistakeTree`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classes import HypothesisClass, RealFunctionClass
+from .classes import HypothesisClass, RealFunctionClass, row_mask
 from .trees import (MistakeTree, WITNESS_EPS, check_mc_tree, check_real_tree,
                     check_sign_tree, gamma_fault)
 
@@ -227,8 +225,8 @@ def _fat_candidates(F: RealFunctionClass, gamma: float):
                        | {float(v) + half for v in vals})
         entries = []
         for s in cands:
-            below = _row_mask(vals <= s - half + WITNESS_EPS)
-            above = _row_mask(vals >= s + half - WITNESS_EPS)
+            below = row_mask(vals <= s - half + WITNESS_EPS)
+            above = row_mask(vals >= s + half - WITNESS_EPS)
             if below and above:
                 entries.append((s, below, above))
         grids.append(entries)
@@ -274,12 +272,6 @@ def _sign_witness_grid(F: RealFunctionClass):
     return grids
 
 
-def _row_mask(rows: np.ndarray) -> int:
-    """Bitmask with bit r set iff rows[r] is true."""
-    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(),
-                          "little")
-
-
 def pdim(F: RealFunctionClass) -> DimensionReport:
     """Pollard pseudo-dimension: Ldim of the sign class f -> sign(f(x) - s).
 
@@ -288,8 +280,8 @@ def pdim(F: RealFunctionClass) -> DimensionReport:
     sends f < s left (sign -1) and f >= s right (sign +1).
     """
     grids = _sign_witness_grid(F)
-    splits = [((x, s), _row_mask(F.table[:, x] < s),
-               _row_mask(F.table[:, x] >= s))
+    splits = [((x, s), row_mask(F.table[:, x] < s),
+               row_mask(F.table[:, x] >= s))
               for x in range(F.domain_size) for s in grids[x]]
     return _real_dimension(splits, F.num_rows, {})
 

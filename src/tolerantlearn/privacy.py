@@ -24,7 +24,7 @@ import numpy as np
 
 from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
                       TolerantZeroOne, discretize, evaluate_loss,
-                      label_to_midpoint, value_to_label)
+                      label_to_midpoint, row_mask, value_to_label)
 from .dimensions import DimensionReport, ldim_value, pdim
 from .seeding import as_generator, trial_rng
 from .stability import GRunResult, g_parameters, run_g
@@ -337,13 +337,12 @@ def covering_number(F: RealFunctionClass, radius: float):
         raise ValueError(f"exact covers are capped at {COVER_ROW_CAP} rows")
     dist = np.max(np.abs(F.table[:, None, :] - F.table[None, :, :]), axis=2)
     full = (1 << m) - 1
-    balls = [sum(1 << j for j in np.flatnonzero(row <= radius + 1e-12).tolist())
-             for row in dist]
+    balls = [row_mask(row <= radius + 1e-12) for row in dist]
 
     covered, centers = 0, []
     while covered != full:
         best = max(range(m),
-                   key=lambda i: (bin(balls[i] & ~covered).count("1"), -i))
+                   key=lambda i: ((balls[i] & ~covered).bit_count(), -i))
         centers.append(best)
         covered |= balls[best]
     greedy = sorted(centers)

@@ -19,19 +19,22 @@ drawn and trips at N - N % 2n + (n if N % 2n < n else 2n); every deeper
 level starts by recursing into level 1 and trips at the same count.  The
 closure is searched breadth-first and stops at the first predictor that
 differs; above CLOSURE_LIMIT version spaces the sampler just runs.  The
-decision and the consistency LUT are cached on the class per target and
-support.  A decided Fail does not advance a generator the caller passed
-in; `run_g` and `estimate_stability` never use it after a Fail.
+decision and the points' consistent-row masks are cached on the class per
+target and support.  A decided Fail does not advance a generator the
+caller passed in; `run_g` and `estimate_stability` never use it after a
+Fail.
 
-Rejection rounds are cheap to score.  At k = 1 no tournament label is drawn
-between rounds, so every round already in the draw buffer (and within the
-budget) is scored at once by one reduce of per-point consistent-row masks,
-and only rounds whose masks differ or are empty are walked.  Deeper levels
+Row subsets are Python-int bitmasks here as in every module, so a class
+may have any number of rows.  Rejection rounds are cheap to score.  At
+k = 1 no tournament label is drawn between rounds, so every round already
+in the draw buffer (and within the budget) is scored before the stream
+advances, each half by the AND of its points' consistent-row masks, and
+only rounds whose masks differ or are empty are walked.  Deeper levels
 carry SOA's `online.SoaState` up from the child sample and fold only each
-round's fresh draws into it, the realizable stretch by one AND-accumulate
-over a uint64 consistency LUT.  Buffer refills stay lazy: the generator is
-shared with the tournament labels, so drawing a chunk before a round needs
-it would change every later label.
+round's fresh draws into it, the realizable stretch by ANDing the same
+masks.  Buffer refills stay lazy: the generator is shared with the
+tournament labels, so drawing a chunk before a round needs it would change
+every later label.
 """
 
 from __future__ import annotations
@@ -119,11 +122,6 @@ class TournamentSample:
     tournament_positions: list = field(default_factory=list)
 
 
-# Rows of a class the sampler accepts: its consistency LUT holds one uint64
-# row bitmask per domain point.
-LUT_ROW_LIMIT = 64
-
-
 # Largest AND-closure of the support's masks searched for the k = 1
 # impossibility decision; past it the sampler runs.  The closure of m
 # support points can hold 2^m - 1 version spaces, each costing one
@@ -165,9 +163,9 @@ def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
 
 def _support_entry(H: HypothesisClass, D: FiniteDistribution,
                    labels: list) -> tuple:
-    """(consistency LUT, whether every k >= 1 tournament fails), cached on H.
+    """(per-point masks, whether every k >= 1 tournament fails), cached on H.
 
-    The LUT holds per point the bitmask of rows consistent with
+    The mask of point x is the bitmask of rows consistent with
     (x, target(x)).
     """
     support = D.weights > 0
@@ -177,7 +175,7 @@ def _support_entry(H: HypothesisClass, D: FiniteDistribution,
         cols = H.col_masks()
         masks = [cols[x].get(y, 0) for x, y in enumerate(labels)]
         drawn = [m for m, on in zip(masks, support.tolist()) if on]
-        hit = (np.array(masks, dtype=np.uint64), _tournaments_fail(H, drawn))
+        hit = (masks, _tournaments_fail(H, drawn))
         H._support_cache[key] = hit
     return hit
 
@@ -195,36 +193,34 @@ class _Sampler:
     up, so no prefix is ever replayed.
     """
 
-    def __init__(self, D: FiniteDistribution, H: HypothesisClass, n: int,
-                 stream: _DrawStream, rng: np.random.Generator,
-                 lut: np.ndarray):
+    def __init__(self, H: HypothesisClass, n: int, stream: _DrawStream,
+                 rng: np.random.Generator, masks: list, target: list):
         self.H = H
         self.n = n
         self.stream = stream
         self.rng = rng
-        self.lut = lut
-        self.target = np.asarray(D.target).astype(np.int64)
+        self.masks = masks
+        self.target = target
 
-    def fold(self, state: SoaState, t: np.ndarray) -> SoaState:
+    def fold(self, state: SoaState, t: list) -> SoaState:
         """Fold the target-labeled draws `t` into `state`, in place.
 
-        While the prefix is realizable the running AND of the draws' LUT
-        masks is the version space; the draw that empties it and all later
-        ones go through `observe`.
+        While the prefix is realizable the running AND of the draws' masks
+        is the version space; the draw that empties it and all later ones
+        go through `observe`.
         """
         start = 0
         if state.base is None:
-            run = np.bitwise_and.accumulate(self.lut[t]) & np.uint64(state.mask)
-            broke = np.flatnonzero(run == 0)
-            if broke.size == 0:
-                state.mask = int(run[-1])
-                return state
-            start = int(broke[0])
-            if start:
-                state.mask = int(run[start - 1])
-        tail = t[start:]
-        for x, y in zip(tail.tolist(), self.target[tail].tolist()):
-            state.observe(x, y)
+            mask, masks = state.mask, self.masks
+            for x in t:
+                m = mask & masks[x]
+                if not m:
+                    break
+                mask = m
+                start += 1
+            state.mask = mask
+        for x in t[start:]:
+            state.observe(x, self.target[x])
         return state
 
     def accept(self, sides, f0: tuple, f1: tuple):
@@ -246,13 +242,14 @@ class _Sampler:
 
         No tournament label is drawn between k = 1 rounds, so every round
         that fits both in the stream's buffer and in the remaining budget
-        is scored with one reduce of its consistent-row masks.  Two equal
-        nonempty masks give equal predictors; every other round is walked,
-        in order, and scored by the SOA fold (an empty mask means the draws
-        were not realizable, and SOA then freezes and patches).
+        is scored before the stream advances: each half by the AND of its
+        points' consistent-row masks.  Two equal nonempty masks give equal
+        predictors; every other round is walked, in order, and scored by
+        the SOA fold (an empty mask means the draws were not realizable,
+        and SOA then freezes and patches).
         """
-        n, stream = self.n, self.stream
-        two_n = 2 * n
+        n, stream, masks = self.n, self.stream, self.masks
+        two_n, full = 2 * n, self.H.full_mask
         while True:
             left = stream.budget - stream.used
             if left < two_n:
@@ -261,20 +258,26 @@ class _Sampler:
                 raise _Fail
             while stream.buffered < two_n:
                 stream.refill()
-            r = min(stream.buffered, left) // two_n
-            block = stream.peek(r * two_n).reshape(r, 2, n)
-            masks = np.bitwise_and.reduce(self.lut[block], axis=2)
-            walk = (masks[:, 0] != masks[:, 1]) | (masks[:, 0] == 0)
-            for j in np.flatnonzero(walk):
-                st0, st1 = (self.fold(SoaState(self.H), t) for t in block[j])
+            end = min(stream.buffered, left) // two_n * two_n
+            block = stream.peek(end).tolist()
+            for j in range(0, end, two_n):
+                t0, t1 = block[j:j + n], block[j + n:j + two_n]
+                m0 = m1 = full
+                for x in t0:
+                    m0 &= masks[x]
+                for x in t1:
+                    m1 &= masks[x]
+                if m0 == m1 and m0:
+                    continue
+                st0 = self.fold(SoaState(self.H), t0)
+                st1 = self.fold(SoaState(self.H), t1)
                 f0, f1 = st0.predictor(), st1.predictor()
                 if f0 == f1:
                     continue
-                stream.advance((int(j) + 1) * two_n)
-                return self.accept([(_NO_POINTS, block[j, 0], [], [], st0),
-                                    (_NO_POINTS, block[j, 1], [], [], st1)],
-                                   f0, f1)
-            stream.advance(r * two_n)
+                stream.advance(j + two_n)
+                return self.accept([(_NO_POINTS, t0, [], [], st0),
+                                    (_NO_POINTS, t1, [], [], st1)], f0, f1)
+            stream.advance(end)
 
     def level(self, k: int):
         """A sample of depth k >= 1: (points, positions, labels, state)."""
@@ -282,9 +285,9 @@ class _Sampler:
             return self.first_level()
         while True:
             xs0, pos0, lab0, st0 = self.level(k - 1)
-            t0 = self.stream.take(self.n)
+            t0 = self.stream.take(self.n).tolist()
             xs1, pos1, lab1, st1 = self.level(k - 1)
-            t1 = self.stream.take(self.n)
+            t1 = self.stream.take(self.n).tolist()
             f0 = self.fold(st0, t0).predictor()
             f1 = self.fold(st1, t1).predictor()
             if f0 == f1:
@@ -309,25 +312,23 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     if len(labels) != H.domain_size or not set(labels) <= set(range(1, H.K + 1)):
         raise ValueError(f"the distribution must label the class's "
                          f"{H.domain_size} points with integers in 1..{H.K}")
-    if H.num_rows > LUT_ROW_LIMIT:
-        raise ValueError(
-            f"the tournament sampler keeps row subsets in a uint64 consistency "
-            f"LUT and takes at most {LUT_ROW_LIMIT} rows (got {H.num_rows})")
     rng = as_generator(seed)
     if k == 0:
         return TournamentSample(_NO_POINTS.copy(), _NO_POINTS.copy(), False, 0, [])
-    lut, always_fails = _support_entry(H, D, labels)
+    masks, always_fails = _support_entry(H, D, labels)
     if always_fails:
         left = N % (2 * n)
         return TournamentSample(None, None, True,
                                 N - left + (n if left < n else 2 * n), [])
+    # a float-stored target must not put 1.0 into SOA's patches
+    target = D.target.astype(np.int64)
     stream = _DrawStream(D, rng, N)
-    sampler = _Sampler(D, H, n, stream, rng, lut)
+    sampler = _Sampler(H, n, stream, rng, masks, target.tolist())
     try:
         xs, positions, labels, _ = sampler.level(k)
     except _Fail:
         return TournamentSample(None, None, True, stream.used, [])
-    ys = sampler.target[xs]
+    ys = target[xs]
     ys[positions] = labels
     return TournamentSample(xs, ys, False, stream.used, positions)
 

@@ -104,8 +104,8 @@ class ChooseResult:
     mono_height: int
 
 
-def color_and_choose(H: HypothesisClass, tree: MistakeTree, tau: int,
-                     *, verify: bool = True) -> ChooseResult:
+def color_and_choose(H: HypothesisClass, tree: MistakeTree,
+                     tau: int) -> ChooseResult:
     """One coloring/descent step on a tolerance-tau shattered tree.
 
     The gap test at the chosen edge is 2|k - k'| > tau, the integer form of
@@ -114,10 +114,9 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree, tau: int,
     """
     if tree.height < 1:
         raise ValueError("need a shattered tree of height >= 1")
-    if verify:
-        ok, msg = check_mc_tree(H, tree, tau)
-        if not ok:
-            raise ValueError(f"input tree is not shattered at tolerance {tau}: {msg}")
+    ok, msg = check_mc_tree(H, tree, tau)
+    if not ok:
+        raise ValueError(f"input tree is not shattered at tolerance {tau}: {msg}")
 
     h0 = H.row(0)
     k, mono = max_mono_subtree(tree, color_by_hypothesis(tree, h0))
@@ -230,8 +229,7 @@ class ExtractionTrace:
 
 
 def extract_thresholds_mc(H: HypothesisClass, tau: int,
-                          tree: Optional[MistakeTree] = None,
-                          *, verify_steps: bool = True):
+                          tree: Optional[MistakeTree] = None):
     """Iterate the refinement on a tolerance-2*tau tree and collect thresholds.
 
     Returns (family, trace).  The family is the longest subsequence of steps
@@ -246,7 +244,7 @@ def extract_thresholds_mc(H: HypothesisClass, tau: int,
     cur_H, cur_T = H, tree
     steps = []  # (k, k', original row id of h_n, x_n)
     while cur_T.height >= 1:
-        res = color_and_choose(cur_H, cur_T, 2 * tau, verify=verify_steps)
+        res = color_and_choose(cur_H, cur_T, 2 * tau)
         steps.append((res.k, res.k_prime, int(row_ids[0]), res.x0))
         trace.pairs.append((res.k, res.k_prime))
         trace.points.append(res.x0)

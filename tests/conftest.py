@@ -56,3 +56,13 @@ def unbalanced_pairs():
         table[2 * i:2 * i + 2, i] = 2
         table[2 * i, pairs + i] = 2
     return HypothesisClass(2, table)
+
+
+@pytest.fixture(scope="session")
+def point_class():
+    """Builder of the class on d points of the all-1 row and, per point, the
+    row that labels only that point 2 (d + 1 rows)."""
+    def build(d):
+        return HypothesisClass(2, np.vstack([np.ones((1, d), dtype=np.int64),
+                                             1 + np.eye(d, dtype=np.int64)]))
+    return build

@@ -232,16 +232,20 @@ def test_dp_learn_subcommand(tmp_path):
     assert names["dp-budget"] and names["dp-list-size"]
 
 
-def test_sampler_rejects_more_than_64_rows(tmp_path, capsys):
-    cls = tmp_path / "thr64.json"
-    classfile.save_class(threshold_class(64), cls)   # 65 rows
-    common = ["--input", cls, "--target", 0, "--alpha", 0.2, "--seed", 1,
-              "--out", tmp_path / "r.json"]
-    assert run_cli("gs", "--trials", 5, *common) == 2
-    assert "uint64 consistency LUT" in capsys.readouterr().err
-    assert run_cli("dp-learn", "--epsilon", 0.5, "--delta", 0.01,
-                   "--beta", 0.2, *common) == 2
-    assert "uint64 consistency LUT" in capsys.readouterr().err
+def test_sampler_runs_past_64_rows(tmp_path, point_class):
+    cls = tmp_path / "points64.json"
+    classfile.save_class(point_class(64), cls)   # 65 rows
+    common = ["--input", cls, "--target", 1, "--seed", 1]
+    for command, argv in [
+            ("gs", ["--trials", 20, "--alpha", 0.2]),
+            ("dp-learn", ["--epsilon", 0.9, "--delta", 0.1, "--beta", 0.5,
+                          "--alpha", 0.9])]:
+        out = tmp_path / f"{command}.json"
+        assert run_cli(command, *common, *argv, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdicts"] and all(v["passed"] for v in doc["verdicts"])
+        if command == "gs":
+            assert doc["aggregates"]["fail_count"] < 20
 
 
 @pytest.mark.parametrize("past_end", [False, True])
@@ -330,16 +334,23 @@ CERT = classfile.CERT_FORMAT
                                           "right_label": 2, "left": None,
                                           "right": None}},
      "expected format 'certfile/2', found 'certfile/1'"),
+    *((command, b'{"format": "\xff"}', "can't decode byte 0xff")
+      for command in ("dim", "soa", "experiment")),
+    ("dim", b'{"format": "classfile/1"', "Expecting ',' delimiter"),
 ], ids=["examples-int", "no-examples", "examples-not-pairs", "no-rows",
         "rows-int", "row-int", "rows-bool", "real-rows-bool", "class-list", "config-list", "params-int",
         "examples-bool", "certificate-no-x", "certificate-length-2",
         "certificate-unequal-lengths", "certificate-bool-label",
         "certificate-bool-x", "certificate-x-2**64",
-        "certificate-label-2**64", "certificate-version-1"])
+        "certificate-label-2**64", "certificate-version-1", "class-not-utf8",
+        "sequence-not-utf8", "config-not-utf8", "class-not-json"])
 def test_malformed_documents_exit_2(thr_file, tmp_path, capsys, command, doc,
                                     key):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        bad.write_bytes(doc)
+    else:
+        bad.write_text(json.dumps(doc))
     argv = {"soa": ["--input", thr_file, "--sequence", bad],
             "dim": ["--input", bad],
             "experiment": ["--config", bad],

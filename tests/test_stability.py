@@ -187,10 +187,10 @@ def assert_matches_reference(k, D, H, n, N, seed):
     return s
 
 
-def random_case(rs, realizable):
+def random_case(rs, realizable, rows=(1, 9), dom=(1, 7)):
     K = int(rs.integers(2, 5))
-    rows = int(rs.integers(1, 9))
-    dom = int(rs.integers(1, 7))
+    rows = int(rs.integers(*rows))
+    dom = int(rs.integers(*dom))
     table = rs.integers(1, K + 1, size=(rows, dom))
     H = HypothesisClass(K, table)
     if realizable:
@@ -213,6 +213,22 @@ def test_sampler_matches_reference_on_random_classes(realizable):
         s = assert_matches_reference(k, D, H, n, N, int(rs.integers(0, 2**31)))
         outcomes.add((k, s.failed))
     assert outcomes == {(k, f) for k in range(4) for f in (False, True)} - {(0, True)}
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_sampler_matches_reference_past_64_rows(realizable):
+    # row masks are Python ints, so a class may have any number of rows
+    rs = np.random.default_rng(40 + realizable)
+    outcomes = set()
+    for _ in range(80):
+        H, D = random_case(rs, realizable, rows=(65, 201), dom=(7, 11))
+        k = int(rs.integers(1, 4))
+        n = int(rs.choice([1, 2, 3, 7]))
+        N = int(rs.choice([5, 50, 400, 3000]))
+        s = assert_matches_reference(k, D, H, n, N, int(rs.integers(0, 2**31)))
+        if H.num_rows > 64:   # rows left after dedup
+            outcomes.add((k, s.failed))
+    assert outcomes == {(k, f) for k in (1, 2, 3) for f in (False, True)}
 
 
 def test_sampler_matches_reference_on_non_realizable_break():
@@ -289,13 +305,7 @@ def test_support_decision_fires_on_identified_targets(H, target, support, fires)
             assert s.failed
 
 
-def point_class(d):
-    """The all-1 row and, per point, the row that labels only that point 2."""
-    return HypothesisClass(2, np.vstack([np.ones((1, d), dtype=np.int64),
-                                         1 + np.eye(d, dtype=np.int64)]))
-
-
-def test_closure_past_the_limit_runs_the_sampler():
+def test_closure_past_the_limit_runs_the_sampler(point_class):
     # every version space reachable from the all-1 target predicts all 1s,
     # so every tournament fails, but the closure holds 2^d - 1 of them
     d = CLOSURE_LIMIT.bit_length()
