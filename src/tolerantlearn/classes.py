@@ -146,7 +146,7 @@ class HypothesisClass:
         self._col_masks = None       # per-column {label: row bitmask}
         self._ldim_cache = {}        # tau -> Ldim_tau split engine
         self._predictor_cache = {}   # (tau, mask) -> predictor label tuple
-        self._support_cache = {}     # (target, support) -> point masks, verdict
+        self._support_cache = {}     # (target, support) -> masks, floor, verdict
 
     def col_masks(self):
         """Per-column map label -> bitmask of rows carrying that label."""

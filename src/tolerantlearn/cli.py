@@ -37,7 +37,7 @@ def _load_class(path, kind=HypothesisClass):
     cls = classfile.load_class(path)
     if not isinstance(cls, kind):
         what = "multiclass" if kind is HypothesisClass else "real-valued"
-        raise SystemExit(f"error: {path} is not a {what} class file")
+        raise ValueError(f"{path} is not a {what} class file")
     return cls
 
 
@@ -48,7 +48,7 @@ def _make_learner(spec: str, H: HypothesisClass, tau: int):
         return MajorityLearner(H)
     if spec.startswith("const:"):
         return ConstantLearner(int(spec.split(":", 1)[1]))
-    raise SystemExit(f"error: unknown learner {spec!r} "
+    raise ValueError(f"unknown learner {spec!r} "
                      "(use soa, majority, or const:<k>)")
 
 
@@ -64,7 +64,7 @@ def cmd_dim(args) -> RunReport:
         res = ldim_tau(H, args.tolerance)
     elif args.kind == "fat":
         if args.gamma is None:
-            raise SystemExit("error: --gamma is required for fat")
+            raise ValueError("--gamma is required for fat")
         res = fat_gamma(_load_class(args.input, RealFunctionClass), args.gamma)
     else:
         res = pdim(_load_class(args.input, RealFunctionClass))
@@ -282,7 +282,7 @@ def cmd_generate(args) -> RunReport:
         cls = generators.random_real(args.functions, args.points,
                                      args.grid, args.seed)
     else:
-        raise SystemExit(f"error: unknown family {fam!r}")
+        raise ValueError(f"unknown family {fam!r}")
     classfile.save_class(cls, args.out)
     report = RunReport("generate", {"family": fam, "out": args.out})
     report.aggregates = {"rows": getattr(cls, "num_rows"),
@@ -293,7 +293,7 @@ def cmd_generate(args) -> RunReport:
 
 def _need_seed(args):
     if args.seed is None:
-        raise SystemExit("error: --seed is mandatory for randomized generators")
+        raise ValueError("--seed is mandatory for randomized generators")
 
 
 def cmd_experiment(args) -> RunReport:
@@ -301,7 +301,7 @@ def cmd_experiment(args) -> RunReport:
     command = cfg.get("command")
     handler = HANDLERS.get(command)
     if handler is None:
-        raise SystemExit(f"error: config field 'command' is invalid: {command!r}")
+        raise ValueError(f"config field 'command' is invalid: {command!r}")
     source = _config_object(args.config, cfg, "class")
     params = dict(_config_object(args.config, cfg, "params"))
     if "generator" in source:
@@ -313,7 +313,7 @@ def cmd_experiment(args) -> RunReport:
             grid=gen.pop("grid", None), seed=gen.pop("seed", cfg.get("seed")),
             out=class_path)
         if gen:
-            raise SystemExit(f"error: unknown generator fields {sorted(gen)}")
+            raise ValueError(f"unknown generator fields {sorted(gen)}")
         cmd_generate(gen_args)
         params["input"] = class_path
     elif "file" in source:
@@ -350,7 +350,7 @@ def _namespace_for(command: str, params: dict) -> argparse.Namespace:
     try:
         ns = _shared_parser().parse_args(argv)
     except SystemExit:
-        raise SystemExit(f"error: invalid parameters for {command!r}: {params}")
+        raise ValueError(f"invalid parameters for {command!r}: {params}") from None
     ns.out = params.get("out")
     return ns
 

@@ -76,20 +76,20 @@ class SoaState:
     """SOA_tau's running state, folded one labeled example at a time.
 
     While the observed prefix is realizable the state is the version space,
-    a row bitmask `mask`.  The example that empties it freezes the running
-    predictor into `base`; every later example is recorded in `patches`,
-    which overrides `base` pointwise.
+    the row bitmask `mask` (all rows unless given).  The example that
+    empties it freezes the running predictor into `base`; every later
+    example is recorded in `patches`, which overrides `base` pointwise.
     """
 
     __slots__ = ("H", "tau", "_cols", "mask", "base", "patches")
 
-    def __init__(self, H: HypothesisClass, tau: int = 0):
+    def __init__(self, H: HypothesisClass, tau: int = 0, mask: Optional[int] = None):
         if tau < 0:
             raise ValueError("tau must be >= 0")
         self.H = H
         self.tau = tau
         self._cols = H.col_masks()
-        self.mask = H.full_mask
+        self.mask = H.full_mask if mask is None else mask
         self.base = None      # predictor frozen when realizability breaks
         self.patches = {}
 

@@ -19,22 +19,26 @@ drawn and trips at N - N % 2n + (n if N % 2n < n else 2n); every deeper
 level starts by recursing into level 1 and trips at the same count.  The
 closure is searched breadth-first and stops at the first predictor that
 differs; above CLOSURE_LIMIT version spaces the sampler just runs.  The
-decision and the points' consistent-row masks are cached on the class per
-target and support.  A decided Fail does not advance a generator the
+decision, the floor and the points' consistent-row masks are cached on the
+class per target and support.  A decided Fail does not advance a generator the
 caller passed in; `run_g` and `estimate_stability` never use it after a
 Fail.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
-may have any number of rows.  Rejection rounds are cheap to score.  At
-k = 1 no tournament label is drawn between rounds, so every round already
-in the draw buffer (and within the budget) is scored before the stream
-advances, each half by the AND of its points' consistent-row masks, and
-only rounds whose masks differ or are empty are walked.  Deeper levels
-carry SOA's `online.SoaState` up from the child sample and fold only each
-round's fresh draws into it, the realizable stretch by ANDing the same
-masks.  Buffer refills stay lazy: the generator is shared with the
-tournament labels, so drawing a chunk before a round needs it would change
-every later label.
+may have any number of rows; the draw buffer is a list of Python ints.
+Rejection rounds are cheap to score.  Every support point's mask contains
+the support's floor, the AND of all their masks, so a running AND stops
+once it reaches the floor: no later draw can change it.  At k = 1 no
+tournament label is drawn between rounds, so every round already in the
+buffer (and within the budget) is scored before the stream advances, each
+half by the AND of its points' consistent-row masks.  A nonempty mask is
+the version space SOA_0 ends the half in, so two of them are compared by
+their cached predictor tables, and only a half with an empty mask is
+walked through the SOA fold.  Deeper levels carry SOA's `online.SoaState`
+up from the child sample and fold only each round's fresh draws into it,
+the realizable stretch by ANDing the same masks.  Buffer refills stay
+lazy: the generator is shared with the tournament labels, so drawing a
+chunk before a round needs it would change every later label.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .classes import (FiniteDistribution, HypothesisClass, TolerantZeroOne,
-                      evaluate_loss)
+                      evaluate_loss, row_mask)
 from .dimensions import ldim_value
 from .online import SoaState, predictor_table, soa_final_predictor
 from .seeding import as_generator, trial_rng
@@ -59,10 +63,10 @@ class _Fail(Exception):
 class _DrawStream:
     """Chunked draws from a finite distribution with a hard budget N.
 
-    Indices are pregenerated in chunks for speed; the logical draw count
-    only advances by what the sampler actually requests, so the budget
-    semantics match example-by-example sampling.  A chunk is drawn only
-    when the next request needs it: the generator is shared with the
+    Indices are pregenerated in chunks for speed and kept as a list; the
+    logical draw count only advances by what the sampler requests, so the
+    budget semantics match example-by-example sampling.  A chunk is drawn
+    only when the next request needs it: the generator is shared with the
     tournament labels, so drawing ahead would change every later label.
     """
 
@@ -74,27 +78,27 @@ class _DrawStream:
         self.rng = rng
         self.budget = budget
         self.used = 0
-        self._buf = np.empty(0, dtype=np.int64)
+        self._buf = []
         self._pos = 0
 
     @property
     def buffered(self) -> int:
-        return self._buf.size - self._pos
+        return len(self._buf) - self._pos
 
     def refill(self):
         """Append one chunk of fresh draws to the unread part of the buffer."""
-        fresh = self.D.draw_indices(self.rng, self.CHUNK)
-        self._buf = np.concatenate([self._buf[self._pos:], fresh])
+        del self._buf[:self._pos]
         self._pos = 0
+        self._buf += self.D.draw_indices(self.rng, self.CHUNK).tolist()
 
-    def peek(self, m: int) -> np.ndarray:
+    def peek(self, m: int) -> list:
         return self._buf[self._pos:self._pos + m]
 
     def advance(self, m: int):
         self._pos += m
         self.used += m
 
-    def take(self, n: int) -> np.ndarray:
+    def take(self, n: int) -> list:
         if self.used + n > self.budget:
             self.used += n  # record the attempt that tripped the cap
             raise _Fail
@@ -129,19 +133,16 @@ class TournamentSample:
 CLOSURE_LIMIT = 1024
 
 
-def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
+def _tournaments_fail(H: HypothesisClass, masks: list, floor: int) -> bool:
     """True if SOA_0's predictor is one table on the AND-closure of `masks`.
 
-    `masks` are the support points' consistent-row masks.  Unless their
-    AND is nonzero (the target is realizable on the support) and the
+    `masks` are the support points' consistent-row masks, `floor` their AND.
+    Unless it is nonzero (the target is realizable on the support) and the
     closure fits in CLOSURE_LIMIT, nothing is decided and False returns.
     """
-    basis = list(dict.fromkeys(masks))
-    whole = H.full_mask
-    for m in basis:
-        whole &= m
-    if not whole:
+    if not floor:
         return False
+    basis = list(dict.fromkeys(masks))
     seen = set(basis)
     level = basis
     first = predictor_table(H, 0, basis[0])
@@ -163,10 +164,10 @@ def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
 
 def _support_entry(H: HypothesisClass, D: FiniteDistribution,
                    labels: list) -> tuple:
-    """(per-point masks, whether every k >= 1 tournament fails), cached on H.
+    """(point masks, floor, whether every k >= 1 tournament fails), cached on H.
 
     The mask of point x is the bitmask of rows consistent with
-    (x, target(x)).
+    (x, target(x)), and the floor that of the rows consistent on the support.
     """
     support = D.weights > 0
     key = (tuple(labels), support.tobytes())
@@ -175,18 +176,16 @@ def _support_entry(H: HypothesisClass, D: FiniteDistribution,
         cols = H.col_masks()
         masks = [cols[x].get(y, 0) for x, y in enumerate(labels)]
         drawn = [m for m, on in zip(masks, support.tolist()) if on]
-        hit = (masks, _tournaments_fail(H, drawn))
+        floor = row_mask((H.table[:, support] == D.target[support]).all(axis=1))
+        hit = (masks, floor, _tournaments_fail(H, drawn, floor))
         H._support_cache[key] = hit
     return hit
-
-
-_NO_POINTS = np.empty(0, dtype=np.int64)
 
 
 class _Sampler:
     """One draw of the capped tournament sampler.
 
-    A sample is kept as an int array of domain points (every point but the
+    A sample is kept as a list of domain points (every point but the
     tournament ones labeled by the target) plus the tournament positions
     and labels, together with the `SoaState` of SOA_0 after it.  A round
     folds only its n fresh draws into the state its child sample carried
@@ -194,33 +193,38 @@ class _Sampler:
     """
 
     def __init__(self, H: HypothesisClass, n: int, stream: _DrawStream,
-                 rng: np.random.Generator, masks: list, target: list):
+                 rng: np.random.Generator, masks: list, floor: int, target: list):
         self.H = H
         self.n = n
         self.stream = stream
         self.rng = rng
         self.masks = masks
+        self.floor = floor
         self.target = target
 
     def fold(self, state: SoaState, t: list) -> SoaState:
         """Fold the target-labeled draws `t` into `state`, in place.
 
         While the prefix is realizable the running AND of the draws' masks
-        is the version space; the draw that empties it and all later ones
-        go through `observe`.
+        is the version space, and one at the floor stays there; the draw
+        that empties it goes through `observe`, later ones into `patches`.
         """
         start = 0
         if state.base is None:
-            mask, masks = state.mask, self.masks
+            mask, masks, floor = state.mask, self.masks, self.floor
             for x in t:
                 m = mask & masks[x]
                 if not m:
                     break
                 mask = m
                 start += 1
+                if mask == floor:
+                    start = len(t)
+                    break
             state.mask = mask
-        for x in t[start:]:
+        for x in t[start:start + 1]:  # freezes the predictor if need be
             state.observe(x, self.target[x])
+        state.patches.update({x: self.target[x] for x in t[start + 1:]})
         return state
 
     def accept(self, sides, f0: tuple, f1: tuple):
@@ -233,9 +237,9 @@ class _Sampler:
         x = next(i for i in range(self.H.domain_size) if f0[i] != f1[i])
         y = int(self.rng.integers(1, self.H.K + 1))
         prefix, t, positions, labels, state = sides[0] if f0[x] != y else sides[1]
-        xs = np.concatenate([prefix, t, [x]])
+        xs = prefix + t + [x]
         state.observe(x, y)
-        return xs, positions + [xs.size - 1], labels + [y], state
+        return xs, positions + [len(xs) - 1], labels + [y], state
 
     def first_level(self):
         """k = 1: rounds scored a buffered block at a time.
@@ -243,13 +247,14 @@ class _Sampler:
         No tournament label is drawn between k = 1 rounds, so every round
         that fits both in the stream's buffer and in the remaining budget
         is scored before the stream advances: each half by the AND of its
-        points' consistent-row masks.  Two equal nonempty masks give equal
-        predictors; every other round is walked, in order, and scored by
-        the SOA fold (an empty mask means the draws were not realizable,
-        and SOA then freezes and patches).
+        points' consistent-row masks, up to the floor.  A nonempty mask is
+        the version space SOA_0 ends the half in, so two are compared by
+        their cached predictor tables and give an accepted round its
+        states; only a half with an empty mask (unrealizable draws: SOA
+        freezes and patches) is walked through the SOA fold.
         """
-        n, stream, masks = self.n, self.stream, self.masks
-        two_n, full = 2 * n, self.H.full_mask
+        H, n, stream, masks, floor = self.H, self.n, self.stream, self.masks, self.floor
+        two_n, full = 2 * n, H.full_mask
         while True:
             left = stream.budget - stream.used
             if left < two_n:
@@ -259,24 +264,29 @@ class _Sampler:
             while stream.buffered < two_n:
                 stream.refill()
             end = min(stream.buffered, left) // two_n * two_n
-            block = stream.peek(end).tolist()
+            block = stream.peek(end)
             for j in range(0, end, two_n):
-                t0, t1 = block[j:j + n], block[j + n:j + two_n]
                 m0 = m1 = full
-                for x in t0:
+                for x in block[j:j + n]:
                     m0 &= masks[x]
-                for x in t1:
+                    if m0 == floor:
+                        break
+                for x in block[j + n:j + two_n]:
                     m1 &= masks[x]
-                if m0 == m1 and m0:
+                    if m1 == floor:
+                        break
+                if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
+                                  == predictor_table(H, 0, m1)):
                     continue
-                st0 = self.fold(SoaState(self.H), t0)
-                st1 = self.fold(SoaState(self.H), t1)
+                t0, t1 = block[j:j + n], block[j + n:j + two_n]
+                st0 = SoaState(H, mask=m0) if m0 else self.fold(SoaState(H), t0)
+                st1 = SoaState(H, mask=m1) if m1 else self.fold(SoaState(H), t1)
                 f0, f1 = st0.predictor(), st1.predictor()
                 if f0 == f1:
                     continue
                 stream.advance(j + two_n)
-                return self.accept([(_NO_POINTS, t0, [], [], st0),
-                                    (_NO_POINTS, t1, [], [], st1)], f0, f1)
+                return self.accept([([], t0, [], [], st0),
+                                    ([], t1, [], [], st1)], f0, f1)
             stream.advance(end)
 
     def level(self, k: int):
@@ -285,9 +295,9 @@ class _Sampler:
             return self.first_level()
         while True:
             xs0, pos0, lab0, st0 = self.level(k - 1)
-            t0 = self.stream.take(self.n).tolist()
+            t0 = self.stream.take(self.n)
             xs1, pos1, lab1, st1 = self.level(k - 1)
-            t1 = self.stream.take(self.n).tolist()
+            t1 = self.stream.take(self.n)
             f0 = self.fold(st0, t0).predictor()
             f1 = self.fold(st1, t1).predictor()
             if f0 == f1:
@@ -314,8 +324,9 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
                          f"{H.domain_size} points with integers in 1..{H.K}")
     rng = as_generator(seed)
     if k == 0:
-        return TournamentSample(_NO_POINTS.copy(), _NO_POINTS.copy(), False, 0, [])
-    masks, always_fails = _support_entry(H, D, labels)
+        return TournamentSample(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                                False, 0, [])
+    masks, floor, always_fails = _support_entry(H, D, labels)
     if always_fails:
         left = N % (2 * n)
         return TournamentSample(None, None, True,
@@ -323,11 +334,12 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     # a float-stored target must not put 1.0 into SOA's patches
     target = D.target.astype(np.int64)
     stream = _DrawStream(D, rng, N)
-    sampler = _Sampler(H, n, stream, rng, masks, target.tolist())
+    sampler = _Sampler(H, n, stream, rng, masks, floor, target.tolist())
     try:
         xs, positions, labels, _ = sampler.level(k)
     except _Fail:
         return TournamentSample(None, None, True, stream.used, [])
+    xs = np.array(xs, dtype=np.int64)
     ys = target[xs]
     ys[positions] = labels
     return TournamentSample(xs, ys, False, stream.used, positions)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import subprocess
@@ -143,10 +144,12 @@ def test_generated_class_files_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_requires_seed_for_random(tmp_path):
-    with pytest.raises(SystemExit):
-        run_cli("generate", "--family", "random-real", "--points", 3,
-                "--out", tmp_path / "x.json")
+def test_generate_requires_seed_for_random(tmp_path, capsys):
+    code = run_cli("generate", "--family", "random-real", "--points", 3,
+                   "--out", tmp_path / "x.json")
+    assert code == 2
+    assert ("error: generate: --seed is mandatory for randomized generators"
+            in capsys.readouterr().err)
 
 
 def test_generate_rejects_oversize(tmp_path, capsys):
@@ -449,11 +452,43 @@ def test_experiment_config(tmp_path):
     assert doc["command"] == "gs"
 
 
-def test_experiment_rejects_unknown_command(tmp_path):
+def test_experiment_rejects_unknown_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "bogus"}))
-    with pytest.raises(SystemExit, match="command"):
-        run_cli("experiment", "--config", cfg)
+    assert run_cli("experiment", "--config", cfg) == 2
+    assert ("error: experiment: config field 'command' is invalid: 'bogus'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["dim", "--kind", "fat", "--gamma", "0.5", "--input", "{mc}"], None,
+     "dim: {mc} is not a real-valued class file"),
+    (["adversary", "--input", "{mc}", "--learner", "constant"], None,
+     "adversary: unknown learner 'constant'"),
+    (["dim", "--kind", "fat", "--input", "{real}"], None,
+     "dim: --gamma is required for fat"),
+    (["experiment"], {"command": "dim",
+                      "class": {"generator": {"family": "nope", "points": 3}}},
+     "experiment: unknown family 'nope'"),
+    (["experiment"], {"command": "dim", "class": {"generator": {
+        "family": "threshold", "points": 3, "colour": "red"}}},
+     "experiment: unknown generator fields ['colour']"),
+    (["experiment"], {"command": "gs", "params": {"bogus": 1}},
+     "experiment: invalid parameters for 'gs'"),
+], ids=["class-kind", "learner", "fat-without-gamma", "family",
+        "generator-fields", "experiment-parameters"])
+def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
+    paths = {"mc": tmp_path / "thr.json", "real": tmp_path / "real.json"}
+    classfile.save_class(threshold_class(3), paths["mc"])
+    classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]),
+                         paths["real"])
+    if config is not None:
+        paths["cfg"] = tmp_path / "cfg.json"
+        paths["cfg"].write_text(json.dumps(config))
+        argv = argv + ["--config", "{cfg}"]
+    argv = [a.format(**paths) for a in argv]
+    assert run_cli(*argv, "--out", tmp_path / "r.json") == 2
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
 
 
 def test_reports_deterministic_up_to_wall_clock(tmp_path):
@@ -468,6 +503,24 @@ def test_reports_deterministic_up_to_wall_clock(tmp_path):
         doc.pop("wall_clock_s")
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (3, "6e54ed0add7dcc762a5a7215dd12ee2fffaa79870455663fadc712bc71b13ca2"),
+    (8, "2975608ba65c7683ac57f58e76fd3c95a2016b358c01831e7361af3a87cf03f0"),
+])
+def test_gs_report_is_pinned(tmp_path, monkeypatch, seed, digest):
+    # threshold_class(7), target 4: tournaments succeed below the top k and
+    # fail at it, so the sampler's rejection, acceptance and Fail paths all
+    # feed the report; a speedup must leave these bytes alone
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(threshold_class(7), "thr.json")
+    assert run_cli("gs", "--input", "thr.json", "--target", 4, "--alpha", 0.1,
+                   "--trials", 40, "--seed", seed, "--out", "gs.json") == 0
+    doc = json.loads((tmp_path / "gs.json").read_text())
+    doc.pop("wall_clock_s")
+    text = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_report_dir_env_override(tmp_path, monkeypatch):

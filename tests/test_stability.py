@@ -11,9 +11,9 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, _DrawStream, _Fail,
-                                     _support_entry, estimate_stability,
-                                     g_parameters, run_g, sample_dk_mc)
+from tolerantlearn.stability import (CLOSURE_LIMIT, _support_entry,
+                                     estimate_stability, g_parameters, run_g,
+                                     sample_dk_mc)
 
 
 @pytest.fixture(scope="module")
@@ -136,30 +136,45 @@ def test_sampler_rejects_distribution_off_the_class(D):
 
 # --- the sampler against its definition -----------------------------------------
 
+class _CapTripped(Exception):
+    pass
+
+
 def reference_sample(k, D, H, n, N, seed):
     """The tournament sampler as defined: one round at a time, SOA replayed.
 
-    Every round draws through `_DrawStream.take` and folds SOA_0 over the
-    whole labeled prefix of each side.  Returns (xs, ys, positions, failed,
-    draw_count) in `sample_dk_mc`'s conventions, with lists for arrays.
+    Draws come from `D.draw_indices` in 512-draw chunks, each drawn only
+    when a request needs it (the same generator draws the tournament
+    labels).  A request of m draws first counts them; if the count then
+    exceeds N the cap trips with that count.  Every round folds SOA_0 over
+    the whole labeled prefix of each side.  Returns (xs, ys, positions,
+    failed, draw_count) in `sample_dk_mc`'s conventions, with lists for
+    arrays.
     """
     rng = as_generator(seed)
     if k == 0:
         return [], [], [], False, 0
-    stream = _DrawStream(D, rng, N)
+    buf, used = [], 0
 
-    def labeled(t):
-        return t.tolist(), [int(D.target[x]) for x in t]
+    def take(m):
+        nonlocal buf, used
+        used += m
+        if used > N:
+            raise _CapTripped
+        while len(buf) < m:
+            buf += D.draw_indices(rng, 512).tolist()
+        t, buf = buf[:m], buf[m:]
+        return t, [int(D.target[x]) for x in t]
 
     def rec(k):
         if k == 0:
             return [], [], []
         while True:
             xs0, ys0, p0 = rec(k - 1)
-            t0, l0 = labeled(stream.take(n))
+            t0, l0 = take(n)
             xs0, ys0 = xs0 + t0, ys0 + l0
             xs1, ys1, p1 = rec(k - 1)
-            t1, l1 = labeled(stream.take(n))
+            t1, l1 = take(n)
             xs1, ys1 = xs1 + t1, ys1 + l1
             f0 = soa_final_predictor(H, xs0, ys0)
             f1 = soa_final_predictor(H, xs1, ys1)
@@ -173,9 +188,9 @@ def reference_sample(k, D, H, n, N, seed):
 
     try:
         xs, ys, positions = rec(k)
-    except _Fail:
-        return None, None, [], True, stream.used
-    return xs, ys, positions, False, stream.used
+    except _CapTripped:
+        return None, None, [], True, used
+    return xs, ys, positions, False, used
 
 
 def assert_matches_reference(k, D, H, n, N, seed):
@@ -260,6 +275,94 @@ def test_sampler_matches_reference_across_chunks():
     assert (1, False) in outcomes and (2, False) in outcomes
 
 
+# --- the support's floor: the AND of its points' masks ends a half's scoring ----
+
+def consistent_rows(H, target, points):
+    """Rows of H that agree with `target` on every point in `points`."""
+    points = np.asarray(points, dtype=np.int64)
+    return tuple(np.flatnonzero((H.table[:, points] == target[points]).all(axis=1)))
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_sampler_matches_reference_with_zero_weight_points(realizable):
+    # the floor is the AND over the support only; a zero-weight point that
+    # would shrink it is never drawn
+    rs = np.random.default_rng(60 + realizable)
+    outcomes, shrinking = set(), 0
+    for _ in range(200):
+        H, D = random_case(rs, realizable, dom=(2, 7))
+        w = D.weights * (rs.random(H.domain_size) < 0.6)
+        if not w.any():
+            w[int(rs.integers(0, H.domain_size))] = 1.0
+        D = FiniteDistribution(w / w.sum(), D.target)
+        support = np.flatnonzero(w)
+        shrinking += (consistent_rows(H, D.target, support)
+                      != consistent_rows(H, D.target, range(H.domain_size)))
+        k = int(rs.integers(1, 4))
+        n = int(rs.choice([1, 2, 3, 7]))
+        N = int(rs.choice([5, 50, 400, 3000]))
+        s = assert_matches_reference(k, D, H, n, N, int(rs.integers(0, 2**31)))
+        outcomes.add((k, s.failed))
+    assert shrinking > 0
+    assert outcomes == {(k, f) for k in (1, 2, 3) for f in (False, True)}
+
+
+@pytest.mark.parametrize("K, target", [
+    (2, [2, 2, 2, 2]),   # point 0 alone leaves only row 0: floor on one draw
+    (3, [3, 1, 2, 2]),   # no row labels point 0 with 3: the floor is 0
+], ids=["pinning-point", "empty-point"])
+def test_sampler_matches_reference_when_one_draw_reaches_the_floor(K, target):
+    H = HypothesisClass(K, threshold_class(4).table)
+    target = np.array(target)
+    D = FiniteDistribution(np.array([0.4, 0.2, 0.2, 0.2]), target)
+    assert consistent_rows(H, target, [0]) == consistent_rows(H, target, range(4))
+    outcomes = set()
+    for k in (1, 2, 3):
+        for seed in range(30):
+            s = assert_matches_reference(k, D, H, 3, 2000, seed)
+            outcomes.add((k, s.failed))
+    assert {(1, False), (2, False)} <= outcomes
+
+
+def floor_then_chunk_boundary(D, H, n, seed, draws):
+    """Whether a k = 1 half-round among the first `draws` draws of `seed`
+    reaches the support's floor and then crosses a 512-draw chunk boundary.
+    """
+    rng = as_generator(seed)
+    xs = np.concatenate([D.draw_indices(rng, 512)
+                         for _ in range(-(-draws // 512))])
+    floor = consistent_rows(H, D.target, np.flatnonzero(D.weights))
+    for start in range(0, draws - n + 1, n):
+        for i in range(start, start + n):
+            if consistent_rows(H, D.target, xs[start:i + 1]) == floor:
+                if i // 512 < (start + n - 1) // 512:
+                    return True
+                break
+    return False
+
+
+@pytest.mark.parametrize("n, w, ks, N", [
+    (7, [0.05, 0.45, 0.45, 0.05], (1, 2), 8000),
+    (300, [0.495, 0.005, 0.005, 0.495], (1, 2), 30000),
+], ids=["n7", "n300"])
+def test_sampler_matches_reference_past_the_floor_across_chunks(n, w, ks, N):
+    # the floor of target row 2 needs points 1 and 2, so k = 1 rounds are
+    # rejected until a half misses one of them; 512 is no multiple of 2n,
+    # and some half-rounds reach the floor and then run into the next chunk
+    H = threshold_class(4)
+    D = FiniteDistribution(np.array(w), H.table[2])
+    outcomes, crossed = set(), False
+    for k in ks:
+        for seed in range(10):
+            s = assert_matches_reference(k, D, H, n, N, seed)
+            outcomes.add((k, s.failed))
+            if k == 1 and not crossed:
+                crossed = floor_then_chunk_boundary(D, H, n, seed,
+                                                    min(s.draw_count, N))
+    assert crossed
+    assert all((k, False) in outcomes for k in ks)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cap_trips_on_the_half_round_that_overflows(k):
     # a constant class never disagrees, so every round is rejected and the
@@ -278,7 +381,7 @@ def test_cap_trips_on_the_half_round_that_overflows(k):
 # --- k >= 1 impossibility decided from the support ------------------------------
 
 def always_fails(H, D):
-    return _support_entry(H, D, D.target.tolist())[1]
+    return _support_entry(H, D, D.target.tolist())[2]
 
 
 @pytest.mark.parametrize("H, target, support, fires", [
