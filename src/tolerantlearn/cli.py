@@ -9,8 +9,10 @@ is 0 iff every verdict in the run passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -303,7 +305,8 @@ def cmd_experiment(args) -> RunReport:
     if handler is None:
         raise ValueError(f"config field 'command' is invalid: {command!r}")
     source = _config_object(args.config, cfg, "class")
-    params = dict(_config_object(args.config, cfg, "params"))
+    given = _config_object(args.config, cfg, "params")
+    params = dict(given)
     if "generator" in source:
         gen = dict(_config_object(args.config, source, "generator"))
         class_path = str(Path(args.config).with_suffix(".class.json"))
@@ -322,7 +325,7 @@ def cmd_experiment(args) -> RunReport:
         params.setdefault("seed", cfg["seed"])
     params.setdefault("out", cfg.get("out"))
     params.setdefault("plot_data", cfg.get("plot_data"))
-    ns = _namespace_for(command, params)
+    ns = _namespace_for(command, params, given)
     report = handler(ns)
     report.config = {"config_file": args.config, **cfg}
     if getattr(args, "out", None) is None:
@@ -339,18 +342,19 @@ def _config_object(path, doc: dict, key: str) -> dict:
     return val
 
 
-def _namespace_for(command: str, params: dict) -> argparse.Namespace:
+def _namespace_for(command: str, params: dict, given: dict) -> argparse.Namespace:
     argv = [command]
     for key, val in params.items():
-        if val is None or key == "out":
-            continue
-        argv.append(f"--{key.replace('_', '-')}")
-        if not isinstance(val, bool):
-            argv.append(str(val))
+        if val is not None and key != "out":
+            argv += [f"--{key.replace('_', '-')}", str(val)]
+    err = io.StringIO()
     try:
-        ns = _shared_parser().parse_args(argv)
+        with contextlib.redirect_stderr(err):
+            ns = _shared_parser().parse_args(argv)
     except SystemExit:
-        raise ValueError(f"invalid parameters for {command!r}: {params}") from None
+        reason = err.getvalue().partition(": error: ")[2].strip()
+        raise ValueError(f"invalid parameters for {command!r}: {reason} "
+                         f"(params {given})") from None
     ns.out = params.get("out")
     return ns
 

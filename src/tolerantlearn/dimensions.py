@@ -3,18 +3,18 @@
 Computes the tolerant Littlestone dimension, the sequential fat-shattering
 dimension and the sequential Pollard pseudo-dimension of explicit finite
 classes, each together with a mistake tree certifying the value.  All three
-are one recursion over row subsets (Python-int bitmasks) under a family of
-splits, and all values are exact.  The worst case is exponential in |H|,
-which is inherent; the sides of a split are disjoint, so a subset of m rows
-has value at most floor(log2 m), and pruning with that bound makes
-structured classes with hundreds of rows fast.  Certificates are filled
-level by level into the heap-order arrays of `trees.MistakeTree`.
+are one memoized search over row subsets (Python-int bitmasks) under a
+family of splits, kept on an explicit stack, so it has no depth limit.  All
+values are exact.  The worst case is exponential in |H|, which is inherent;
+the sides of a split are disjoint, so a subset of m rows has value at most
+floor(log2 m), and pruning with that bound makes structured classes with
+hundreds of rows fast.  Certificates are filled level by level into the
+heap-order arrays of `trees.MistakeTree`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +24,7 @@ from .classes import HypothesisClass, RealFunctionClass, row_mask
 from .trees import (MistakeTree, WITNESS_EPS, check_mc_tree, check_real_tree,
                     check_sign_tree, gamma_fault)
 
-# Ldim of the empty class; internal sentinel that keeps the recursion and the
+# Ldim of the empty class; internal sentinel that keeps the search and the
 # SOA argmax total.  Never reported.
 EMPTY_LDIM = -1
 
@@ -47,60 +47,65 @@ class _SplitEngine:
 
     A split `(tag, a, b)` sends the rows in `a` left and those in `b` right.
     `value(mask)` is the best 1 + min(value(mask & a), value(mask & b)) over
-    the splits with both sides inhabited (0 if none, EMPTY_LDIM if mask is
-    empty).  The sides are disjoint, so a depth-d tree needs 2^d rows: a
-    split whose smaller side has m rows reaches at most 1 + floor(log2 m),
-    and a mask of m rows at most floor(log2 m).  Live splits are tried in
+    the splits live in mask, those with both sides inhabited (0 if none,
+    EMPTY_LDIM if mask is empty).  A split dead in a mask is dead in all its
+    submasks, so a mask scans only the splits live in the mask it was split
+    from.  The sides are disjoint, so a depth-d tree needs 2^d rows: a split
+    whose smaller side has m rows reaches at most 1 + floor(log2 m), and a
+    mask of m rows at most floor(log2 m).  Live splits are tried in
     decreasing order of that bound and the scan stops at the first one that
     cannot beat the best so far, which also stops it at the mask's cap.
-    Trying the most balanced split first keeps the recursion shallow on
-    structured classes.  Every memoized value is exact.
     """
 
     def __init__(self, splits):
         self.splits = splits
         self._memo = {}
 
-    def value(self, mask: int) -> int:
-        """Depth of the row subset `mask`; the entry point of the recursion.
-
-        The recursion nests one call per split it descends, so a class
-        whose splits are all unbalanced goes about |H|/2 calls deep.  Past
-        Python's recursion limit that is a ValueError, not a crash.
-        """
-        try:
-            return self._value(mask)
-        except RecursionError:
-            raise ValueError(
-                f"the dimension recursion went deeper than Python's recursion "
-                f"limit of {sys.getrecursionlimit()} calls (the class's splits "
-                "are too unbalanced); raise it with sys.setrecursionlimit"
-            ) from None
-
-    def _value(self, mask: int) -> int:
+    def value(self, mask: int, splits=None) -> int:
+        """Depth of the row subset `mask`.  `splits` (default: all) must
+        hold, in list order, every split live in `mask`.  The searches it
+        descends wait on an explicit stack, so it has no depth limit."""
         if mask == 0:
             return EMPTY_LDIM
-        hit = self._memo.get(mask)
-        if hit is not None:
-            return hit
-        # (rows on the smaller side, smaller side, larger side) per live split
-        live = []
-        for _, a, b in self.splits:
-            lo, hi = mask & a, mask & b
-            n_lo, n_hi = lo.bit_count(), hi.bit_count()
-            if n_lo and n_hi:
-                live.append((n_lo, lo, hi) if n_lo <= n_hi else (n_hi, hi, lo))
-        live.sort(key=lambda t: t[0], reverse=True)
+        v = self._memo.get(mask)
+        if v is not None:
+            return v
+        stack = [self._search(mask, self.splits if splits is None else splits)]
+        while stack:
+            try:
+                side, live = stack[-1].send(v)
+            except StopIteration as done:
+                stack.pop()
+                v = done.value
+                continue
+            v = self._memo.get(side)
+            if v is None:
+                stack.append(self._search(side, live))
+        return v
+
+    def _search(self, mask: int, splits):
+        """Yields (side, live splits) per side it needs, returns the value."""
+        # live splits, and (rows on the smaller side, smaller, larger side)
+        live, scored = [], []
+        for split in splits:
+            lo = mask & split[1]
+            if lo:
+                hi = mask & split[2]
+                if hi:
+                    live.append(split)
+                    n_lo, n_hi = lo.bit_count(), hi.bit_count()
+                    scored.append((n_lo, lo, hi) if n_lo <= n_hi else (n_hi, hi, lo))
+        scored.sort(key=lambda t: t[0], reverse=True)
         best = 0
-        for n, lo, hi in live:
+        for n, lo, hi in scored:
             # n.bit_length() == 1 + floor(log2 n) bounds this split and
             # every later one
             if n.bit_length() <= best:
                 break
-            v = self._value(lo)
+            v = yield lo, live
             if v >= best:
                 # a nonempty side is worth >= 0, so v == 0 settles the min
-                best = max(best, 1 + (min(v, self._value(hi)) if v else 0))
+                best = max(best, 1 + (min(v, (yield hi, live)) if v else 0))
         self._memo[mask] = best
         return best
 
@@ -110,21 +115,23 @@ class _SplitEngine:
         Each node takes the first split in list order whose sides both
         reach the height left below it; its children split those sides.
         """
-        tags, masks = [], [mask]
+        tags, level = [], [(mask, self.splits)]
         for need in range(height - 1, -1, -1):
             below = []
-            for m in masks:
-                for tag, a, b in self.splits:
+            for m, splits in level:
+                live = [s for s in splits if m & s[1] and m & s[2]]
+                for tag, a, b in live:
                     lo, hi = m & a, m & b
                     # a side of fewer than 2^need rows cannot reach need
                     if (min(lo.bit_count(), hi.bit_count()) >= 1 << need
-                            and self.value(lo) >= need and self.value(hi) >= need):
+                            and self.value(lo, live) >= need
+                            and self.value(hi, live) >= need):
                         tags.append(tag)
-                        below += (lo, hi)
+                        below += ((lo, live), (hi, live))
                         break
                 else:
                     raise AssertionError("no split supports the computed dimension")
-            masks = below
+            level = below
         return tags
 
 
@@ -151,7 +158,7 @@ def _ldim_engine(H: HypothesisClass, tau: int) -> _SplitEngine:
 def ldim_value(H: HypothesisClass, tau: int, mask: Optional[int] = None) -> int:
     """Ldim_tau of the row subset `mask` (defaults to the whole class).
 
-    Returns EMPTY_LDIM (-1) for the empty subset.  The recursion takes, over
+    Returns EMPTY_LDIM (-1) for the empty subset.  The value is, over
     all instances x and label pairs with gap > tau whose restrictions are
     both nonempty, the best 1 + min of the two restricted values.
     """
@@ -175,7 +182,7 @@ def ldim_brute_force(H: HypothesisClass, tau: int, depth_cap: int) -> int:
 
     Enumerates trees top-down, keeping the set of hypotheses realizing the
     current path and demanding both leaf-extended paths stay realizable.  No
-    memoization, no reuse of the recursion above.  Returns
+    memoization, no reuse of the engine above.  Returns
     min(true Ldim_tau, depth_cap).
     """
     if tau < 0 or depth_cap < 0:
@@ -209,30 +216,6 @@ def ldim_brute_force(H: HypothesisClass, tau: int, depth_cap: int) -> int:
 # sequential fat-shattering dimension
 # ---------------------------------------------------------------------------
 
-def _fat_candidates(F: RealFunctionClass, gamma: float):
-    """Per-column witness grid and the induced below/above row bitmasks.
-
-    Candidates are the breakpoints {v - gamma/2, v + gamma/2} over the
-    column's values; the row partition is piecewise constant between
-    breakpoints, so this grid loses nothing.  Candidates whose two sides are
-    not both inhabited are dropped outright.
-    """
-    half = gamma / 2.0
-    grids = []
-    for x in range(F.domain_size):
-        vals = F.table[:, x]
-        cands = sorted({float(v) - half for v in vals}
-                       | {float(v) + half for v in vals})
-        entries = []
-        for s in cands:
-            below = row_mask(vals <= s - half + WITNESS_EPS)
-            above = row_mask(vals >= s + half - WITNESS_EPS)
-            if below and above:
-                entries.append((s, below, above))
-        grids.append(entries)
-    return grids
-
-
 def _real_dimension(splits, num_rows: int, params: dict) -> DimensionReport:
     engine = _SplitEngine(splits)
     full = (1 << num_rows) - 1
@@ -243,14 +226,22 @@ def _real_dimension(splits, num_rows: int, params: dict) -> DimensionReport:
 
 
 def fat_gamma(F: RealFunctionClass, gamma: float) -> DimensionReport:
-    """Exact sequential fat-shattering dimension at scale gamma."""
+    """Exact sequential fat-shattering dimension at scale gamma.
+
+    Witnesses range over the breakpoints v - gamma/2 and v + gamma/2 of
+    each column's values; the row partition is piecewise constant between
+    breakpoints, so this grid loses nothing.  The split at (x, s) sends
+    f <= s - gamma/2 left and f >= s + gamma/2 right.
+    """
     if fault := gamma_fault(gamma):
         raise ValueError(fault)
     if math.isinf(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    grids = _fat_candidates(F, gamma)
-    splits = [((x, s), below, above) for x in range(F.domain_size)
-              for s, below, above in grids[x]]
+    half = gamma / 2.0
+    splits = [((x, s), row_mask(col <= s - half + WITNESS_EPS),
+               row_mask(col >= s + half - WITNESS_EPS))
+              for x, col in enumerate(F.table.T)
+              for s in sorted({float(v) + d for v in col for d in (-half, half)})]
     return _real_dimension(splits, F.num_rows, {"gamma": gamma})
 
 

@@ -48,8 +48,8 @@ def threshold4():
 @pytest.fixture(scope="session")
 def unbalanced_pairs():
     """200 row pairs: column c_i is 2 on rows 2i and 2i+1, column e_i on row
-    2i only.  Every split is unbalanced, so the dimension recursion goes
-    about |H|/2 calls deep."""
+    2i only.  Every split is unbalanced, so the dimension search descends
+    about |H|/2 masks deep."""
     pairs = 200
     table = np.ones((2 * pairs, 2 * pairs), dtype=np.int64)
     for i in range(pairs):

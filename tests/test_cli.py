@@ -12,7 +12,8 @@ from tolerantlearn import classfile
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass
 from tolerantlearn.cli import main
 from tolerantlearn.generators import (complete_binary, constants_class,
-                                      random_real, threshold_class)
+                                      random_multiclass, random_real,
+                                      threshold_class)
 from tolerantlearn.thresholds import verify_thresholds
 from tolerantlearn.trees import (MistakeTree, threshold_class_certificate,
                                  tree_to_dict)
@@ -386,18 +387,18 @@ def test_nan_or_negative_scale_exits_2(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_unbalanced_class_past_recursion_limit_exits_2(tmp_path, capsys,
-                                                       unbalanced_pairs):
-    cls = tmp_path / "pairs.json"
+def test_unbalanced_class_past_recursion_limit_exits_0(tmp_path, unbalanced_pairs):
+    # the dimension search descends past this lowered limit on its own stack
+    cls, out = tmp_path / "pairs.json", tmp_path / "r.json"
     classfile.save_class(unbalanced_pairs, cls)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        code = run_cli("dim", "--input", cls, "--out", tmp_path / "r.json")
+        code = run_cli("dim", "--input", cls, "--out", out)
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2
-    assert "recursion limit" in capsys.readouterr().err
+    assert code == 0
+    assert json.loads(out.read_text())["aggregates"]["value"] == 2
 
 
 def test_deep_certificate_exits_2(thr_file, tmp_path, capsys):
@@ -474,9 +475,14 @@ def test_experiment_rejects_unknown_command(tmp_path, capsys):
         "family": "threshold", "points": 3, "colour": "red"}}},
      "experiment: unknown generator fields ['colour']"),
     (["experiment"], {"command": "gs", "params": {"bogus": 1}},
-     "experiment: invalid parameters for 'gs'"),
+     "experiment: invalid parameters for 'gs': the following arguments are "
+     "required: --input, --target, --alpha, --trials, --seed "
+     "(params {{'bogus': 1}})"),
+    (["experiment"], {"command": "gs", "params": {"trials": "many"}},
+     "experiment: invalid parameters for 'gs': argument --trials: invalid "
+     "int value: 'many'"),
 ], ids=["class-kind", "learner", "fat-without-gamma", "family",
-        "generator-fields", "experiment-parameters"])
+        "generator-fields", "experiment-parameters", "experiment-trials"])
 def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     paths = {"mc": tmp_path / "thr.json", "real": tmp_path / "real.json"}
     classfile.save_class(threshold_class(3), paths["mc"])
@@ -488,7 +494,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
         argv = argv + ["--config", "{cfg}"]
     argv = [a.format(**paths) for a in argv]
     assert run_cli(*argv, "--out", tmp_path / "r.json") == 2
-    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one line: no argparse usage block
+    assert err.count("\n") == 1 and f"error: {message.format(**paths)}" in err
 
 
 def test_reports_deterministic_up_to_wall_clock(tmp_path):
@@ -521,6 +529,31 @@ def test_gs_report_is_pinned(tmp_path, monkeypatch, seed, digest):
     doc.pop("wall_clock_s")
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cls, flags, digest", [
+    (threshold_class(63), ["--kind", "ldim", "--tolerance", 0],
+     "d16e44107d378260b9741ee49d262d9302ef869d4d99adacbc0a60014862b371"),
+    (random_multiclass(40, 8, 4, 3), ["--kind", "ldim", "--tolerance", 1],
+     "f1983522664604d72caf975f07bc85680d827dbec287dd8c67b911db56913d0d"),
+    (random_real(20, 6, 0.25, 3), ["--kind", "fat", "--gamma", 0.25],
+     "056678a154555ae74d81e74d25800168cb526e890b72dd9fcd3c0e342628b251"),
+    (random_real(13, 6, 0.25, 3), ["--kind", "pdim"],
+     "51a00253eb01c8337fe0100e0ab4ef7aecc40eeee0dc0518664ac7c66474b945"),
+], ids=["ldim-threshold63", "ldim-tau1-random", "fat", "pdim"])
+def test_dim_report_and_certificate_are_pinned(tmp_path, monkeypatch, cls,
+                                               flags, digest):
+    # the certificate's tie-breaks follow split-list order; a change to the
+    # dimension engine must leave these bytes alone
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(cls, "cls.json")
+    assert run_cli("dim", "--input", "cls.json", *flags,
+                   "--certificate-out", "cert.json", "--out", "dim.json") == 0
+    doc = json.loads((tmp_path / "dim.json").read_text())
+    doc.pop("wall_clock_s")
+    h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    h.update((tmp_path / "cert.json").read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_report_dir_env_override(tmp_path, monkeypatch):
