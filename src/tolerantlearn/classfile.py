@@ -163,14 +163,40 @@ def save_family(fam: ThresholdFamily, path) -> None:
 
 
 def load_family(path) -> ThresholdFamily:
+    """A threshold family.  `points` must list domain indices, `functions`
+    rows of labels (of numbers, for regression) defined at every point,
+    `labels` and `bounds` pairs or null (the kind's pair is null only in an
+    empty family), and `gap`, `margin` and `band` numbers or null."""
     doc = read_json_object(path, FAMILY_FORMAT, lists=("points", "functions"))
+    kind, points = doc.get("kind"), doc["points"]
+
+    def need(ok, key, what):
+        if not ok:
+            raise ValueError(f"{path}: key {key!r} must {what}")
+
+    need(kind in ("multiclass", "regression"), "kind",
+         f"be 'multiclass' or 'regression', found {kind!r}")
+    need(all(type(x) is int and x >= 0 for x in points), "points",
+         "list domain indices")
+    ints, numbers = {int}, {int, float}
+    width = max(points, default=-1) + 1
+    need(all(isinstance(f, list) and len(f) >= width and set(map(type, f))
+             <= (ints if kind == "multiclass" else numbers)
+             for f in doc["functions"]), "functions",
+         "list rows of values (integers for multiclass) defined at every point")
+    own = "labels" if kind == "multiclass" else "bounds"
+    for key, types, what in (("labels", ints, "integers"),
+                             ("bounds", numbers, "numbers")):
+        v, optional = doc.get(key), not (key == own and points)
+        need(v is None and optional or isinstance(v, list) and len(v) == 2
+             and set(map(type, v)) <= types, key,
+             f"be a pair of {what}{' or null' * optional}, found {v!r}")
+    for key in ("gap", "margin", "band"):
+        need(type(doc.get(key)) in (type(None), int, float), key,
+             f"be a number or null, found {doc[key]!r}")
     return ThresholdFamily(
-        kind=doc["kind"],
-        points=[int(x) for x in doc["points"]],
-        functions=[tuple(f) for f in doc["functions"]],
+        kind=kind, points=points, functions=[tuple(f) for f in doc["functions"]],
         labels=tuple(doc["labels"]) if doc.get("labels") else None,
         gap=doc.get("gap"),
         bounds=tuple(doc["bounds"]) if doc.get("bounds") else None,
-        margin=doc.get("margin"),
-        band=doc.get("band"),
-    )
+        margin=doc.get("margin"), band=doc.get("band"))

@@ -1,9 +1,13 @@
 """Command-line experiment harness.
 
 Subcommands: dim, soa, adversary, thresholds, gs, dp-learn, check, generate,
-experiment.  Every randomized run takes an explicit seed; reports are JSON
-documents written to --out (or to $TOLERANTLEARN_REPORT_DIR).  The exit code
-is 0 iff every verdict in the run passed.
+experiment.  The parser is the one description of each subcommand: a
+report's config is the parsed namespace less its output paths, whose dests
+end in `out`, and an experiment config runs through the same parser.  Every
+randomized run takes an explicit seed; reports are JSON documents written
+to --out (or to $TOLERANTLEARN_REPORT_DIR), except that the --out of
+thresholds is the family file and that of generate the class file.  The
+exit code is 0 iff every verdict in the run passed.
 """
 
 from __future__ import annotations
@@ -58,9 +62,16 @@ def _make_learner(spec: str, H: HypothesisClass, tau: int):
 # subcommand handlers: each returns a RunReport
 # ---------------------------------------------------------------------------
 
+def _report(args) -> RunReport:
+    """An empty report whose config is every input option of the run: the
+    parsed namespace less `command` and the output paths, whose dests all
+    end in `out`."""
+    return RunReport(args.command, {k: v for k, v in vars(args).items()
+                                    if k != "command" and not k.endswith("out")})
+
+
 def cmd_dim(args) -> RunReport:
-    report = RunReport("dim", {"input": args.input, "kind": args.kind,
-                               "tolerance": args.tolerance, "gamma": args.gamma})
+    report = _report(args)
     if args.kind == "ldim":
         H = _load_class(args.input)
         res = ldim_tau(H, args.tolerance)
@@ -87,8 +98,7 @@ def cmd_soa(args) -> RunReport:
     H = _load_class(args.input)
     xs, ys = classfile.load_sequence(args.sequence)
     t = soa_run(H, args.tolerance, xs, ys)
-    report = RunReport("soa", {"input": args.input, "tolerance": args.tolerance,
-                               "sequence": args.sequence})
+    report = _report(args)
     report.records = [{"x": r.x, "y_hat": r.y_hat, "y": r.y,
                        "mistake": r.mistake} for r in t.rounds]
     bound = ldim_value(H, args.tolerance)
@@ -104,8 +114,8 @@ def cmd_soa(args) -> RunReport:
         report.add_verdict("soa-mistake-bound",
                            f"mistakes <= Ldim_tau = {bound}",
                            t.mistakes, t.mistakes <= bound)
-    if args.plot_data:
-        _mistake_curve(t, args.plot_data)
+    if args.plot_out:
+        _mistake_curve(t, args.plot_out)
     return report
 
 
@@ -114,24 +124,20 @@ def cmd_adversary(args) -> RunReport:
     learner = _make_learner(args.learner, H, args.tolerance)
     t = adversary_force(H, args.tolerance, learner)
     bound = ldim_value(H, 2 * args.tolerance)
-    report = RunReport("adversary", {"input": args.input,
-                                     "tolerance": args.tolerance,
-                                     "learner": args.learner})
+    report = _report(args)
     report.records = [{"x": r.x, "y_hat": r.y_hat, "y": r.y,
                        "mistake": r.mistake} for r in t.rounds]
     report.aggregates = {"mistakes": t.mistakes, "ldim_2tau": bound}
     report.add_verdict("adversary-forcing",
                        f"mistakes >= Ldim_2tau = {bound}",
                        t.mistakes, t.mistakes >= bound)
-    if args.plot_data:
-        _mistake_curve(t, args.plot_data)
+    if args.plot_out:
+        _mistake_curve(t, args.plot_out)
     return report
 
 
 def cmd_thresholds(args) -> RunReport:
-    report = RunReport("thresholds", {"input": args.input,
-                                      "tolerance": args.tolerance,
-                                      "gamma": args.gamma, "out": args.out})
+    report = _report(args)
     if args.gamma is not None:
         F = _load_class(args.input, RealFunctionClass)
         fam, trace = extract_thresholds_reg(F, args.gamma)
@@ -150,9 +156,8 @@ def cmd_thresholds(args) -> RunReport:
     }
     report.add_verdict("family-verifier", "definitional two-block pattern",
                        check.message, check.ok)
-    if args.out:
-        classfile.save_family(fam, args.out)
-        args.out = None  # --out is the family file, not the report
+    if args.family_out:
+        classfile.save_family(fam, args.family_out)
     return report
 
 
@@ -163,9 +168,7 @@ def cmd_gs(args) -> RunReport:
     d = ldim_value(H, 0)
     eta = stability_eta(H.K, d)
     slack = binomial_slack(eta, args.trials)
-    report = RunReport("gs", {"input": args.input, "target": args.target,
-                              "alpha": args.alpha, "trials": args.trials,
-                              "seed": args.seed})
+    report = _report(args)
     report.records = [{"table": list(t), "count": c}
                       for t, c in sorted(est.counts.items())]
     report.aggregates = {
@@ -184,17 +187,14 @@ def cmd_gs(args) -> RunReport:
                        est.population_loss,
                        est.population_loss is not None
                        and est.population_loss <= args.alpha)
-    if args.plot_data:
-        _frequency_histogram(est, args.plot_data)
+    if args.plot_out:
+        _frequency_histogram(est, args.plot_out)
     return report
 
 
 def cmd_dp_learn(args) -> RunReport:
     priv = PrivacyParams(args.epsilon, args.delta)
-    report = RunReport("dp-learn", {
-        "input": args.input, "target": args.target, "epsilon": args.epsilon,
-        "delta": args.delta, "alpha": args.alpha, "beta": args.beta,
-        "gamma": args.gamma, "seed": args.seed})
+    report = _report(args)
     if args.gamma is not None:
         F = _load_class(args.input, RealFunctionClass)
         D = FiniteDistribution.from_target_row(F, args.target,
@@ -242,9 +242,8 @@ def cmd_dp_learn(args) -> RunReport:
 
 def cmd_check(args) -> RunReport:
     F = _load_class(args.input, RealFunctionClass)
-    scales = [float(s) for s in args.scales.split(",")]
-    rep = check_conditions(F, scales)
-    report = RunReport("check", {"input": args.input, "scales": scales})
+    rep = check_conditions(F, args.scales)
+    report = _report(args)
     report.aggregates = {
         "class_size": rep.class_size,
         "domain_size": rep.domain_size,
@@ -267,35 +266,25 @@ def cmd_check(args) -> RunReport:
     return report
 
 
+GENERATORS = {
+    "complete": lambda a: generators.complete_binary(a.points),
+    "threshold": lambda a: generators.threshold_class(a.points),
+    "constants": lambda a: generators.constants_class(a.labels, a.points),
+    "random-mc": lambda a: generators.random_multiclass(a.functions, a.points,
+                                                        a.labels, a.seed),
+    "random-real": lambda a: generators.random_real(a.functions, a.points,
+                                                    a.grid, a.seed),
+}
+
+
 def cmd_generate(args) -> RunReport:
-    fam = args.family
-    if fam == "complete":
-        cls = generators.complete_binary(args.points)
-    elif fam == "threshold":
-        cls = generators.threshold_class(args.points)
-    elif fam == "constants":
-        cls = generators.constants_class(args.labels, args.points)
-    elif fam == "random-mc":
-        _need_seed(args)
-        cls = generators.random_multiclass(args.functions, args.points,
-                                           args.labels, args.seed)
-    elif fam == "random-real":
-        _need_seed(args)
-        cls = generators.random_real(args.functions, args.points,
-                                     args.grid, args.seed)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    classfile.save_class(cls, args.out)
-    report = RunReport("generate", {"family": fam, "out": args.out})
-    report.aggregates = {"rows": getattr(cls, "num_rows"),
-                         "domain_size": cls.domain_size}
-    args.out = None  # --out is the class file, not the report
-    return report
-
-
-def _need_seed(args):
-    if args.seed is None:
+    if args.family.startswith("random-") and args.seed is None:
         raise ValueError("--seed is mandatory for randomized generators")
+    cls = GENERATORS[args.family](args)
+    classfile.save_class(cls, args.class_out)
+    report = _report(args)
+    report.aggregates = {"rows": cls.num_rows, "domain_size": cls.domain_size}
+    return report
 
 
 def cmd_experiment(args) -> RunReport:
@@ -305,31 +294,21 @@ def cmd_experiment(args) -> RunReport:
     if handler is None:
         raise ValueError(f"config field 'command' is invalid: {command!r}")
     source = _config_object(args.config, cfg, "class")
-    given = _config_object(args.config, cfg, "params")
-    params = dict(given)
+    params = {**{k: cfg[k] for k in ("seed", "out", "plot_data") if k in cfg},
+              **_config_object(args.config, cfg, "params")}
     if "generator" in source:
-        gen = dict(_config_object(args.config, source, "generator"))
         class_path = str(Path(args.config).with_suffix(".class.json"))
-        gen_args = argparse.Namespace(
-            family=gen.pop("family", None), points=gen.pop("points", None),
-            labels=gen.pop("labels", None), functions=gen.pop("functions", None),
-            grid=gen.pop("grid", None), seed=gen.pop("seed", cfg.get("seed")),
-            out=class_path)
-        if gen:
-            raise ValueError(f"unknown generator fields {sorted(gen)}")
-        cmd_generate(gen_args)
+        gen = _config_object(args.config, source, "generator")
+        cmd_generate(_namespace_for("generate", {"seed": cfg.get("seed"), **gen,
+                                                 "out": class_path}))
         params["input"] = class_path
     elif "file" in source:
         params["input"] = source["file"]
-    if "seed" in cfg:
-        params.setdefault("seed", cfg["seed"])
-    params.setdefault("out", cfg.get("out"))
-    params.setdefault("plot_data", cfg.get("plot_data"))
-    ns = _namespace_for(command, params, given)
+    ns = _namespace_for(command, params)
     report = handler(ns)
     report.config = {"config_file": args.config, **cfg}
-    if getattr(args, "out", None) is None:
-        args.out = params.get("out")
+    if args.out is None:
+        args.out = getattr(ns, "out", None)
     return report
 
 
@@ -342,21 +321,21 @@ def _config_object(path, doc: dict, key: str) -> dict:
     return val
 
 
-def _namespace_for(command: str, params: dict, given: dict) -> argparse.Namespace:
-    argv = [command]
-    for key, val in params.items():
-        if val is not None and key != "out":
-            argv += [f"--{key.replace('_', '-')}", str(val)]
+def _namespace_for(command: str, params: dict) -> argparse.Namespace:
+    """What the parser makes of `command --key=value ...` for the non-null
+    params, `_` in a key read as `-`.  In the `=` form a value is never
+    taken for an option, and an option that takes no value, such as
+    --help, is an error rather than an action that prints and exits 0."""
+    argv = [command] + [f"--{key.replace('_', '-')}={val}"
+                        for key, val in params.items() if val is not None]
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
-            ns = _shared_parser().parse_args(argv)
+            return _shared_parser().parse_args(argv)
     except SystemExit:
         reason = err.getvalue().partition(": error: ")[2].strip()
         raise ValueError(f"invalid parameters for {command!r}: {reason} "
-                         f"(params {given})") from None
-    ns.out = params.get("out")
-    return ns
+                         f"(params {params})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +371,10 @@ HANDLERS = {
 }
 
 
+def float_list(text: str) -> list:
+    return [float(s) for s in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tolerantlearn",
                                 description=__doc__.splitlines()[0])
@@ -409,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--tolerance", type=int, default=0)
     s.add_argument("--sequence", required=True)
-    s.add_argument("--plot-data")
+    s.add_argument("--plot-data", dest="plot_out")
     s.add_argument("--out")
 
     a = sub.add_parser("adversary", help="force mistakes from a learner")
     a.add_argument("--input", required=True)
     a.add_argument("--tolerance", type=int, default=0)
     a.add_argument("--learner", default="soa")
-    a.add_argument("--plot-data")
+    a.add_argument("--plot-data", dest="plot_out")
     a.add_argument("--out")
 
     t = sub.add_parser("thresholds", help="extract a threshold family")
@@ -424,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tolerance", type=int, default=0)
     t.add_argument("--gamma", type=float)
     t.add_argument("--certificate")
-    t.add_argument("--out")
+    t.add_argument("--out", dest="family_out")
 
     g = sub.add_parser("gs", help="estimate the stable-learner guarantee")
     g.add_argument("--input", required=True)
@@ -432,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", type=float, required=True)
     g.add_argument("--trials", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--plot-data")
+    g.add_argument("--plot-data", dest="plot_out")
     g.add_argument("--out")
 
     dp = sub.add_parser("dp-learn", help="run the private learner")
@@ -448,19 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="sufficient conditions for a real class")
     c.add_argument("--input", required=True)
-    c.add_argument("--scales", default="0.1,0.25,0.5")
+    c.add_argument("--scales", type=float_list, default="0.1,0.25,0.5")
     c.add_argument("--out")
 
     ge = sub.add_parser("generate", help="write a class file")
-    ge.add_argument("--family", required=True,
-                    choices=["complete", "threshold", "constants",
-                             "random-mc", "random-real"])
+    ge.add_argument("--family", required=True, choices=GENERATORS)
     ge.add_argument("--points", type=int, required=True)
     ge.add_argument("--labels", type=int, default=2)
     ge.add_argument("--functions", type=int, default=4)
     ge.add_argument("--grid", type=float, default=0.25)
     ge.add_argument("--seed", type=int)
-    ge.add_argument("--out", required=True)
+    ge.add_argument("--out", dest="class_out", required=True)
 
     e = sub.add_parser("experiment", help="run a config-file experiment")
     e.add_argument("--config", required=True)

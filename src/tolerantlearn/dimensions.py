@@ -249,31 +249,23 @@ def fat_gamma(F: RealFunctionClass, gamma: float) -> DimensionReport:
 # sequential Pollard pseudo-dimension
 # ---------------------------------------------------------------------------
 
-def _sign_witness_grid(F: RealFunctionClass):
-    """Distinct column values plus one value strictly between each pair."""
-    grids = []
-    for x in range(F.domain_size):
-        vals = sorted({float(v) for v in F.table[:, x]})
-        grid = list(vals)
-        for a, b in zip(vals, vals[1:]):
-            mid = (a + b) / 2.0
-            if a < mid < b:
-                grid.append(mid)
-        grids.append(sorted(grid))
-    return grids
-
-
 def pdim(F: RealFunctionClass) -> DimensionReport:
     """Pollard pseudo-dimension: Ldim of the sign class f -> sign(f(x) - s).
 
-    sign(0) = +1.  Witnesses range over the per-column value grid, which
-    realizes every sign pattern the class can produce.  The split at (x, s)
-    sends f < s left (sign -1) and f >= s right (sign +1).
+    sign(0) = +1.  The split at (x, s) sends f < s left (sign -1) and
+    f >= s right (sign +1).  Each column is split once between each pair of
+    consecutive distinct values a < b, at their midpoint, or at b when no
+    float lies strictly between them; a split at a value v has the row
+    partition of the split just below v, so these realize every sign
+    pattern the class can produce.
     """
-    grids = _sign_witness_grid(F)
-    splits = [((x, s), row_mask(F.table[:, x] < s),
-               row_mask(F.table[:, x] >= s))
-              for x in range(F.domain_size) for s in grids[x]]
+    splits = []
+    for x, col in enumerate(F.table.T):
+        vals = sorted({float(v) for v in col})
+        for a, b in zip(vals, vals[1:]):
+            mid = (a + b) / 2.0
+            s = mid if a < mid < b else b
+            splits.append(((x, s), row_mask(col < s), row_mask(col >= s)))
     return _real_dimension(splits, F.num_rows, {})
 
 

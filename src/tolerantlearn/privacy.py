@@ -99,7 +99,6 @@ class HistogramOutput:
     estimates: list
     threshold: float
     noise_scale: float
-    eta: float
     input_size: int
 
 
@@ -125,7 +124,7 @@ def release_probability(freq: float, eps: float, delta: float, m: int) -> float:
     return 1.0 - 0.5 * math.exp(-(freq - t) / b)
 
 
-def stable_histogram(items: Sequence, priv: PrivacyParams, eta: float,
+def stable_histogram(items: Sequence, priv: PrivacyParams,
                      seed) -> HistogramOutput:
     """Release items whose noised frequency clears the stability threshold.
 
@@ -137,8 +136,6 @@ def stable_histogram(items: Sequence, priv: PrivacyParams, eta: float,
     items = list(items)
     if not items:
         raise ValueError("empty input multiset")
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
     if priv.delta <= 0:
         raise ValueError("the stable histogram is approximately private; "
                          "delta must be positive")
@@ -155,7 +152,7 @@ def stable_histogram(items: Sequence, priv: PrivacyParams, eta: float,
         if noisy > t:
             released.append(item)
             estimates.append(min(max(noisy, 0.0), 1.0))
-    return HistogramOutput(released, estimates, t, b, eta, m)
+    return HistogramOutput(released, estimates, t, b, m)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +252,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
             items.append(res.table)
 
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),
-                            eta / 8.0, trial_rng(seed, "hist"))
+                            trial_rng(seed, "hist"))
     ledger.debit("stable-histogram", half_eps, priv.delta)
 
     pruned = [(it, est) for it, est in zip(hist.items, hist.estimates)

@@ -220,7 +220,7 @@ def test_a09_histogram_accuracy():
     heavy = {("A",): 0.4, ("B",): 0.3, ("C",): 0.2}
     good = 0
     for seed in range(1000):
-        out = stable_histogram(items, priv, eta, trial_rng(9, "a9", seed))
+        out = stable_histogram(items, priv, trial_rng(9, "a9", seed))
         released = dict(zip(out.items, out.estimates))
         ok = all(h in released for h in heavy)
         for item, est in released.items():

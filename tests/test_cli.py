@@ -3,6 +3,7 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tolerantlearn import classfile
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass
-from tolerantlearn.cli import main
+from tolerantlearn.cli import HANDLERS, build_parser, main
+from tolerantlearn.dimensions import ldim_tau
 from tolerantlearn.generators import (complete_binary, constants_class,
                                       random_multiclass, random_real,
                                       threshold_class)
-from tolerantlearn.thresholds import verify_thresholds
+from tolerantlearn.thresholds import ThresholdFamily, verify_thresholds
 from tolerantlearn.trees import (MistakeTree, threshold_class_certificate,
                                  tree_to_dict)
 
@@ -134,6 +136,71 @@ def test_certificate_round_trip_property(tmp_path, tree, params):
         assert getattr(back, f).dtype == getattr(tree, f).dtype
         assert np.array_equal(getattr(back, f), getattr(tree, f))
     assert json.loads(path.read_text())["params"] == params
+
+
+@st.composite
+def families(draw):
+    kind = draw(st.sampled_from(["multiclass", "regression"]))
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 4))
+    value = int64s if kind == "multiclass" else st.floats(allow_nan=False,
+                                                          allow_infinity=False)
+    points = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+    functions = draw(st.lists(st.tuples(*[value] * width), min_size=n,
+                              max_size=n))
+    pair = draw(st.tuples(value, value)) if n else None
+    scalar = st.none() | st.floats(0, 1)
+    if kind == "multiclass":
+        return ThresholdFamily(kind, points, functions, labels=pair,
+                               gap=draw(st.none() | st.integers(0, 9)))
+    return ThresholdFamily(kind, points, functions, bounds=pair,
+                           margin=draw(scalar), band=draw(scalar))
+
+
+@no_fixture_check
+@given(families())
+def test_family_file_round_trip_property(tmp_path, fam):
+    path = tmp_path / "fam.json"
+    classfile.save_family(fam, path)
+    assert classfile.load_family(path) == fam
+
+
+FAMILY = {"format": classfile.FAMILY_FORMAT, "kind": "multiclass",
+          "points": [0, 1], "functions": [[1, 1], [2, 1]], "labels": [1, 2],
+          "gap": 0, "bounds": None, "margin": None, "band": None}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"points": [1.5, True]}, "'points' must list domain indices"),
+    ({"points": [0, True]}, "'points' must list domain indices"),
+    ({"points": [-1, 0]}, "'points' must list domain indices"),
+    ({"points": 5}, "'points' must be a list, found int"),
+    ({"kind": ...}, "'kind' must be 'multiclass' or 'regression', found None"),
+    ({"kind": "binary"}, "found 'binary'"),
+    ({"functions": [5]}, "'functions' must list rows of values"),
+    ({"functions": [[1], [2, 1]]}, "defined at every point"),
+    ({"functions": [[1, 1.5], [2, 1]]}, "(integers for multiclass)"),
+    ({"functions": [[1, True], [2, 1]]}, "'functions' must list rows"),
+    ({"labels": None}, "'labels' must be a pair of integers, found None"),
+    ({"labels": [1, 2, 3]}, "'labels' must be a pair of integers"),
+    ({"labels": [1.5, 2]}, "'labels' must be a pair of integers"),
+    ({"bounds": 5}, "'bounds' must be a pair of numbers or null, found 5"),
+    ({"kind": "regression"}, "'bounds' must be a pair of numbers, found None"),
+    ({"gap": "1"}, "'gap' must be a number or null, found '1'"),
+    ({"margin": [0.1]}, "'margin' must be a number or null"),
+    ({"band": True}, "'band' must be a number or null, found True"),
+])
+def test_malformed_family_file_rejected(tmp_path, change, message):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(FAMILY))
+    assert verify_thresholds(classfile.load_family(good)).ok
+    bad = tmp_path / "bad.json"
+    doc = {k: v for k, v in {**FAMILY, **change}.items() if v is not ...}
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="key ") as exc:
+        classfile.load_family(bad)
+    assert str(exc.value).startswith(f"{bad}: key ")
+    assert message in str(exc.value)
 
 
 def test_generated_class_files_are_byte_identical(tmp_path):
@@ -470,10 +537,12 @@ def test_experiment_rejects_unknown_command(tmp_path, capsys):
      "dim: --gamma is required for fat"),
     (["experiment"], {"command": "dim",
                       "class": {"generator": {"family": "nope", "points": 3}}},
-     "experiment: unknown family 'nope'"),
+     "experiment: invalid parameters for 'generate': argument --family: "
+     "invalid choice: 'nope'"),
     (["experiment"], {"command": "dim", "class": {"generator": {
         "family": "threshold", "points": 3, "colour": "red"}}},
-     "experiment: unknown generator fields ['colour']"),
+     "experiment: invalid parameters for 'generate': unrecognized "
+     "arguments: --colour=red"),
     (["experiment"], {"command": "gs", "params": {"bogus": 1}},
      "experiment: invalid parameters for 'gs': the following arguments are "
      "required: --input, --target, --alpha, --trials, --seed "
@@ -497,6 +566,157 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     err = capsys.readouterr().err
     # one line: no argparse usage block
     assert err.count("\n") == 1 and f"error: {message.format(**paths)}" in err
+
+
+# --- the parser as the one description of each subcommand -------------------
+
+@pytest.fixture()
+def cli_inputs(tmp_path):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("mc", "cert", "consts", "real", "seq", "cfg")}
+    classfile.save_class(threshold_class(3), paths["mc"])
+    classfile.save_certificate(ldim_tau(threshold_class(3), 0).certificate,
+                               paths["cert"], params={"tau": 0})
+    classfile.save_class(constants_class(3, 3), paths["consts"])
+    classfile.save_class(RealFunctionClass([[-1.0], [1.0]]), paths["real"])
+    classfile.save_sequence([0, 1], [1, 2], paths["seq"])
+    paths["cfg"].write_text(json.dumps({
+        "command": "gs", "class": {"file": str(paths["consts"])},
+        "params": {"target": 0, "alpha": 0.1, "trials": 20}, "seed": 1}))
+    paths["out"] = tmp_path / "out"
+    return {k: str(v) for k, v in paths.items()}
+
+
+# per subcommand: one argv with every output option, and the report config
+# it must record, key order included (the reports of the first six are
+# pinned byte for byte)
+RUNS = {
+    "dim": (["--input", "{mc}", "--certificate-out", "{out}.cert",
+             "--out", "{out}"],
+            {"input": "{mc}", "kind": "ldim", "tolerance": 0, "gamma": None}),
+    "soa": (["--input", "{mc}", "--sequence", "{seq}", "--plot-data",
+             "{out}.csv", "--out", "{out}"],
+            {"input": "{mc}", "tolerance": 0, "sequence": "{seq}"}),
+    "adversary": (["--input", "{mc}", "--learner", "const:1", "--plot-data",
+                   "{out}.csv", "--out", "{out}"],
+                  {"input": "{mc}", "tolerance": 0, "learner": "const:1"}),
+    "gs": (["--input", "{consts}", "--target", "0", "--alpha", "0.1",
+            "--trials", "20", "--seed", "1", "--plot-data", "{out}.csv",
+            "--out", "{out}"],
+           {"input": "{consts}", "target": 0, "alpha": 0.1, "trials": 20,
+            "seed": 1}),
+    "dp-learn": (["--input", "{consts}", "--target", "0", "--epsilon", "0.5",
+                  "--delta", "0.01", "--alpha", "0.2", "--beta", "0.2",
+                  "--seed", "1", "--out", "{out}"],
+                 {"input": "{consts}", "target": 0, "epsilon": 0.5,
+                  "delta": 0.01, "alpha": 0.2, "beta": 0.2, "gamma": None,
+                  "seed": 1}),
+    "check": (["--input", "{real}", "--scales", "0.5,2", "--out", "{out}"],
+              {"input": "{real}", "scales": [0.5, 2.0]}),
+    "thresholds": (["--input", "{mc}", "--certificate", "{cert}",
+                    "--out", "{out}.fam"],
+                   {"input": "{mc}", "tolerance": 0, "gamma": None,
+                    "certificate": "{cert}"}),
+    "generate": (["--family", "random-mc", "--points", "3", "--seed", "2",
+                  "--out", "{out}.class"],
+                 {"family": "random-mc", "points": 3, "labels": 2,
+                  "functions": 4, "grid": 0.25, "seed": 2}),
+    "experiment": (["--config", "{cfg}", "--out", "{out}"],
+                   {"config_file": "{cfg}", "command": "gs",
+                    "class": {"file": "{consts}"},
+                    "params": {"target": 0, "alpha": 0.1, "trials": 20},
+                    "seed": 1}),
+}
+
+
+def _fill(obj, paths):
+    if isinstance(obj, str):
+        return obj.format(**paths)
+    if isinstance(obj, dict):
+        return {k: _fill(v, paths) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_fill(v, paths) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+def test_report_config_is_the_input_options(cli_inputs, command):
+    argv, config = _fill(RUNS[command], cli_inputs)
+    args = build_parser().parse_args([command, *argv])
+    before = dict(vars(args))
+    report = HANDLERS[command](args)
+    assert vars(args) == before
+    assert json.dumps(report.config) == json.dumps(config)
+
+
+def test_experiment_report_goes_to_the_runs_report_path(cli_inputs, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "check",
+                               "class": {"file": cli_inputs["real"]},
+                               "params": {"scales": "2", "out": "run.out"}}))
+    args = build_parser().parse_args(["experiment", "--config", str(cfg)])
+    HANDLERS["experiment"](args)
+    assert args.out == "run.out"
+
+
+def test_thresholds_experiment_keeps_its_family_file(cli_inputs, tmp_path):
+    fam = tmp_path / "fam.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "thresholds",
+                               "class": {"file": cli_inputs["mc"]},
+                               "params": {"tolerance": 0, "out": str(fam)}}))
+    assert run_cli("experiment", "--config", cfg) == 0
+    assert verify_thresholds(classfile.load_family(fam)).ok
+    report = tmp_path / "report.json"
+    assert run_cli("experiment", "--config", cfg, "--out", report) == 0
+    assert verify_thresholds(classfile.load_family(fam)).ok
+    assert json.loads(report.read_text())["command"] == "thresholds"
+
+
+def test_generate_experiment_writes_its_class_file(tmp_path):
+    cls, report = tmp_path / "gen.json", tmp_path / "report.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "generate", "seed": 5, "params": {
+        "family": "random-real", "points": 3, "out": str(cls)}}))
+    assert run_cli("experiment", "--config", cfg, "--out", report) == 0
+    assert classfile.load_class(cls).table.shape == (4, 3)
+    assert json.loads(report.read_text())["aggregates"]["rows"] == 4
+
+
+@pytest.mark.parametrize("generator, rows", [
+    ({"family": "threshold", "points": "3"}, 4),
+    ({"family": "random-mc", "points": 3, "functions": 5}, 5),
+], ids=["points-string", "random-mc-default-labels"])
+def test_generator_block_takes_parser_types_and_defaults(tmp_path, generator,
+                                                         rows):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dim", "class": {
+        "generator": {**generator, "seed": 3}}}))
+    assert run_cli("experiment", "--config", cfg,
+                   "--out", tmp_path / "r.json") == 0
+    cls = classfile.load_class(tmp_path / "cfg.class.json")
+    assert cls.num_rows == rows and cls.K == 2
+
+
+@pytest.mark.parametrize("key", ["help", "h"])
+def test_help_param_exits_2_on_one_line(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "gs", "params": {key: 1}}))
+    assert run_cli("experiment", "--config", cfg) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "invalid parameters for 'gs': argument -h/--help" in err
+
+
+def test_readme_experiment_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(block)
+    assert run_cli("experiment", "--config", "cfg.json") == 0
+    cfg = json.loads(block)
+    assert json.loads(Path(cfg["out"]).read_text())["command"] == cfg["command"]
 
 
 def test_reports_deterministic_up_to_wall_clock(tmp_path):

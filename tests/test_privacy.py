@@ -26,7 +26,7 @@ def test_identical_items_released_accurately():
     priv = PrivacyParams(1.0, 0.01)
     hits = 0
     for seed in range(200):
-        out = stable_histogram([("h",)] * 120, priv, 0.5, seed)
+        out = stable_histogram([("h",)] * 120, priv, seed)
         if out.items == [("h",)] and abs(out.estimates[0] - 1.0) <= 0.5:
             hits += 1
     assert hits >= 195
@@ -46,18 +46,18 @@ def test_all_light_input_usually_empty():
     priv = PrivacyParams(1.0, delta)
     items = [(i,) for i in range(m)]
     empties = sum(1 for s in range(1000)
-                  if not stable_histogram(items, priv, 0.1, s).items)
+                  if not stable_histogram(items, priv, s).items)
     assert empties >= (1 - m * delta) * 1000 * 0.98
 
 
 def test_absent_items_never_released():
-    out = stable_histogram([("a",), ("b",)] * 50, PrivacyParams(1.0, 0.01), 0.2, 3)
+    out = stable_histogram([("a",), ("b",)] * 50, PrivacyParams(1.0, 0.01), 3)
     assert set(out.items) <= {("a",), ("b",)}
 
 
 def test_histogram_rejects_pure_dp():
     with pytest.raises(ValueError):
-        stable_histogram([("a",)], PrivacyParams(1.0, 0.0), 0.1, 0)
+        stable_histogram([("a",)], PrivacyParams(1.0, 0.0), 0)
 
 
 def test_release_probabilities_satisfy_neighboring_inequality():
@@ -83,7 +83,7 @@ def test_histogram_accuracy_battery():
     freqs = {("A",): 0.4, ("B",): 0.3, ("C",): 0.2}
     good = 0
     for seed in range(300):
-        out = stable_histogram(items, priv, eta, seed)
+        out = stable_histogram(items, priv, seed)
         released = dict(zip(out.items, out.estimates))
         ok = all(h in released for h in freqs)
         for item, est in released.items():
