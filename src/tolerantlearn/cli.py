@@ -224,8 +224,7 @@ def cmd_dp_learn(args) -> RunReport:
         "pruned_list_size": res.pruned_list_size,
         "select_sample_size": res.select_sample_size,
         "ledger": res.ledger.entries,
-        "diagnostics": {k: v for k, v in res.diagnostics.items()
-                        if k != "released_estimates"},
+        "diagnostics": res.diagnostics,
     }
     report.add_verdict("dp-loss", f"population loss <= {loss_bound}",
                        loss, loss is not None and loss <= loss_bound)
@@ -294,17 +293,19 @@ def cmd_experiment(args) -> RunReport:
     if handler is None:
         raise ValueError(f"config field 'command' is invalid: {command!r}")
     source = _config_object(args.config, cfg, "class")
-    params = {**{k: cfg[k] for k in ("seed", "out", "plot_data") if k in cfg},
+    params = {**{k: cfg[k] for k in ("seed", "out", "plot_data")
+                 if k in cfg and _takes(command, k)},
               **_config_object(args.config, cfg, "params")}
+    class_path = str(Path(args.config).with_suffix(".class.json"))
     if "generator" in source:
-        class_path = str(Path(args.config).with_suffix(".class.json"))
-        gen = _config_object(args.config, source, "generator")
-        cmd_generate(_namespace_for("generate", {"seed": cfg.get("seed"), **gen,
-                                                 "out": class_path}))
         params["input"] = class_path
     elif "file" in source:
         params["input"] = source["file"]
-    ns = _namespace_for(command, params)
+    ns = _namespace_for(command, params)    # before the class file is written
+    if "generator" in source:
+        gen = _config_object(args.config, source, "generator")
+        cmd_generate(_namespace_for("generate", {"seed": cfg.get("seed"), **gen,
+                                                 "out": class_path}))
     report = handler(ns)
     report.config = {"config_file": args.config, **cfg}
     if args.out is None:
@@ -319,6 +320,13 @@ def _config_object(path, doc: dict, key: str) -> dict:
         raise ValueError(f"{path}: key {key!r} must be a JSON object, "
                          f"found {type(val).__name__}")
     return val
+
+
+def _takes(command: str, key: str) -> bool:
+    """Whether the parser of `command` defines the option --key."""
+    sub = next(a for a in _shared_parser()._actions if a.dest == "command")
+    options = sub.choices[command]._option_string_actions
+    return f"--{key.replace('_', '-')}" in options
 
 
 def _namespace_for(command: str, params: dict) -> argparse.Namespace:

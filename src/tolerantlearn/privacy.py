@@ -17,7 +17,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
                       label_to_midpoint, row_mask, value_to_label)
 from .dimensions import DimensionReport, ldim_value, pdim
 from .seeding import as_generator, trial_rng
-from .stability import GRunResult, g_parameters, run_g
+from .stability import run_g
 
 # Sample-size constants behind the O(.) bounds; calibration choices, not
 # derived quantities.  Surfaced in every pipeline result.
@@ -93,13 +92,11 @@ class PrivacyLedger:
 
 @dataclass
 class HistogramOutput:
-    """Released items with clamped frequency estimates plus the run geometry."""
+    """Released items with clamped frequency estimates and the threshold."""
 
     items: list
     estimates: list
     threshold: float
-    noise_scale: float
-    input_size: int
 
 
 def _sort_key(item):
@@ -152,7 +149,7 @@ def stable_histogram(items: Sequence, priv: PrivacyParams,
         if noisy > t:
             released.append(item)
             estimates.append(min(max(noisy, 0.0), 1.0))
-    return HistogramOutput(released, estimates, t, b, m)
+    return HistogramOutput(released, estimates, t)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,6 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
         "d": d,
         "eta": eta,
         "histogram_threshold": hist.threshold,
-        "released_estimates": dict(zip(map(str, hist.items), hist.estimates)),
         "calibration_constants": {"C1": BATCH_CONSTANT, "C": SELECT_CONSTANT,
                                   "note": "calibration choices, not derived"},
     }
@@ -290,8 +286,6 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
 @dataclass
 class RegressionResult:
     values: Optional[tuple]      # midpoint-grid predictions, None on failure
-    label_table: Optional[tuple]
-    gamma: float
     pipeline: PipelineResult
 
 
@@ -308,9 +302,9 @@ def private_learn_reg(F: RealFunctionClass, D: FiniteDistribution,
     Dd = FiniteDistribution(D.weights, value_to_label(D.target, gamma))
     res = private_learn_mc(Hd, Dd, priv, alpha, beta, seed)
     if res.failed:
-        return RegressionResult(None, None, gamma, res)
+        return RegressionResult(None, res)
     values = tuple(label_to_midpoint(int(j), gamma) for j in res.table)
-    return RegressionResult(values, res.table, gamma, res)
+    return RegressionResult(values, res)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +317,12 @@ COVER_ROW_CAP = 20
 def covering_number(F: RealFunctionClass, radius: float):
     """Exact size of the smallest proper sup-norm cover at this radius.
 
-    Greedy gives an upper bound; exhaustive search over smaller center sets
-    refines it to the exact minimum.  Returns (size, center row indices).
+    Returns (size, centers), the lexicographically first minimum cover as
+    sorted row indices.  Sizes 1, 2, ... are tried in turn, each by a
+    depth-first search over increasing center indices that drops a branch
+    once the balls from the next index on cannot cover what is left.
     """
-    # below 0 (or NaN) every ball is empty and the greedy cover never ends
+    # below 0 every ball is empty, so no cover exists; NaN fails this too
     if not radius >= 0:
         raise ValueError(f"cover radius must be >= 0, got {radius}")
     m = F.num_rows
@@ -335,23 +331,26 @@ def covering_number(F: RealFunctionClass, radius: float):
     dist = np.max(np.abs(F.table[:, None, :] - F.table[None, :, :]), axis=2)
     full = (1 << m) - 1
     balls = [row_mask(row <= radius + 1e-12) for row in dist]
+    reach = [0] * (m + 1)       # reach[i]: the union of balls[i:]
+    for i in range(m - 1, -1, -1):
+        reach[i] = reach[i + 1] | balls[i]
 
-    covered, centers = 0, []
-    while covered != full:
-        best = max(range(m),
-                   key=lambda i: ((balls[i] & ~covered).bit_count(), -i))
-        centers.append(best)
-        covered |= balls[best]
-    greedy = sorted(centers)
+    def first(left, start, covered):
+        # the first `left` centers from `start` on that complete the cover
+        if covered == full:
+            return []
+        for i in range(start, m) if left else ():
+            if covered | reach[i] != full:
+                return None
+            rest = first(left - 1, i + 1, covered | balls[i])
+            if rest is not None:
+                return [i, *rest]
+        return None
 
-    for size in range(1, len(greedy)):
-        for combo in combinations(range(m), size):
-            u = 0
-            for i in combo:
-                u |= balls[i]
-            if u == full:
-                return size, list(combo)
-    return len(greedy), greedy
+    for size in range(1, m + 1):
+        centers = first(size, 0, 0)
+        if centers is not None:
+            return size, centers
 
 
 @dataclass
@@ -388,8 +387,9 @@ def check_conditions(F: RealFunctionClass, scales=(0.25, 0.5, 1.0)) -> Condition
     the exact cover is smaller than the class itself (a single-function
     class passes trivially); pairwise-separated classes fail at scales
     below their separation, which is the finite shadow of having no finite
-    cover.  Condition 4 reports the Pollard pseudo-dimension with its
-    certificate.
+    cover.  Each scale reports the lexicographically first minimum cover
+    (see `covering_number`).  Condition 4 reports the Pollard
+    pseudo-dimension with its certificate.
     """
     values = sorted({float(v) for v in F.table.ravel()})
     cover_reports = []

@@ -355,7 +355,6 @@ class GRunResult:
     failed: bool
     k: int
     n: int
-    cap: int
     draw_count: int
 
 
@@ -382,11 +381,11 @@ def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, seed,
     k = int(rng.integers(0, d + 1))
     sample = sample_dk_mc(k, D, H, n, cap, rng)
     if sample.failed:
-        return GRunResult(None, True, k, n, cap, sample.draw_count)
+        return GRunResult(None, True, k, n, sample.draw_count)
     tail_xs, tail_ys = D.draw_sample(rng, n)
     table = soa_final_predictor(H, np.concatenate([sample.xs, tail_xs]),
                                 np.concatenate([sample.ys, tail_ys]))
-    return GRunResult(table, False, k, n, cap, sample.draw_count)
+    return GRunResult(table, False, k, n, sample.draw_count)
 
 
 @dataclass

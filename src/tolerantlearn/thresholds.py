@@ -96,12 +96,10 @@ def max_mono_subtree(tree: MistakeTree, coloring):
 class ChooseResult:
     k: int                     # color of the tallest monochromatic subtree
     k_prime: int               # edge label at its root with 2|k - k'| > tau
-    h0: tuple                  # the coloring hypothesis (row 0 of the input)
     x0: int                    # root instance of the monochromatic subtree
     restricted: HypothesisClass
     restricted_rows: np.ndarray  # positions of the surviving rows in the input
     subtree: MistakeTree
-    mono_height: int
 
 
 def color_and_choose(H: HypothesisClass, tree: MistakeTree,
@@ -118,8 +116,8 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree,
     if not ok:
         raise ValueError(f"input tree is not shattered at tolerance {tau}: {msg}")
 
-    h0 = H.row(0)
-    k, mono = max_mono_subtree(tree, color_by_hypothesis(tree, h0))
+    # color by row 0 of the input
+    k, mono = max_mono_subtree(tree, color_by_hypothesis(tree, H.table[0]))
     x0 = int(mono.x[0])
 
     # (edge label, which edge) at the subtree's root
@@ -137,7 +135,7 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree,
     # rows of a deduplicated table are distinct
     restricted = HypothesisClass._of_distinct_rows(H.K, H.table[sel])
     subtree = mono.subtree(child(0, right))
-    return ChooseResult(k, k_prime, h0, x0, restricted, sel, subtree, mono.height)
+    return ChooseResult(k, k_prime, x0, restricted, sel, subtree)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +221,7 @@ class ExtractionTrace:
     """Per-step record of the iterated refinement (for reports and tests)."""
 
     pairs: list = field(default_factory=list)      # (k_n, k'_n)
-    points: list = field(default_factory=list)     # x_n
     heights: list = field(default_factory=list)    # height of T_n after step n
-    mono_heights: list = field(default_factory=list)
 
 
 def extract_thresholds_mc(H: HypothesisClass, tau: int,
@@ -247,8 +243,6 @@ def extract_thresholds_mc(H: HypothesisClass, tau: int,
         res = color_and_choose(cur_H, cur_T, 2 * tau)
         steps.append((res.k, res.k_prime, int(row_ids[0]), res.x0))
         trace.pairs.append((res.k, res.k_prime))
-        trace.points.append(res.x0)
-        trace.mono_heights.append(res.mono_height)
         trace.heights.append(res.subtree.height)
         row_ids = row_ids[res.restricted_rows]
         cur_H, cur_T = res.restricted, res.subtree

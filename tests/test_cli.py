@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -698,6 +699,27 @@ def test_generator_block_takes_parser_types_and_defaults(tmp_path, generator,
     assert cls.num_rows == rows and cls.K == 2
 
 
+def test_top_level_seed_seeds_the_generator_of_a_seedless_run(tmp_path):
+    # dim takes no --seed, so the top-level seed only seeds the generator
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "dim", "class": {
+        "generator": {"family": "random-mc", "points": 3}}, "seed": 3}))
+    assert run_cli("experiment", "--config", cfg,
+                   "--out", tmp_path / "r.json") == 0
+    assert (classfile.load_class(tmp_path / "c.class.json")
+            == random_multiclass(4, 3, 2, 3))
+
+
+def test_bad_params_write_no_class_file(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "dim", "class": {
+        "generator": {"family": "random-mc", "points": 3}}, "seed": 3,
+        "params": {"tolerance": "one"}}))
+    assert run_cli("experiment", "--config", cfg,
+                   "--out", tmp_path / "r.json") == 2
+    assert not (tmp_path / "c.class.json").exists()
+
+
 @pytest.mark.parametrize("key", ["help", "h"])
 def test_help_param_exits_2_on_one_line(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -717,6 +739,19 @@ def test_readme_experiment_example_runs(tmp_path, monkeypatch):
     assert run_cli("experiment", "--config", "cfg.json") == 0
     cfg = json.loads(block)
     assert json.loads(Path(cfg["out"]).read_text())["command"] == cfg["command"]
+
+
+def test_readme_commands_parse():
+    # the documented command lines, with `\` continuations joined and `#`
+    # comments dropped, must stay valid for the parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [c[1:] for c in commands if c[:1] == ["tolerantlearn"]]
+    assert {c[0] for c in commands} == set(HANDLERS)
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_reports_deterministic_up_to_wall_clock(tmp_path):
@@ -774,6 +809,19 @@ def test_dim_report_and_certificate_are_pinned(tmp_path, monkeypatch, cls,
     h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
     h.update((tmp_path / "cert.json").read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_check_report_is_pinned(tmp_path, monkeypatch):
+    # covers of 10, 8 and 3 centers for 12 rows, so condition 3 passes;
+    # a change to the cover search must leave these bytes alone
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(random_real(12, 4, 0.25, 0), "cls.json")
+    assert run_cli("check", "--input", "cls.json", "--scales", "0.25,0.5,1",
+                   "--out", "check.json") == 0
+    doc = json.loads((tmp_path / "check.json").read_text())
+    doc.pop("wall_clock_s")
+    assert (hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+            == "ba79fd46668a47ae5ccdedd7b699dd2ad57a460c806b459bc494a616c047c3c3")
 
 
 def test_report_dir_env_override(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
                                    HypothesisClass, RealFunctionClass,
                                    TolerantZeroOne, absolute_loss,
                                    evaluate_loss, tolerant_loss)
-from tolerantlearn.generators import constants_class
+from tolerantlearn.generators import constants_class, random_real
 from tolerantlearn.privacy import (PrivacyLedger, PrivacyParams,
                                    check_conditions, covering_number,
                                    generic_private_learner,
@@ -74,6 +75,51 @@ def test_release_probabilities_satisfy_neighboring_inequality():
             assert (1 - p_hi) <= math.exp(eps) * (1 - p_lo) + delta
 
 
+def item_laws(m, eps, delta, prune, sentinel):
+    """Per count c = 0..m, the exact law of one item's fate in the pipeline:
+    (not released, released but pruned, kept), kept meaning a noised
+    frequency above max(t, prune).  An absent item is never released and
+    the fail sentinel is never kept."""
+    t = histogram_threshold(eps, delta, m)
+    shift = max(t, prune) - t
+    laws = [(1.0, 0.0, 0.0)]
+    for c in range(1, m + 1):
+        released = release_probability(c / m, eps, delta, m)
+        kept = 0.0 if sentinel else release_probability(c / m - shift, eps,
+                                                        delta, m)
+        laws.append((1.0 - released, released - kept, kept))
+    return np.array(laws)
+
+
+def hockey_stick(p, q, eps):
+    """sum_o max(0, p(o) - e^eps q(o)) over the last two axes."""
+    return np.maximum(0.0, p - math.exp(eps) * q).sum(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("sentinel", [(False, False), (True, False),
+                                      (False, True)],
+                         ids=["items", "a-is-fail", "b-is-fail"])
+def test_histogram_and_prune_are_exactly_eps_delta_private(sentinel):
+    # A neighbouring input moves one item a -> b: counts (c_a, c_b) become
+    # (c_a - 1, c_b + 1).  The items get independent noise and the others
+    # keep their law, so the hockey-stick divergence of the whole
+    # (released, kept) output is that of the 3 x 3 joint law of a and b.
+    # The worst case is delta / 4: the release of an item new to the input.
+    worst = 0.0
+    for m, eps, delta, prune in product(
+            (1, 2, 3, 7, 12, 25), (0.05, 0.3, 1.0), (1e-6, 0.01, 0.5),
+            (0.0, 0.01, 0.1, 0.3, 0.6, 0.75)):
+        law_a, law_b = (item_laws(m, eps, delta, prune, s) for s in sentinel)
+        # [i, j] holds c_a = i + 1, c_b = j; a pair is valid if c_a + c_b <= m
+        p = law_a[1:, None, :, None] * law_b[None, :-1, None, :]
+        q = law_a[:-1, None, :, None] * law_b[None, 1:, None, :]
+        valid = np.add.outer(np.arange(m), np.arange(m)) <= m - 1
+        div = np.maximum(hockey_stick(p, q, eps), hockey_stick(q, p, eps))
+        assert div[valid].max() <= delta, (m, eps, delta, prune)
+        worst = max(worst, div[valid].max() / delta)
+    assert worst == pytest.approx(0.25, rel=1e-9)
+
+
 def test_histogram_accuracy_battery():
     # heavy items always enter the list with estimates within eta
     eta, beta = 0.1, 0.1
@@ -107,6 +153,29 @@ def test_selection_degenerates_to_uniform():
     sample = ([0] * 20, [1] * 20)
     probs = selection_probabilities([(1,), (2,)], sample, 1e-6 / 20)
     assert abs(probs[0] - probs[1]) < 1e-5
+
+
+@pytest.mark.parametrize("e", [0.05, 0.5, 1.0, 3.0])
+def test_selection_is_exactly_e_private(e):
+    # every list of two or more hypotheses on a 2-point domain, every sample
+    # of n <= 3 examples and every neighbour that changes one example; the
+    # pipeline runs the selection at e = eps / 2
+    examples = list(product((0, 1), (1, 2)))
+    hyps = list(product((1, 2), repeat=2))
+    worst = 0.0
+    for size in range(2, len(hyps) + 1):
+        for chosen in combinations(hyps, size):
+            for n in range(1, 4):
+                for sample in product(examples, repeat=n):
+                    probs = selection_probabilities(
+                        chosen, tuple(map(list, zip(*sample))), e)
+                    for i, other in product(range(n), examples):
+                        near = list(sample)
+                        near[i] = other
+                        near_probs = selection_probabilities(
+                            chosen, tuple(map(list, zip(*near))), e)
+                        worst = max(worst, np.abs(np.log(probs / near_probs)).max())
+    assert worst <= e
 
 
 def test_singleton_list_returned():
@@ -280,7 +349,7 @@ def test_covering_number_exact_small():
     F = RealFunctionClass([[0.0], [0.3], [0.6], [1.0]])
     size, centers = covering_number(F, 0.3)
     assert size == 2
-    # greedy alone would also find 2 here; force a case where it must refine
+    # five points a quarter apart: two balls suffice, one does not
     F2 = RealFunctionClass([[0.0], [0.25], [0.5], [0.75], [1.0]])
     size2, _ = covering_number(F2, 0.25)
     assert size2 == 2
@@ -288,7 +357,7 @@ def test_covering_number_exact_small():
 
 @pytest.mark.parametrize("radius", [-0.5, math.nan])
 def test_covering_number_rejects_radius_below_zero(radius):
-    # every ball is empty below 0, so a greedy cover would never end
+    # every ball is empty below 0, so no cover exists
     F = RealFunctionClass([[0.0], [0.5]])
     with pytest.raises(ValueError, match="radius must be >= 0"):
         covering_number(F, radius)
@@ -299,3 +368,46 @@ def test_covering_number_cap():
     big = RealFunctionClass(np.linspace(-1, 1, 25).reshape(25, 1))
     with pytest.raises(ValueError):
         covering_number(big, 0.5)
+
+
+def cover_oracle(F, radius):
+    """The first cover in order of size, then of `combinations`: a brute
+    force over every set of centers."""
+    dist = np.abs(F.table[:, None, :] - F.table[None, :, :]).max(axis=2)
+    within = dist <= radius + 1e-12
+    for size in range(1, F.num_rows + 1):
+        for centers in combinations(range(F.num_rows), size):
+            if within[list(centers)].any(axis=0).all():
+                return size, list(centers)
+
+
+random_classes = st.builds(random_real, st.integers(1, 12),
+                           st.integers(1, 4), st.just(0.25),
+                           st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_classes)
+def test_covering_number_is_the_first_minimum_cover(F):
+    for radius in (0.0, 0.25, 0.5, 1.0, 2.0):
+        assert covering_number(F, radius) == cover_oracle(F, radius)
+
+
+def test_covering_number_takes_the_lexicographically_first_cover():
+    # {1, 3} is also a minimum cover, but {0, 2} comes first
+    F = RealFunctionClass([[0.0], [0.25], [0.5], [0.75]])
+    assert covering_number(F, 0.25) == (2, [0, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_classes)
+def test_compresses_iff_two_rows_share_a_ball(F):
+    # condition 3 straight from the table, without the cover search: a
+    # cover is smaller than the class iff one row, or two rows within the
+    # radius of each other
+    dist = np.abs(F.table[:, None, :] - F.table[None, :, :]).max(axis=2)
+    np.fill_diagonal(dist, np.inf)
+    rep = check_conditions(F, scales=(0.0, 0.25, 0.5, 1.0))
+    for c in rep.cover_scales:
+        assert c.compresses == (F.num_rows == 1
+                                or bool((dist <= c.radius + 1e-12).any()))
