@@ -277,19 +277,13 @@ class FiniteDistribution:
         object.__setattr__(self, "_cum", cum)
 
     @classmethod
-    def from_target_row(cls, cls_or_table, row: int, weights) -> "FiniteDistribution":
-        table = getattr(cls_or_table, "table", cls_or_table)
-        rows = len(table)
+    def uniform(cls, cls_or_table, row: int) -> "FiniteDistribution":
+        """Equal weight on every point, labeled by row `row` of the table."""
+        table = np.asarray(getattr(cls_or_table, "table", cls_or_table))
+        rows, n = table.shape
         if not 0 <= row < rows:
             raise ValueError(f"target row {row} outside 0..{rows - 1}")
-        return cls(np.asarray(weights, dtype=np.float64),
-                   np.array(table[row]))
-
-    @classmethod
-    def uniform(cls, cls_or_table, row: int) -> "FiniteDistribution":
-        table = getattr(cls_or_table, "table", cls_or_table)
-        n = np.asarray(table).shape[1]
-        return cls.from_target_row(cls_or_table, row, np.full(n, 1.0 / n))
+        return cls(np.full(n, 1.0 / n), table[row].copy())
 
     @property
     def domain_size(self) -> int:

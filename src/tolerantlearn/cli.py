@@ -197,9 +197,7 @@ def cmd_dp_learn(args) -> RunReport:
     report = _report(args)
     if args.gamma is not None:
         F = _load_class(args.input, RealFunctionClass)
-        D = FiniteDistribution.from_target_row(F, args.target,
-                                               np.full(F.domain_size,
-                                                       1.0 / F.domain_size))
+        D = FiniteDistribution.uniform(F, args.target)
         reg = private_learn_reg(F, D, args.gamma, priv, args.alpha,
                                 args.beta, args.seed)
         res = reg.pipeline

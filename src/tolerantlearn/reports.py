@@ -84,6 +84,6 @@ def write_report(report: RunReport, out=None) -> Path | None:
     return path
 
 
-def binomial_slack(p: float, trials: int, sigmas: float = 3.0) -> float:
-    """Monte-Carlo slack: `sigmas` standard deviations of a trial frequency."""
-    return sigmas * (p * (1.0 - p) / trials) ** 0.5
+def binomial_slack(p: float, trials: int) -> float:
+    """Monte-Carlo slack: three standard deviations of a trial frequency."""
+    return 3.0 * (p * (1.0 - p) / trials) ** 0.5

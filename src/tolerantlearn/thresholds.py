@@ -146,9 +146,10 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree,
 class ThresholdFamily:
     """Points and functions realizing the two-block threshold pattern.
 
-    Multiclass: h_i(x_j) = k for i <= j and k' for i > j, with |k - k'| > gap.
-    Regression: f_i(x_j) stays within `band` of u for i <= j (of u' for
-    i > j), with |u - u'| >= margin.
+    f_i(x_j) sits at one center for i <= j and at the other for i > j.
+    Multiclass: the centers are labels (k, k'), met exactly, with
+    |k - k'| > gap.  Regression: the centers are values (u, u'), met within
+    `band` (margin/20 when null), with |u - u'| >= margin.
     """
 
     kind: str
@@ -175,45 +176,44 @@ class VerifyResult:
         return self.ok
 
 
-def verify_thresholds(fam: ThresholdFamily, band: Optional[float] = None) -> VerifyResult:
-    """Re-check a family against the definitional two-block pattern."""
+def verify_thresholds(fam: ThresholdFamily) -> VerifyResult:
+    """Re-check a family against the definitional two-block pattern.
+
+    The kind sets the centers, their separation test and the tolerance of
+    each value: multiclass labels must match exactly, regression values lie
+    within the band (plus 1e-12 of float slack).  The first (i, j) in row
+    order that misses its center is reported.
+    """
     if len(fam.points) != len(fam.functions):
         return VerifyResult(False, "points and functions differ in length")
-    n = len(fam.points)
-    if n == 0:
+    if len(fam.points) == 0:
         return VerifyResult(True, "empty family (vacuously valid)")
 
     if fam.kind == "multiclass":
-        k, kp = fam.labels
+        centers = k, kp = fam.labels
         if abs(k - kp) <= (fam.gap or 0):
-            return VerifyResult(False,
-                                f"label gap |{k}-{kp}| <= {fam.gap}")
-        for i in range(n):
-            for j in range(n):
-                want = k if i <= j else kp
-                got = fam.functions[i][fam.points[j]]
-                if got != want:
-                    return VerifyResult(
-                        False, f"h_{i}(x_{j}) = {got}, expected {want}", (i, j))
-        return VerifyResult(True)
+            return VerifyResult(False, f"label gap |{k}-{kp}| <= {fam.gap}")
 
-    if fam.kind == "regression":
-        u, up = fam.bounds
+        def miss(i, j, got, want):
+            return got != want and f"h_{i}(x_{j}) = {got}, expected {want}"
+    elif fam.kind == "regression":
+        centers = u, up = fam.bounds
         if abs(u - up) < (fam.margin or 0.0):
             return VerifyResult(False, f"|u - u'| = {abs(u - up)} < {fam.margin}")
-        b = band if band is not None else fam.band
-        if b is None:
-            b = (fam.margin or 0.0) / 20.0
-        for i in range(n):
-            for j in range(n):
-                center = u if i <= j else up
-                dev = abs(fam.functions[i][fam.points[j]] - center)
-                if dev > b + 1e-12:
-                    return VerifyResult(
-                        False, f"|f_{i}(x_{j}) - {center}| = {dev} > {b}", (i, j))
-        return VerifyResult(True)
+        band = fam.band if fam.band is not None else (fam.margin or 0.0) / 20.0
 
-    return VerifyResult(False, f"unknown family kind {fam.kind!r}")
+        def miss(i, j, got, want):
+            dev = abs(got - want)
+            return dev > band + 1e-12 and f"|f_{i}(x_{j}) - {want}| = {dev} > {band}"
+    else:
+        return VerifyResult(False, f"unknown family kind {fam.kind!r}")
+
+    for i, f in enumerate(fam.functions):
+        for j, x in enumerate(fam.points):
+            message = miss(i, j, f[x], centers[i > j])   # first block: i <= j
+            if message:
+                return VerifyResult(False, message, (i, j))
+    return VerifyResult(True)
 
 
 @dataclass
@@ -229,40 +229,36 @@ def extract_thresholds_mc(H: HypothesisClass, tau: int,
     """Iterate the refinement on a tolerance-2*tau tree and collect thresholds.
 
     Returns (family, trace).  The family is the longest subsequence of steps
-    sharing one (k, k') pair; its gap is tau.  With no tree supplied the
+    sharing one (k, k') pair; its gap is tau, and `meta["row_ids"]` names
+    the rows of H its functions are.  With no tree supplied the
     tolerance-2*tau certificate is computed by `ldim_tau`.
     """
     if tree is None:
         tree = ldim_tau(H, 2 * tau).certificate
     trace = ExtractionTrace()
-    rows = H.table
     row_ids = np.arange(H.num_rows)
     cur_H, cur_T = H, tree
-    steps = []  # (k, k', original row id of h_n, x_n)
+    by_pair = {}  # (k, k') -> [(original row id of h_n, x_n)]
     while cur_T.height >= 1:
         res = color_and_choose(cur_H, cur_T, 2 * tau)
-        steps.append((res.k, res.k_prime, int(row_ids[0]), res.x0))
         trace.pairs.append((res.k, res.k_prime))
         trace.heights.append(res.subtree.height)
+        by_pair.setdefault((res.k, res.k_prime), []).append((int(row_ids[0]), res.x0))
         row_ids = row_ids[res.restricted_rows]
         cur_H, cur_T = res.restricted, res.subtree
 
-    if not steps:
+    if not by_pair:
         return ThresholdFamily("multiclass", [], [], labels=None, gap=tau), trace
 
-    by_pair = {}
-    for k, kp, hid, x in steps:
-        by_pair.setdefault((k, kp), []).append((hid, x))
     pair = min(by_pair, key=lambda p: (-len(by_pair[p]), p))
     chosen = by_pair[pair]
     fam = ThresholdFamily(
         "multiclass",
         points=[x for _, x in chosen],
-        functions=[tuple(int(v) for v in rows[hid]) for hid, _ in chosen],
+        functions=[tuple(int(v) for v in H.table[hid]) for hid, _ in chosen],
         labels=pair,
         gap=tau,
-        meta={"row_ids": [hid for hid, _ in chosen],
-              "steps": len(steps)},
+        meta={"row_ids": [hid for hid, _ in chosen]},
     )
     return fam, trace
 
@@ -281,36 +277,19 @@ def extract_thresholds_reg(F: RealFunctionClass, gamma: float):
         raise ValueError(f"gamma must lie in (0, 100], got {gamma}")
     scale = gamma / 50.0
     Hd, row_map = discretize(F, scale)
-    report = ldim_tau(Hd, 20)
+    mc_fam, trace = extract_thresholds_mc(Hd, 10)
     margin, band = gamma / 5.0, gamma / 100.0
-    if report.value < 1:
-        fam = ThresholdFamily("regression", [], [], bounds=None,
-                              margin=margin, band=band,
-                              meta={"reason": "no tolerance-20 pair at this scale"})
-        return fam, ExtractionTrace()
-
-    mc_fam, trace = extract_thresholds_mc(Hd, 10, tree=report.certificate)
     if len(mc_fam) == 0:
-        fam = ThresholdFamily("regression", [], [], bounds=None,
-                              margin=margin, band=band,
-                              meta={"reason": "refinement produced no steps"})
-        return fam, trace
+        return ThresholdFamily("regression", [], [], margin=margin, band=band), trace
 
-    k, kp = mc_fam.labels
-    u = label_to_midpoint(k, scale)
-    up = label_to_midpoint(kp, scale)
-    # first original row landing on each discretized row
-    reps = []
-    for hid in mc_fam.meta["row_ids"]:
-        orig = int(np.flatnonzero(row_map == hid)[0])
-        reps.append(orig)
+    # the first original row landing on each discretized row
+    reps = np.unique(row_map, return_index=True)[1][mc_fam.meta["row_ids"]]
     fam = ThresholdFamily(
         "regression",
         points=list(mc_fam.points),
         functions=[tuple(float(v) for v in F.table[r]) for r in reps],
-        bounds=(u, up),
+        bounds=tuple(label_to_midpoint(k, scale) for k in mc_fam.labels),
         margin=margin,
         band=band,
-        meta={"scale": scale, "labels": (k, kp), "source_rows": reps},
     )
     return fam, trace

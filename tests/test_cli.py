@@ -35,14 +35,38 @@ def thr_file(tmp_path):
 
 # --- file formats ------------------------------------------------------------
 
-def test_class_file_round_trip(tmp_path):
-    for cls in (threshold_class(3), constants_class(3, 2),
-                random_real(4, 3, 0.25, 7)):
-        path = tmp_path / "c.json"
-        classfile.save_class(cls, path)
-        back = classfile.load_class(path)
-        assert type(back) is type(cls)
-        assert (back.table == cls.table).all()
+@st.composite
+def generated_classes(draw):
+    """A class from one of the generators, a real one possibly off-grid."""
+    rows, points, seed = (draw(st.integers(1, 12)), draw(st.integers(1, 6)),
+                          draw(st.integers(0, 99)))
+    family = draw(st.sampled_from(["multiclass", "real", "threshold",
+                                   "constants"]))
+    if family == "multiclass":
+        return random_multiclass(rows, points, draw(st.integers(2, 6)), seed)
+    if family == "threshold":
+        return threshold_class(points)
+    if family == "constants":
+        return constants_class(draw(st.integers(2, 6)), points)
+    cls = random_real(rows, points, draw(st.sampled_from([0.1, 0.25, 0.5, 2.0])),
+                      seed)
+    return RealFunctionClass(cls.table) if draw(st.booleans()) else cls
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(generated_classes())
+def test_class_file_round_trip(tmp_path, cls):
+    path = tmp_path / "c.json"
+    classfile.save_class(cls, path)
+    back = classfile.load_class(path)
+    assert type(back) is type(cls)
+    if isinstance(cls, HypothesisClass):
+        assert back.K == cls.K
+    else:
+        assert back.grid == cls.grid
+    assert back.table.dtype == cls.table.dtype
+    assert np.array_equal(back.table, cls.table)
 
 
 def test_class_file_rejects_wrong_format(tmp_path):
@@ -822,6 +846,39 @@ def test_check_report_is_pinned(tmp_path, monkeypatch):
     doc.pop("wall_clock_s")
     assert (hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
             == "ba79fd46668a47ae5ccdedd7b699dd2ad57a460c806b459bc494a616c047c3c3")
+
+
+def step_class_with_near_copies():
+    # seven real step functions over six points, each in three copies that
+    # the gamma/50 discretization at gamma 1 collapses into one row
+    return RealFunctionClass([[0.9 - off if i >= j else -0.9 + off
+                               for i in range(6)]
+                              for j in range(7) for off in (0.004, 0.0, 0.002)])
+
+
+@pytest.mark.parametrize("cls, gamma, size, digest", [
+    (step_class_with_near_copies(), 1.0, 2,
+     "c94b1028e3f8b8438c0c89325128c9cd8127d177a1296d9482ba3c49e9e1c95e"),
+    (random_real(6, 3, 0.5, 0), 10.0, 0,
+     "4fac3536e6c9886eb59d5f81a3d883220f9f940c7eaeaac4b623605c91c4576e"),
+], ids=["step-copies", "empty"])
+def test_regression_thresholds_report_and_family_are_pinned(
+        tmp_path, monkeypatch, cls, gamma, size, digest):
+    # the regression route runs the multiclass extraction on the
+    # discretization and maps rows back to their first original copy; a
+    # change to either must leave these bytes alone
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TOLERANTLEARN_REPORT_DIR", "reports")
+    classfile.save_class(cls, "cls.json")
+    assert run_cli("thresholds", "--input", "cls.json", "--gamma", gamma,
+                   "--out", "fam.json") == 0
+    [report] = (tmp_path / "reports").iterdir()
+    doc = json.loads(report.read_text())
+    doc.pop("wall_clock_s")
+    assert doc["aggregates"]["family_size"] == size
+    h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    h.update((tmp_path / "fam.json").read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_report_dir_env_override(tmp_path, monkeypatch):

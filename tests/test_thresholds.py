@@ -7,8 +7,9 @@ from tolerantlearn.classes import HypothesisClass, RealFunctionClass
 from tolerantlearn.dimensions import ldim_tau
 from tolerantlearn.generators import complete_binary, threshold_class
 from tolerantlearn.seeding import trial_rng
-from tolerantlearn.thresholds import (ThresholdFamily, color_and_choose,
-                                      color_by_hypothesis, extract_thresholds_mc,
+from tolerantlearn.thresholds import (ThresholdFamily, VerifyResult,
+                                      color_and_choose, color_by_hypothesis,
+                                      extract_thresholds_mc,
                                       extract_thresholds_reg, max_mono_subtree,
                                       verify_thresholds)
 from tolerantlearn.trees import (MistakeTree, check_mc_tree,
@@ -189,6 +190,105 @@ def test_verifier_rejects_bad_gap():
     assert not verify_thresholds(fam).ok
 
 
+def reference_verify_thresholds(fam):
+    """`verify_thresholds` as defined: one double loop per family kind."""
+    if len(fam.points) != len(fam.functions):
+        return VerifyResult(False, "points and functions differ in length")
+    n = len(fam.points)
+    if n == 0:
+        return VerifyResult(True, "empty family (vacuously valid)")
+
+    if fam.kind == "multiclass":
+        k, kp = fam.labels
+        if abs(k - kp) <= (fam.gap or 0):
+            return VerifyResult(False, f"label gap |{k}-{kp}| <= {fam.gap}")
+        for i in range(n):
+            for j in range(n):
+                want = k if i <= j else kp
+                got = fam.functions[i][fam.points[j]]
+                if got != want:
+                    return VerifyResult(
+                        False, f"h_{i}(x_{j}) = {got}, expected {want}", (i, j))
+        return VerifyResult(True)
+
+    if fam.kind == "regression":
+        u, up = fam.bounds
+        if abs(u - up) < (fam.margin or 0.0):
+            return VerifyResult(False, f"|u - u'| = {abs(u - up)} < {fam.margin}")
+        b = fam.band if fam.band is not None else (fam.margin or 0.0) / 20.0
+        for i in range(n):
+            for j in range(n):
+                center = u if i <= j else up
+                dev = abs(fam.functions[i][fam.points[j]] - center)
+                if dev > b + 1e-12:
+                    return VerifyResult(
+                        False, f"|f_{i}(x_{j}) - {center}| = {dev} > {b}", (i, j))
+        return VerifyResult(True)
+
+    return VerifyResult(False, f"unknown family kind {fam.kind!r}")
+
+
+@st.composite
+def faulty_families(draw):
+    """A two-block family of either kind, then up to three faults: a value
+    moved (by 1e-13, past the band's slack or by a whole unit), a center pair
+    too close, a point repeated, a function dropped or an unknown kind."""
+    kind = draw(st.sampled_from(["multiclass", "regression"]))
+    n = draw(st.integers(0, 4))
+    width = n + draw(st.integers(0, 2))
+    points = draw(st.permutations(range(width)))[:n]
+    values = (st.integers(1, 4) if kind == "multiclass"
+              else st.sampled_from([-0.9, -0.5, 0.0, 0.3, 0.9]))
+    first = draw(values)
+    centers = (first, draw(values.filter(lambda v: v != first)))
+    if kind == "multiclass":
+        fam = ThresholdFamily(kind, points, [], labels=centers,
+                              gap=draw(st.sampled_from([None, 0, 1])))
+        wobble = st.just(0)
+    else:
+        fam = ThresholdFamily(kind, points, [], bounds=centers,
+                              margin=draw(st.sampled_from([None, 0.0, 0.2, 0.5])),
+                              band=draw(st.sampled_from([None, 0.0, 0.01, 0.1])))
+        edge = fam.band if fam.band is not None else (fam.margin or 0.0) / 20.0
+        wobble = st.sampled_from([0.0, edge, -edge, edge / 2])
+    rows = []
+    for i in range(n):
+        row = [draw(wobble) + centers[0] for _ in range(width)]
+        for j, x in enumerate(points):
+            row[x] = centers[i > j] + draw(wobble)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["value"] * 4 + ["centers", "point",
+                                                      "length", "kind"]))
+        if fault == "value" and rows:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+            rows[i][points[j]] += draw(st.sampled_from(
+                [1e-13, -1e-13, 2e-12, 0.005, 1, -1]))
+        elif fault == "centers":
+            pair = (centers[0], centers[0] + draw(st.sampled_from([0, 1e-13, 1])))
+            if kind == "multiclass":
+                fam.labels = pair
+            else:
+                fam.bounds = pair
+        elif fault == "point" and n >= 2:
+            fam.points = points = points[:-1] + points[:1]
+        elif fault == "length" and rows:
+            rows = rows[:-1]
+        elif fault == "kind":
+            fam.kind = "binary"
+    fam.functions = [tuple(r) for r in rows]
+    return fam
+
+
+@settings(max_examples=500, deadline=None)
+@given(faulty_families())
+def test_verifier_matches_reference(fam):
+    got = verify_thresholds(fam)
+    want = reference_verify_thresholds(fam)
+    assert (got.ok, got.message, got.violation) == (want.ok, want.message,
+                                                    want.violation)
+
+
 # --- regression extraction -----------------------------------------------------------
 
 def step_function_class():
@@ -203,10 +303,10 @@ def test_extract_regression_step_functions():
     assert len(fam) >= 1
     u, up = fam.bounds
     assert abs(u - up) >= 1.0 / 5
+    # the family carries the documented band, gamma/100, and meets it
+    assert fam.band == 0.01
     res = verify_thresholds(fam)
     assert res.ok, res.message
-    # band re-check at the documented width
-    assert verify_thresholds(fam, band=1.0 / 100).ok
 
 
 def test_extract_regression_constant_class_empty():
