@@ -92,12 +92,28 @@ def _dedup_rows(table: np.ndarray):
     """Drop duplicate rows, keeping first occurrences in order.
 
     Returns (deduped table, row_map) where row_map[i] is the surviving row
-    index that original row i collapsed into.
+    index that original row i collapsed into.  Rows are equal when their
+    bytes are, so 0.0 and -0.0 stay distinct.  One stable sort of the rows,
+    each taken as a single void scalar, groups equal rows with the first
+    occurrence at the head of its group; labels are sorted as the narrowest
+    unsigned type that holds the largest.
     """
-    seen = {}
-    row_map = np.fromiter((seen.setdefault(row.tobytes(), len(seen))
-                           for row in table), np.int64, len(table))
-    return table[np.unique(row_map, return_index=True)[1]], row_map
+    keys = table if table.dtype.kind == "f" else table.astype(
+        np.min_scalar_type(table.max()))
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    starts = np.empty(len(rows), bool)   # where each group of equal rows begins
+    starts[0] = True
+    starts[1:] = ranked[1:] != ranked[:-1]
+    first = order[starts]
+    kept = np.zeros(len(rows), bool)
+    kept[first] = True
+    # a group's id is its first occurrence's rank among the first occurrences
+    row_map = np.empty(len(rows), np.int64)
+    row_map[order] = (np.cumsum(kept) - 1)[first][np.cumsum(starts) - 1]
+    return table[kept], row_map
 
 
 class HypothesisClass:

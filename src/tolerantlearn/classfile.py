@@ -5,13 +5,16 @@ grid), `domain_size` and `rows`; a sequence file carries `examples`, the
 [x, y] pairs of an (xs, ys) sample; a certificate file carries `params`,
 the tree's `kind` and its heap-order lists (`trees.tree_to_dict`).  All
 writers emit keys in a fixed order at full float precision, so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  Class and certificate files are
+written on one line; an indented one still loads, as JSON ignores
+whitespace.
 A malformed document is a ValueError naming the file and the key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,8 +68,9 @@ def save_class(cls, path) -> None:
         kind = {"kind": "real", "grid": cls.grid}
     else:
         raise TypeError(f"cannot save {type(cls).__name__} as a class file")
+    # one line: json's C encoder runs only without indentation
     _dump({"format": CLASS_FORMAT, **kind, "domain_size": cls.domain_size,
-           "rows": cls.table.tolist()}, path)
+           "rows": cls.table.tolist()}, path, indent=None)
 
 
 def load_class(path):
@@ -82,7 +86,8 @@ def load_class(path):
     del text    # kept, the file's text would add to the peak memory
     kind = doc.get("kind")
     rows, width = doc["rows"], doc.get("domain_size")
-    if not rows or any(not isinstance(r, list) or len(r) != width for r in rows):
+    if (type(width) is not int or not rows or set(map(type, rows)) != {list}
+            or set(map(len, rows)) != {width}):
         raise ValueError(f"{path}: key 'rows' must list rows of "
                          f"domain_size = {width!r} values")
     if may_hold_bool and any(type(v) is bool for r in rows for v in r):
@@ -166,7 +171,8 @@ def load_family(path) -> ThresholdFamily:
     """A threshold family.  `points` must list domain indices, `functions`
     rows of labels (of numbers, for regression) defined at every point,
     `labels` and `bounds` pairs or null (the kind's pair is null only in an
-    empty family), and `gap`, `margin` and `band` numbers or null."""
+    empty family), and `gap`, `margin` and `band` numbers or null.  No
+    number may be NaN or infinite."""
     doc = read_json_object(path, FAMILY_FORMAT, lists=("points", "functions"))
     kind, points = doc.get("kind"), doc["points"]
 
@@ -193,7 +199,15 @@ def load_family(path) -> ThresholdFamily:
              f"be a pair of {what}{' or null' * optional}, found {v!r}")
     for key in ("gap", "margin", "band"):
         need(type(doc.get(key)) in (type(None), int, float), key,
-             f"be a number or null, found {doc[key]!r}")
+             f"be a number or null, found {doc.get(key)!r}")
+
+    def finite(v):   # a number, null, or a list of them or of such lists
+        if isinstance(v, list):
+            return all(map(finite, v))
+        return type(v) is not float or math.isfinite(v)
+
+    for key in ("functions", "bounds", "gap", "margin", "band"):
+        need(finite(doc.get(key)), key, "hold no NaN or infinity")
     return ThresholdFamily(
         kind=kind, points=points, functions=[tuple(f) for f in doc["functions"]],
         labels=tuple(doc["labels"]) if doc.get("labels") else None,

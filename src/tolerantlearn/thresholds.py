@@ -182,7 +182,8 @@ def verify_thresholds(fam: ThresholdFamily) -> VerifyResult:
     The kind sets the centers, their separation test and the tolerance of
     each value: multiclass labels must match exactly, regression values lie
     within the band (plus 1e-12 of float slack).  The first (i, j) in row
-    order that misses its center is reported.
+    order that misses its center is reported.  Every test is written so that
+    NaN, which fails every comparison, is rejected.
     """
     if len(fam.points) != len(fam.functions):
         return VerifyResult(False, "points and functions differ in length")
@@ -191,20 +192,21 @@ def verify_thresholds(fam: ThresholdFamily) -> VerifyResult:
 
     if fam.kind == "multiclass":
         centers = k, kp = fam.labels
-        if abs(k - kp) <= (fam.gap or 0):
+        if not abs(k - kp) > (fam.gap or 0):
             return VerifyResult(False, f"label gap |{k}-{kp}| <= {fam.gap}")
 
         def miss(i, j, got, want):
             return got != want and f"h_{i}(x_{j}) = {got}, expected {want}"
     elif fam.kind == "regression":
         centers = u, up = fam.bounds
-        if abs(u - up) < (fam.margin or 0.0):
+        if not abs(u - up) >= (fam.margin or 0.0):
             return VerifyResult(False, f"|u - u'| = {abs(u - up)} < {fam.margin}")
         band = fam.band if fam.band is not None else (fam.margin or 0.0) / 20.0
 
         def miss(i, j, got, want):
             dev = abs(got - want)
-            return dev > band + 1e-12 and f"|f_{i}(x_{j}) - {want}| = {dev} > {band}"
+            return (not dev <= band + 1e-12
+                    and f"|f_{i}(x_{j}) - {want}| = {dev} > {band}")
     else:
         return VerifyResult(False, f"unknown family kind {fam.kind!r}")
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
                                    HypothesisClass, RealFunctionClass,
                                    TolerantZeroOne, absolute_loss, discretize,
                                    evaluate_loss, label_to_midpoint,
                                    num_intervals, tolerant_loss,
-                                   value_to_label)
+                                   value_to_label, _dedup_rows)
 
 
 # --- losses ------------------------------------------------------------------
@@ -58,6 +58,60 @@ def test_duplicate_rows_collapse_with_mapping():
     H = HypothesisClass(3, [[1, 2], [3, 1], [1, 2]])
     assert H.num_rows == 2
     assert list(H.row_map) == [0, 1, 0]
+
+
+def reference_dedup_rows(table):
+    """`_dedup_rows` as defined: one dict entry per distinct row's bytes."""
+    seen = {}
+    row_map = np.fromiter((seen.setdefault(row.tobytes(), len(seen))
+                           for row in table), np.int64, len(table))
+    return table[np.unique(row_map, return_index=True)[1]], row_map
+
+
+@st.composite
+def tables_with_duplicates(draw):
+    """An int64 table of labels in 1..K (K up to 300, so the sort keys
+    cross uint8 and uint16) or a float64 table of values such as -0.0 and
+    0.0: a shuffled small pool of rows and up to 30 repeats of them, past
+    insertion sort's reach.  The pool may hold near twins: a row with one
+    label moved by 256, or one zero's sign flipped."""
+    width = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        K = draw(st.sampled_from([2, 255, 256, 257, 300]) | st.integers(1, 300))
+        value, dtype = st.integers(1, K), np.int64
+
+        def twin(v):
+            return v + 256 if v + 256 <= K else v - 256 if v > 256 else v
+    else:
+        value = st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1e-300])
+        dtype = np.float64
+
+        def twin(v):
+            return -v if v == 0 else v
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    for row in list(pool):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, width - 1))
+            pool.append(row[:j] + [twin(row[j])] + row[j + 1:])
+    rows = pool + draw(st.lists(st.sampled_from(pool), max_size=30))
+    return np.array(draw(st.permutations(rows)), dtype=dtype)
+
+
+@settings(max_examples=300)
+@given(tables_with_duplicates())
+def test_dedup_rows_matches_reference(table):
+    got, got_map = _dedup_rows(table)
+    want, want_map = reference_dedup_rows(table)
+    assert got.dtype == want.dtype and got_map.dtype == want_map.dtype
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert np.array_equal(got_map, want_map)
+
+
+def test_dedup_rows_keeps_signed_zeros_apart():
+    F = RealFunctionClass([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]])
+    assert F.num_rows == 2 and list(F.row_map) == [0, 1, 0]
+    assert np.signbit(F.table[:, 0]).tolist() == [False, True]
 
 
 def test_class_validation():

@@ -57,16 +57,19 @@ def generated_classes(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(generated_classes())
 def test_class_file_round_trip(tmp_path, cls):
-    path = tmp_path / "c.json"
+    path, indented = tmp_path / "c.json", tmp_path / "indented.json"
     classfile.save_class(cls, path)
-    back = classfile.load_class(path)
-    assert type(back) is type(cls)
-    if isinstance(cls, HypothesisClass):
-        assert back.K == cls.K
-    else:
-        assert back.grid == cls.grid
-    assert back.table.dtype == cls.table.dtype
-    assert np.array_equal(back.table, cls.table)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")   # one line
+    indented.write_text(json.dumps(json.loads(text), indent=2))
+    for back in (classfile.load_class(path), classfile.load_class(indented)):
+        assert type(back) is type(cls)
+        if isinstance(cls, HypothesisClass):
+            assert back.K == cls.K
+        else:
+            assert back.grid == cls.grid
+        assert back.table.dtype == cls.table.dtype
+        assert np.array_equal(back.table, cls.table)
 
 
 def test_class_file_rejects_wrong_format(tmp_path):
@@ -190,9 +193,19 @@ def test_family_file_round_trip_property(tmp_path, fam):
     assert classfile.load_family(path) == fam
 
 
+NAN, INF = float("nan"), float("inf")
 FAMILY = {"format": classfile.FAMILY_FORMAT, "kind": "multiclass",
           "points": [0, 1], "functions": [[1, 1], [2, 1]], "labels": [1, 2],
           "gap": 0, "bounds": None, "margin": None, "band": None}
+
+
+def test_family_file_missing_optional_keys_read_as_null(tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({k: v for k, v in FAMILY.items()
+                                if k not in ("gap", "margin", "band")}))
+    fam = classfile.load_family(path)
+    assert (fam.gap, fam.margin, fam.band) == (None, None, None)
+    assert verify_thresholds(fam).ok
 
 
 @pytest.mark.parametrize("change, message", [
@@ -214,6 +227,19 @@ FAMILY = {"format": classfile.FAMILY_FORMAT, "kind": "multiclass",
     ({"gap": "1"}, "'gap' must be a number or null, found '1'"),
     ({"margin": [0.1]}, "'margin' must be a number or null"),
     ({"band": True}, "'band' must be a number or null, found True"),
+    # a family of NaN values that loaded and verified, and other non-finite
+    # numbers: json writes them as NaN, Infinity and -Infinity
+    *(({"kind": "regression", "bounds": [0.5, -0.5], "margin": 0.2,
+        "band": 0.01, **change}, f"{key!r} must hold no NaN or infinity")
+      for change, key in [
+          ({"functions": [[NAN, 0.5], [-0.5, NAN]]}, "functions"),
+          ({"functions": [[0.5, 0.5], [-0.5, INF]]}, "functions"),
+          ({"bounds": [NAN, -0.5]}, "bounds"),
+          ({"bounds": [0.5, -INF]}, "bounds"),
+          ({"margin": INF}, "margin"),
+          ({"band": NAN}, "band"),
+          ({"band": -INF}, "band")]),
+    ({"gap": NAN}, "'gap' must hold no NaN or infinity"),
 ])
 def test_malformed_family_file_rejected(tmp_path, change, message):
     good = tmp_path / "good.json"
@@ -399,6 +425,10 @@ CERT = classfile.CERT_FORMAT
              "rows": 5}, "'rows' must be a list"),
     ("dim", {"format": CLASS, "kind": "multiclass", "K": 2, "domain_size": 2,
              "rows": [5]}, "'rows' must list rows"),
+    *(("dim", {"format": CLASS, "kind": "multiclass", "K": 2,
+               "domain_size": width, "rows": [[1]]},
+       f"'rows' must list rows of domain_size = {width!r} values")
+      for width in ([2], "2", True)),
     ("dim", {"format": CLASS, "kind": "multiclass", "K": 2, "domain_size": 2,
              "rows": [[True, 1], [2, 1]]}, "'rows' must list numbers"),
     ("dim", {"format": CLASS, "kind": "real", "domain_size": 2,
@@ -434,7 +464,8 @@ CERT = classfile.CERT_FORMAT
       for command in ("dim", "soa", "experiment")),
     ("dim", b'{"format": "classfile/1"', "Expecting ',' delimiter"),
 ], ids=["examples-int", "no-examples", "examples-not-pairs", "no-rows",
-        "rows-int", "row-int", "rows-bool", "real-rows-bool", "class-list", "config-list", "params-int",
+        "rows-int", "row-int", "width-list", "width-str", "width-bool",
+        "rows-bool", "real-rows-bool", "class-list", "config-list", "params-int",
         "examples-bool", "certificate-no-x", "certificate-length-2",
         "certificate-unequal-lengths", "certificate-bool-label",
         "certificate-bool-x", "certificate-x-2**64",

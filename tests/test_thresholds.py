@@ -190,6 +190,30 @@ def test_verifier_rejects_bad_gap():
     assert not verify_thresholds(fam).ok
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("change, violation", [
+    ({}, (0, 0)),
+    ({"functions": [(NAN, 0.5), (-0.5, 0.5)]}, (0, 0)),
+    ({"bounds": (0.5, NAN)}, None),
+    ({"margin": NAN}, None),
+    ({"band": NAN}, (0, 0)),
+    ({"labels": (1, NAN), "kind": "multiclass",
+      "functions": [(1, 1), (NAN, 1)]}, None),
+    ({"labels": (1, 2), "kind": "multiclass", "gap": NAN,
+      "functions": [(1, 1), (2, 1)]}, None),
+])
+def test_verifier_rejects_nan(change, violation):
+    # the regression family of NaN values that the verifier used to pass
+    fam = ThresholdFamily("regression", [0, 1], [(NAN, 0.5), (-0.5, NAN)],
+                          bounds=(0.5, -0.5), margin=0.2, band=0.01)
+    for key, value in change.items():
+        setattr(fam, key, value)
+    res = verify_thresholds(fam)
+    assert not res.ok and res.violation == violation
+
+
 def reference_verify_thresholds(fam):
     """`verify_thresholds` as defined: one double loop per family kind."""
     if len(fam.points) != len(fam.functions):
