@@ -142,6 +142,9 @@ class HypothesisClass:
             raise ValueError("labels must be integers")
         if raw.min() < 1 or raw.max() > K:
             raise ValueError(f"labels must lie in 1..{K}")
+        # a huge K admits float or uint64 labels that int64 cannot hold
+        if raw.dtype.kind != "i" and raw.max() >= 2.0 ** 63:
+            raise ValueError("labels must lie below 2**63")
         self._fill(K, *_dedup_rows(raw.astype(np.int64, copy=False)))
 
     @classmethod

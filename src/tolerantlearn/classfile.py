@@ -7,7 +7,10 @@ the tree's `kind` and its heap-order lists (`trees.tree_to_dict`).  All
 writers emit keys in a fixed order at full float precision, so identical
 inputs produce byte-identical files.  Class and certificate files are
 written on one line; an indented one still loads, as JSON ignores
-whitespace.
+whitespace.  A one-line multiclass class file, the layout `save_class`
+writes, is read straight into the label table, without `json`'s Python
+object per label; an indented, reordered or real class file goes through
+`json` at its old cost, and the class is the same either way.
 A malformed document is a ValueError naming the file and the key.
 """
 
@@ -73,12 +76,83 @@ def save_class(cls, path) -> None:
            "rows": cls.table.tolist()}, path, indent=None)
 
 
+_ROWS_KEY = b', "rows": [['
+_HEAD_KEYS = ["format", "kind", "K", "domain_size"]
+
+
+def _one_line_rows(data: bytes):
+    """(K, int64 table) of a multiclass class file in the one-line layout
+    `save_class` writes, read without a Python object per label, or None.
+
+    Never raises, and returns only what the json route would build.  The
+    header must parse on its own to `save_class`'s four keys in its order.
+    The rows body may hold only digits, ", " between labels and "], ["
+    between rows, `domain_size` labels a row, with no empty field and no
+    leading zero.  `np.fromstring` saturates a label of 2**63 or more to
+    the int64 maximum, so K must lie below that and no label above K.
+    """
+    tail = data.rstrip(b" \t\n\r")    # JSON's whitespace, not bytes.rstrip()'s
+    if not tail.endswith(b"]]}"):
+        return None
+    try:
+        cut = data.index(_ROWS_KEY)
+        # "}" closes the header only if the cut is a key of the top object,
+        # and JSON ending in "}" is an object
+        head = json.loads(data[:cut].decode() + "}")
+    except (ValueError, RecursionError):   # no such key, or no such header
+        return None
+    if (list(head) != _HEAD_KEYS or head["format"] != CLASS_FORMAT
+            or head["kind"] != "multiclass"):
+        return None
+    K, width = head["K"], head["domain_size"]
+    # a K below 1 is refused with the labels, which are all at least 1
+    if (type(K) is not int or K >= np.iinfo(np.int64).max
+            or type(width) is not int or width < 1):
+        return None
+    body = tail[cut + len(_ROWS_KEY):-len(b"]]}")]
+    del tail    # each copy of a megabyte file goes once used
+    # everything but the digits must be the separators of whole rows
+    seps = body.translate(None, b"0123456789")
+    rows, extra = divmod(len(seps) + len(b"], ["), 2 * width + 2)
+    if extra or seps != b"], [".join([b", " * (width - 1)] * rows):
+        return None
+    del seps
+    labels = body.translate(None, b" []")    # one "," between labels
+    del body
+    if (not labels or labels[0] in b",0" or labels[-1] == ord(",")
+            or b",," in labels or b",0" in labels):
+        return None
+    table = np.fromstring(labels, dtype=np.int64, sep=",")
+    if table.max() > K:
+        return None
+    return K, table.reshape(rows, width)
+
+
 def load_class(path):
+    """The class file at `path`.  A one-line multiclass file, the layout
+    `save_class` writes, is read by `_one_line_rows`; any other file, and
+    every malformed one, is parsed by `json`.  Both routes end in the same
+    constructor, and its ValueError names the file and the key."""
+    data = Path(path).read_bytes()
+    fast = _one_line_rows(data)
+    kind, param, rows = (("multiclass", *fast) if fast is not None
+                         else _parse_class(path, data))
+    try:
+        if kind == "multiclass":
+            return HypothesisClass(param, rows)
+        return RealFunctionClass(rows, grid=param)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key 'rows': {exc}") from None
+
+
+def _parse_class(path, data: bytes) -> tuple:
+    """(kind, K or grid, rows) of the class file `data` read from `path`,
+    through `json`."""
     # JSON booleans would load as 0 or 1.  Both literals hold an "e" and the
     # rows open at or after the first "[", so only an "e" past it (a real
     # class may hold 1e-05) calls for the per-value check.
     try:
-        text = Path(path).read_bytes().decode()
+        text = data.decode()
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: {e}") from None
     may_hold_bool = text.find("e", text.find("[")) != -1
@@ -94,20 +168,23 @@ def load_class(path):
         raise ValueError(f"{path}: key 'rows' must list numbers, found a boolean")
     if kind == "multiclass":
         K = doc.get("K")
-        if not isinstance(K, int) or isinstance(K, bool):
-            raise ValueError(f"{path}: K must be an integer, found {K!r}")
-        return HypothesisClass(K, rows)
+        if not isinstance(K, int) or isinstance(K, bool) or K < 1:
+            raise ValueError(f"{path}: key 'K' must be an integer >= 1, "
+                             f"found {K!r}")
+        return kind, K, rows
     if kind == "real":
         grid = doc.get("grid")
-        if grid is not None and type(grid) not in (int, float):
-            raise ValueError(f"{path}: key 'grid' must be a number, found {grid!r}")
+        if grid is not None and (type(grid) not in (int, float)
+                                 or not 0 < grid <= 2):
+            raise ValueError(f"{path}: key 'grid' must be a number in (0, 2] "
+                             f"or null, found {grid!r}")
         table = np.asarray(rows, dtype=np.float64)
         if grid is not None:
             # values must sit on the declared decimal grid
             steps = (table + 1.0) / float(grid)
             if not np.allclose(steps, np.round(steps), atol=1e-9):
                 raise ValueError(f"{path}: values stray from the declared grid")
-        return RealFunctionClass(table, grid=grid)
+        return kind, grid, table
     raise ValueError(f"{path}: unknown class kind {kind!r}")
 
 

@@ -131,6 +131,14 @@ def test_class_rejects_fractional_labels():
     assert HypothesisClass(2, [[1.0, 2.0]]).row(0) == (1, 2)
 
 
+@pytest.mark.parametrize("rows", [[[1, 10**19]], [[2**63]], [[1.0, 1e19]]],
+                         ids=["float64", "uint64", "float"])
+def test_class_rejects_labels_past_int64(rows):
+    # a K past 64 bits once let these through, to wrap or overflow in int64
+    with pytest.raises(ValueError, match=r"labels must lie below 2\*\*63"):
+        HypothesisClass(2**64, rows)
+
+
 def test_real_class_rejects_nan():
     with pytest.raises(ValueError):
         RealFunctionClass([[0.5, float("nan")]])

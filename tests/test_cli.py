@@ -1,10 +1,12 @@
 import hashlib
 import inspect
 import json
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +64,10 @@ def test_class_file_round_trip(tmp_path, cls):
     text = path.read_text()
     assert text.count("\n") == 1 and text.endswith("\n")   # one line
     indented.write_text(json.dumps(json.loads(text), indent=2))
+    # a multiclass file takes the one-line reader, the indented copy json
+    assert (classfile._one_line_rows(path.read_bytes()) is None) == (
+        isinstance(cls, RealFunctionClass))
+    assert classfile._one_line_rows(indented.read_bytes()) is None
     for back in (classfile.load_class(path), classfile.load_class(indented)):
         assert type(back) is type(cls)
         if isinstance(cls, HypothesisClass):
@@ -70,6 +76,127 @@ def test_class_file_round_trip(tmp_path, cls):
             assert back.grid == cls.grid
         assert back.table.dtype == cls.table.dtype
         assert np.array_equal(back.table, cls.table)
+        assert np.array_equal(back.row_map, np.arange(cls.num_rows))
+
+
+def class_outcome(path):
+    """What `load_class` makes of `path`: the class's parts, or its error."""
+    try:
+        cls = classfile.load_class(path)
+    except ValueError as exc:
+        return str(exc)
+    return (type(cls), getattr(cls, "K", None), getattr(cls, "grid", None),
+            cls.table.dtype, cls.table.shape, cls.table.tobytes(),
+            cls.row_map.tobytes())
+
+
+HUGE = [b"%d" % v for v in (2**63, 10**19, 2**64, 10**20)]
+LABEL = rb"[^\[\],\s}]+"    # a value between separators
+
+
+def _edit(doc, pick, pattern, edit):
+    """`doc` with `edit` applied to one match of `pattern` in its rows."""
+    rows = doc.index(b'"rows": ') + len(b'"rows": ')
+    spans = [m.span() for m in re.finditer(pattern, doc[rows:])]
+    if not spans:
+        return doc
+    i, j = (rows + k for k in pick(spans))
+    return doc[:i] + edit(doc[i:j]) + doc[j:]
+
+
+def _value(doc, key, edit):
+    """`doc` with `edit` applied to the header value of `key`."""
+    m = re.search(rb'"%s": ([^,]+)' % key, doc)
+    return doc if m is None else doc[:m.start(1)] + edit(m[1]) + doc[m.end(1):]
+
+
+def _rows(doc, rows):
+    return doc[:doc.index(b'"rows": ')] + b'"rows": ' + rows + b"}"
+
+
+def _label(edit):
+    return lambda doc, pick: _edit(doc, pick, LABEL, lambda v: edit(v, pick))
+
+
+def _separator(*options):
+    return lambda doc, pick: _edit(doc, pick, rb"(?<=[^\]]), (?=[^\[])",
+                                   lambda v: pick(options))
+
+
+# Byte-level edits of a one-line class file, each a function of the file
+# and `pick`, which draws one item of a list.
+MUTATIONS = {
+    "none": lambda doc, pick: doc,
+    "leading-zero": _label(lambda v, pick: b"0" + v),
+    "plus": _label(lambda v, pick: b"+" + v),
+    "empty-label": _label(lambda v, pick: b""),
+    "label": _label(lambda v, pick: pick(
+        [b"0", b"7", b"true", b"NaN", b"1.0", b"-1", b"1e0"])),
+    "extra-label": _label(lambda v, pick: v + b", " + v),
+    "drop-label": lambda doc, pick: _edit(doc, pick, b", " + LABEL,
+                                          lambda v: b""),
+    "huge-label": _label(lambda v, pick: pick(HUGE)),
+    "huge-K": lambda doc, pick: _value(
+        _label(lambda v, pick: pick(HUGE))(doc, pick), b"K",
+        lambda v: b"%d" % 2**64),
+    "space": _separator(b" "),
+    "double-comma": _separator(b",,"),
+    "separator": _separator(b",", b", , ", b" , ", b",\n"),
+    "row-separator": lambda doc, pick: _edit(
+        doc, pick, rb"\], \[", lambda v: pick(
+            [b"],[", b"], [], [", b"]; [", b"]]", b"], [[", b"], 1, ["])),
+    "rows": lambda doc, pick: pick(
+        [_rows(doc, b"[[1]]"), _rows(doc, b"[]"), _rows(doc, b"[1]"),
+         _rows(_value(doc, b"domain_size", lambda v: b"1"), b"[[]]")]),
+    "end": lambda doc, pick: doc.rstrip() + pick(
+        [b"x", b" 1", b"}", b"\n\n", b" \t\r\n", b"\x0c", b""]),
+    "close": lambda doc, pick: doc.rstrip()[:-1] + pick([b"]", b" ", b"1", b""]),
+    "K": lambda doc, pick: _value(doc, b"K", lambda v: pick(
+        [v + b".0", b"true", b"0", b"-1", b'"%s"' % v, b"NaN",
+         b"9223372036854775807"])),
+    "domain_size": lambda doc, pick: _value(doc, b"domain_size", lambda v: pick(
+        [b"-1", b"true", b"0", b"-2", b'"%s"' % v, v + b".0"])),
+    "format-kind": lambda doc, pick: _value(*pick(
+        [(doc, b"format", lambda v: pick([b'"classfile/2"', b"1"])),
+         (doc, b"kind", lambda v: pick([b'"real"', b"null"]))])),
+    "drop-key": lambda doc, pick: re.sub(
+        rb'"%s": [^,]+, ' % pick([b"format", b"kind", b"K", b"domain_size"]),
+        b"", doc, count=1),
+    "duplicate-key": lambda doc, pick: pick([
+        doc.replace(b', "rows"', b', "K": 3, "rows"', 1),
+        b'{"K": 3, ' + doc[1:],
+        doc.rstrip()[:-1] + b', "rows": [[1]]}',
+        doc.replace(b', "rows"', b', "domain_size": 1, "rows"', 1)]),
+    "key-order": lambda doc, pick: pick([
+        re.sub(rb'(, "domain_size": \d+)(, "rows": .*)\}', rb"\2\1}", doc),
+        doc.replace(b'"format"', b'"grid": null, "format"', 1),
+        doc.replace(b', "kind"', b', "rows": [[1]], "kind"', 1),
+        doc.replace(b'"multiclass"', b'"multiclass, \\"rows\\": [["', 1)]),
+    "layout": lambda doc, pick: pick([
+        json.dumps(json.loads(doc), indent=2).encode(),
+        b"\xef\xbb\xbf" + doc, doc.replace(b"classfile", b"cl\xffssfile", 1),
+        b'{"deep": ' + b"[" * 100_000 + b"]" * 100_000 + b", " + doc[1:]]),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cls=generated_classes(), data=st.data())
+def test_one_line_reader_matches_json_route(tmp_path, mutation, cls, data):
+    # the one-line reader may decline a file, but whatever it returns the
+    # json route returns too, and the json route makes every error
+    def pick(options):   # the ends of a list come up as often as its middle
+        n = len(options)
+        return options[data.draw(st.sampled_from([0, n - 1])
+                                 | st.integers(0, n - 1))]
+
+    path = tmp_path / "c.json"
+    classfile.save_class(cls, path)
+    path.write_bytes(MUTATIONS[mutation](path.read_bytes(), pick))
+    fast = class_outcome(path)
+    with mock.patch.object(classfile, "_one_line_rows", lambda data: None):
+        assert fast == class_outcome(path)
 
 
 def test_class_file_rejects_wrong_format(tmp_path):
@@ -433,6 +560,17 @@ CERT = classfile.CERT_FORMAT
              "rows": [[True, 1], [2, 1]]}, "'rows' must list numbers"),
     ("dim", {"format": CLASS, "kind": "real", "domain_size": 2,
              "rows": [[0.5, 1e-05], [False, 0.25]]}, "'rows' must list numbers"),
+    *(("dim", {"format": CLASS, "kind": "multiclass", "K": K, "domain_size": 2,
+               "rows": rows}, key) for K, rows, key in [
+        (2, [[1, 3]], "key 'rows': labels must lie in 1..2"),
+        (2, [[1, 1.5]], "key 'rows': labels must be integers"),
+        (0, [[1, 1]], "key 'K' must be an integer >= 1, found 0")]),
+    ("dim", {"format": CLASS, "kind": "real", "grid": None, "domain_size": 2,
+             "rows": [[0.5, 1.5]]}, "key 'rows': values must lie in [-1, 1]"),
+    *(("dim", {"format": CLASS, "kind": "real", "grid": grid, "domain_size": 1,
+               "rows": [[0.0]]},
+       f"key 'grid' must be a number in (0, 2] or null, found {grid}")
+      for grid in (0, -0.5, 3)),
     ("dim", [1, 2], "expected a JSON object"),
     ("experiment", [1, 2], "expected a JSON object"),
     ("experiment", {"command": "dim", "params": 5}, "'params' must be a JSON"),
@@ -465,7 +603,9 @@ CERT = classfile.CERT_FORMAT
     ("dim", b'{"format": "classfile/1"', "Expecting ',' delimiter"),
 ], ids=["examples-int", "no-examples", "examples-not-pairs", "no-rows",
         "rows-int", "row-int", "width-list", "width-str", "width-bool",
-        "rows-bool", "real-rows-bool", "class-list", "config-list", "params-int",
+        "rows-bool", "real-rows-bool", "labels-out-of-range",
+        "labels-fractional", "K-zero", "real-out-of-range", "grid-0",
+        "grid-negative", "grid-3", "class-list", "config-list", "params-int",
         "examples-bool", "certificate-no-x", "certificate-length-2",
         "certificate-unequal-lengths", "certificate-bool-label",
         "certificate-bool-x", "certificate-x-2**64",
