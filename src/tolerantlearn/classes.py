@@ -9,6 +9,7 @@ immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -18,6 +19,18 @@ import numpy as np
 # decimal grids land within ~1e-15 of the mathematical boundary; snapping by
 # 1e-9 keeps the half-open interval rule deterministic across platforms.
 BOUNDARY_SNAP = 1e-9
+
+# Grid steps a real class may declare.  Below GRID_MIN, (v + 1) / grid for
+# a value v in [-1, 1] passes 2**53, where every float is a whole number,
+# so no value could be told off the grid.
+GRID_MIN = 2.0 ** -52
+GRID_RULE = "a number in [2**-52, 2]"
+
+
+def is_grid(grid) -> bool:
+    """Whether `grid` is a grid step a real class may declare."""
+    return (isinstance(grid, (int, float)) and not isinstance(grid, bool)
+            and GRID_MIN <= grid <= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +178,9 @@ class HypothesisClass:
         self._col_masks = None       # per-column {label: row bitmask}
         self._ldim_cache = {}        # tau -> Ldim_tau split engine
         self._predictor_cache = {}   # (tau, mask) -> predictor label tuple
-        self._support_cache = {}     # (target, support) -> masks, floor, verdict
+        # FiniteDistribution -> the sampler's checked support data; weak,
+        # so an entry goes with its distribution
+        self._support_cache = weakref.WeakKeyDictionary()
 
     def col_masks(self):
         """Per-column map label -> bitmask of rows carrying that label."""

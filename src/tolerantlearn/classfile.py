@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classes import HypothesisClass, RealFunctionClass, integer_sample
+from .classes import (GRID_RULE, HypothesisClass, RealFunctionClass,
+                      integer_sample, is_grid)
 from .thresholds import ThresholdFamily
 from .trees import MistakeTree, tree_from_dict, tree_to_dict
 
@@ -174,9 +175,8 @@ def _parse_class(path, data: bytes) -> tuple:
         return kind, K, rows
     if kind == "real":
         grid = doc.get("grid")
-        if grid is not None and (type(grid) not in (int, float)
-                                 or not 0 < grid <= 2):
-            raise ValueError(f"{path}: key 'grid' must be a number in (0, 2] "
+        if grid is not None and not is_grid(grid):
+            raise ValueError(f"{path}: key 'grid' must be {GRID_RULE} "
                              f"or null, found {grid!r}")
         table = np.asarray(rows, dtype=np.float64)
         if grid is not None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classes import HypothesisClass, RealFunctionClass
+from .classes import GRID_RULE, HypothesisClass, RealFunctionClass, is_grid
 from .seeding import trial_rng
 
 COMPLETE_POINTS_CAP = 16       # 2^n rows are materialized explicitly
@@ -54,8 +54,8 @@ def random_real(num_rows: int, num_points: int, grid_step: float,
     """Random functions with values on the grid -1, -1+step, ..., 1."""
     if num_rows > RANDOM_ROWS_CAP:
         raise ValueError(f"random classes are capped at {RANDOM_ROWS_CAP} rows")
-    if not 0 < grid_step <= 2:
-        raise ValueError("grid step must lie in (0, 2]")
+    if not is_grid(grid_step):
+        raise ValueError(f"key 'grid' must be {GRID_RULE}, found {grid_step!r}")
     rng = trial_rng(seed, "random-real", num_rows, num_points)
     levels = int(round(2.0 / grid_step))
     vals = rng.integers(0, levels + 1, size=(num_rows, num_points))

@@ -20,9 +20,10 @@ level starts by recursing into level 1 and trips at the same count.  The
 closure is searched breadth-first and stops at the first predictor that
 differs; above CLOSURE_LIMIT version spaces the sampler just runs.  The
 decision, the floor and the points' consistent-row masks are cached on the
-class per target and support.  A decided Fail does not advance a generator the
-caller passed in; `run_g` and `estimate_stability` never use it after a
-Fail.
+class per distribution, together with the check that the distribution labels
+the class's points, so each (H, D) pair is checked once.  A decided Fail
+does not advance a generator the caller passed in; `run_g` and
+`estimate_stability` never use it after a Fail.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows; the draw buffer is a list of Python ints.
@@ -39,6 +40,9 @@ up from the child sample and fold only each round's fresh draws into it,
 the realizable stretch by ANDing the same masks.  Buffer refills stay
 lazy: the generator is shared with the tournament labels, so drawing a
 chunk before a round needs it would change every later label.
+
+A sample hands SOA_0's state after it to the stable learner, so `run_g`
+folds only its n tail draws into that state, by the same fold.
 """
 
 from __future__ import annotations
@@ -52,7 +56,10 @@ import numpy as np
 from .classes import (FiniteDistribution, HypothesisClass, TolerantZeroOne,
                       evaluate_loss, row_mask)
 from .dimensions import ldim_value
-from .online import SoaState, predictor_table, soa_final_predictor
+from .online import SoaState, predictor_table
+# bound only for bench/tracing.py, which wraps it under this name; nothing
+# here calls it
+from .online import soa_final_predictor  # noqa: F401
 from .seeding import as_generator, trial_rng
 
 
@@ -115,7 +122,9 @@ class TournamentSample:
 
     On success `xs` and `ys` are the k*(n+1) domain points and labels of
     the sample, the k injected tournament examples sitting at
-    `tournament_positions`.  On failure both are None and `draw_count`
+    `tournament_positions`, and `state` is SOA_0's `SoaState` after the
+    sample (a fresh one for k = 0), into which `run_g` folds its tail
+    draws.  On failure `xs`, `ys` and `state` are None and `draw_count`
     records the attempt that exceeded the cap.
     """
 
@@ -124,6 +133,7 @@ class TournamentSample:
     failed: bool
     draw_count: int
     tournament_positions: list = field(default_factory=list)
+    state: Optional[SoaState] = None
 
 
 # Largest AND-closure of the support's masks searched for the k = 1
@@ -162,45 +172,33 @@ def _tournaments_fail(H: HypothesisClass, masks: list, floor: int) -> bool:
     return True
 
 
-def _support_entry(H: HypothesisClass, D: FiniteDistribution,
-                   labels: list) -> tuple:
-    """(point masks, floor, whether every k >= 1 tournament fails), cached on H.
+class _Support:
+    """What the sampler needs of one (H, D) pair, checked and built once.
 
-    The mask of point x is the bitmask of rows consistent with
-    (x, target(x)), and the floor that of the rows consistent on the support.
+    `masks[x]` is the bitmask of rows consistent with (x, target(x)),
+    `floor` that of the rows consistent on the whole support, `labels` the
+    target as a list of ints and `target` as an int64 array.
     """
-    support = D.weights > 0
-    key = (tuple(labels), support.tobytes())
-    hit = H._support_cache.get(key)
-    if hit is None:
+
+    __slots__ = ("masks", "floor", "labels", "target", "always_fails")
+
+    def __init__(self, H: HypothesisClass, D: FiniteDistribution):
+        t = D.target
+        if not (len(t) == H.domain_size and t.dtype.kind in "iuf"
+                and 1 <= t.min() and t.max() <= H.K
+                and np.all(np.mod(t, 1) == 0)):
+            raise ValueError(f"the distribution must label the class's "
+                             f"{H.domain_size} points with integers in 1..{H.K}")
+        # a float-stored target must not put 1.0 into SOA's patches
+        self.target = D.target.astype(np.int64)
+        self.labels = self.target.tolist()
+        support = D.weights > 0
         cols = H.col_masks()
-        masks = [cols[x].get(y, 0) for x, y in enumerate(labels)]
-        drawn = [m for m, on in zip(masks, support.tolist()) if on]
-        floor = row_mask((H.table[:, support] == D.target[support]).all(axis=1))
-        hit = (masks, floor, _tournaments_fail(H, drawn, floor))
-        H._support_cache[key] = hit
-    return hit
-
-
-class _Sampler:
-    """One draw of the capped tournament sampler.
-
-    A sample is kept as a list of domain points (every point but the
-    tournament ones labeled by the target) plus the tournament positions
-    and labels, together with the `SoaState` of SOA_0 after it.  A round
-    folds only its n fresh draws into the state its child sample carried
-    up, so no prefix is ever replayed.
-    """
-
-    def __init__(self, H: HypothesisClass, n: int, stream: _DrawStream,
-                 rng: np.random.Generator, masks: list, floor: int, target: list):
-        self.H = H
-        self.n = n
-        self.stream = stream
-        self.rng = rng
-        self.masks = masks
-        self.floor = floor
-        self.target = target
+        self.masks = [cols[x].get(y, 0) for x, y in enumerate(self.labels)]
+        drawn = [m for m, on in zip(self.masks, support.tolist()) if on]
+        self.floor = row_mask((H.table[:, support]
+                               == self.target[support]).all(axis=1))
+        self.always_fails = _tournaments_fail(H, drawn, self.floor)
 
     def fold(self, state: SoaState, t: list) -> SoaState:
         """Fold the target-labeled draws `t` into `state`, in place.
@@ -222,10 +220,44 @@ class _Sampler:
                     start = len(t)
                     break
             state.mask = mask
+        labels = self.labels
         for x in t[start:start + 1]:  # freezes the predictor if need be
-            state.observe(x, self.target[x])
-        state.patches.update({x: self.target[x] for x in t[start + 1:]})
+            state.observe(x, labels[x])
+        state.patches.update({x: labels[x] for x in t[start + 1:]})
         return state
+
+
+def _support_entry(H: HypothesisClass, D: FiniteDistribution) -> _Support:
+    """The `_Support` of (H, D), cached on H by the distribution itself.
+
+    `FiniteDistribution` hashes by identity and its arrays are read-only,
+    so the check that D labels H's points runs once per D; a D that fails
+    it is not cached and raises ValueError on every call.
+    """
+    hit = H._support_cache.get(D)
+    if hit is None:
+        hit = H._support_cache[D] = _Support(H, D)
+    return hit
+
+
+class _Sampler:
+    """One draw of the capped tournament sampler.
+
+    A sample is kept as a list of domain points (every point but the
+    tournament ones labeled by the target) plus the tournament positions
+    and labels, together with the `SoaState` of SOA_0 after it.  A round
+    folds only its n fresh draws into the state its child sample carried
+    up, so no prefix is ever replayed.
+    """
+
+    def __init__(self, H: HypothesisClass, n: int, stream: _DrawStream,
+                 rng: np.random.Generator, support: _Support):
+        self.H = H
+        self.n = n
+        self.stream = stream
+        self.rng = rng
+        self.support = support
+        self.fold = support.fold
 
     def accept(self, sides, f0: tuple, f1: tuple):
         """Draw a label at the first disagreement x; keep the side that errs.
@@ -253,7 +285,8 @@ class _Sampler:
         states; only a half with an empty mask (unrealizable draws: SOA
         freezes and patches) is walked through the SOA fold.
         """
-        H, n, stream, masks, floor = self.H, self.n, self.stream, self.masks, self.floor
+        H, n, stream = self.H, self.n, self.stream
+        masks, floor = self.support.masks, self.support.floor
         two_n, full = 2 * n, H.full_mask
         while True:
             left = stream.budget - stream.used
@@ -318,31 +351,25 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
-    labels = D.target.tolist()
-    if len(labels) != H.domain_size or not set(labels) <= set(range(1, H.K + 1)):
-        raise ValueError(f"the distribution must label the class's "
-                         f"{H.domain_size} points with integers in 1..{H.K}")
+    support = _support_entry(H, D)
     rng = as_generator(seed)
     if k == 0:
         return TournamentSample(np.zeros(0, np.int64), np.zeros(0, np.int64),
-                                False, 0, [])
-    masks, floor, always_fails = _support_entry(H, D, labels)
-    if always_fails:
+                                False, 0, [], SoaState(H))
+    if support.always_fails:
         left = N % (2 * n)
         return TournamentSample(None, None, True,
                                 N - left + (n if left < n else 2 * n), [])
-    # a float-stored target must not put 1.0 into SOA's patches
-    target = D.target.astype(np.int64)
     stream = _DrawStream(D, rng, N)
-    sampler = _Sampler(H, n, stream, rng, masks, floor, target.tolist())
+    sampler = _Sampler(H, n, stream, rng, support)
     try:
-        xs, positions, labels, _ = sampler.level(k)
+        xs, positions, labels, state = sampler.level(k)
     except _Fail:
         return TournamentSample(None, None, True, stream.used, [])
     xs = np.array(xs, dtype=np.int64)
-    ys = target[xs]
+    ys = support.target[xs]
     ys[positions] = labels
-    return TournamentSample(xs, ys, False, stream.used, positions)
+    return TournamentSample(xs, ys, False, stream.used, positions, state)
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +402,20 @@ def g_parameters(H: HypothesisClass, alpha: float, d: Optional[int] = None):
 
 def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, seed,
           d: Optional[int] = None) -> GRunResult:
-    """One run of the stable learner: draw k uniformly, play SOA on S o T."""
+    """One run of the stable learner: draw k uniformly, play SOA on S o T.
+
+    The n tail draws T are folded into the SOA_0 state the sample S ends
+    in, so S is never replayed.
+    """
     d, n, cap = g_parameters(H, alpha, d)
     rng = as_generator(seed)
     k = int(rng.integers(0, d + 1))
     sample = sample_dk_mc(k, D, H, n, cap, rng)
     if sample.failed:
         return GRunResult(None, True, k, n, sample.draw_count)
-    tail_xs, tail_ys = D.draw_sample(rng, n)
-    table = soa_final_predictor(H, np.concatenate([sample.xs, tail_xs]),
-                                np.concatenate([sample.ys, tail_ys]))
-    return GRunResult(table, False, k, n, sample.draw_count)
+    tail = D.draw_indices(rng, n).tolist()
+    state = _support_entry(H, D).fold(sample.state, tail)
+    return GRunResult(state.predictor(), False, k, n, sample.draw_count)
 
 
 @dataclass

@@ -314,7 +314,7 @@ def tree_from_dict(doc: dict) -> MistakeTree:
     Python and numpy read as 0 or 1, is refused like any other value.
     """
     kind = doc.get("kind")
-    if kind not in FIELDS:
+    if type(kind) is not str or kind not in FIELDS:   # a list is unhashable
         raise ValueError(f"unknown tree kind {kind!r}")
     arrays = {}
     for f in FIELDS[kind]:

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import re
 import shlex
@@ -10,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from tolerantlearn import classfile
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass
@@ -293,6 +295,71 @@ def test_certificate_round_trip_property(tmp_path, tree, params):
     assert json.loads(path.read_text())["params"] == params
 
 
+# Tokens an edit writes into a certificate file: JSON of every type, numbers
+# past 64 bits or past a float, literals json reads though JSON has none,
+# and bytes that break the syntax or the encoding.
+CERT_TOKENS = [b"0", b"-1", b"2.5", b"1e400", b"-1e400", b"NaN", b"Infinity",
+               b"18446744073709551616", b"1" + b"0" * 400, b"true", b"null",
+               b'"x"', b'"real"', b'"multiclass"', b"[]", b"[1]", b"[[0]]",
+               b"{}", b"[", b"]", b"{", b"}", b",", b":", b'"', b" ", b"\xff"]
+CERT_VALUE = rb'-?[0-9][0-9.eE+-]*|"[^"]*"|true|false|null|NaN|\[\]|\{\}'
+
+
+def _cert_edits(doc, data):
+    """`doc` with one byte-level edit drawn by `data`."""
+    token = data.draw(st.sampled_from(CERT_TOKENS))
+    at = data.draw(st.integers(0, len(doc)))
+    end = data.draw(st.integers(at, min(at + 3, len(doc))))
+    values = [m.span() for m in re.finditer(CERT_VALUE, doc)]
+    i, j = data.draw(st.sampled_from(values))
+    key = data.draw(st.sampled_from([b"format", b"params", b"kind", b"x",
+                                     b"left_label", b"right_label", b"witness"]))
+    return data.draw(st.sampled_from([
+        doc,                                       # no edit
+        doc[:i] + token + doc[j:],                 # one value replaced
+        doc[:at] + token + doc[at:],               # a token inserted
+        doc[:at] + doc[end:],                      # up to 3 bytes dropped
+        doc[:at],                                  # the file cut short
+        re.sub(rb'"%s": ' % key, b'"dropped": ', doc, count=1),
+        doc.rstrip()[:-1] + b', "%s": ' % key + token + b"}",   # a duplicate
+    ]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=heap_trees(), data=st.data())
+def test_edited_certificate_loads_as_json_reads_or_exits_2(tmp_path, thr_file,
+                                                          tree, data):
+    # an edited certificate file loads to the arrays json reads from it, or
+    # is a ValueError naming the file, which `thresholds` turns into exit 2
+    path = tmp_path / "cert.json"
+    classfile.save_certificate(tree, path, params={"tau": 0})
+    path.write_bytes(_cert_edits(path.read_bytes(), data))
+    try:
+        back = classfile.load_certificate(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        event("refused")
+        if data.draw(st.integers(0, 9)) == 0:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("thresholds", "--input", thr_file,
+                               "--certificate", path, "--out",
+                               tmp_path / "fam.json")
+            assert code == 2 and f"{path}: " in err.getvalue()
+        return
+    event(f"loaded a {back.kind} tree")
+    doc = json.loads(path.read_bytes())
+    assert back.kind == doc["kind"]
+    for f in back.fields:
+        got = getattr(back, f).tolist()
+        if f == "witness":   # NaN and Infinity are numbers to json
+            assert json.dumps(got) == json.dumps([float(v) for v in doc[f]])
+        else:
+            assert got == doc[f]
+
+
 @st.composite
 def families(draw):
     kind = draw(st.sampled_from(["multiclass", "regression"]))
@@ -396,6 +463,26 @@ def test_generate_requires_seed_for_random(tmp_path, capsys):
     assert code == 2
     assert ("error: generate: --seed is mandatory for randomized generators"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid", ["1e-320", "1e-300", "1.1e-16", "0", "2.5",
+                                  "nan"])
+def test_generate_rejects_grid_off_the_rule_exits_2(tmp_path, capsys, grid):
+    # below 2**-52 no value could be told off the grid; 1e-320 used to
+    # overflow and 1e-300 to fail inside numpy
+    code = run_cli("generate", "--family", "random-real", "--grid", grid,
+                   "--points", 3, "--seed", 1, "--out", tmp_path / "x.json")
+    assert code == 2
+    assert (f"key 'grid' must be a number in [2**-52, 2], found {float(grid)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_generate_at_the_finest_grid(tmp_path):
+    out = tmp_path / "x.json"
+    assert run_cli("generate", "--family", "random-real", "--grid", 2.0 ** -52,
+                   "--points", 3, "--seed", 1, "--out", out) == 0
+    assert classfile.load_class(out).grid == 2.0 ** -52
 
 
 def test_generate_rejects_oversize(tmp_path, capsys):
@@ -569,8 +656,8 @@ CERT = classfile.CERT_FORMAT
              "rows": [[0.5, 1.5]]}, "key 'rows': values must lie in [-1, 1]"),
     *(("dim", {"format": CLASS, "kind": "real", "grid": grid, "domain_size": 1,
                "rows": [[0.0]]},
-       f"key 'grid' must be a number in (0, 2] or null, found {grid}")
-      for grid in (0, -0.5, 3)),
+       f"key 'grid' must be a number in [2**-52, 2] or null, found {grid}")
+      for grid in (0, -0.5, 3, 1e-320, 2.0 ** -53, True)),
     ("dim", [1, 2], "expected a JSON object"),
     ("experiment", [1, 2], "expected a JSON object"),
     ("experiment", {"command": "dim", "params": 5}, "'params' must be a JSON"),
@@ -605,7 +692,8 @@ CERT = classfile.CERT_FORMAT
         "rows-int", "row-int", "width-list", "width-str", "width-bool",
         "rows-bool", "real-rows-bool", "labels-out-of-range",
         "labels-fractional", "K-zero", "real-out-of-range", "grid-0",
-        "grid-negative", "grid-3", "class-list", "config-list", "params-int",
+        "grid-negative", "grid-3", "grid-1e-320", "grid-2**-53", "grid-bool",
+        "class-list", "config-list", "params-int",
         "examples-bool", "certificate-no-x", "certificate-length-2",
         "certificate-unequal-lengths", "certificate-bool-label",
         "certificate-bool-x", "certificate-x-2**64",
@@ -976,6 +1064,43 @@ def test_gs_report_is_pinned(tmp_path, monkeypatch, seed, digest):
     assert run_cli("gs", "--input", "thr.json", "--target", 4, "--alpha", 0.1,
                    "--trials", 40, "--seed", seed, "--out", "gs.json") == 0
     doc = json.loads((tmp_path / "gs.json").read_text())
+    doc.pop("wall_clock_s")
+    text = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+def two_point_steps():
+    # three real step functions over two points; gamma 0.5 discretizes them
+    # into a class of Littlestone dimension 1 whose tournaments can succeed
+    return RealFunctionClass([[0.9 if i >= j else -0.9 for i in range(2)]
+                              for j in range(3)])
+
+
+DP_FLAGS = ["--delta", 0.01, "--alpha", 0.2, "--beta", 0.2]
+
+
+@pytest.mark.parametrize("cls, flags, digest", [
+    (constants_class(3, 3), ["--target", 0, "--epsilon", 0.5, *DP_FLAGS,
+                             "--seed", 4],
+     "388c7316cadbb61fd78248569f847987b95feeefaa8e127e80d5342bee280a6b"),
+    (threshold_class(3), ["--target", 2, "--epsilon", 0.9, *DP_FLAGS,
+                          "--seed", 4],
+     "dee135f2c21f03f0dcde95101a2c940f6a0578df47be6a29a37a5771e336d291"),
+    (two_point_steps(), ["--target", 1, "--gamma", 0.5, "--epsilon", 0.9,
+                         "--delta", 0.05, "--alpha", 0.3, "--beta", 0.3,
+                         "--seed", 1],
+     "a664337124ec20ea9d86bad422bd066b602536b301f23fe182b84998f8cc330f"),
+], ids=["constants-3-3", "threshold-3", "regression-steps"])
+def test_dp_learn_report_is_pinned(tmp_path, monkeypatch, cls, flags, digest):
+    # constants: every k = 1 batch is a decided Fail, the rest are k = 0;
+    # threshold_class(3) and the step class: tournaments succeed, so the
+    # stable learner's final fold feeds the histogram; a speedup must leave
+    # these bytes alone
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(cls, "cls.json")
+    assert run_cli("dp-learn", "--input", "cls.json", *flags,
+                   "--out", "dp.json") == 0
+    doc = json.loads((tmp_path / "dp.json").read_text())
     doc.pop("wall_clock_s")
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == digest

@@ -11,7 +11,7 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, _support_entry,
+from tolerantlearn.stability import (CLOSURE_LIMIT, GRunResult, _support_entry,
                                      estimate_stability, g_parameters, run_g,
                                      sample_dk_mc)
 
@@ -132,6 +132,25 @@ def test_sampler_rejects_distribution_off_the_class(D):
         estimate_stability(H, D, 0.3, 3, 0)
     with pytest.raises(ValueError):
         private_learn_mc(H, D, PrivacyParams(0.5, 0.01), 0.3, 0.2, 0)
+
+
+def test_distribution_off_the_class_raises_on_every_call():
+    # the check runs once per distribution, and only a distribution that
+    # passes it is cached
+    H = HypothesisClass(2, [[1, 2], [2, 1]])
+    bad = FiniteDistribution(np.full(2, 0.5), np.array([7, 1]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="integers in 1..2"):
+            sample_dk_mc(1, bad, H, 2, 100, 0)
+        with pytest.raises(ValueError, match="integers in 1..2"):
+            run_g(H, bad, 0.3, 0)
+    assert bad not in H._support_cache
+    good = FiniteDistribution.uniform(H, 0)
+    entry = _support_entry(H, good)
+    run_g(H, good, 0.3, 0)
+    assert _support_entry(H, good) is entry
+    # an equal but distinct distribution gets its own entry
+    assert _support_entry(H, FiniteDistribution.uniform(H, 0)) is not entry
 
 
 # --- the sampler against its definition -----------------------------------------
@@ -381,7 +400,7 @@ def test_cap_trips_on_the_half_round_that_overflows(k):
 # --- k >= 1 impossibility decided from the support ------------------------------
 
 def always_fails(H, D):
-    return _support_entry(H, D, D.target.tolist())[2]
+    return _support_entry(H, D).always_fails
 
 
 @pytest.mark.parametrize("H, target, support, fires", [
@@ -489,6 +508,72 @@ def test_generalization_bound(threshold_setup):
         if count / est.trials >= H.K ** (-d):
             loss = evaluate_loss(np.array(table), D, TolerantZeroOne(0))
             assert loss <= bound + 1e-12
+
+
+def reference_run_g(H, D, alpha, seed, d=None):
+    """The stable learner as defined: sample S, draw the tail T, replay SOA_0
+    over S o T from scratch."""
+    d, n, cap = g_parameters(H, alpha, d)
+    rng = as_generator(seed)
+    k = int(rng.integers(0, d + 1))
+    sample = sample_dk_mc(k, D, H, n, cap, rng)
+    if sample.failed:
+        return GRunResult(None, True, k, n, sample.draw_count)
+    tail_xs, tail_ys = D.draw_sample(rng, n)
+    table = soa_final_predictor(H, np.concatenate([sample.xs, tail_xs]),
+                                np.concatenate([sample.ys, tail_ys]))
+    return GRunResult(table, False, k, n, sample.draw_count)
+
+
+def assert_run_g_matches_reference(H, D, alpha, seed, d=None):
+    got = run_g(H, D, alpha, trial_rng(seed, "g"), d)
+    assert got == reference_run_g(H, D, alpha, trial_rng(seed, "g"), d)
+    return got
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_run_g_matches_reference_on_random_classes(realizable):
+    # zero-weight points and float-stored targets included; the outcomes
+    # must cover successful tournaments at k >= 1, where the carried state
+    # feeds the output
+    rs = np.random.default_rng(80 + realizable)
+    outcomes = set()
+    for i in range(150):
+        H, D = random_case(rs, realizable, dom=(2, 7))
+        w = D.weights * (rs.random(H.domain_size) < 0.7)
+        if not w.any():
+            w[int(rs.integers(0, H.domain_size))] = 1.0
+        target = D.target.astype(np.float64) if i % 3 == 0 else D.target
+        D = FiniteDistribution(w / w.sum(), target)
+        d = int(rs.integers(0, 3))
+        alpha = float(rs.choice([0.3, 0.6, 0.9]))
+        res = assert_run_g_matches_reference(H, D, alpha,
+                                             int(rs.integers(0, 2**31)), d)
+        outcomes.add((res.k, res.failed))
+    assert {(1, False), (2, False), (1, True)} <= outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 5), st.data(),
+       st.integers(0, 2**32 - 1))
+def test_run_g_matches_reference(K, rows, dom, data, seed):
+    labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
+    H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
+                                              max_size=rows)))
+    if data.draw(st.booleans()):
+        target = H.table[data.draw(st.integers(0, H.num_rows - 1))]
+    else:
+        target = np.array(data.draw(labels))
+    if data.draw(st.booleans()):
+        target = target.astype(np.float64)
+    w = np.array(data.draw(st.lists(st.integers(0, 3), min_size=dom,
+                                    max_size=dom)), dtype=np.float64)
+    w[-1] += w.sum() == 0
+    D = FiniteDistribution(w / w.sum(), target)
+    d = data.draw(st.integers(0, 2))
+    alpha = data.draw(st.sampled_from([0.3, 0.6, 0.9]))
+    res = assert_run_g_matches_reference(H, D, alpha, seed, d)
+    event(f"k {res.k}, failed {res.failed}")
 
 
 def test_run_g_deterministic(threshold_setup):
