@@ -183,10 +183,11 @@ class HypothesisClass:
         self._support_cache = weakref.WeakKeyDictionary()
 
     def col_masks(self):
-        """Per-column map label -> bitmask of rows carrying that label."""
+        """Per-column map label -> bitmask of rows carrying that label,
+        labels in increasing order."""
         if self._col_masks is None:
             self._col_masks = [{k: row_mask(col == k)
-                                for k in dict.fromkeys(col.tolist())}
+                                for k in sorted(set(col.tolist()))}
                                for col in self.table.T]
         return self._col_masks
 

@@ -49,15 +49,18 @@ class OnlineTranscript:
 def _argmax_label(H: HypothesisClass, tau: int, mask: int, x: int) -> int:
     """Label maximizing Ldim_tau of the restriction; ties toward smallest.
 
-    Empty restrictions score the -1 sentinel, so any inhabited label wins.
+    Only a label some row of `mask` carries at x has a nonempty
+    restriction, and an empty one scores -1, so the labels in the column
+    are scored in increasing order and label 1 stands when none is
+    inhabited.  The cost follows the labels the class uses at x, not K.
     """
-    col = H.col_masks()[x]
-    best_k, best_v = 1, None
-    for k in range(1, H.K + 1):
-        sub = mask & col.get(k, 0)
-        v = ldim_value(H, tau, sub) if sub else -1
-        if best_v is None or v > best_v:
-            best_k, best_v = k, v
+    best_k, best_v = 1, -1
+    for k, col in H.col_masks()[x].items():
+        sub = mask & col
+        if sub:
+            v = ldim_value(H, tau, sub)
+            if v > best_v:
+                best_k, best_v = k, v
     return best_k
 
 

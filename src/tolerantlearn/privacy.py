@@ -213,8 +213,18 @@ def stability_eta(K: int, d: int) -> float:
 
 
 def batch_count(eta: float, beta: float, delta: float, eps: float) -> int:
-    return math.ceil(BATCH_CONSTANT
-                     * math.log(1.0 / (eta * beta * delta)) / (eta * eps))
+    """Stable-learner batches the histogram needs at frequency eta.
+
+    A count past the float range is refused, as when eta has underflowed
+    to 0 because K^(d+1) is past it.
+    """
+    small = eta * beta * delta
+    k = (BATCH_CONSTANT * math.log(1.0 / small) / (eta * eps)
+         if small > 0 and eta * eps > 0 else math.inf)
+    if not k < math.inf:
+        raise ValueError(f"eta = {eta:g} needs more stable-learner batches "
+                         f"than a float can count")
+    return math.ceil(k)
 
 
 def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,

@@ -5,8 +5,10 @@ independent optimal-play runs disagree, labeled uniformly at random) between
 blocks of fresh draws.  Running the online learner on such a sample forces a
 mistake at every tournament position, which is what makes some single output
 hypothesis land with probability bounded away from zero.  Only the
-Monte-Carlo variant with a draw cap is implemented; the idealized sampler
-needs exact output probabilities, which are not computable.
+Monte-Carlo variant with a draw cap is implemented.  The idealized sampler
+needs exact output probabilities, which are not computable; that holds for
+it only, since the capped sampler's output law is the uncapped law cut off
+at the cap N, which is computable.
 
 Some supports make every tournament fail, and that is decided without
 drawing.  If the target is realizable on supp(D) (the AND of the support
@@ -26,23 +28,31 @@ does not advance a generator the caller passed in; `run_g` and
 `estimate_stability` never use it after a Fail.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
-may have any number of rows; the draw buffer is a list of Python ints.
-Rejection rounds are cheap to score.  Every support point's mask contains
-the support's floor, the AND of all their masks, so a running AND stops
-once it reaches the floor: no later draw can change it.  At k = 1 no
-tournament label is drawn between rounds, so every round already in the
-buffer (and within the budget) is scored before the stream advances, each
-half by the AND of its points' consistent-row masks.  A nonempty mask is
-the version space SOA_0 ends the half in, so two of them are compared by
-their cached predictor tables, and only a half with an empty mask is
-walked through the SOA fold.  Deeper levels carry SOA's `online.SoaState`
-up from the child sample and fold only each round's fresh draws into it,
-the realizable stretch by ANDing the same masks.  Buffer refills stay
-lazy: the generator is shared with the tournament labels, so drawing a
-chunk before a round needs it would change every later label.
+may have any number of rows.  Every request the sampler makes is n draws
+or a multiple of them, so the draw stream splits into n-draw windows, and
+each window's mask (the AND of its points' consistent-row masks) is
+computed once, when the chunk that completes it is drawn.  The AND only
+depends on which distinct masks occur in the window, so each distinct
+support mask gets one presence bit, one numpy OR-reduction per chunk gives
+every window its set of masks as a key, and a bounded per-support dict
+maps the key to the AND.  A key not in the
+dict is scored by a running AND over the window's draws that stops at the
+support's floor, the AND of all their masks: every support point's mask
+contains it, so no later draw can change it.  Buffer refills stay lazy:
+the generator is shared with the tournament labels, so drawing a chunk
+before a round needs it would change every later label.
 
-A sample hands SOA_0's state after it to the stable learner, so `run_g`
-folds only its n tail draws into that state, by the same fold.
+At k = 1 no tournament label is drawn between rounds, so every round in
+the buffer (and within the budget) is scored before the stream advances,
+each half by its window mask.  A nonempty mask is the version space SOA_0
+ends the half in, so two of them are compared by their cached predictor
+tables, and only a half with an empty mask is walked through the SOA fold.
+Deeper levels carry SOA's `online.SoaState` up from the child sample and
+fold each round's n fresh draws into it: a realizable state by one AND
+with the window mask, the draw that breaks realizability and the ones
+after it through the fold.  A sample hands SOA_0's state after it to the
+stable learner, so `run_g` folds only its n tail draws into that state,
+by the same fold.
 """
 
 from __future__ import annotations
@@ -68,50 +78,71 @@ class _Fail(Exception):
 
 
 class _DrawStream:
-    """Chunked draws from a finite distribution with a hard budget N.
+    """Chunked draws from a finite distribution with a hard budget N, read
+    in n-draw windows.
 
-    Indices are pregenerated in chunks for speed and kept as a list; the
+    Indices are pregenerated in chunks for speed and kept as an array; the
     logical draw count only advances by what the sampler requests, so the
     budget semantics match example-by-example sampling.  A chunk is drawn
     only when the next request needs it: the generator is shared with the
     tournament labels, so drawing ahead would change every later label.
+    Every request is a multiple of n draws, so the unread buffer starts on
+    a window boundary, and `_wins[i]` is the mask of the window
+    `_buf[i*n:(i+1)*n]`, computed when its last draw arrives.
     """
 
     CHUNK = 512
 
     def __init__(self, D: FiniteDistribution, rng: np.random.Generator,
-                 budget: int):
+                 budget: int, n: int, support: _Support):
         self.D = D
         self.rng = rng
         self.budget = budget
+        self.n = n
+        self.support = support
         self.used = 0
-        self._buf = []
+        self._buf = np.zeros(0, np.int64)
         self._pos = 0
+        self._wins = []
 
     @property
     def buffered(self) -> int:
         return len(self._buf) - self._pos
 
     def refill(self):
-        """Append one chunk of fresh draws to the unread part of the buffer."""
-        del self._buf[:self._pos]
+        """Append one chunk of fresh draws to the unread part of the buffer,
+        and the masks of the windows it completes to `_wins`."""
+        n = self.n
+        del self._wins[:self._pos // n]
+        self._buf = np.concatenate((self._buf[self._pos:],
+                                    self.D.draw_indices(self.rng, self.CHUNK)))
         self._pos = 0
-        self._buf += self.D.draw_indices(self.rng, self.CHUNK).tolist()
+        done, size = len(self._wins) * n, len(self._buf)
+        self._wins += self.support.window_masks(
+            self._buf[done:size - size % n], n)
 
-    def peek(self, m: int) -> list:
-        return self._buf[self._pos:self._pos + m]
+    def peek(self, start: int, stop: int) -> list:
+        """The unread draws start..stop-1."""
+        return self._buf[self._pos + start:self._pos + stop].tolist()
+
+    def windows(self, count: int) -> list:
+        """The masks of the first `count` unread windows."""
+        first = self._pos // self.n
+        return self._wins[first:first + count]
 
     def advance(self, m: int):
         self._pos += m
         self.used += m
 
-    def take(self, n: int) -> list:
+    def take(self) -> tuple:
+        """The next window: its n draws and their mask."""
+        n = self.n
         if self.used + n > self.budget:
             self.used += n  # record the attempt that tripped the cap
             raise _Fail
         while self.buffered < n:
             self.refill()
-        out = self.peek(n)
+        out = self.peek(0, n), self._wins[self._pos // n]
         self.advance(n)
         return out
 
@@ -172,17 +203,34 @@ def _tournaments_fail(H: HypothesisClass, masks: list, floor: int) -> bool:
     return True
 
 
+# Most distinct support masks given presence bits, so a window key takes
+# at most KEY_MASKS_LIMIT / 64 uint64 words; past it every window is
+# scored by its running AND.
+KEY_MASKS_LIMIT = 1024
+
+# Most window keys kept per (H, D); a key missing from a full cache is
+# scored by its running AND and not stored.
+WINDOW_CACHE_LIMIT = 4096
+
+
 class _Support:
     """What the sampler needs of one (H, D) pair, checked and built once.
 
     `masks[x]` is the bitmask of rows consistent with (x, target(x)),
     `floor` that of the rows consistent on the whole support, `labels` the
-    target as a list of ints and `target` as an int64 array.
+    target as a list of ints and `target` as an int64 array.  `bits[x]`
+    is the presence bit of x's mask among the support's distinct masks,
+    in `ceil(U / 64)` uint64 words (None past KEY_MASKS_LIMIT), and
+    `window_cache` maps the OR of a window's bits to the AND of its masks.
     """
 
-    __slots__ = ("masks", "floor", "labels", "target", "always_fails")
+    __slots__ = ("masks", "floor", "full", "labels", "target", "always_fails",
+                 "bits", "window_cache")
 
     def __init__(self, H: HypothesisClass, D: FiniteDistribution):
+        if H.K >= 2 ** 63:
+            # a tournament label is drawn by rng.integers(1, K + 1)
+            raise ValueError(f"the sampler needs K < 2**63, got K = {H.K}")
         t = D.target
         if not (len(t) == H.domain_size and t.dtype.kind in "iuf"
                 and 1 <= t.min() and t.max() <= H.K
@@ -198,15 +246,65 @@ class _Support:
         drawn = [m for m, on in zip(self.masks, support.tolist()) if on]
         self.floor = row_mask((H.table[:, support]
                                == self.target[support]).all(axis=1))
+        self.full = H.full_mask
         self.always_fails = _tournaments_fail(H, drawn, self.floor)
+        index = {m: i for i, m in enumerate(dict.fromkeys(drawn))}
+        self.bits = None
+        if len(index) <= KEY_MASKS_LIMIT:
+            # a zero-weight point is never drawn, so its bits stay 0
+            bits = np.zeros((H.domain_size, -(-len(index) // 64)), np.uint64)
+            for x in np.flatnonzero(support).tolist():
+                i = index[self.masks[x]]
+                bits[x, i // 64] = 1 << i % 64
+            self.bits = bits.ravel() if bits.shape[1] == 1 else bits
+        self.window_cache = {}
 
-    def fold(self, state: SoaState, t: list) -> SoaState:
+    def running_and(self, xs) -> int:
+        """The AND of the masks of the draws `xs`, stopped at the floor."""
+        m, masks, floor = self.full, self.masks, self.floor
+        for x in xs:
+            m &= masks[x]
+            if m == floor:
+                break
+        return m
+
+    def window_masks(self, draws: np.ndarray, n: int) -> list:
+        """The mask of each n-draw window of `draws`, whose length is a
+        multiple of n: the AND of the window's points' masks."""
+        if not len(draws):
+            return []
+        if self.bits is None:
+            return [self.running_and(draws[i:i + n].tolist())
+                    for i in range(0, len(draws), n)]
+        keys = np.bitwise_or.reduceat(self.bits[draws],
+                                      np.arange(0, len(draws), n), axis=0)
+        keys = (keys.tolist() if keys.ndim == 1 else
+                keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+                .ravel().tolist())
+        cache = self.window_cache
+        out = list(map(cache.get, keys))
+        for i, m in enumerate(out):
+            if m is None:
+                out[i] = m = self.running_and(draws[i * n:(i + 1) * n].tolist())
+                if len(cache) < WINDOW_CACHE_LIMIT:
+                    cache[keys[i]] = m
+        return out
+
+    def fold(self, state: SoaState, t: list,
+             window: Optional[int] = None) -> SoaState:
         """Fold the target-labeled draws `t` into `state`, in place.
 
         While the prefix is realizable the running AND of the draws' masks
         is the version space, and one at the floor stays there; the draw
         that empties it goes through `observe`, later ones into `patches`.
+        `window`, the AND of the masks of `t` if given, settles a state
+        that stays realizable in one AND.
         """
+        if state.base is None and window is not None:
+            mask = state.mask & window
+            if mask:
+                state.mask = mask
+                return state
         start = 0
         if state.base is None:
             mask, masks, floor = state.mask, self.masks, self.floor
@@ -278,16 +376,15 @@ class _Sampler:
 
         No tournament label is drawn between k = 1 rounds, so every round
         that fits both in the stream's buffer and in the remaining budget
-        is scored before the stream advances: each half by the AND of its
-        points' consistent-row masks, up to the floor.  A nonempty mask is
-        the version space SOA_0 ends the half in, so two are compared by
-        their cached predictor tables and give an accepted round its
-        states; only a half with an empty mask (unrealizable draws: SOA
-        freezes and patches) is walked through the SOA fold.
+        is scored before the stream advances: each half by its window
+        mask.  A nonempty mask is the version space SOA_0 ends the half
+        in, so two are compared by their cached predictor tables and give
+        an accepted round its states; only a half with an empty mask
+        (unrealizable draws: SOA freezes and patches) is walked through
+        the SOA fold.
         """
         H, n, stream = self.H, self.n, self.stream
-        masks, floor = self.support.masks, self.support.floor
-        two_n, full = 2 * n, H.full_mask
+        two_n = 2 * n
         while True:
             left = stream.budget - stream.used
             if left < two_n:
@@ -296,22 +393,13 @@ class _Sampler:
                 raise _Fail
             while stream.buffered < two_n:
                 stream.refill()
-            end = min(stream.buffered, left) // two_n * two_n
-            block = stream.peek(end)
-            for j in range(0, end, two_n):
-                m0 = m1 = full
-                for x in block[j:j + n]:
-                    m0 &= masks[x]
-                    if m0 == floor:
-                        break
-                for x in block[j + n:j + two_n]:
-                    m1 &= masks[x]
-                    if m1 == floor:
-                        break
+            wins = stream.windows(min(stream.buffered, left) // two_n * 2)
+            for j, m0, m1 in zip(range(0, len(wins) * n, two_n),
+                                 wins[::2], wins[1::2]):
                 if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
                                   == predictor_table(H, 0, m1)):
                     continue
-                t0, t1 = block[j:j + n], block[j + n:j + two_n]
+                t0, t1 = stream.peek(j, j + n), stream.peek(j + n, j + two_n)
                 st0 = SoaState(H, mask=m0) if m0 else self.fold(SoaState(H), t0)
                 st1 = SoaState(H, mask=m1) if m1 else self.fold(SoaState(H), t1)
                 f0, f1 = st0.predictor(), st1.predictor()
@@ -320,7 +408,7 @@ class _Sampler:
                 stream.advance(j + two_n)
                 return self.accept([([], t0, [], [], st0),
                                     ([], t1, [], [], st1)], f0, f1)
-            stream.advance(end)
+            stream.advance(len(wins) * n)
 
     def level(self, k: int):
         """A sample of depth k >= 1: (points, positions, labels, state)."""
@@ -328,11 +416,11 @@ class _Sampler:
             return self.first_level()
         while True:
             xs0, pos0, lab0, st0 = self.level(k - 1)
-            t0 = self.stream.take(self.n)
+            t0, w0 = self.stream.take()
             xs1, pos1, lab1, st1 = self.level(k - 1)
-            t1 = self.stream.take(self.n)
-            f0 = self.fold(st0, t0).predictor()
-            f1 = self.fold(st1, t1).predictor()
+            t1, w1 = self.stream.take()
+            f0 = self.fold(st0, t0, w0).predictor()
+            f1 = self.fold(st1, t1, w1).predictor()
             if f0 == f1:
                 continue
             return self.accept([(xs0, t0, pos0, lab0, st0),
@@ -360,7 +448,7 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
         left = N % (2 * n)
         return TournamentSample(None, None, True,
                                 N - left + (n if left < n else 2 * n), [])
-    stream = _DrawStream(D, rng, N)
+    stream = _DrawStream(D, rng, N, n, support)
     sampler = _Sampler(H, n, stream, rng, support)
     try:
         xs, positions, labels, state = sampler.level(k)

@@ -812,6 +812,26 @@ def test_experiment_rejects_unknown_command(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("K, command, message", [
+    (2 ** 63, "gs", "the sampler needs K < 2**63"),
+    (2 ** 63, "dp-learn", "the sampler needs K < 2**63"),
+    (10 ** 400, "dp-learn", "needs more stable-learner batches than a float "
+                            "can count"),
+], ids=["gs-K-past-int64", "dp-learn-K-past-int64", "dp-learn-eta-underflow"])
+def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
+    # a tournament label is drawn by rng.integers(1, K + 1), an int64; at
+    # K = 10**400 and d = 1, eta = (K-1) / ((d+1) K^(d+1)) underflows to 0
+    cls = tmp_path / "c.json"
+    classfile.save_class(HypothesisClass(K, [[1, 2], [2, 1]]), cls)
+    argv = {"gs": ["--alpha", 0.1, "--trials", 3],
+            "dp-learn": ["--epsilon", 0.5, "--delta", 0.01, "--alpha", 0.2,
+                         "--beta", 0.2]}[command]
+    assert run_cli(command, "--input", cls, "--target", 0, "--seed", 1,
+                   *argv, "--out", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"error: {command}: " in err and message in err
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["dim", "--kind", "fat", "--gamma", "0.5", "--input", "{mc}"], None,
      "dim: {mc} is not a real-valued class file"),

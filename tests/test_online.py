@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tolerantlearn.classes import HypothesisClass, tolerant_loss
 from tolerantlearn.dimensions import ldim_value
 from tolerantlearn.generators import complete_binary, threshold_class
 from tolerantlearn.online import (ConstantLearner, MajorityLearner, SoaLearner,
-                                  adversary_force, soa_final_predictor, soa_run)
+                                  _argmax_label, adversary_force,
+                                  predictor_table, soa_final_predictor, soa_run)
 
 
 def realizable_sequences(H, length):
@@ -108,6 +110,42 @@ def test_fast_path_matches_transcript(mc_corpus):
                                                           tau)[r.x]
                 broke += t.break_round is not None
     assert broke > 0
+
+
+def argmax_label_over_all_labels(H, tau, mask, x):
+    """SOA's label at x as defined: every label 1..K scored by Ldim_tau of
+    its restriction (-1 when empty), ties toward the smallest."""
+    col = H.col_masks()[x]
+    best_k, best_v = 1, None
+    for k in range(1, H.K + 1):
+        sub = mask & col.get(k, 0)
+        v = ldim_value(H, tau, sub) if sub else -1
+        if best_v is None or v > best_v:
+            best_k, best_v = k, v
+    return best_k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(1, 5), st.data(),
+       st.sampled_from([0, 1]))
+def test_argmax_label_scores_only_the_labels_in_use(K, rows, dom, data, tau):
+    # labels missing from a column are skipped; masks include 0, where no
+    # label is inhabited and label 1 stands
+    labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
+    H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
+                                              max_size=rows)))
+    mask = data.draw(st.integers(0, H.full_mask))
+    for x in range(H.domain_size):
+        assert (_argmax_label(H, tau, mask, x)
+                == argmax_label_over_all_labels(H, tau, mask, x))
+
+
+def test_predictor_table_cost_follows_the_labels_in_use():
+    # K = 2**64 leaves two labels in use; scoring all of 1..K never ends
+    small = HypothesisClass(2, [[1, 2], [2, 1]])
+    huge = HypothesisClass(2 ** 64, [[1, 2], [2, 1]])
+    for mask in range(4):
+        assert predictor_table(huge, 0, mask) == predictor_table(small, 0, mask)
 
 
 def test_invalid_example_rejected(threshold4):

@@ -11,9 +11,10 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, GRunResult, _support_entry,
-                                     estimate_stability, g_parameters, run_g,
-                                     sample_dk_mc)
+from tolerantlearn.stability import (CLOSURE_LIMIT, KEY_MASKS_LIMIT,
+                                     WINDOW_CACHE_LIMIT, GRunResult,
+                                     _support_entry, estimate_stability,
+                                     g_parameters, run_g, sample_dk_mc)
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +381,146 @@ def test_sampler_matches_reference_past_the_floor_across_chunks(n, w, ks, N):
                                                     min(s.draw_count, N))
     assert crossed
     assert all((k, False) in outcomes for k in ks)
+
+
+# --- n-draw windows: each window's mask comes from its key ------------------------
+
+def rows_of(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def assert_window_masks_match(H, D, draws, n):
+    """`window_masks` gives each n-draw window the rows consistent on it,
+    and every cached key maps to the AND of the masks of the points whose
+    presence bits it holds."""
+    support = _support_entry(H, D)
+    got = support.window_masks(np.asarray(draws, dtype=np.int64), n)
+    assert [rows_of(m) for m in got] == [
+        consistent_rows(H, D.target, draws[i:i + n])
+        for i in range(0, len(draws), n)]
+    if support.bits is None:
+        assert not support.window_cache
+        return
+    words = support.bits.reshape(H.domain_size, -1)
+    for key, mask in support.window_cache.items():
+        key = (np.frombuffer(key, np.uint64) if isinstance(key, bytes)
+               else np.uint64(key))
+        named = np.flatnonzero((words & key).any(axis=1))
+        assert rows_of(mask) == consistent_rows(H, D.target, named)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4),
+       st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 8)),
+                 st.tuples(st.integers(10, 14), st.integers(100, 150))),
+       st.booleans(), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, KEY_MASKS_LIMIT]))
+def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed,
+                                           limit):
+    # 100 to 150 points on 10 or more rows mostly have more than 64
+    # distinct masks, so keys take several words; a limit of 1 distinct
+    # mask scores every window by its running AND
+    rows, dom = shape
+    rs = np.random.default_rng(seed)
+    table = rs.integers(1, K + 1, size=(rows, dom))
+    target = (table[int(rs.integers(0, rows))] if realizable
+              else rs.integers(1, K + 1, size=dom))
+    w = rs.random(dom) * (rs.random(dom) < 0.8)
+    w[int(rs.integers(0, dom))] += 1
+    with mock.patch.object(stability, "KEY_MASKS_LIMIT", limit):
+        H = HypothesisClass(K, table)
+        D = FiniteDistribution(w / w.sum(), target)
+        draws = D.draw_indices(rs, n * int(rs.integers(1, 40))).tolist()
+        for _ in range(2):   # misses, then hits
+            assert_window_masks_match(H, D, draws, n)
+    bits = _support_entry(H, D).bits
+    event(f"key words: {0 if bits is None else bits.reshape(dom, -1).shape[1]}")
+
+
+def test_window_cache_is_bounded():
+    # 100 points on a threshold class: 100 distinct masks, so a window of
+    # 3 draws has ~160k possible keys, far more than the cache holds
+    H = threshold_class(100)
+    D = FiniteDistribution.uniform(H, 50)
+    support = _support_entry(H, D)
+    assert support.bits.shape == (100, 2)
+    rng = as_generator(3)
+    for _ in range(12):
+        draws = D.draw_indices(rng, 3 * 512)
+        got = support.window_masks(draws, 3)
+        assert len(support.window_cache) <= WINDOW_CACHE_LIMIT
+    assert len(support.window_cache) == WINDOW_CACHE_LIMIT
+    assert_window_masks_match(H, D, draws.tolist(), 3)
+    assert got == support.window_masks(draws, 3)
+
+
+def rare_middle(dom, rare):
+    """Weights on `dom` points with the points in `rare` 100 times rarer."""
+    w = np.ones(dom)
+    w[list(rare)] = 0.01
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_sampler_matches_reference_on_multiword_keys(realizable):
+    # 90 points with distinct masks take two key words; the rare points
+    # around the target's threshold keep some rounds' halves apart
+    H = threshold_class(90)
+    target = H.table[45] if realizable else np.where(np.arange(90) % 7, 1, 2)
+    D = FiniteDistribution(rare_middle(90, range(42, 48)), target)
+    assert _support_entry(H, D).bits.shape == (90, 2)
+    outcomes = set()
+    for k in (1, 2, 3):
+        for n in (1, 7, 40):
+            for seed in range(3):
+                s = assert_matches_reference(k, D, H, n, 3000, seed)
+                outcomes.add((k, s.failed))
+    assert {(1, False), (2, False)} <= outcomes
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1100])
+def test_sampler_matches_reference_on_windows_across_chunks(n):
+    # a window straddles a 512-draw chunk (511, 513), fills it (512) or
+    # spans three (1100); the unrealizable target leaves some window masks
+    # empty, so those halves go through the fold
+    H = threshold_class(4)
+    w = np.array([0.4985, 0.0015, 0.001, 0.499])
+    outcomes = set()
+    for target in (H.table[2], np.array([2, 1, 2, 1])):
+        D = FiniteDistribution(w, target)
+        for k in (1, 2):
+            for seed in range(4):
+                s = assert_matches_reference(k, D, H, n, 40 * n, seed)
+                outcomes.add((k, s.failed))
+    assert {(1, False), (2, False), (2, True)} <= outcomes
+
+
+def test_run_g_matches_reference_on_windows_across_chunks():
+    # the stable learner on top of windows past a chunk, with the tail
+    # folded into the state the sample ends in
+    H = threshold_class(4)
+    D = FiniteDistribution(np.array([0.4985, 0.0015, 0.001, 0.499]),
+                           np.array([2, 1, 2, 1]))
+    outcomes = set()
+    for seed in range(12):
+        res = assert_run_g_matches_reference(H, D, 0.003, seed, d=2)
+        outcomes.add((res.k, res.failed))
+    assert {(1, False), (2, False)} <= outcomes
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_sampler_matches_reference_without_window_keys(realizable):
+    # past KEY_MASKS_LIMIT distinct masks no key is built, and every window
+    # is scored by its running AND
+    rs = np.random.default_rng(90 + realizable)
+    with mock.patch.object(stability, "KEY_MASKS_LIMIT", 2):
+        for _ in range(60):
+            H, D = random_case(rs, realizable, dom=(3, 7))
+            k = int(rs.integers(1, 4))
+            n = int(rs.choice([1, 2, 3, 7]))
+            assert_matches_reference(k, D, H, n, 400, int(rs.integers(0, 2**31)))
+            assert _support_entry(H, D).bits is None or len(
+                set(_support_entry(H, D).masks)) <= 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
