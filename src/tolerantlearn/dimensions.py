@@ -146,7 +146,7 @@ def _ldim_engine(H: HypothesisClass, tau: int) -> _SplitEngine:
     if engine is None:
         splits = []
         for x, col in enumerate(H.col_masks()):
-            labels = sorted(col)
+            labels = list(col)   # increasing: see HypothesisClass.col_masks
             for i, k in enumerate(labels):
                 for kp in labels[i + 1:]:
                     if kp - k > tau:

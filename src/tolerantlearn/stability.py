@@ -29,14 +29,17 @@ does not advance a generator the caller passed in; `run_g` and
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  Every request the sampler makes is n draws
-or a multiple of them, so the draw stream splits into n-draw windows, and
-each window's mask (the AND of its points' consistent-row masks) is
-computed once, when the chunk that completes it is drawn.  The AND only
-depends on which distinct masks occur in the window, so each distinct
-support mask gets one presence bit, one numpy OR-reduction per chunk gives
-every window its set of masks as a key, and a bounded per-support dict
-maps the key to the AND.  A key not in the
-dict is scored by a running AND over the window's draws that stops at the
+or a multiple of them, so the draw stream splits into n-draw windows.  A
+window's mask, the AND of its points' consistent-row masks, only depends
+on which distinct masks occur in it, so each distinct support mask gets
+one presence bit, one numpy OR-reduction per chunk gives every window the
+chunk completes its set of masks as a key, and a bounded per-support dict
+maps the key to the AND.  That pays when windows keep repeating the same
+sets of masks, as on a support with few distinct masks: a gs run on
+`threshold_class(7)` (7 masks, n = 21) finds over 99.9% of its windows'
+keys in the dict.  A support whose keys do not repeat drops them (see
+`_Support`).  A window whose key is not in the dict is scored only when
+the sampler reads it, by a running AND over its draws that stops at the
 support's floor, the AND of all their masks: every support point's mask
 contains it, so no later draw can change it.  Buffer refills stay lazy:
 the generator is shared with the tournament labels, so drawing a chunk
@@ -49,10 +52,10 @@ ends the half in, so two of them are compared by their cached predictor
 tables, and only a half with an empty mask is walked through the SOA fold.
 Deeper levels carry SOA's `online.SoaState` up from the child sample and
 fold each round's n fresh draws into it: a realizable state by one AND
-with the window mask, the draw that breaks realizability and the ones
-after it through the fold.  A sample hands SOA_0's state after it to the
-stable learner, so `run_g` folds only its n tail draws into that state,
-by the same fold.
+with the window mask if the dict had it (else draw by draw), the draw
+that breaks realizability and the ones after it through the fold.  A
+sample hands SOA_0's state after it to the stable learner, so `run_g`
+folds only its n tail draws into that state, by the same fold.
 """
 
 from __future__ import annotations
@@ -87,8 +90,10 @@ class _DrawStream:
     only when the next request needs it: the generator is shared with the
     tournament labels, so drawing ahead would change every later label.
     Every request is a multiple of n draws, so the unread buffer starts on
-    a window boundary, and `_wins[i]` is the mask of the window
-    `_buf[i*n:(i+1)*n]`, computed when its last draw arrives.
+    a window boundary.  `_keys[i]` is the key of the window
+    `_buf[i*n:(i+1)*n]`, made when its last draw arrives, and `_wins[i]`
+    its mask if the key was in the support's cache then, else None: a
+    missed window is scored only if the sampler reads it.
     """
 
     CHUNK = 512
@@ -103,6 +108,7 @@ class _DrawStream:
         self.used = 0
         self._buf = np.zeros(0, np.int64)
         self._pos = 0
+        self._keys = []
         self._wins = []
 
     @property
@@ -111,31 +117,36 @@ class _DrawStream:
 
     def refill(self):
         """Append one chunk of fresh draws to the unread part of the buffer,
-        and the masks of the windows it completes to `_wins`."""
+        and the keys and cached masks of the windows it completes."""
         n = self.n
-        del self._wins[:self._pos // n]
+        del self._keys[:self._pos // n], self._wins[:self._pos // n]
         self._buf = np.concatenate((self._buf[self._pos:],
                                     self.D.draw_indices(self.rng, self.CHUNK)))
         self._pos = 0
         done, size = len(self._wins) * n, len(self._buf)
-        self._wins += self.support.window_masks(
+        keys, wins = self.support.window_keys(
             self._buf[done:size - size % n], n)
+        self._keys += keys
+        self._wins += wins
 
     def peek(self, start: int, stop: int) -> list:
         """The unread draws start..stop-1."""
         return self._buf[self._pos + start:self._pos + stop].tolist()
 
-    def windows(self, count: int) -> list:
-        """The masks of the first `count` unread windows."""
+    def windows(self, count: int) -> tuple:
+        """The keys and cached masks of the first `count` unread windows, a
+        mask None where the window's key missed the cache."""
         first = self._pos // self.n
-        return self._wins[first:first + count]
+        return (self._keys[first:first + count],
+                self._wins[first:first + count])
 
     def advance(self, m: int):
         self._pos += m
         self.used += m
 
     def take(self) -> tuple:
-        """The next window: its n draws and their mask."""
+        """The next window: its n draws and their cached mask, None on a
+        cache miss (the fold then ANDs the draws itself)."""
         n = self.n
         if self.used + n > self.budget:
             self.used += n  # record the attempt that tripped the cap
@@ -203,14 +214,18 @@ def _tournaments_fail(H: HypothesisClass, masks: list, floor: int) -> bool:
     return True
 
 
-# Most distinct support masks given presence bits, so a window key takes
-# at most KEY_MASKS_LIMIT / 64 uint64 words; past it every window is
-# scored by its running AND.
-KEY_MASKS_LIMIT = 1024
+# Byte budgets of one (H, D)'s window keys.  The presence-bit table takes
+# domain_size * ceil(U / 64) * 8 bytes for U distinct support masks; past
+# KEY_TABLE_BYTES the support gets none.  The cache holds as many entries
+# (key, mask and dict slot) as fit in WINDOW_CACHE_BYTES.  Together they
+# keep a support's window state within 2 MiB, about 5% of the 39 MB peak
+# RSS of a gs or dp-learn run on a small class.
+KEY_TABLE_BYTES = 1 << 20
+WINDOW_CACHE_BYTES = 1 << 20
 
-# Most window keys kept per (H, D); a key missing from a full cache is
-# scored by its running AND and not stored.
-WINDOW_CACHE_LIMIT = 4096
+# Windows a support keys before it judges whether its keys pay, so one
+# whose windows do not repeat spends at most this many key lookups.
+KEY_TRIAL = 4096
 
 
 class _Support:
@@ -220,12 +235,19 @@ class _Support:
     `floor` that of the rows consistent on the whole support, `labels` the
     target as a list of ints and `target` as an int64 array.  `bits[x]`
     is the presence bit of x's mask among the support's distinct masks,
-    in `ceil(U / 64)` uint64 words (None past KEY_MASKS_LIMIT), and
-    `window_cache` maps the OR of a window's bits to the AND of its masks.
+    in `ceil(U / 64)` uint64 words, and `window_cache` maps the OR of a
+    window's bits, its key, to the AND of its masks, for at most
+    `cache_room` keys.
+
+    Keys pay only while windows repeat their sets of distinct masks, so
+    that most keys are found in the cache.  Once the support has keyed
+    KEY_TRIAL windows (`keyed`), it drops `bits` whenever fewer than half
+    of them were found (`hits`), and empties the cache; every later window
+    is scored by its running AND, as on a support past KEY_TABLE_BYTES.
     """
 
     __slots__ = ("masks", "floor", "full", "labels", "target", "always_fails",
-                 "bits", "window_cache")
+                 "bits", "window_cache", "cache_room", "keyed", "hits")
 
     def __init__(self, H: HypothesisClass, D: FiniteDistribution):
         if H.K >= 2 ** 63:
@@ -249,46 +271,48 @@ class _Support:
         self.full = H.full_mask
         self.always_fails = _tournaments_fail(H, drawn, self.floor)
         index = {m: i for i, m in enumerate(dict.fromkeys(drawn))}
+        words = -(-len(index) // 64)
         self.bits = None
-        if len(index) <= KEY_MASKS_LIMIT:
+        if H.domain_size * words * 8 <= KEY_TABLE_BYTES:
             # a zero-weight point is never drawn, so its bits stay 0
-            bits = np.zeros((H.domain_size, -(-len(index) // 64)), np.uint64)
+            bits = np.zeros((H.domain_size, words), np.uint64)
             for x in np.flatnonzero(support).tolist():
                 i = index[self.masks[x]]
                 bits[x, i // 64] = 1 << i % 64
-            self.bits = bits.ravel() if bits.shape[1] == 1 else bits
+            self.bits = bits.ravel() if words == 1 else bits
+        # an entry: a key (an int, or bytes past one word), a mask int of
+        # num_rows bits (30 to a 4-byte digit) and a dict slot, with their
+        # object headers
+        entry = 8 * words + 4 * (H.num_rows // 30) + 160
+        self.cache_room = WINDOW_CACHE_BYTES // entry
         self.window_cache = {}
+        self.keyed = self.hits = 0
 
-    def running_and(self, xs) -> int:
-        """The AND of the masks of the draws `xs`, stopped at the floor."""
-        m, masks, floor = self.full, self.masks, self.floor
-        for x in xs:
-            m &= masks[x]
-            if m == floor:
-                break
-        return m
-
-    def window_masks(self, draws: np.ndarray, n: int) -> list:
-        """The mask of each n-draw window of `draws`, whose length is a
-        multiple of n: the AND of the window's points' masks."""
-        if not len(draws):
-            return []
-        if self.bits is None:
-            return [self.running_and(draws[i:i + n].tolist())
-                    for i in range(0, len(draws), n)]
+    def window_keys(self, draws: np.ndarray, n: int) -> tuple:
+        """The key of each n-draw window of `draws`, whose length is a
+        multiple of n, and its mask if the key is cached, else None.  Keys
+        are None if the support has no presence bits."""
+        count = len(draws) // n
+        if self.bits is None or not count:
+            return [None] * count, [None] * count
         keys = np.bitwise_or.reduceat(self.bits[draws],
                                       np.arange(0, len(draws), n), axis=0)
         keys = (keys.tolist() if keys.ndim == 1 else
                 keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
                 .ravel().tolist())
-        cache = self.window_cache
-        out = list(map(cache.get, keys))
-        for i, m in enumerate(out):
-            if m is None:
-                out[i] = m = self.running_and(draws[i * n:(i + 1) * n].tolist())
-                if len(cache) < WINDOW_CACHE_LIMIT:
-                    cache[keys[i]] = m
-        return out
+        wins = list(map(self.window_cache.get, keys))
+        self.keyed += count
+        self.hits += count - wins.count(None)
+        if self.keyed >= KEY_TRIAL and 2 * self.hits < self.keyed:
+            self.bits = None
+            self.window_cache.clear()
+        return keys, wins
+
+    def remember(self, key, mask: int):
+        """Cache the mask of a window whose key missed, while the cache has
+        room."""
+        if len(self.window_cache) < self.cache_room:
+            self.window_cache[key] = mask
 
     def fold(self, state: SoaState, t: list,
              window: Optional[int] = None) -> SoaState:
@@ -383,7 +407,8 @@ class _Sampler:
         (unrealizable draws: SOA freezes and patches) is walked through
         the SOA fold.
         """
-        H, n, stream = self.H, self.n, self.stream
+        H, n, stream, support = self.H, self.n, self.stream, self.support
+        masks, floor, full = support.masks, support.floor, support.full
         two_n = 2 * n
         while True:
             left = stream.budget - stream.used
@@ -393,9 +418,30 @@ class _Sampler:
                 raise _Fail
             while stream.buffered < two_n:
                 stream.refill()
-            wins = stream.windows(min(stream.buffered, left) // two_n * 2)
-            for j, m0, m1 in zip(range(0, len(wins) * n, two_n),
-                                 wins[::2], wins[1::2]):
+            keys, wins = stream.windows(
+                min(stream.buffered, left) // two_n * 2)
+            end, block = len(wins) * n, None
+            for j, m0, m1 in zip(range(0, end, two_n), wins[::2], wins[1::2]):
+                if m0 is None or m1 is None:
+                    # a missed window: its running AND, stopped at the floor
+                    if block is None:
+                        block = stream.peek(0, end)
+                    if m0 is None:
+                        m0 = full
+                        for x in block[j:j + n]:
+                            m0 &= masks[x]
+                            if m0 == floor:
+                                break
+                        if keys[j // n] is not None:
+                            support.remember(keys[j // n], m0)
+                    if m1 is None:
+                        m1 = full
+                        for x in block[j + n:j + two_n]:
+                            m1 &= masks[x]
+                            if m1 == floor:
+                                break
+                        if keys[j // n + 1] is not None:
+                            support.remember(keys[j // n + 1], m1)
                 if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
                                   == predictor_table(H, 0, m1)):
                     continue
@@ -408,7 +454,7 @@ class _Sampler:
                 stream.advance(j + two_n)
                 return self.accept([([], t0, [], [], st0),
                                     ([], t1, [], [], st1)], f0, f1)
-            stream.advance(len(wins) * n)
+            stream.advance(end)
 
     def level(self, k: int):
         """A sample of depth k >= 1: (points, positions, labels, state)."""

@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,11 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, KEY_MASKS_LIMIT,
-                                     WINDOW_CACHE_LIMIT, GRunResult,
-                                     _support_entry, estimate_stability,
-                                     g_parameters, run_g, sample_dk_mc)
+from tolerantlearn.stability import (CLOSURE_LIMIT, KEY_TABLE_BYTES,
+                                     KEY_TRIAL, WINDOW_CACHE_BYTES,
+                                     GRunResult, _support_entry,
+                                     estimate_stability, g_parameters, run_g,
+                                     sample_dk_mc)
 
 
 @pytest.fixture(scope="module")
@@ -389,24 +391,47 @@ def rows_of(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def read_windows(support, draws, n):
+    """Every n-draw window's mask as the sampler reads it: cached, or on a
+    miss the AND of its draws' masks, then remembered under its key."""
+    keys, cached = support.window_keys(np.asarray(draws, dtype=np.int64), n)
+    out = []
+    for i, (key, m) in enumerate(zip(keys, cached)):
+        if m is None:
+            m = support.full
+            for x in draws[i * n:(i + 1) * n]:
+                m &= support.masks[x]
+            if key is not None:
+                support.remember(key, m)
+        out.append(m)
+    return out
+
+
+def cache_bytes(cache):
+    return sys.getsizeof(cache) + sum(sys.getsizeof(k) + sys.getsizeof(m)
+                                      for k, m in cache.items())
+
+
 def assert_window_masks_match(H, D, draws, n):
-    """`window_masks` gives each n-draw window the rows consistent on it,
-    and every cached key maps to the AND of the masks of the points whose
-    presence bits it holds."""
+    """Each n-draw window is read as the rows consistent on it, and every
+    cached key maps to the AND of the masks of the distinct support masks
+    whose presence bits it holds."""
     support = _support_entry(H, D)
-    got = support.window_masks(np.asarray(draws, dtype=np.int64), n)
+    got = read_windows(support, draws, n)
     assert [rows_of(m) for m in got] == [
         consistent_rows(H, D.target, draws[i:i + n])
         for i in range(0, len(draws), n)]
-    if support.bits is None:
-        assert not support.window_cache
-        return
-    words = support.bits.reshape(H.domain_size, -1)
+    distinct = list(dict.fromkeys(
+        m for m, w in zip(support.masks, D.weights.tolist()) if w > 0))
     for key, mask in support.window_cache.items():
-        key = (np.frombuffer(key, np.uint64) if isinstance(key, bytes)
-               else np.uint64(key))
-        named = np.flatnonzero((words & key).any(axis=1))
-        assert rows_of(mask) == consistent_rows(H, D.target, named)
+        if isinstance(key, bytes):
+            key = sum(int(w) << 64 * j
+                      for j, w in enumerate(np.frombuffer(key, np.uint64)))
+        want = H.full_mask
+        for i, m in enumerate(distinct):
+            if key >> i & 1:
+                want &= m
+        assert mask == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,12 +439,12 @@ def assert_window_masks_match(H, D, draws, n):
        st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 8)),
                  st.tuples(st.integers(10, 14), st.integers(100, 150))),
        st.booleans(), st.integers(1, 6), st.integers(0, 2**32 - 1),
-       st.sampled_from([1, KEY_MASKS_LIMIT]))
+       st.sampled_from([0, KEY_TABLE_BYTES]))
 def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed,
-                                           limit):
+                                           key_bytes):
     # 100 to 150 points on 10 or more rows mostly have more than 64
-    # distinct masks, so keys take several words; a limit of 1 distinct
-    # mask scores every window by its running AND
+    # distinct masks, so keys take several words; a key budget of 0 bytes
+    # scores every window by its running AND
     rows, dom = shape
     rs = np.random.default_rng(seed)
     table = rs.integers(1, K + 1, size=(rows, dom))
@@ -427,7 +452,7 @@ def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed,
               else rs.integers(1, K + 1, size=dom))
     w = rs.random(dom) * (rs.random(dom) < 0.8)
     w[int(rs.integers(0, dom))] += 1
-    with mock.patch.object(stability, "KEY_MASKS_LIMIT", limit):
+    with mock.patch.object(stability, "KEY_TABLE_BYTES", key_bytes):
         H = HypothesisClass(K, table)
         D = FiniteDistribution(w / w.sum(), target)
         draws = D.draw_indices(rs, n * int(rs.integers(1, 40))).tolist()
@@ -438,20 +463,67 @@ def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed,
 
 
 def test_window_cache_is_bounded():
-    # 100 points on a threshold class: 100 distinct masks, so a window of
-    # 3 draws has ~160k possible keys, far more than the cache holds
+    # 20 points on 2,000 rows: one key word, but masks of 2,000 bits; the
+    # 5-draw windows rarely repeat, so the cache fills, and after
+    # KEY_TRIAL windows with mostly misses the support drops its keys and
+    # empties the cache
+    rs = np.random.default_rng(4)
+    H = HypothesisClass(2, rs.integers(1, 3, size=(2000, 20)))
+    D = FiniteDistribution.uniform(H, 7)
+    support = _support_entry(H, D)
+    assert support.bits.shape == (20,)
+    rng = as_generator(3)
+    sizes = []
+    while support.bits is not None and len(sizes) < 60:
+        draws = D.draw_indices(rng, 5 * 512).tolist()
+        assert_window_masks_match(H, D, draws, 5)
+        sizes.append((len(support.window_cache),
+                      cache_bytes(support.window_cache)))
+    assert support.bits is None
+    assert support.keyed >= KEY_TRIAL and 2 * support.hits < support.keyed
+    assert max(sizes)[0] == support.cache_room
+    assert max(size for _, size in sizes) <= WINDOW_CACHE_BYTES
+    # the windows keyed before the drop are still read, and cached
+    assert sizes[-1][0] <= 512
+    # no keys now, and every window still reads the per-draw AND
+    assert_window_masks_match(H, D, draws, 5)
+    assert len(support.window_cache) == sizes[-1][0]
+
+
+def test_window_cache_keeps_keys_that_repeat():
+    # threshold_class(7) at n = 21, as the stable learner plays it: the
+    # windows keep repeating a few dozen keys, so even with a full cache
+    # of 20 keys most windows are found and the keys stay
+    H = threshold_class(7)
+    D = FiniteDistribution.uniform(H, 4)
+    with mock.patch.object(stability, "WINDOW_CACHE_BYTES", 20 * 168):
+        support = _support_entry(H, D)
+    assert support.cache_room == 20
+    rng = as_generator(5)
+    for _ in range(200):
+        assert_window_masks_match(H, D, D.draw_indices(rng, 21 * 24).tolist(),
+                                  21)
+    assert len(support.window_cache) == 20
+    assert support.keyed >= KEY_TRIAL and 2 * support.hits >= support.keyed
+    assert support.bits is not None
+
+
+def test_refill_scores_no_missed_window():
+    # a cold cache: refill keys every window of the chunk but scores none,
+    # and a k = 1 sample scores at most the windows of the rounds it reads
     H = threshold_class(100)
     D = FiniteDistribution.uniform(H, 50)
     support = _support_entry(H, D)
-    assert support.bits.shape == (100, 2)
-    rng = as_generator(3)
-    for _ in range(12):
-        draws = D.draw_indices(rng, 3 * 512)
-        got = support.window_masks(draws, 3)
-        assert len(support.window_cache) <= WINDOW_CACHE_LIMIT
-    assert len(support.window_cache) == WINDOW_CACHE_LIMIT
-    assert_window_masks_match(H, D, draws.tolist(), 3)
-    assert got == support.window_masks(draws, 3)
+    stream = stability._DrawStream(D, as_generator(0), 10**6, 3, support)
+    stream.refill()
+    keys, wins = stream.windows(512 // 3)
+    assert len(keys) == 170 and wins == [None] * 170
+    assert not support.window_cache
+    with mock.patch.object(stability._Support, "remember", autospec=True,
+                           side_effect=stability._Support.remember) as scored:
+        s = sample_dk_mc(1, D, H, 3, 10**6, 0)
+    assert not s.failed
+    assert 2 <= scored.call_count <= s.draw_count // 3 < 170
 
 
 def rare_middle(dom, rare):
@@ -509,18 +581,26 @@ def test_run_g_matches_reference_on_windows_across_chunks():
 
 
 @pytest.mark.parametrize("realizable", [True, False])
-def test_sampler_matches_reference_without_window_keys(realizable):
-    # past KEY_MASKS_LIMIT distinct masks no key is built, and every window
-    # is scored by its running AND
+@pytest.mark.parametrize("limit", [("KEY_TABLE_BYTES", 0), ("KEY_TRIAL", 1),
+                                   ("WINDOW_CACHE_BYTES", 600)])
+def test_sampler_matches_reference_without_window_keys(realizable, limit):
+    # with no key budget no support gets keys, and every window is scored
+    # by its running AND; with a trial of one window a support judges its
+    # keys on its cold first chunk and drops them in mid-sample; with a
+    # cache of a few entries most missed windows are not stored
     rs = np.random.default_rng(90 + realizable)
-    with mock.patch.object(stability, "KEY_MASKS_LIMIT", 2):
+    dropped = 0
+    with mock.patch.object(stability, *limit):
         for _ in range(60):
             H, D = random_case(rs, realizable, dom=(3, 7))
             k = int(rs.integers(1, 4))
             n = int(rs.choice([1, 2, 3, 7]))
             assert_matches_reference(k, D, H, n, 400, int(rs.integers(0, 2**31)))
-            assert _support_entry(H, D).bits is None or len(
-                set(_support_entry(H, D).masks)) <= 2
+            support = _support_entry(H, D)
+            assert support.bits is None or limit[0] != "KEY_TABLE_BYTES"
+            assert len(support.window_cache) <= support.cache_room
+            dropped += support.bits is None
+    assert dropped > 0 or limit[0] == "WINDOW_CACHE_BYTES"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
