@@ -175,9 +175,8 @@ def generic_private_learner(hypotheses: Sequence, sample, eps: float, seed,
     if not len(sample[0]):
         raise ValueError("empty selection sample")
     probs = selection_probabilities(hypotheses, sample, eps, loss)
-    rng = as_generator(seed)
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return hypotheses[min(idx, len(hypotheses) - 1)]
+    choice = FiniteDistribution(probs, np.arange(len(probs)))
+    return hypotheses[int(choice.draw_indices(as_generator(seed), 1)[0])]
 
 
 def selection_sample_size(list_size: int, alpha: float, beta: float,

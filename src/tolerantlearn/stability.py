@@ -43,7 +43,12 @@ the sampler reads it, by a running AND over its draws that stops at the
 support's floor, the AND of all their masks: every support point's mask
 contains it, so no later draw can change it.  Buffer refills stay lazy:
 the generator is shared with the tournament labels, so drawing a chunk
-before a round needs it would change every later label.
+before a round needs it would change every later label.  A chunk's 512
+draws come from the distribution's guide table, one gather and one compare
+each; `run_g`'s n-draw tail does too if n >= `classes.GUIDE_DRAWS`, and
+is binary-searched otherwise, as is every call on a distribution refused a
+table.  Both give the inverse CDF's indices at the same uniforms (see
+`FiniteDistribution.draw_indices`).
 
 At k = 1 no tournament label is drawn between rounds, so every round in
 the buffer (and within the budget) is scored before the stream advances,

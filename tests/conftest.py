@@ -7,6 +7,25 @@ from tolerantlearn.classes import HypothesisClass
 from tolerantlearn.generators import random_multiclass, random_real, threshold_class
 
 
+def inverse_cdf_draws(D, rng, n):
+    """n draws of the distribution D by the definitional inverse CDF: draw i
+    counts D's cumulative weights at or below the i-th of rng.random(n).
+    References draw through this, not `D.draw_indices`, whose guide-table
+    lookup the tests check against it."""
+    return np.searchsorted(D._cum, rng.random(n), side="right")
+
+
+class StubRng:
+    """Stands in for a generator whose uniform draws are `u`: one number
+    for every draw, or an array of exactly the draws asked for."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n=None):
+        return self.u if n is None else np.full(n, self.u)
+
+
 def small_mc_corpus(count: int, seed: int = 2024):
     """Random classes with <= 6 rows, <= 4 points, K <= 4."""
     sizes = list(itertools.product((2, 3, 4, 5, 6), (1, 2, 3, 4), (2, 3, 4)))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
-                                   HypothesisClass, RealFunctionClass,
-                                   TolerantZeroOne, absolute_loss, discretize,
-                                   evaluate_loss, label_to_midpoint,
-                                   num_intervals, tolerant_loss,
-                                   value_to_label, _dedup_rows)
+from .conftest import StubRng, inverse_cdf_draws
+from tolerantlearn.classes import (GUIDE_BUCKETS, GUIDE_DRAWS, AbsoluteLoss,
+                                   FiniteDistribution, HypothesisClass,
+                                   RealFunctionClass, TolerantZeroOne,
+                                   absolute_loss, discretize, evaluate_loss,
+                                   label_to_midpoint, num_intervals,
+                                   tolerant_loss, value_to_label, _dedup_rows)
 
 
 # --- losses ------------------------------------------------------------------
@@ -261,16 +262,6 @@ def test_loss_ranges(mc_corpus):
             assert 0.0 <= v <= 1.0
 
 
-class _StubRng:
-    """Stands in for a generator whose every uniform draw is `u`."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        return np.full(n, self.u)
-
-
 @pytest.mark.parametrize("weights, last", [
     (np.full(7, 1 / 7), 6),                  # float sum 0.9999999999999998
     (np.r_[0.0, np.full(7, 1 / 7), 0.0, 0.0], 7),
@@ -278,11 +269,103 @@ class _StubRng:
 def test_draws_near_one_land_on_the_last_drawable_point(weights, last):
     D = FiniteDistribution(weights, np.ones(weights.size, dtype=np.int64))
     top = 1 - 2 ** -53                       # the largest double below 1
-    assert D.draw_indices(_StubRng(top), 3).tolist() == [last] * 3
-    xs, ys = D.draw_sample(_StubRng(top), 2)
-    assert (xs.tolist(), ys.tolist()) == ([last] * 2, [1] * 2)
+    # 512 draws go through the guide table, 3 and 1 through the binary search
+    for n in (3, 512):
+        assert D.draw_indices(StubRng(top), n).tolist() == [last] * n
+        xs, ys = D.draw_sample(StubRng(top), n)
+        assert (xs.tolist(), ys.tolist()) == ([last] * n, [1] * n)
     # a zero-weight point is never drawn, not even at u = 0
-    assert D.draw_indices(_StubRng(0.0), 1).tolist() == [np.flatnonzero(weights)[0]]
+    first = np.flatnonzero(weights)[0]
+    for n in (1, 512):
+        assert D.draw_indices(StubRng(0.0), n).tolist() == [first] * n
+
+
+def _random_weights(rs, kind):
+    """A weight vector of 1 to 5,000 points: 1 / m each, or normalized by
+    its float sum."""
+    m = int(rs.integers(1, 5001) if rs.random() < 0.2 else rs.integers(1, 200))
+    if kind == "uniform":        # sums of m equal weights often end below 1
+        return np.full(m, 1 / m)
+    if kind == "spread":         # gaps near 1 / m: a table at every size
+        w = 1 + rs.random(m)
+    elif kind == "zeros":
+        w = rs.random(m) * (rs.random(m) < 0.5)
+    elif kind == "skewed":
+        w = rs.random(m) ** int(rs.integers(1, 40))
+    else:                        # below an ulp of the running sum
+        w = np.where(rs.random(m) < 0.3, 2.0 ** -rs.integers(60, 1000, size=m),
+                     1 + rs.random(m))
+        w[0] = 1
+    if not w.any():
+        w[int(rs.integers(m))] = 1
+    return w / w.sum()
+
+
+def _crafted_uniforms(D):
+    """Every boundary of D, its neighbours either side, every bucket edge
+    b / B of every table size B <= GUIDE_BUCKETS, 0 and 1 - 2**-53."""
+    bounds = np.unique(D._cum)
+    u = np.concatenate([bounds, np.nextafter(bounds, -1),
+                        np.nextafter(bounds, 2),
+                        np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS,
+                        [0.0, 1 - 2 ** -53]])
+    return u[(u >= 0) & (u < 1)]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "spread", "zeros", "skewed",
+                                  "sub-ulp"])
+def test_draw_indices_is_the_inverse_cdf(kind):
+    # on both sides of GUIDE_DRAWS the draws equal the binary search of the
+    # cumulative weights at the same uniforms, and leave the generator in
+    # the same state
+    rs = np.random.default_rng(sum(map(ord, kind)))
+    seen = set()
+    for _ in range(40):
+        w = _random_weights(rs, kind)
+        D = FiniteDistribution(w, np.zeros(w.size, dtype=np.int64))
+        for n in (1, GUIDE_DRAWS - 1, GUIDE_DRAWS, 512, 2000):
+            seed = int(rs.integers(2 ** 32))
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
+            got = D.draw_indices(got_rng, n)
+            want = inverse_cdf_draws(D, want_rng, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # the calls of GUIDE_DRAWS draws or more built the table or refused it
+        assert D._guide is not None
+        u = _crafted_uniforms(D)
+        assert np.array_equal(D.draw_indices(StubRng(u), u.size),
+                              inverse_cdf_draws(D, StubRng(u), u.size))
+        guide = D._guide_table()
+        if guide:
+            # B is a power of two, at least twice the points, and no bucket
+            # holds two boundaries strictly inside it
+            size, bounds = guide[0], np.unique(D._cum)
+            assert size & (size - 1) == 0 and 2 * w.size <= size <= GUIDE_BUCKETS
+            inside = bounds[bounds * size != np.floor(bounds * size)]
+            assert np.all(np.diff(np.floor(inside * size)) > 0)
+        seen.add("table" if guide else "refused")
+        if np.cumsum(w)[-1] < 1:
+            seen.add("sum below 1")
+        if np.unique(D._cum).size < w.size:
+            seen.add("equal bounds")
+    # each kind reaches the table, and the ones meant to reach equal
+    # boundaries and sums below 1 do
+    assert "table" in seen
+    assert kind not in ("zeros", "sub-ulp") or "equal bounds" in seen
+    assert kind != "uniform" or "sum below 1" in seen
+
+
+def test_a_distribution_with_a_tiny_gap_keeps_the_binary_search():
+    # two boundaries 2**-20 apart would need 2**20 buckets
+    w = np.array([0.5, 2.0 ** -20, 0.5 - 2.0 ** -20])
+    D = FiniteDistribution(w, np.ones(3, dtype=np.int64))
+    assert D._guide_table() == ()
+    u = _crafted_uniforms(D)
+    assert np.array_equal(D.draw_indices(StubRng(u), u.size),
+                          inverse_cdf_draws(D, StubRng(u), u.size))
+    got_rng, want_rng = (np.random.default_rng(5) for _ in "ab")
+    assert np.array_equal(D.draw_indices(got_rng, 512),
+                          inverse_cdf_draws(D, want_rng, 512))
 
 
 def test_draws_are_deterministic_given_seed():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from .conftest import StubRng
+from tolerantlearn import privacy
 from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
                                    HypothesisClass, RealFunctionClass,
                                    TolerantZeroOne, absolute_loss,
@@ -181,6 +183,21 @@ def test_selection_is_exactly_e_private(e):
 def test_singleton_list_returned():
     sample = ([0], [2])
     assert generic_private_learner([(1,)], sample, 1.0, 0) == (1,)
+
+
+def test_selection_never_returns_a_probability_zero_hypothesis(monkeypatch):
+    # seven hypotheses of loss 0 and one of loss 1 on 4,000 examples: the
+    # last one's weight exp(-1000) underflows to 0, and the other seven's
+    # probabilities sum to 0.9999999999999998 in floats, so the largest
+    # uniform below 1 must still select the seventh
+    hyps = [(1, j) for j in range(1, 8)] + [(2, 1)]
+    sample = ([0] * 4000, [1] * 4000)
+    probs = selection_probabilities(hyps, sample, 1.0)
+    assert probs.tolist() == [1 / 7] * 7 + [0.0] and np.cumsum(probs)[-1] < 1
+    monkeypatch.setattr(privacy, "as_generator", lambda seed: seed)
+    top = 1 - 2 ** -53
+    assert generic_private_learner(hyps, sample, 1.0, StubRng(top)) == (1, 7)
+    assert generic_private_learner(hyps, sample, 1.0, StubRng(0.0)) == (1, 1)
 
 
 def looped_losses(hypotheses, xs, ys, loss):

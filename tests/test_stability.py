@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from .conftest import inverse_cdf_draws
 from tolerantlearn import stability
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    TolerantZeroOne, evaluate_loss)
@@ -165,7 +166,7 @@ class _CapTripped(Exception):
 def reference_sample(k, D, H, n, N, seed):
     """The tournament sampler as defined: one round at a time, SOA replayed.
 
-    Draws come from `D.draw_indices` in 512-draw chunks, each drawn only
+    Draws come from `inverse_cdf_draws` in 512-draw chunks, each drawn only
     when a request needs it (the same generator draws the tournament
     labels).  A request of m draws first counts them; if the count then
     exceeds N the cap trips with that count.  Every round folds SOA_0 over
@@ -184,7 +185,7 @@ def reference_sample(k, D, H, n, N, seed):
         if used > N:
             raise _CapTripped
         while len(buf) < m:
-            buf += D.draw_indices(rng, 512).tolist()
+            buf += inverse_cdf_draws(D, rng, 512).tolist()
         t, buf = buf[:m], buf[m:]
         return t, [int(D.target[x]) for x in t]
 
@@ -351,7 +352,7 @@ def floor_then_chunk_boundary(D, H, n, seed, draws):
     reaches the support's floor and then crosses a 512-draw chunk boundary.
     """
     rng = as_generator(seed)
-    xs = np.concatenate([D.draw_indices(rng, 512)
+    xs = np.concatenate([inverse_cdf_draws(D, rng, 512)
                          for _ in range(-(-draws // 512))])
     floor = consistent_rows(H, D.target, np.flatnonzero(D.weights))
     for start in range(0, draws - n + 1, n):
@@ -740,9 +741,9 @@ def reference_run_g(H, D, alpha, seed, d=None):
     sample = sample_dk_mc(k, D, H, n, cap, rng)
     if sample.failed:
         return GRunResult(None, True, k, n, sample.draw_count)
-    tail_xs, tail_ys = D.draw_sample(rng, n)
+    tail_xs = inverse_cdf_draws(D, rng, n)
     table = soa_final_predictor(H, np.concatenate([sample.xs, tail_xs]),
-                                np.concatenate([sample.ys, tail_ys]))
+                                np.concatenate([sample.ys, D.target[tail_xs]]))
     return GRunResult(table, False, k, n, sample.draw_count)
 
 
