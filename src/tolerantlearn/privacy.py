@@ -42,10 +42,13 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        # written so that NaN fails too
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, "
+                             f"got {self.eps}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, "
+                             f"got {self.delta}")
 
 
 def _exact_budget(v) -> Fraction:
@@ -159,6 +162,8 @@ def stable_histogram(items: Sequence, priv: PrivacyParams,
 def selection_probabilities(hypotheses: Sequence, sample, eps: float,
                             loss=TolerantZeroOne(0)) -> np.ndarray:
     """Exact output distribution of the exponential selection on (xs, ys)."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     n = len(sample[0])
     losses = evaluate_loss(np.array(hypotheses), sample, loss)
     scores = -eps * n * losses / 2.0

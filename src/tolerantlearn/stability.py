@@ -21,33 +21,26 @@ drawn and trips at N - N % 2n + (n if N % 2n < n else 2n); every deeper
 level starts by recursing into level 1 and trips at the same count.  The
 closure is searched breadth-first and stops at the first predictor that
 differs; above CLOSURE_LIMIT version spaces the sampler just runs.  The
-decision, the floor and the points' consistent-row masks are cached on the
-class per distribution, together with the check that the distribution labels
-the class's points, so each (H, D) pair is checked once.  A decided Fail
+decision and the points' consistent-row masks are cached on the class per
+distribution, together with the check that the distribution labels the
+class's points, so each (H, D) pair is checked once.  A decided Fail
 does not advance a generator the caller passed in; `run_g` and
 `estimate_stability` never use it after a Fail.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  Every request the sampler makes is n draws
-or a multiple of them, so the draw stream splits into n-draw windows.  A
-window's mask, the AND of its points' consistent-row masks, only depends
-on which distinct masks occur in it, so each distinct support mask gets
-one presence bit, one numpy OR-reduction per chunk gives every window the
-chunk completes its set of masks as a key, and a bounded per-support dict
-maps the key to the AND.  That pays when windows keep repeating the same
-sets of masks, as on a support with few distinct masks: a gs run on
-`threshold_class(7)` (7 masks, n = 21) finds over 99.9% of its windows'
-keys in the dict.  A support whose keys do not repeat drops them (see
-`_Support`).  A window whose key is not in the dict is scored only when
-the sampler reads it, by a running AND over its draws that stops at the
-support's floor, the AND of all their masks: every support point's mask
-contains it, so no later draw can change it.  Buffer refills stay lazy:
-the generator is shared with the tournament labels, so drawing a chunk
-before a round needs it would change every later label.  A chunk's 512
-draws come from the distribution's guide table, one gather and one compare
-each; `run_g`'s n-draw tail does too if n >= `classes.GUIDE_DRAWS`, and
-is binary-searched otherwise, as is every call on a distribution refused a
-table.  Both give the inverse CDF's indices at the same uniforms (see
+or a multiple of them, so the draw stream splits into n-draw windows, and
+a window's mask is the AND of its points' consistent-row masks.  Each
+point's mask is also kept as ceil(num_rows / 64) uint64 words, so one
+`np.bitwise_and.reduceat` per draw chunk gives every window the chunk
+completes its mask.  The words take at most 1/64 of the class's own int64
+table plus 8 bytes a point.  Buffer refills stay lazy: the generator is
+shared with the tournament labels, so drawing a chunk before a round needs
+it would change every later label.  A chunk's 512 draws come from the
+distribution's guide table, one gather and one compare each; `run_g`'s
+n-draw tail does too if n >= `classes.GUIDE_DRAWS`, and is binary-searched
+otherwise, as is every call on a distribution refused a table.  Both give
+the inverse CDF's indices at the same uniforms (see
 `FiniteDistribution.draw_indices`).
 
 At k = 1 no tournament label is drawn between rounds, so every round in
@@ -56,11 +49,12 @@ each half by its window mask.  A nonempty mask is the version space SOA_0
 ends the half in, so two of them are compared by their cached predictor
 tables, and only a half with an empty mask is walked through the SOA fold.
 Deeper levels carry SOA's `online.SoaState` up from the child sample and
-fold each round's n fresh draws into it: a realizable state by one AND
-with the window mask if the dict had it (else draw by draw), the draw
-that breaks realizability and the ones after it through the fold.  A
-sample hands SOA_0's state after it to the stable learner, so `run_g`
-folds only its n tail draws into that state, by the same fold.
+fold each round's n fresh draws into it: a realizable state that stays
+realizable by one AND with the window mask, else the draw that breaks
+realizability and the ones after it through the fold.  A sample hands
+SOA_0's state after it to the stable learner, so `run_g` folds only its n
+tail draws into that state, by the same fold, with their mask ANDed in
+Python.
 """
 
 from __future__ import annotations
@@ -95,10 +89,9 @@ class _DrawStream:
     only when the next request needs it: the generator is shared with the
     tournament labels, so drawing ahead would change every later label.
     Every request is a multiple of n draws, so the unread buffer starts on
-    a window boundary.  `_keys[i]` is the key of the window
-    `_buf[i*n:(i+1)*n]`, made when its last draw arrives, and `_wins[i]`
-    its mask if the key was in the support's cache then, else None: a
-    missed window is scored only if the sampler reads it.
+    a window boundary.  `_wins[i]` is the mask of the window
+    `_buf[i*n:(i+1)*n]`, made by the chunk's one AND pass when its last
+    draw arrives.
     """
 
     CHUNK = 512
@@ -113,7 +106,6 @@ class _DrawStream:
         self.used = 0
         self._buf = np.zeros(0, np.int64)
         self._pos = 0
-        self._keys = []
         self._wins = []
 
     @property
@@ -122,36 +114,31 @@ class _DrawStream:
 
     def refill(self):
         """Append one chunk of fresh draws to the unread part of the buffer,
-        and the keys and cached masks of the windows it completes."""
+        and the masks of the windows it completes."""
         n = self.n
-        del self._keys[:self._pos // n], self._wins[:self._pos // n]
+        del self._wins[:self._pos // n]
         self._buf = np.concatenate((self._buf[self._pos:],
                                     self.D.draw_indices(self.rng, self.CHUNK)))
         self._pos = 0
         done, size = len(self._wins) * n, len(self._buf)
-        keys, wins = self.support.window_keys(
+        self._wins += self.support.window_masks(
             self._buf[done:size - size % n], n)
-        self._keys += keys
-        self._wins += wins
 
     def peek(self, start: int, stop: int) -> list:
         """The unread draws start..stop-1."""
         return self._buf[self._pos + start:self._pos + stop].tolist()
 
-    def windows(self, count: int) -> tuple:
-        """The keys and cached masks of the first `count` unread windows, a
-        mask None where the window's key missed the cache."""
+    def windows(self, count: int) -> list:
+        """The masks of the first `count` unread windows."""
         first = self._pos // self.n
-        return (self._keys[first:first + count],
-                self._wins[first:first + count])
+        return self._wins[first:first + count]
 
     def advance(self, m: int):
         self._pos += m
         self.used += m
 
     def take(self) -> tuple:
-        """The next window: its n draws and their cached mask, None on a
-        cache miss (the fold then ANDs the draws itself)."""
+        """The next window: its n draws and their mask."""
         n = self.n
         if self.used + n > self.budget:
             self.used += n  # record the attempt that tripped the cap
@@ -219,40 +206,17 @@ def _tournaments_fail(H: HypothesisClass, masks: list, floor: int) -> bool:
     return True
 
 
-# Byte budgets of one (H, D)'s window keys.  The presence-bit table takes
-# domain_size * ceil(U / 64) * 8 bytes for U distinct support masks; past
-# KEY_TABLE_BYTES the support gets none.  The cache holds as many entries
-# (key, mask and dict slot) as fit in WINDOW_CACHE_BYTES.  Together they
-# keep a support's window state within 2 MiB, about 5% of the 39 MB peak
-# RSS of a gs or dp-learn run on a small class.
-KEY_TABLE_BYTES = 1 << 20
-WINDOW_CACHE_BYTES = 1 << 20
-
-# Windows a support keys before it judges whether its keys pay, so one
-# whose windows do not repeat spends at most this many key lookups.
-KEY_TRIAL = 4096
-
-
 class _Support:
     """What the sampler needs of one (H, D) pair, checked and built once.
 
     `masks[x]` is the bitmask of rows consistent with (x, target(x)),
-    `floor` that of the rows consistent on the whole support, `labels` the
-    target as a list of ints and `target` as an int64 array.  `bits[x]`
-    is the presence bit of x's mask among the support's distinct masks,
-    in `ceil(U / 64)` uint64 words, and `window_cache` maps the OR of a
-    window's bits, its key, to the AND of its masks, for at most
-    `cache_room` keys.
-
-    Keys pay only while windows repeat their sets of distinct masks, so
-    that most keys are found in the cache.  Once the support has keyed
-    KEY_TRIAL windows (`keyed`), it drops `bits` whenever fewer than half
-    of them were found (`hits`), and empties the cache; every later window
-    is scored by its running AND, as on a support past KEY_TABLE_BYTES.
+    `words[x]` the same mask as ceil(num_rows / 64) little-endian uint64
+    words (one uint64, and `words` 1-D, when the class has at most 64
+    rows), `labels` the target as a list of ints and `target` as an int64
+    array.
     """
 
-    __slots__ = ("masks", "floor", "full", "labels", "target", "always_fails",
-                 "bits", "window_cache", "cache_room", "keyed", "hits")
+    __slots__ = ("masks", "words", "labels", "target", "always_fails")
 
     def __init__(self, H: HypothesisClass, D: FiniteDistribution):
         if H.K >= 2 ** 63:
@@ -271,81 +235,51 @@ class _Support:
         cols = H.col_masks()
         self.masks = [cols[x].get(y, 0) for x, y in enumerate(self.labels)]
         drawn = [m for m, on in zip(self.masks, support.tolist()) if on]
-        self.floor = row_mask((H.table[:, support]
-                               == self.target[support]).all(axis=1))
-        self.full = H.full_mask
-        self.always_fails = _tournaments_fail(H, drawn, self.floor)
-        index = {m: i for i, m in enumerate(dict.fromkeys(drawn))}
-        words = -(-len(index) // 64)
-        self.bits = None
-        if H.domain_size * words * 8 <= KEY_TABLE_BYTES:
-            # a zero-weight point is never drawn, so its bits stay 0
-            bits = np.zeros((H.domain_size, words), np.uint64)
-            for x in np.flatnonzero(support).tolist():
-                i = index[self.masks[x]]
-                bits[x, i // 64] = 1 << i % 64
-            self.bits = bits.ravel() if words == 1 else bits
-        # an entry: a key (an int, or bytes past one word), a mask int of
-        # num_rows bits (30 to a 4-byte digit) and a dict slot, with their
-        # object headers
-        entry = 8 * words + 4 * (H.num_rows // 30) + 160
-        self.cache_room = WINDOW_CACHE_BYTES // entry
-        self.window_cache = {}
-        self.keyed = self.hits = 0
+        floor = row_mask((H.table[:, support]
+                          == self.target[support]).all(axis=1))
+        self.always_fails = _tournaments_fail(H, drawn, floor)
+        size = -(-H.num_rows // 64) * 8
+        words = np.frombuffer(
+            b"".join(m.to_bytes(size, "little") for m in self.masks),
+            "<u8").reshape(H.domain_size, -1)
+        # a 1-D reduceat takes half the time of one over a column
+        self.words = words.ravel() if size == 8 else words
 
-    def window_keys(self, draws: np.ndarray, n: int) -> tuple:
-        """The key of each n-draw window of `draws`, whose length is a
-        multiple of n, and its mask if the key is cached, else None.  Keys
-        are None if the support has no presence bits."""
-        count = len(draws) // n
-        if self.bits is None or not count:
-            return [None] * count, [None] * count
-        keys = np.bitwise_or.reduceat(self.bits[draws],
-                                      np.arange(0, len(draws), n), axis=0)
-        keys = (keys.tolist() if keys.ndim == 1 else
-                keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-                .ravel().tolist())
-        wins = list(map(self.window_cache.get, keys))
-        self.keyed += count
-        self.hits += count - wins.count(None)
-        if self.keyed >= KEY_TRIAL and 2 * self.hits < self.keyed:
-            self.bits = None
-            self.window_cache.clear()
-        return keys, wins
+    def window_masks(self, draws: np.ndarray, n: int) -> list:
+        """The mask of each n-draw window of `draws`, whose length is a
+        multiple of n: the AND of its points' masks."""
+        if not len(draws):
+            return []
+        ands = np.bitwise_and.reduceat(self.words[draws],
+                                       np.arange(0, len(draws), n), axis=0)
+        if ands.ndim == 1:
+            return ands.tolist()
+        # the ufunc answers in native byte order
+        rows = ands.astype("<u8", copy=False).view((np.void, ands[0].nbytes))
+        return [int.from_bytes(r, "little") for r in rows.ravel().tolist()]
 
-    def remember(self, key, mask: int):
-        """Cache the mask of a window whose key missed, while the cache has
-        room."""
-        if len(self.window_cache) < self.cache_room:
-            self.window_cache[key] = mask
+    def fold(self, state: SoaState, t: list, window: int) -> SoaState:
+        """Fold the target-labeled draws `t`, whose masks AND to `window`,
+        into `state`, in place.
 
-    def fold(self, state: SoaState, t: list,
-             window: Optional[int] = None) -> SoaState:
-        """Fold the target-labeled draws `t` into `state`, in place.
-
-        While the prefix is realizable the running AND of the draws' masks
-        is the version space, and one at the floor stays there; the draw
-        that empties it goes through `observe`, later ones into `patches`.
-        `window`, the AND of the masks of `t` if given, settles a state
-        that stays realizable in one AND.
+        A realizable state that stays realizable is settled by one AND.
+        Else the running AND of the draws' masks is the version space up to
+        the draw that empties it, which goes through `observe`; later draws
+        go into `patches`.
         """
-        if state.base is None and window is not None:
+        start = 0
+        if state.base is None:
             mask = state.mask & window
             if mask:
                 state.mask = mask
                 return state
-        start = 0
-        if state.base is None:
-            mask, masks, floor = state.mask, self.masks, self.floor
+            mask, masks = state.mask, self.masks
             for x in t:
                 m = mask & masks[x]
                 if not m:
                     break
                 mask = m
                 start += 1
-                if mask == floor:
-                    start = len(t)
-                    break
             state.mask = mask
         labels = self.labels
         for x in t[start:start + 1]:  # freezes the predictor if need be
@@ -383,7 +317,6 @@ class _Sampler:
         self.n = n
         self.stream = stream
         self.rng = rng
-        self.support = support
         self.fold = support.fold
 
     def accept(self, sides, f0: tuple, f1: tuple):
@@ -412,8 +345,7 @@ class _Sampler:
         (unrealizable draws: SOA freezes and patches) is walked through
         the SOA fold.
         """
-        H, n, stream, support = self.H, self.n, self.stream, self.support
-        masks, floor, full = support.masks, support.floor, support.full
+        H, n, stream = self.H, self.n, self.stream
         two_n = 2 * n
         while True:
             left = stream.budget - stream.used
@@ -423,36 +355,15 @@ class _Sampler:
                 raise _Fail
             while stream.buffered < two_n:
                 stream.refill()
-            keys, wins = stream.windows(
-                min(stream.buffered, left) // two_n * 2)
-            end, block = len(wins) * n, None
+            wins = stream.windows(min(stream.buffered, left) // two_n * 2)
+            end = len(wins) * n
             for j, m0, m1 in zip(range(0, end, two_n), wins[::2], wins[1::2]):
-                if m0 is None or m1 is None:
-                    # a missed window: its running AND, stopped at the floor
-                    if block is None:
-                        block = stream.peek(0, end)
-                    if m0 is None:
-                        m0 = full
-                        for x in block[j:j + n]:
-                            m0 &= masks[x]
-                            if m0 == floor:
-                                break
-                        if keys[j // n] is not None:
-                            support.remember(keys[j // n], m0)
-                    if m1 is None:
-                        m1 = full
-                        for x in block[j + n:j + two_n]:
-                            m1 &= masks[x]
-                            if m1 == floor:
-                                break
-                        if keys[j // n + 1] is not None:
-                            support.remember(keys[j // n + 1], m1)
                 if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
                                   == predictor_table(H, 0, m1)):
                     continue
                 t0, t1 = stream.peek(j, j + n), stream.peek(j + n, j + two_n)
-                st0 = SoaState(H, mask=m0) if m0 else self.fold(SoaState(H), t0)
-                st1 = SoaState(H, mask=m1) if m1 else self.fold(SoaState(H), t1)
+                st0 = self.fold(SoaState(H), t0, m0)
+                st1 = self.fold(SoaState(H), t1, m1)
                 f0, f1 = st0.predictor(), st1.predictor()
                 if f0 == f1:
                     continue
@@ -553,7 +464,11 @@ def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, seed,
     if sample.failed:
         return GRunResult(None, True, k, n, sample.draw_count)
     tail = D.draw_indices(rng, n).tolist()
-    state = _support_entry(H, D).fold(sample.state, tail)
+    support = _support_entry(H, D)
+    window = H.full_mask
+    for x in tail:
+        window &= support.masks[x]
+    state = support.fold(sample.state, tail, window)
     return GRunResult(state.predictor(), False, k, n, sample.draw_count)
 
 

@@ -1071,18 +1071,35 @@ def test_reports_deterministic_up_to_wall_clock(tmp_path):
     assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (3, "6e54ed0add7dcc762a5a7215dd12ee2fffaa79870455663fadc712bc71b13ca2"),
-    (8, "2975608ba65c7683ac57f58e76fd3c95a2016b358c01831e7361af3a87cf03f0"),
-])
-def test_gs_report_is_pinned(tmp_path, monkeypatch, seed, digest):
+GS_PINS = [  # (points, target, alpha, trials, seed, report digest)
+    (7, 4, 0.1, 40, 3,
+     "6e54ed0add7dcc762a5a7215dd12ee2fffaa79870455663fadc712bc71b13ca2"),
+    (7, 4, 0.1, 40, 8,
+     "2975608ba65c7683ac57f58e76fd3c95a2016b358c01831e7361af3a87cf03f0"),
+    (100, 50, 0.5, 20, 3,
+     "45a0826b9470ca0c70425ea20ea17043d93d68e7c24f14a0dee88e7a50f34386"),
+    (100, 50, 0.5, 20, 8,
+     "13a16f35918d042ff6d60d5f2dcfb36ed500ad93812a456bca31ac41e49b6e13"),
+]
+
+
+@pytest.mark.parametrize(
+    "points, target, alpha, trials, seed, digest", GS_PINS,
+    ids=[f"{seed}-{digest}" if points == 7 else f"threshold-{points}-{seed}"
+         for points, _, _, _, seed, digest in GS_PINS])
+def test_gs_report_is_pinned(tmp_path, monkeypatch, points, target, alpha,
+                             trials, seed, digest):
     # threshold_class(7), target 4: tournaments succeed below the top k and
     # fail at it, so the sampler's rejection, acceptance and Fail paths all
-    # feed the report; a speedup must leave these bytes alone
+    # feed the report.  threshold_class(100), target 50: masks of two words,
+    # and the n = 9 tail draws cannot cover 100 points, so the output also
+    # depends on the state the sample ends in.  A speedup must leave these
+    # bytes alone
     monkeypatch.chdir(tmp_path)
-    classfile.save_class(threshold_class(7), "thr.json")
-    assert run_cli("gs", "--input", "thr.json", "--target", 4, "--alpha", 0.1,
-                   "--trials", 40, "--seed", seed, "--out", "gs.json") == 0
+    classfile.save_class(threshold_class(points), "thr.json")
+    assert run_cli("gs", "--input", "thr.json", "--target", target,
+                   "--alpha", alpha, "--trials", trials, "--seed", seed,
+                   "--out", "gs.json") == 0
     doc = json.loads((tmp_path / "gs.json").read_text())
     doc.pop("wall_clock_s")
     text = json.dumps(doc, sort_keys=True).encode()

@@ -63,6 +63,29 @@ def test_histogram_rejects_pure_dp():
         stable_histogram([("a",)], PrivacyParams(1.0, 0.0), 0)
 
 
+@pytest.mark.parametrize("eps, delta, name", [
+    (math.nan, math.nan, "eps"), (math.inf, 0.01, "eps"), (0.0, 0.01, "eps"),
+    (-1.0, 0.01, "eps"), (0.5, math.nan, "delta"), (0.5, math.inf, "delta"),
+    (0.5, -0.01, "delta"),
+])
+def test_privacy_params_refuse_non_numbers(eps, delta, name):
+    # PrivacyParams(nan, nan) once built, and the stable histogram then
+    # released nothing at threshold nan
+    with pytest.raises(ValueError, match=name):
+        PrivacyParams(eps, delta)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+def test_selection_refuses_eps_not_positive_and_finite(eps):
+    # eps = -1 once selected the worst hypothesis and eps = 0 chose uniformly
+    hyps = [(1, 1), (2, 2)]
+    sample = ([0, 1, 0, 1, 0], [1, 1, 1, 1, 1])
+    with pytest.raises(ValueError, match="eps"):
+        selection_probabilities(hyps, sample, eps)
+    with pytest.raises(ValueError, match="eps"):
+        generic_private_learner(hyps, sample, eps, 0)
+
+
 def test_release_probabilities_satisfy_neighboring_inequality():
     # neighboring inputs move one item's frequency by 1/m; the release
     # probabilities must satisfy the (e^eps, delta) inequality both ways

@@ -1,4 +1,3 @@
-import sys
 from unittest import mock
 
 import numpy as np
@@ -13,11 +12,9 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, KEY_TABLE_BYTES,
-                                     KEY_TRIAL, WINDOW_CACHE_BYTES,
-                                     GRunResult, _support_entry,
-                                     estimate_stability, g_parameters, run_g,
-                                     sample_dk_mc)
+from tolerantlearn.stability import (CLOSURE_LIMIT, GRunResult,
+                                     _support_entry, estimate_stability,
+                                     g_parameters, run_g, sample_dk_mc)
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +295,7 @@ def test_sampler_matches_reference_across_chunks():
     assert (1, False) in outcomes and (2, False) in outcomes
 
 
-# --- the support's floor: the AND of its points' masks ends a half's scoring ----
+# --- the support's floor: the AND of its points' masks --------------------------
 
 def consistent_rows(H, target, points):
     """Rows of H that agree with `target` on every point in `points`."""
@@ -386,66 +383,21 @@ def test_sampler_matches_reference_past_the_floor_across_chunks(n, w, ks, N):
     assert all((k, False) in outcomes for k in ks)
 
 
-# --- n-draw windows: each window's mask comes from its key ------------------------
+# --- n-draw windows: one AND pass per chunk gives every window its mask --------
 
 def rows_of(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def read_windows(support, draws, n):
-    """Every n-draw window's mask as the sampler reads it: cached, or on a
-    miss the AND of its draws' masks, then remembered under its key."""
-    keys, cached = support.window_keys(np.asarray(draws, dtype=np.int64), n)
-    out = []
-    for i, (key, m) in enumerate(zip(keys, cached)):
-        if m is None:
-            m = support.full
-            for x in draws[i * n:(i + 1) * n]:
-                m &= support.masks[x]
-            if key is not None:
-                support.remember(key, m)
-        out.append(m)
-    return out
-
-
-def cache_bytes(cache):
-    return sys.getsizeof(cache) + sum(sys.getsizeof(k) + sys.getsizeof(m)
-                                      for k, m in cache.items())
-
-
-def assert_window_masks_match(H, D, draws, n):
-    """Each n-draw window is read as the rows consistent on it, and every
-    cached key maps to the AND of the masks of the distinct support masks
-    whose presence bits it holds."""
-    support = _support_entry(H, D)
-    got = read_windows(support, draws, n)
-    assert [rows_of(m) for m in got] == [
-        consistent_rows(H, D.target, draws[i:i + n])
-        for i in range(0, len(draws), n)]
-    distinct = list(dict.fromkeys(
-        m for m, w in zip(support.masks, D.weights.tolist()) if w > 0))
-    for key, mask in support.window_cache.items():
-        if isinstance(key, bytes):
-            key = sum(int(w) << 64 * j
-                      for j, w in enumerate(np.frombuffer(key, np.uint64)))
-        want = H.full_mask
-        for i, m in enumerate(distinct):
-            if key >> i & 1:
-                want &= m
-        assert mask == want
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 4),
-       st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 8)),
-                 st.tuples(st.integers(10, 14), st.integers(100, 150))),
-       st.booleans(), st.integers(1, 6), st.integers(0, 2**32 - 1),
-       st.sampled_from([0, KEY_TABLE_BYTES]))
-def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed,
-                                           key_bytes):
-    # 100 to 150 points on 10 or more rows mostly have more than 64
-    # distinct masks, so keys take several words; a key budget of 0 bytes
-    # scores every window by its running AND
+       st.one_of(st.tuples(st.integers(1, 64), st.integers(1, 8)),
+                 st.tuples(st.integers(65, 140), st.integers(8, 40))),
+       st.booleans(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed):
+    # up to 64 rows take one mask word, 65 to 140 (mostly distinct) rows two
+    # or three; the windows also hold zero-weight points, which the sampler
+    # never draws
     rows, dom = shape
     rs = np.random.default_rng(seed)
     table = rs.integers(1, K + 1, size=(rows, dom))
@@ -453,78 +405,14 @@ def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed,
               else rs.integers(1, K + 1, size=dom))
     w = rs.random(dom) * (rs.random(dom) < 0.8)
     w[int(rs.integers(0, dom))] += 1
-    with mock.patch.object(stability, "KEY_TABLE_BYTES", key_bytes):
-        H = HypothesisClass(K, table)
-        D = FiniteDistribution(w / w.sum(), target)
-        draws = D.draw_indices(rs, n * int(rs.integers(1, 40))).tolist()
-        for _ in range(2):   # misses, then hits
-            assert_window_masks_match(H, D, draws, n)
-    bits = _support_entry(H, D).bits
-    event(f"key words: {0 if bits is None else bits.reshape(dom, -1).shape[1]}")
-
-
-def test_window_cache_is_bounded():
-    # 20 points on 2,000 rows: one key word, but masks of 2,000 bits; the
-    # 5-draw windows rarely repeat, so the cache fills, and after
-    # KEY_TRIAL windows with mostly misses the support drops its keys and
-    # empties the cache
-    rs = np.random.default_rng(4)
-    H = HypothesisClass(2, rs.integers(1, 3, size=(2000, 20)))
-    D = FiniteDistribution.uniform(H, 7)
+    H = HypothesisClass(K, table)
+    D = FiniteDistribution(w / w.sum(), target)
+    draws = rs.integers(0, dom, size=n * int(rs.integers(0, 40)))
     support = _support_entry(H, D)
-    assert support.bits.shape == (20,)
-    rng = as_generator(3)
-    sizes = []
-    while support.bits is not None and len(sizes) < 60:
-        draws = D.draw_indices(rng, 5 * 512).tolist()
-        assert_window_masks_match(H, D, draws, 5)
-        sizes.append((len(support.window_cache),
-                      cache_bytes(support.window_cache)))
-    assert support.bits is None
-    assert support.keyed >= KEY_TRIAL and 2 * support.hits < support.keyed
-    assert max(sizes)[0] == support.cache_room
-    assert max(size for _, size in sizes) <= WINDOW_CACHE_BYTES
-    # the windows keyed before the drop are still read, and cached
-    assert sizes[-1][0] <= 512
-    # no keys now, and every window still reads the per-draw AND
-    assert_window_masks_match(H, D, draws, 5)
-    assert len(support.window_cache) == sizes[-1][0]
-
-
-def test_window_cache_keeps_keys_that_repeat():
-    # threshold_class(7) at n = 21, as the stable learner plays it: the
-    # windows keep repeating a few dozen keys, so even with a full cache
-    # of 20 keys most windows are found and the keys stay
-    H = threshold_class(7)
-    D = FiniteDistribution.uniform(H, 4)
-    with mock.patch.object(stability, "WINDOW_CACHE_BYTES", 20 * 168):
-        support = _support_entry(H, D)
-    assert support.cache_room == 20
-    rng = as_generator(5)
-    for _ in range(200):
-        assert_window_masks_match(H, D, D.draw_indices(rng, 21 * 24).tolist(),
-                                  21)
-    assert len(support.window_cache) == 20
-    assert support.keyed >= KEY_TRIAL and 2 * support.hits >= support.keyed
-    assert support.bits is not None
-
-
-def test_refill_scores_no_missed_window():
-    # a cold cache: refill keys every window of the chunk but scores none,
-    # and a k = 1 sample scores at most the windows of the rounds it reads
-    H = threshold_class(100)
-    D = FiniteDistribution.uniform(H, 50)
-    support = _support_entry(H, D)
-    stream = stability._DrawStream(D, as_generator(0), 10**6, 3, support)
-    stream.refill()
-    keys, wins = stream.windows(512 // 3)
-    assert len(keys) == 170 and wins == [None] * 170
-    assert not support.window_cache
-    with mock.patch.object(stability._Support, "remember", autospec=True,
-                           side_effect=stability._Support.remember) as scored:
-        s = sample_dk_mc(1, D, H, 3, 10**6, 0)
-    assert not s.failed
-    assert 2 <= scored.call_count <= s.draw_count // 3 < 170
+    assert [rows_of(m) for m in support.window_masks(draws, n)] == [
+        consistent_rows(H, D.target, draws[i:i + n])
+        for i in range(0, len(draws), n)]
+    event(f"mask words: {support.words.reshape(dom, -1).shape[1]}")
 
 
 def rare_middle(dom, rare):
@@ -536,12 +424,12 @@ def rare_middle(dom, rare):
 
 @pytest.mark.parametrize("realizable", [True, False])
 def test_sampler_matches_reference_on_multiword_keys(realizable):
-    # 90 points with distinct masks take two key words; the rare points
-    # around the target's threshold keep some rounds' halves apart
+    # 91 rows take two mask words; the rare points around the target's
+    # threshold keep some rounds' halves apart
     H = threshold_class(90)
     target = H.table[45] if realizable else np.where(np.arange(90) % 7, 1, 2)
     D = FiniteDistribution(rare_middle(90, range(42, 48)), target)
-    assert _support_entry(H, D).bits.shape == (90, 2)
+    assert _support_entry(H, D).words.shape == (90, 2)
     outcomes = set()
     for k in (1, 2, 3):
         for n in (1, 7, 40):
@@ -579,29 +467,6 @@ def test_run_g_matches_reference_on_windows_across_chunks():
         res = assert_run_g_matches_reference(H, D, 0.003, seed, d=2)
         outcomes.add((res.k, res.failed))
     assert {(1, False), (2, False)} <= outcomes
-
-
-@pytest.mark.parametrize("realizable", [True, False])
-@pytest.mark.parametrize("limit", [("KEY_TABLE_BYTES", 0), ("KEY_TRIAL", 1),
-                                   ("WINDOW_CACHE_BYTES", 600)])
-def test_sampler_matches_reference_without_window_keys(realizable, limit):
-    # with no key budget no support gets keys, and every window is scored
-    # by its running AND; with a trial of one window a support judges its
-    # keys on its cold first chunk and drops them in mid-sample; with a
-    # cache of a few entries most missed windows are not stored
-    rs = np.random.default_rng(90 + realizable)
-    dropped = 0
-    with mock.patch.object(stability, *limit):
-        for _ in range(60):
-            H, D = random_case(rs, realizable, dom=(3, 7))
-            k = int(rs.integers(1, 4))
-            n = int(rs.choice([1, 2, 3, 7]))
-            assert_matches_reference(k, D, H, n, 400, int(rs.integers(0, 2**31)))
-            support = _support_entry(H, D)
-            assert support.bits is None or limit[0] != "KEY_TABLE_BYTES"
-            assert len(support.window_cache) <= support.cache_room
-            dropped += support.bits is None
-    assert dropped > 0 or limit[0] == "WINDOW_CACHE_BYTES"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
