@@ -13,6 +13,7 @@ parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,12 +27,13 @@ from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
                       label_to_midpoint, row_mask, value_to_label)
 from .dimensions import DimensionReport, ldim_value, pdim
 from .seeding import as_generator, trial_rng
-from .stability import run_g
+from .stability import _support_entry, run_g
 
 # Sample-size constants behind the O(.) bounds; calibration choices, not
 # derived quantities.  Surfaced in every pipeline result.
 BATCH_CONSTANT = 16.0      # batches k = ceil(C1 * ln(1/(eta*beta*delta)) / (eta*eps))
 SELECT_CONSTANT = 8.0      # n' = ceil(C * (ln|L| + ln(1/beta)) / (alpha*eps))
+MAX_BATCHES = 10 ** 7      # num_batches a run may start (see private_learn_mc)
 
 
 @dataclass(frozen=True)
@@ -64,29 +66,34 @@ def _exact_budget(v) -> Fraction:
 class PrivacyLedger:
     """Append-only record of mechanism invocations and their budgets.
 
-    `entries` keeps float budgets for reports; `matches` totals the exact
-    decimal budgets, so three debits of 0.1 match a declared 0.3.
+    Budgets are kept as the decimals they were written as, so three debits
+    of 0.1 match a declared 0.3; `entries` and the totals are their floats.
     """
 
-    entries: list = field(default_factory=list)
-    exact_entries: list = field(default_factory=list, repr=False)
+    records: list = field(default_factory=list)
 
     def debit(self, mechanism: str, eps, delta):
-        self.entries.append((mechanism, float(eps), float(delta)))
-        self.exact_entries.append((_exact_budget(eps), _exact_budget(delta)))
+        self.records.append((mechanism, _exact_budget(eps), _exact_budget(delta)))
+
+    @property
+    def entries(self) -> list:
+        return [(m, float(e), float(d)) for m, e, d in self.records]
+
+    def _totals(self) -> tuple:
+        return (sum(e for _, e, _ in self.records),
+                sum(d for _, _, d in self.records))
 
     @property
     def total_eps(self) -> float:
-        return sum(e for _, e, _ in self.entries)
+        return float(self._totals()[0])
 
     @property
     def total_delta(self) -> float:
-        return sum(d for _, _, d in self.entries)
+        return float(self._totals()[1])
 
     def matches(self, priv: PrivacyParams) -> bool:
-        return (sum(e for e, _ in self.exact_entries) == _exact_budget(priv.eps)
-                and sum(d for _, d in self.exact_entries)
-                == _exact_budget(priv.delta))
+        return self._totals() == (_exact_budget(priv.eps),
+                                  _exact_budget(priv.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +246,9 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
     gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
     declared (eps, delta).  Batches whose stable run fails contribute a
-    sentinel item that pruning removes.
+    sentinel item that pruning removes.  A run of more than `MAX_BATCHES`
+    batches, over an hour at 20-250 us a batch (2-vCPU host), is refused
+    before any runs; d = 1 at K = 2**20 would need 1.4e9.
     """
     for name, v in (("eps", priv.eps), ("delta", priv.delta),
                     ("alpha", alpha), ("beta", beta)):
@@ -249,6 +258,9 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
         d = ldim_value(H, 0)
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
+    _support_entry(H, D)        # the sampler refuses bad input first
+    if k > MAX_BATCHES:
+        raise ValueError(f"num_batches = {k} exceeds the limit of {MAX_BATCHES}")
     ledger = PrivacyLedger()
     half_eps = _exact_budget(priv.eps) / 2
 
@@ -328,21 +340,36 @@ def private_learn_reg(F: RealFunctionClass, D: FiniteDistribution,
 COVER_ROW_CAP = 20
 
 
+def _sup_distances(F: RealFunctionClass) -> np.ndarray:
+    """Sup-norm distances between F's rows, one column at a time."""
+    return functools.reduce(np.maximum, (np.abs(col[:, None] - col[None, :])
+                                         for col in F.table.T))
+
+
+def _radius(r) -> float:
+    # below 0 every ball is empty, so no cover exists; NaN fails this too
+    if not r >= 0:
+        raise ValueError(f"cover radius must be >= 0, got {r}")
+    return float(r)
+
+
 def covering_number(F: RealFunctionClass, radius: float):
     """Exact size of the smallest proper sup-norm cover at this radius.
 
     Returns (size, centers), the lexicographically first minimum cover as
     sorted row indices.  Sizes 1, 2, ... are tried in turn, each by a
     depth-first search over increasing center indices that drops a branch
-    once the balls from the next index on cannot cover what is left.
+    once the balls from the next index on cannot cover what is left.  That
+    is exponential, so classes past `COVER_ROW_CAP` rows are refused.
     """
-    # below 0 every ball is empty, so no cover exists; NaN fails this too
-    if not radius >= 0:
-        raise ValueError(f"cover radius must be >= 0, got {radius}")
-    m = F.num_rows
-    if m > COVER_ROW_CAP:
+    radius = _radius(radius)
+    if F.num_rows > COVER_ROW_CAP:
         raise ValueError(f"exact covers are capped at {COVER_ROW_CAP} rows")
-    dist = np.max(np.abs(F.table[:, None, :] - F.table[None, :, :]), axis=2)
+    return _first_cover(_sup_distances(F), radius)
+
+
+def _first_cover(dist: np.ndarray, radius: float):
+    m = len(dist)
     full = (1 << m) - 1
     balls = [row_mask(row <= radius + 1e-12) for row in dist]
     reach = [0] * (m + 1)       # reach[i]: the union of balls[i:]
@@ -370,57 +397,44 @@ def covering_number(F: RealFunctionClass, radius: float):
 @dataclass
 class CoverScaleReport:
     radius: float
-    covering_number: int
-    centers: list
+    covering_number: Optional[int]     # None past COVER_ROW_CAP rows
+    centers: Optional[list]
     compresses: bool    # some ball holds two functions: cover < |F|
 
 
 @dataclass
 class ConditionsReport:
-    class_size: int
-    domain_size: int
-    cond1_holds: bool
     range_values: list
-    cond2_holds: bool
     cover_scales: list
+    min_distance: Optional[float]      # None for a one-row class
     cond3_holds: bool
     pdim_report: DimensionReport
-    cond4_holds: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return (self.cond1_holds and self.cond2_holds
-                and self.cond3_holds and self.cond4_holds)
 
 
 def check_conditions(F: RealFunctionClass, scales=(0.25, 0.5, 1.0)) -> ConditionsReport:
-    """Evaluate the four private-learnability conditions on an explicit class.
+    """Check condition 3 (sup-norm covers) on an explicit class.
 
-    For explicit tables conditions 1 and 2 hold outright and are reported
-    with witnesses.  Condition 3 is scored per scale: a scale passes when
-    the exact cover is smaller than the class itself (a single-function
-    class passes trivially); pairwise-separated classes fail at scales
-    below their separation, which is the finite shadow of having no finite
-    cover.  Each scale reports the lexicographically first minimum cover
-    (see `covering_number`).  Condition 4 reports the Pollard
-    pseudo-dimension with its certificate.
+    Conditions 1 (class and domain finite), 2 (finite range) and 4 (finite
+    Pollard pseudo-dimension) hold for every explicit table; the report
+    keeps their witnesses, the range values and Pdim with its certificate.
+    A scale compresses when a cover is smaller than the class: one row, or
+    two rows within the radius.  That only switches on as the radius
+    grows, so condition 3 holds iff `min_distance`, the least distance
+    between two rows, is within the smallest scale.  Up to `COVER_ROW_CAP`
+    rows each scale also gets its first minimum cover (see
+    `covering_number`), and None above that.
     """
-    values = sorted({float(v) for v in F.table.ravel()})
-    cover_reports = []
-    for r in sorted(scales):
-        size, centers = covering_number(F, float(r))
-        cover_reports.append(CoverScaleReport(
-            float(r), size, centers,
-            compresses=(size < F.num_rows or F.num_rows == 1)))
-    pd = pdim(F)
-    return ConditionsReport(
-        class_size=F.num_rows,
-        domain_size=F.domain_size,
-        cond1_holds=True,
-        range_values=values,
-        cond2_holds=True,
-        cover_scales=cover_reports,
-        cond3_holds=all(c.compresses for c in cover_reports),
-        pdim_report=pd,
-        cond4_holds=True,
-    )
+    radii = sorted(_radius(r) for r in scales)
+    if not radii:
+        raise ValueError("no scales to check")
+    dist = _sup_distances(F)
+    m = F.num_rows
+    gap = float(dist[~np.eye(m, dtype=bool)].min()) if m > 1 else None
+    covers = []
+    for r in radii:
+        size, centers = (_first_cover(dist, r) if m <= COVER_ROW_CAP
+                         else (None, None))
+        compresses = m == 1 or gap <= r + 1e-12
+        covers.append(CoverScaleReport(r, size, centers, compresses))
+    return ConditionsReport(sorted({float(v) for v in F.table.ravel()}), covers,
+                            gap, covers[0].compresses, pdim(F))

@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from tolerantlearn import classfile
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass
-from tolerantlearn.cli import HANDLERS, build_parser, main
+from tolerantlearn.cli import HANDLERS, build_parser, float_list, main
 from tolerantlearn.dimensions import ldim_tau
 from tolerantlearn.generators import (complete_binary, constants_class,
                                       random_multiclass, random_real,
                                       threshold_class)
+from tolerantlearn.privacy import MAX_BATCHES, batch_count, stability_eta
 from tolerantlearn.thresholds import ThresholdFamily, verify_thresholds
 from tolerantlearn.trees import (MistakeTree, threshold_class_certificate,
                                  tree_to_dict)
@@ -790,6 +791,43 @@ def test_check_subcommand_exit_code(tmp_path):
     assert run_cli("check", "--input", cls2, "--scales", "2.0") == 0
 
 
+def past_the_cover_cap():
+    # 25 rows, more than COVER_ROW_CAP, whose closest two lie 0.5 apart
+    F = random_real(25, 6, 0.25, 3)
+    dist = np.abs(F.table[:, None, :] - F.table[None, :, :]).max(axis=2)
+    np.fill_diagonal(dist, np.inf)
+    return F, dist.min()
+
+
+@pytest.mark.parametrize("scales", ["0.25,1", "1,0.5", "0.49"])
+def test_check_past_the_cover_cap_follows_the_distance_rule(tmp_path, scales):
+    # no cover is searched past the cap; condition 3 is still decided, by
+    # the smallest distance between two rows against the smallest scale
+    F, gap = past_the_cover_cap()
+    cls, out = tmp_path / "c.json", tmp_path / "r.json"
+    classfile.save_class(F, cls)
+    holds = gap <= min(float_list(scales)) + 1e-12
+    assert run_cli("check", "--input", cls, "--scales", scales,
+                   "--out", out) == (0 if holds else 1)
+    doc = json.loads(out.read_text())
+    assert [(v["name"], v["observed"], v["passed"]) for v in doc["verdicts"]] \
+        == [("condition-3", gap, holds)]
+    assert all(c["covering_number"] is None and c["centers"] is None
+               for c in doc["aggregates"]["covers"])
+
+
+@pytest.mark.parametrize("scales, message", [
+    ("-0.5", "radius must be >= 0, got -0.5"),
+    ("0.5,nan", "radius must be >= 0, got nan")])
+def test_check_refuses_a_bad_scale_past_the_cover_cap(tmp_path, capsys, scales,
+                                                      message):
+    cls = tmp_path / "c.json"
+    classfile.save_class(past_the_cover_cap()[0], cls)
+    assert run_cli("check", "--input", cls, f"--scales={scales}",
+                   "--out", tmp_path / "r.json") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_experiment_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -817,10 +855,16 @@ def test_experiment_rejects_unknown_command(tmp_path, capsys):
     (2 ** 63, "dp-learn", "the sampler needs K < 2**63"),
     (10 ** 400, "dp-learn", "needs more stable-learner batches than a float "
                             "can count"),
-], ids=["gs-K-past-int64", "dp-learn-K-past-int64", "dp-learn-eta-underflow"])
+    (2 ** 20, "dp-learn", f"num_batches = "
+     f"{batch_count(stability_eta(2 ** 20, 1), 0.2, 0.01, 0.5)} exceeds the "
+     f"limit of {MAX_BATCHES}\n"),
+    (2 ** 62, "dp-learn", f"exceeds the limit of {MAX_BATCHES}\n"),
+], ids=["gs-K-past-int64", "dp-learn-K-past-int64", "dp-learn-eta-underflow",
+        "dp-learn-batches-K-2**20", "dp-learn-batches-K-2**62"])
 def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
     # a tournament label is drawn by rng.integers(1, K + 1), an int64; at
-    # K = 10**400 and d = 1, eta = (K-1) / ((d+1) K^(d+1)) underflows to 0
+    # K = 10**400 and d = 1, eta = (K-1) / ((d+1) K^(d+1)) underflows to 0;
+    # at K = 2**20 a run would need 1.4e9 batches, at K = 2**62 1.5e22
     cls = tmp_path / "c.json"
     classfile.save_class(HypothesisClass(K, [[1, 2], [2, 1]]), cls)
     argv = {"gs": ["--alpha", 0.1, "--trials", 3],
@@ -1169,8 +1213,9 @@ def test_dim_report_and_certificate_are_pinned(tmp_path, monkeypatch, cls,
 
 
 def test_check_report_is_pinned(tmp_path, monkeypatch):
-    # covers of 10, 8 and 3 centers for 12 rows, so condition 3 passes;
-    # a change to the cover search must leave these bytes alone
+    # covers of 10, 8 and 3 centers for 12 rows; two rows lie 0.25 apart,
+    # so condition 3 passes; a change to the cover search must leave these
+    # bytes alone
     monkeypatch.chdir(tmp_path)
     classfile.save_class(random_real(12, 4, 0.25, 0), "cls.json")
     assert run_cli("check", "--input", "cls.json", "--scales", "0.25,0.5,1",
@@ -1178,7 +1223,7 @@ def test_check_report_is_pinned(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "check.json").read_text())
     doc.pop("wall_clock_s")
     assert (hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-            == "ba79fd46668a47ae5ccdedd7b699dd2ad57a460c806b459bc494a616c047c3c3")
+            == "2b8ff9cd3be5c359e90a8d85332686452562b6856a04e7d2e90762d354b334d8")
 
 
 def step_class_with_near_copies():
