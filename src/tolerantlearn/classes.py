@@ -298,7 +298,7 @@ class FiniteDistribution:
 
     weights: np.ndarray
     target: np.ndarray
-    _cum: np.ndarray = field(repr=False, default=None)
+    _cum: np.ndarray = field(init=False, repr=False, default=None)
     # built on the first draw of GUIDE_DRAWS or more; () if refused
     _guide: Optional[tuple] = field(init=False, repr=False, default=None)
 

@@ -39,11 +39,20 @@ def constants_class(K: int, num_points: int) -> HypothesisClass:
     return HypothesisClass(K, rows)
 
 
+def _check_random_shape(num_rows: int, num_points: int) -> None:
+    if num_rows > RANDOM_ROWS_CAP:
+        raise ValueError(f"random classes are capped at {RANDOM_ROWS_CAP} rows")
+    if num_rows < 1 or num_points < 1:
+        raise ValueError(f"random classes need at least one function and one "
+                         f"point, got {num_rows} and {num_points}")
+
+
 def random_multiclass(num_rows: int, num_points: int, K: int,
                       seed: int) -> HypothesisClass:
     """Uniformly random label table (duplicates collapse, so rows may shrink)."""
-    if num_rows > RANDOM_ROWS_CAP:
-        raise ValueError(f"random classes are capped at {RANDOM_ROWS_CAP} rows")
+    _check_random_shape(num_rows, num_points)
+    if not 1 <= K < 2 ** 63:
+        raise ValueError(f"random classes need 1 <= K < 2**63 labels, got {K}")
     rng = trial_rng(seed, "random-mc", num_rows, num_points, K)
     rows = rng.integers(1, K + 1, size=(num_rows, num_points))
     return HypothesisClass(K, rows)
@@ -52,8 +61,7 @@ def random_multiclass(num_rows: int, num_points: int, K: int,
 def random_real(num_rows: int, num_points: int, grid_step: float,
                 seed: int) -> RealFunctionClass:
     """Random functions with values on the grid -1, -1+step, ..., 1."""
-    if num_rows > RANDOM_ROWS_CAP:
-        raise ValueError(f"random classes are capped at {RANDOM_ROWS_CAP} rows")
+    _check_random_shape(num_rows, num_points)
     if not is_grid(grid_step):
         raise ValueError(f"key 'grid' must be {GRID_RULE}, found {grid_step!r}")
     rng = trial_rng(seed, "random-real", num_rows, num_points)

@@ -239,8 +239,8 @@ def batch_count(eta: float, beta: float, delta: float, eps: float) -> int:
 
 
 def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
-                     priv: PrivacyParams, alpha: float, beta: float, seed,
-                     d: Optional[int] = None) -> PipelineResult:
+                     priv: PrivacyParams, alpha: float, beta: float,
+                     seed) -> PipelineResult:
     """Stable-learner batches -> stable histogram -> prune -> selection.
 
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
@@ -254,8 +254,11 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
                     ("alpha", alpha), ("beta", beta)):
         if not 0 < v < 1:
             raise ValueError(f"{name} must lie in (0, 1), got {v}")
-    if d is None:
-        d = ldim_value(H, 0)
+    if H.K < 2:
+        # eta = (K - 1) / ... is 0 at K = 1, so no batch count reaches it
+        raise ValueError(f"the private learner needs K >= 2 labels, "
+                         f"got K = {H.K}")
+    d = ldim_value(H, 0)
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
     _support_entry(H, D)        # the sampler refuses bad input first

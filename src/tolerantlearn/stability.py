@@ -16,22 +16,26 @@ points' consistent-row masks is nonzero), the version space a round half
 reaches by folding its n >= 1 target-labeled draws is the AND of their
 masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
 `predictor_table` is the same at every mask of that closure, every k = 1
-round has f0 == f1, so the first level runs into the cap with no label
-drawn and trips at N - N % 2n + (n if N % 2n < n else 2n); every deeper
-level starts by recursing into level 1 and trips at the same count.  The
-closure is searched breadth-first and stops at the first predictor that
-differs; above CLOSURE_LIMIT version spaces the sampler just runs.  The
-decision and the points' consistent-row masks are cached on the class per
-distribution, together with the check that the distribution labels the
-class's points, so each (H, D) pair is checked once.  A decided Fail
-does not advance a generator the caller passed in; `run_g` and
-`estimate_stability` never use it after a Fail.
+round has f0 == f1: level 1 reads whole rounds up to N - N % 2n draws
+with no label drawn and trips on the next one, and every deeper level
+starts by recursing into level 1.  So a decided Fail is level 1 started
+at the last whole round, which the sampler's one budget rule trips
+before any draw.  The closure is searched breadth-first and stops at the
+first predictor that differs; above CLOSURE_LIMIT version spaces the
+sampler just runs.  The decision and the points' consistent-row masks
+are cached on the class per distribution, together with the check that
+the distribution labels the class's points, so each (H, D) pair is
+checked once.  A decided Fail does not advance a generator the caller
+passed in; `run_g` and `estimate_stability` never use it after a Fail.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
-may have any number of rows.  Every request the sampler makes is n draws
-or a multiple of them, so the draw stream splits into n-draw windows, and
-a window's mask is the AND of its points' consistent-row masks.  Each
-point's mask is also kept as ceil(num_rows / 64) uint64 words, so one
+may have any number of rows.  One `_Sampler` object owns a draw's
+stream: the buffer, its window masks, the draws used and the budget N,
+which one rule checks for a half-round (n draws) and a k = 1 round (2n)
+alike.  Every request the sampler makes is n draws or a multiple of
+them, so the draw stream splits into n-draw windows, and a window's mask
+is the AND of its points' consistent-row masks.  Each point's mask is
+also kept as ceil(num_rows / 64) uint64 words, so one
 `np.bitwise_and.reduceat` per draw chunk gives every window the chunk
 completes its mask.  The words take at most 1/64 of the class's own int64
 table plus 8 bytes a point.  Buffer refills stay lazy: the generator is
@@ -66,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .classes import (FiniteDistribution, HypothesisClass, TolerantZeroOne,
-                      evaluate_loss, row_mask)
+                      evaluate_loss)
 from .dimensions import ldim_value
 from .online import SoaState, predictor_table
 # bound only for bench/tracing.py, which wraps it under this name; nothing
@@ -77,77 +81,6 @@ from .seeding import as_generator, trial_rng
 
 class _Fail(Exception):
     """Internal signal: the sampler exceeded its draw budget."""
-
-
-class _DrawStream:
-    """Chunked draws from a finite distribution with a hard budget N, read
-    in n-draw windows.
-
-    Indices are pregenerated in chunks for speed and kept as an array; the
-    logical draw count only advances by what the sampler requests, so the
-    budget semantics match example-by-example sampling.  A chunk is drawn
-    only when the next request needs it: the generator is shared with the
-    tournament labels, so drawing ahead would change every later label.
-    Every request is a multiple of n draws, so the unread buffer starts on
-    a window boundary.  `_wins[i]` is the mask of the window
-    `_buf[i*n:(i+1)*n]`, made by the chunk's one AND pass when its last
-    draw arrives.
-    """
-
-    CHUNK = 512
-
-    def __init__(self, D: FiniteDistribution, rng: np.random.Generator,
-                 budget: int, n: int, support: _Support):
-        self.D = D
-        self.rng = rng
-        self.budget = budget
-        self.n = n
-        self.support = support
-        self.used = 0
-        self._buf = np.zeros(0, np.int64)
-        self._pos = 0
-        self._wins = []
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buf) - self._pos
-
-    def refill(self):
-        """Append one chunk of fresh draws to the unread part of the buffer,
-        and the masks of the windows it completes."""
-        n = self.n
-        del self._wins[:self._pos // n]
-        self._buf = np.concatenate((self._buf[self._pos:],
-                                    self.D.draw_indices(self.rng, self.CHUNK)))
-        self._pos = 0
-        done, size = len(self._wins) * n, len(self._buf)
-        self._wins += self.support.window_masks(
-            self._buf[done:size - size % n], n)
-
-    def peek(self, start: int, stop: int) -> list:
-        """The unread draws start..stop-1."""
-        return self._buf[self._pos + start:self._pos + stop].tolist()
-
-    def windows(self, count: int) -> list:
-        """The masks of the first `count` unread windows."""
-        first = self._pos // self.n
-        return self._wins[first:first + count]
-
-    def advance(self, m: int):
-        self._pos += m
-        self.used += m
-
-    def take(self) -> tuple:
-        """The next window: its n draws and their mask."""
-        n = self.n
-        if self.used + n > self.budget:
-            self.used += n  # record the attempt that tripped the cap
-            raise _Fail
-        while self.buffered < n:
-            self.refill()
-        out = self.peek(0, n), self._wins[self._pos // n]
-        self.advance(n)
-        return out
 
 
 @dataclass
@@ -177,13 +110,16 @@ class TournamentSample:
 CLOSURE_LIMIT = 1024
 
 
-def _tournaments_fail(H: HypothesisClass, masks: list, floor: int) -> bool:
+def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
     """True if SOA_0's predictor is one table on the AND-closure of `masks`.
 
-    `masks` are the support points' consistent-row masks, `floor` their AND.
-    Unless it is nonzero (the target is realizable on the support) and the
-    closure fits in CLOSURE_LIMIT, nothing is decided and False returns.
+    `masks` are the support points' consistent-row masks.  Unless their AND
+    is nonzero (the target is realizable on the support) and the closure
+    fits in CLOSURE_LIMIT, nothing is decided and False returns.
     """
+    floor = H.full_mask
+    for m in masks:
+        floor &= m
     if not floor:
         return False
     basis = list(dict.fromkeys(masks))
@@ -231,13 +167,10 @@ class _Support:
         # a float-stored target must not put 1.0 into SOA's patches
         self.target = D.target.astype(np.int64)
         self.labels = self.target.tolist()
-        support = D.weights > 0
         cols = H.col_masks()
         self.masks = [cols[x].get(y, 0) for x, y in enumerate(self.labels)]
-        drawn = [m for m, on in zip(self.masks, support.tolist()) if on]
-        floor = row_mask((H.table[:, support]
-                          == self.target[support]).all(axis=1))
-        self.always_fails = _tournaments_fail(H, drawn, floor)
+        drawn = [m for m, w in zip(self.masks, D.weights.tolist()) if w > 0]
+        self.always_fails = _tournaments_fail(H, drawn)
         size = -(-H.num_rows // 64) * 8
         words = np.frombuffer(
             b"".join(m.to_bytes(size, "little") for m in self.masks),
@@ -302,22 +235,70 @@ def _support_entry(H: HypothesisClass, D: FiniteDistribution) -> _Support:
 
 
 class _Sampler:
-    """One draw of the capped tournament sampler.
+    """One draw of the capped tournament sampler: its draw stream, the
+    budget N on it and the levels of the recursion.
 
     A sample is kept as a list of domain points (every point but the
     tournament ones labeled by the target) plus the tournament positions
     and labels, together with the `SoaState` of SOA_0 after it.  A round
     folds only its n fresh draws into the state its child sample carried
     up, so no prefix is ever replayed.
+
+    Draws are pregenerated in chunks of CHUNK indices; `used` only
+    advances by what the sampler reads, so the budget semantics match
+    example-by-example sampling.  A chunk is drawn only when a read needs
+    it: the generator is shared with the tournament labels, so drawing
+    ahead would change every later label.  Every read is a multiple of n
+    draws, so the unread buffer starts on a window boundary.  `_wins[i]`
+    is the mask of the window `_buf[i*n:(i+1)*n]`, made by the chunk's one
+    AND pass when its last draw arrives.
     """
 
-    def __init__(self, H: HypothesisClass, n: int, stream: _DrawStream,
-                 rng: np.random.Generator, support: _Support):
+    CHUNK = 512
+    _buf = np.zeros(0, np.int64)    # never written: a refill replaces it
+
+    def __init__(self, H: HypothesisClass, D: FiniteDistribution,
+                 rng: np.random.Generator, n: int, budget: int,
+                 support: _Support):
         self.H = H
-        self.n = n
-        self.stream = stream
+        self.D = D
         self.rng = rng
+        self.n = n
+        self.budget = budget
+        self.support = support
         self.fold = support.fold
+        self.used = 0
+        self._pos = 0
+        self._wins = []
+
+    def reserve(self, m: int) -> int:
+        """Buffer the next m (n or 2n) draws and return the budget left.
+
+        If fewer than m draws are left, count the half-round that would
+        overflow the budget, as one-at-a-time draws would, and raise _Fail.
+        """
+        n, left = self.n, self.budget - self.used
+        if left < m:
+            self.used += n if left < n else m
+            raise _Fail
+        while len(self._buf) - self._pos < m:
+            del self._wins[:self._pos // n]
+            fresh = self.D.draw_indices(self.rng, self.CHUNK)
+            self._buf = np.concatenate((self._buf[self._pos:], fresh))
+            self._pos = 0
+            done, size = len(self._wins) * n, len(self._buf)
+            self._wins += self.support.window_masks(
+                self._buf[done:size - size % n], n)
+        return left
+
+    def take(self) -> tuple:
+        """The next window: its n draws and their mask."""
+        n = self.n
+        self.reserve(n)
+        i = self._pos
+        self._pos += n
+        self.used += n
+        return self._buf[i:i + n].tolist(), self._wins[i // n]
 
     def accept(self, sides, f0: tuple, f1: tuple):
         """Draw a label at the first disagreement x; keep the side that errs.
@@ -337,40 +318,38 @@ class _Sampler:
         """k = 1: rounds scored a buffered block at a time.
 
         No tournament label is drawn between k = 1 rounds, so every round
-        that fits both in the stream's buffer and in the remaining budget
-        is scored before the stream advances: each half by its window
-        mask.  A nonempty mask is the version space SOA_0 ends the half
-        in, so two are compared by their cached predictor tables and give
-        an accepted round its states; only a half with an empty mask
-        (unrealizable draws: SOA freezes and patches) is walked through
-        the SOA fold.
+        that fits both in the buffer and in the remaining budget is scored
+        before the stream advances: each half by its window mask.  A
+        nonempty mask is the version space SOA_0 ends the half in, so two
+        are compared by their cached predictor tables and give an accepted
+        round its states; only a half with an empty mask (unrealizable
+        draws: SOA freezes and patches) is walked through the SOA fold.
         """
-        H, n, stream = self.H, self.n, self.stream
+        H, n = self.H, self.n
         two_n = 2 * n
         while True:
-            left = stream.budget - stream.used
-            if left < two_n:
-                # trip on the half-round where one-at-a-time draws would
-                stream.used += n if left < n else two_n
-                raise _Fail
-            while stream.buffered < two_n:
-                stream.refill()
-            wins = stream.windows(min(stream.buffered, left) // two_n * 2)
-            end = len(wins) * n
-            for j, m0, m1 in zip(range(0, end, two_n), wins[::2], wins[1::2]):
+            left = self.reserve(two_n)
+            pos, buf = self._pos, self._buf
+            count = min(len(buf) - pos, left) // two_n * 2
+            wins = self._wins[pos // n:pos // n + count]
+            end = count * n
+            for j, m0, m1 in zip(range(pos, pos + end, two_n), wins[::2],
+                                 wins[1::2]):
                 if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
                                   == predictor_table(H, 0, m1)):
                     continue
-                t0, t1 = stream.peek(j, j + n), stream.peek(j + n, j + two_n)
+                t0, t1 = buf[j:j + n].tolist(), buf[j + n:j + two_n].tolist()
                 st0 = self.fold(SoaState(H), t0, m0)
                 st1 = self.fold(SoaState(H), t1, m1)
                 f0, f1 = st0.predictor(), st1.predictor()
                 if f0 == f1:
                     continue
-                stream.advance(j + two_n)
+                self._pos = j + two_n
+                self.used += j + two_n - pos
                 return self.accept([([], t0, [], [], st0),
                                     ([], t1, [], [], st1)], f0, f1)
-            stream.advance(end)
+            self._pos += end
+            self.used += end
 
     def level(self, k: int):
         """A sample of depth k >= 1: (points, positions, labels, state)."""
@@ -378,9 +357,9 @@ class _Sampler:
             return self.first_level()
         while True:
             xs0, pos0, lab0, st0 = self.level(k - 1)
-            t0, w0 = self.stream.take()
+            t0, w0 = self.take()
             xs1, pos1, lab1, st1 = self.level(k - 1)
-            t1, w1 = self.stream.take()
+            t1, w1 = self.take()
             f0 = self.fold(st0, t0, w0).predictor()
             f1 = self.fold(st1, t1, w1).predictor()
             if f0 == f1:
@@ -396,8 +375,8 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     k = 0 returns the empty sample.  The global draw counter covers the
     whole recursive generation; exceeding N yields the Fail outcome, which
     is a value, not an error.  A Fail decided from the support (see the
-    module docstring) returns the same draw count without drawing and
-    leaves a generator passed as `seed` where it was.
+    module docstring) starts level 1 at its last whole round, so it trips
+    with no draw and leaves a generator passed as `seed` where it was.
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
@@ -406,20 +385,18 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     if k == 0:
         return TournamentSample(np.zeros(0, np.int64), np.zeros(0, np.int64),
                                 False, 0, [], SoaState(H))
+    sampler = _Sampler(H, D, rng, n, N, support)
     if support.always_fails:
-        left = N % (2 * n)
-        return TournamentSample(None, None, True,
-                                N - left + (n if left < n else 2 * n), [])
-    stream = _DrawStream(D, rng, N, n, support)
-    sampler = _Sampler(H, n, stream, rng, support)
+        # every k = 1 round is rejected, so level 1 reads whole rounds
+        sampler.used = N - N % (2 * n)
     try:
         xs, positions, labels, state = sampler.level(k)
     except _Fail:
-        return TournamentSample(None, None, True, stream.used, [])
+        return TournamentSample(None, None, True, sampler.used, [])
     xs = np.array(xs, dtype=np.int64)
     ys = support.target[xs]
     ys[positions] = labels
-    return TournamentSample(xs, ys, False, stream.used, positions, state)
+    return TournamentSample(xs, ys, False, sampler.used, positions, state)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +466,7 @@ class GsEstimate:
 
 
 def estimate_stability(H: HypothesisClass, D: FiniteDistribution, alpha: float,
-                       trials: int, seed: int,
-                       d: Optional[int] = None) -> GsEstimate:
+                       trials: int, seed: int) -> GsEstimate:
     """Tally exact-table equality of stable-learner outputs over seeded trials.
 
     Fail outcomes are tallied separately and stay in the frequency
@@ -498,11 +474,11 @@ def estimate_stability(H: HypothesisClass, D: FiniteDistribution, alpha: float,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    d_val, _, _ = g_parameters(H, alpha, d)
+    d, _, _ = g_parameters(H, alpha)
     counts = {}
     fails = 0
     for i in range(trials):
-        res = run_g(H, D, alpha, trial_rng(seed, "g", i), d=d_val)
+        res = run_g(H, D, alpha, trial_rng(seed, "g", i), d=d)
         if res.failed:
             fails += 1
         else:

@@ -221,6 +221,13 @@ def test_distribution_validation():
         FiniteDistribution(np.array([-0.1, 1.1]), np.array([1, 1]))
 
 
+def test_distribution_takes_no_cumulative_weights():
+    # the cumulative weights are built from `weights`, never passed in
+    with pytest.raises(TypeError):
+        FiniteDistribution(np.array([0.5, 0.5]), np.array([1, 1]),
+                           np.array([0.0, 1.0]))
+
+
 def test_distribution_rejects_nan_weights():
     with pytest.raises(ValueError):
         FiniteDistribution(np.array([np.nan, 1.0]), np.array([1, 1]))

@@ -486,6 +486,27 @@ def test_generate_at_the_finest_grid(tmp_path):
     assert classfile.load_class(out).grid == 2.0 ** -52
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "random-mc", "--labels", 0],
+     "random classes need 1 <= K < 2**63 labels, got 0"),
+    (["--family", "random-mc", "--labels", 2 ** 63],
+     f"random classes need 1 <= K < 2**63 labels, got {2 ** 63}"),
+    (["--family", "random-mc", "--functions", -1],
+     "random classes need at least one function and one point, got -1 and 3"),
+    (["--family", "random-real", "--functions", 0],
+     "random classes need at least one function and one point, got 0 and 3"),
+], ids=["mc-no-labels", "mc-K-past-int64", "mc-negative-rows", "real-no-rows"])
+def test_generate_random_checks_its_shape_exits_2(tmp_path, capsys, argv,
+                                                  message):
+    # checked before numpy, whose messages ("low >= high", "negative
+    # dimensions are not allowed") name neither the option nor its value
+    out = tmp_path / "x.json"
+    assert run_cli("generate", *argv, "--points", 3, "--seed", 1,
+                   "--out", out) == 2
+    assert f"error: generate: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_rejects_oversize(tmp_path, capsys):
     code = run_cli("generate", "--family", "complete", "--points", 30,
                    "--out", tmp_path / "x.json")
@@ -600,6 +621,17 @@ def test_target_row_outside_class_exits_2(tmp_path, capsys, past_end):
         target = rows if past_end else -1
         assert run_cli(*argv, "--target", target, *common) == 2
         assert "target row" in capsys.readouterr().err
+
+
+def test_dp_learn_refuses_a_single_label_exits_2(tmp_path, capsys):
+    # gamma 2 discretizes [-1, 1] into one interval, so K = 1 and eta = 0
+    real = tmp_path / "real.json"
+    classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]), real)
+    assert run_cli("dp-learn", "--input", real, "--gamma", 2, "--target", 0,
+                   "--epsilon", 0.5, "--delta", 0.01, "--alpha", 0.2,
+                   "--beta", 0.2, "--seed", 1, "--out", tmp_path / "r.json") == 2
+    assert (capsys.readouterr().err == "error: dp-learn: the private learner "
+            "needs K >= 2 labels, got K = 1\n")
 
 
 def test_float_labels_in_class_file_exit_2(tmp_path, capsys):
