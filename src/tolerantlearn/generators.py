@@ -11,6 +11,7 @@ COMPLETE_POINTS_CAP = 16       # 2^n rows are materialized explicitly
 THRESHOLD_POINTS_CAP = 4096
 CONSTANTS_CAP = 1024
 RANDOM_ROWS_CAP = 4096
+RANDOM_POINTS_CAP = 4096
 
 
 def complete_binary(num_points: int) -> HypothesisClass:
@@ -42,6 +43,9 @@ def constants_class(K: int, num_points: int) -> HypothesisClass:
 def _check_random_shape(num_rows: int, num_points: int) -> None:
     if num_rows > RANDOM_ROWS_CAP:
         raise ValueError(f"random classes are capped at {RANDOM_ROWS_CAP} rows")
+    if num_points > RANDOM_POINTS_CAP:
+        raise ValueError(f"random classes are capped at {RANDOM_POINTS_CAP} "
+                         f"points")
     if num_rows < 1 or num_points < 1:
         raise ValueError(f"random classes need at least one function and one "
                          f"point, got {num_rows} and {num_points}")

@@ -194,7 +194,7 @@ def adversary_force(H: HypothesisClass, tau: int, learner) -> OnlineTranscript:
     Walks a tolerance-2*tau certificate tree; at each node at least one edge
     label is further than tau from the prediction because the two edge
     labels are more than 2*tau apart.  Prefers the left edge when both
-    qualify.
+    qualify.  The `adversary` verdict, not this walk, checks the count.
     """
     report = ldim_tau(H, 2 * tau)
     tree = report.certificate
@@ -213,6 +213,4 @@ def adversary_force(H: HypothesisClass, tau: int, learner) -> OnlineTranscript:
         at = child(at, went_right)
         mistake = tolerant_loss(y_hat, y, tau) == 1
         t.rounds.append(Round(x, y_hat, y, mistake))
-    if t.mistakes < tree.height:
-        raise AssertionError("adversary failed to force a mistake per level")
     return t

@@ -245,10 +245,11 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
 
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
     gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
-    declared (eps, delta).  Batches whose stable run fails contribute a
-    sentinel item that pruning removes.  A run of more than `MAX_BATCHES`
-    batches, over an hour at 20-250 us a batch (2-vCPU host), is refused
-    before any runs; d = 1 at K = 2**20 would need 1.4e9.
+    declared (eps, delta).  Both halves are debited, and the total checked,
+    before the prune, so both returns carry them.  Batches whose stable run
+    fails contribute a sentinel item that pruning removes.  A run of more
+    than `MAX_BATCHES` batches, over an hour at 20-250 us a batch (2-vCPU
+    host), is refused before any runs; d = 1 at K = 2**20 would need 1.4e9.
     """
     for name, v in (("eps", priv.eps), ("delta", priv.delta),
                     ("alpha", alpha), ("beta", beta)):
@@ -280,6 +281,9 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),
                             trial_rng(seed, "hist"))
     ledger.debit("stable-histogram", half_eps, priv.delta)
+    ledger.debit("generic-learner", half_eps, 0.0)
+    if not ledger.matches(priv):
+        raise AssertionError("privacy ledger does not total the declared budget")
 
     pruned = [(it, est) for it, est in zip(hist.items, hist.estimates)
               if it is not None and est > 0.75 * eta]
@@ -291,7 +295,6 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
                                   "note": "calibration choices, not derived"},
     }
     if not pruned:
-        ledger.debit("generic-learner", half_eps, 0.0)
         diagnostics["reason"] = ("no hypothesis survived the histogram and "
                                  "prune steps" if fail_batches < k else
                                  "every stable-learner batch failed")
@@ -304,9 +307,6 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     sel_sample = D.draw_sample(trial_rng(seed, "sprime"), n_prime)
     chosen = generic_private_learner(tables, sel_sample, priv.eps / 2.0,
                                      trial_rng(seed, "select"))
-    ledger.debit("generic-learner", half_eps, 0.0)
-    if not ledger.matches(priv):
-        raise AssertionError("privacy ledger does not total the declared budget")
     return PipelineResult(chosen, False, eta, k, fail_batches,
                           len(hist.items), len(tables), n_prime, ledger,
                           diagnostics)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 REPORT_FORMAT = "report/1"
@@ -53,9 +53,7 @@ class RunReport:
             "config": self.config,
             "records": self.records,
             "aggregates": self.aggregates,
-            "verdicts": [{"name": v.name, "bound": v.bound,
-                          "observed": v.observed, "passed": v.passed}
-                         for v in self.verdicts],
+            "verdicts": [asdict(v) for v in self.verdicts],
             "wall_clock_s": self.wall_clock_s,
         }
 

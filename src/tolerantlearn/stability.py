@@ -18,24 +18,24 @@ masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
 `predictor_table` is the same at every mask of that closure, every k = 1
 round has f0 == f1: level 1 reads whole rounds up to N - N % 2n draws
 with no label drawn and trips on the next one, and every deeper level
-starts by recursing into level 1.  So a decided Fail is level 1 started
-at the last whole round, which the sampler's one budget rule trips
-before any draw.  The closure is searched breadth-first and stops at the
-first predictor that differs; above CLOSURE_LIMIT version spaces the
-sampler just runs.  The decision and the points' consistent-row masks
-are cached on the class per distribution, together with the check that
-the distribution labels the class's points, so each (H, D) pair is
-checked once.  A decided Fail does not advance a generator the caller
-passed in; `run_g` and `estimate_stability` never use it after a Fail.
+starts by recursing into level 1.  So `sample_dk_mc` returns a decided
+Fail without building a sampler or drawing, with the budget rule's count
+for level 1 started at the last whole round; `run_g` and
+`estimate_stability` never use the generator after a Fail.  The closure
+is searched breadth-first and stops at the first predictor that differs;
+above CLOSURE_LIMIT version spaces the sampler just runs.  The decision
+and the points' consistent-row masks are cached on the class per
+distribution, together with the check that the distribution labels the
+class's points, so each (H, D) pair is checked once.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  One `_Sampler` object owns a draw's
 stream: the buffer, its window masks, the draws used and the budget N,
-which one rule checks for a half-round (n draws) and a k = 1 round (2n)
-alike.  Every request the sampler makes is n draws or a multiple of
-them, so the draw stream splits into n-draw windows, and a window's mask
-is the AND of its points' consistent-row masks.  Each point's mask is
-also kept as ceil(num_rows / 64) uint64 words, so one
+which one rule (`_overflow`) checks for a half-round (n draws) and a
+k = 1 round (2n) alike.  Every request the sampler makes is n draws or a
+multiple of them, so the draw stream splits into n-draw windows, and a
+window's mask is the AND of its points' consistent-row masks.  Each
+point's mask is also kept as ceil(num_rows / 64) uint64 words, so one
 `np.bitwise_and.reduceat` per draw chunk gives every window the chunk
 completes its mask.  The words take at most 1/64 of the class's own int64
 table plus 8 bytes a point.  Buffer refills stay lazy: the generator is
@@ -234,6 +234,11 @@ def _support_entry(H: HypothesisClass, D: FiniteDistribution) -> _Support:
     return hit
 
 
+def _overflow(n: int, m: int, left: int) -> int:
+    """Draws counted when m = n or 2n exceeds `left`: the overflowing half."""
+    return n if left < n else m
+
+
 class _Sampler:
     """One draw of the capped tournament sampler: its draw stream, the
     budget N on it and the levels of the recursion.
@@ -272,14 +277,11 @@ class _Sampler:
         self._wins = []
 
     def reserve(self, m: int) -> int:
-        """Buffer the next m (n or 2n) draws and return the budget left.
-
-        If fewer than m draws are left, count the half-round that would
-        overflow the budget, as one-at-a-time draws would, and raise _Fail.
-        """
+        """Buffer the next m (n or 2n) draws and return the budget left;
+        if fewer are left, count their `_overflow` and raise _Fail."""
         n, left = self.n, self.budget - self.used
         if left < m:
-            self.used += n if left < n else m
+            self.used += _overflow(n, m, left)
             raise _Fail
         while len(self._buf) - self._pos < m:
             del self._wins[:self._pos // n]
@@ -375,8 +377,8 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     k = 0 returns the empty sample.  The global draw counter covers the
     whole recursive generation; exceeding N yields the Fail outcome, which
     is a value, not an error.  A Fail decided from the support (see the
-    module docstring) starts level 1 at its last whole round, so it trips
-    with no draw and leaves a generator passed as `seed` where it was.
+    module docstring) is returned without a sampler or a draw, with the
+    budget rule's count for level 1 started at its last whole round.
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
@@ -385,10 +387,12 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
     if k == 0:
         return TournamentSample(np.zeros(0, np.int64), np.zeros(0, np.int64),
                                 False, 0, [], SoaState(H))
-    sampler = _Sampler(H, D, rng, n, N, support)
     if support.always_fails:
-        # every k = 1 round is rejected, so level 1 reads whole rounds
-        sampler.used = N - N % (2 * n)
+        # level 1 reads whole rounds, all rejected, and trips on the next
+        left = N % (2 * n)
+        return TournamentSample(None, None, True,
+                                N - left + _overflow(n, 2 * n, left), [])
+    sampler = _Sampler(H, D, rng, n, N, support)
     try:
         xs, positions, labels, state = sampler.level(k)
     except _Fail:

@@ -512,6 +512,14 @@ def test_generate_rejects_oversize(tmp_path, capsys):
                    "--out", tmp_path / "x.json")
     assert code == 2
     assert "capped" in capsys.readouterr().err
+    # refused before numpy tries to allocate 8 TiB
+    for family in ("random-mc", "random-real"):
+        code = run_cli("generate", "--family", family, "--functions", 1,
+                       "--points", 2 ** 40, "--seed", 1,
+                       "--out", tmp_path / "x.json")
+        assert code == 2
+        assert ("random classes are capped at 4096 points"
+                in capsys.readouterr().err)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -577,6 +585,37 @@ def test_gs_subcommand(tmp_path):
     assert all(v["passed"] for v in doc["verdicts"])
 
 
+@pytest.mark.parametrize("trials, claimed", [(72, False), (73, True)])
+def test_gs_claims_the_frequency_only_when_it_can_fail(tmp_path, trials,
+                                                       claimed):
+    # constants_class(3, 3): eta = 1/9, and eta - slack > 0 iff
+    # trials > 9 (1 - eta) / eta = 72
+    cls = tmp_path / "c.json"
+    classfile.save_class(constants_class(3, 3), cls)
+    out = tmp_path / "r.json"
+    assert run_cli("gs", "--input", cls, "--target", 0, "--alpha", 0.1,
+                   "--trials", trials, "--seed", 7, "--out", out) == 0
+    doc = json.loads(out.read_text())
+    names = [v["name"] for v in doc["verdicts"]]
+    assert ("gs-frequency" in names) == claimed
+    assert "gs-loss" in names
+
+
+def test_adversary_shortfall_fails_its_verdict(thr_file, tmp_path, capsys):
+    # a loss that never counts a mistake: the verdict, not an assertion
+    # inside the adversary, reports the shortfall
+    out = tmp_path / "r.json"
+    with mock.patch("tolerantlearn.online.tolerant_loss", return_value=0):
+        code = run_cli("adversary", "--input", thr_file, "--learner",
+                       "const:1", "--out", out)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "FAIL adversary-forcing" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    doc = json.loads(out.read_text())
+    assert doc["aggregates"]["mistakes"] == 0
+
+
 def test_dp_learn_subcommand(tmp_path):
     cls = tmp_path / "c.json"
     classfile.save_class(constants_class(3, 3), cls)
@@ -587,7 +626,8 @@ def test_dp_learn_subcommand(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     names = {v["name"]: v["passed"] for v in doc["verdicts"]}
-    assert names["dp-budget"] and names["dp-list-size"]
+    # the ledger is checked inside the learner, so it is no verdict
+    assert "dp-budget" not in names and names["dp-list-size"]
 
 
 def test_sampler_runs_past_64_rows(tmp_path, point_class):
@@ -1149,20 +1189,19 @@ def test_reports_deterministic_up_to_wall_clock(tmp_path):
 
 GS_PINS = [  # (points, target, alpha, trials, seed, report digest)
     (7, 4, 0.1, 40, 3,
-     "6e54ed0add7dcc762a5a7215dd12ee2fffaa79870455663fadc712bc71b13ca2"),
+     "e5e261ced8ffd7766a7ea1b2c990752ad7e195166ec5a571d4b60d2a26619975"),
     (7, 4, 0.1, 40, 8,
-     "2975608ba65c7683ac57f58e76fd3c95a2016b358c01831e7361af3a87cf03f0"),
+     "2831a1d37b02e10b1ae8e1505a3e72411f5962cf49ceb7dd2c30abc63ff979c4"),
     (100, 50, 0.5, 20, 3,
-     "45a0826b9470ca0c70425ea20ea17043d93d68e7c24f14a0dee88e7a50f34386"),
+     "89c3be0dd270ad7b2cbdf14d2b3a545a732ecd1257067ac65582f11f5fd03298"),
     (100, 50, 0.5, 20, 8,
-     "13a16f35918d042ff6d60d5f2dcfb36ed500ad93812a456bca31ac41e49b6e13"),
+     "52e5396a246f321a3a85e1582e59e678b42bb16bf84007c6a204d21cd4326331"),
 ]
 
 
 @pytest.mark.parametrize(
     "points, target, alpha, trials, seed, digest", GS_PINS,
-    ids=[f"{seed}-{digest}" if points == 7 else f"threshold-{points}-{seed}"
-         for points, _, _, _, seed, digest in GS_PINS])
+    ids=[f"threshold-{points}-{seed}" for points, _, _, _, seed, _ in GS_PINS])
 def test_gs_report_is_pinned(tmp_path, monkeypatch, points, target, alpha,
                              trials, seed, digest):
     # threshold_class(7), target 4: tournaments succeed below the top k and
@@ -1195,14 +1234,14 @@ DP_FLAGS = ["--delta", 0.01, "--alpha", 0.2, "--beta", 0.2]
 @pytest.mark.parametrize("cls, flags, digest", [
     (constants_class(3, 3), ["--target", 0, "--epsilon", 0.5, *DP_FLAGS,
                              "--seed", 4],
-     "388c7316cadbb61fd78248569f847987b95feeefaa8e127e80d5342bee280a6b"),
+     "291795b236f601bb23bec5c52b7ae77f0d148172d60d4ca969df73457f7b6a38"),
     (threshold_class(3), ["--target", 2, "--epsilon", 0.9, *DP_FLAGS,
                           "--seed", 4],
-     "dee135f2c21f03f0dcde95101a2c940f6a0578df47be6a29a37a5771e336d291"),
+     "5da5560f4b871f2028191fed1a21eb59e9bcd073c121dfd915b45b90927d78b0"),
     (two_point_steps(), ["--target", 1, "--gamma", 0.5, "--epsilon", 0.9,
                          "--delta", 0.05, "--alpha", 0.3, "--beta", 0.3,
                          "--seed", 1],
-     "a664337124ec20ea9d86bad422bd066b602536b301f23fe182b84998f8cc330f"),
+     "6a6d65f223d2798968436ef9d4302377c841ac3051d42faef845b8505c75a1b6"),
 ], ids=["constants-3-3", "threshold-3", "regression-steps"])
 def test_dp_learn_report_is_pinned(tmp_path, monkeypatch, cls, flags, digest):
     # constants: every k = 1 batch is a decided Fail, the rest are k = 0;

@@ -470,12 +470,18 @@ def test_run_g_matches_reference_on_windows_across_chunks():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_cap_trips_on_the_half_round_that_overflows(k):
+def test_cap_trips_on_the_half_round_that_overflows(k, monkeypatch):
     # a constant class never disagrees, so every round is rejected and the
     # cap trips: on the first half of a round when fewer than n draws are
-    # left, on the second half otherwise
+    # left, on the second half otherwise.  One row decides that from the
+    # support, so no sampler may be built
     H = HypothesisClass(2, [[1, 1]])
     D = FiniteDistribution.uniform(H, 0)
+
+    def no_sampler(*args):
+        raise AssertionError("a decided Fail built a sampler")
+
+    monkeypatch.setattr(stability, "_Sampler", no_sampler)
     n = 3
     for N in range(1, 40):
         s = assert_matches_reference(k, D, H, n, N, N)
