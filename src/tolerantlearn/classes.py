@@ -414,6 +414,8 @@ def num_intervals(gamma: float) -> int:
     """Number of length-gamma intervals partitioning [-1, 1]."""
     if not 0 < gamma <= 2:   # NaN fails too
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
+    if gamma < GRID_MIN:   # past 2**53 intervals labels round off 1..K
+        raise ValueError(f"gamma must be at least 2**-52, got {gamma}")
     return int(np.ceil(2.0 / gamma - BOUNDARY_SNAP))
 
 

@@ -279,7 +279,8 @@ def cmd_generate(args) -> RunReport:
 def cmd_experiment(args) -> RunReport:
     cfg = classfile.read_json_object(args.config)
     command = cfg.get("command")
-    handler = HANDLERS.get(command)
+    # an experiment config naming itself would recurse without end
+    handler = HANDLERS.get(command) if command != "experiment" else None
     if handler is None:
         raise ValueError(f"config field 'command' is invalid: {command!r}")
     source = _config_object(args.config, cfg, "class")

@@ -268,15 +268,9 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     ledger = PrivacyLedger()
     half_eps = _exact_budget(priv.eps) / 2
 
-    items = []
-    fail_batches = 0
-    for i in range(k):
-        res = run_g(H, D, alpha / 2.0, trial_rng(seed, "batch", i), d=d)
-        if res.failed:
-            fail_batches += 1
-            items.append(None)
-        else:
-            items.append(res.table)
+    items = [run_g(H, D, alpha / 2.0, trial_rng(seed, "batch", i), d=d).table
+             for i in range(k)]
+    fail_batches = items.count(None)
 
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),
                             trial_rng(seed, "hist"))

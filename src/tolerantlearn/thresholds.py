@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .classes import HypothesisClass, RealFunctionClass, discretize, label_to_midpoint
+from .classes import (GRID_MIN, HypothesisClass, RealFunctionClass, discretize,
+                      label_to_midpoint)
 from .dimensions import ldim_tau
 from .trees import MistakeTree, check_mc_tree, child, children, level
 
@@ -277,6 +278,8 @@ def extract_thresholds_reg(F: RealFunctionClass, gamma: float):
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not gamma <= 100:   # the discretization scale gamma/50 is at most 2
         raise ValueError(f"gamma must lie in (0, 100], got {gamma}")
+    if gamma < 50 * GRID_MIN:   # nor is the scale below 2**-52
+        raise ValueError(f"gamma must be at least 50 * 2**-52, got {gamma}")
     scale = gamma / 50.0
     Hd, row_map = discretize(F, scale)
     mc_fam, trace = extract_thresholds_mc(Hd, 10)

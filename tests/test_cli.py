@@ -449,6 +449,58 @@ def test_malformed_family_file_rejected(tmp_path, change, message):
     assert message in str(exc.value)
 
 
+# JSON of every type: numbers past 64 bits and non-finite floats (json
+# writes NaN and Infinity), strings, lists and objects nested a few deep
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**65, 2**65) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+
+
+def quiet_cli(*argv):
+    """`run_cli` with its printed report and error discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(*argv)
+
+
+@no_fixture_check
+@given(st.one_of(
+    json_values,
+    st.fixed_dictionaries({"format": st.just(classfile.SEQ_FORMAT),
+                           "examples": json_values}),
+    st.fixed_dictionaries({"format": st.just(classfile.SEQ_FORMAT),
+                           "examples": st.lists(st.lists(
+                               st.integers(-2, 6) | json_values,
+                               min_size=1, max_size=3), max_size=5)})))
+def test_random_sequence_file_exits_0_1_or_2(tmp_path, thr_file, doc):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    assert quiet_cli("soa", "--input", thr_file, "--sequence", seq) in (0, 1, 2)
+
+
+@no_fixture_check
+@given(families(), st.dictionaries(
+    st.sampled_from(["kind", "points", "functions", "labels", "gap", "bounds",
+                     "margin", "band", "format"]),
+    json_values | st.integers(-1, 3) | st.lists(st.integers(-1, 3),
+                                                max_size=3), max_size=3))
+def test_random_family_file_refused_or_verified(tmp_path, fam, change):
+    # a family document with random keys: ValueError on load, or a family
+    # the verifier judges without raising
+    path = tmp_path / "fam.json"
+    classfile.save_family(fam, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    try:
+        back = classfile.load_family(path)
+    except ValueError:
+        event("refused")
+        return
+    event(f"verified: {verify_thresholds(back).ok}")
+
+
 def test_generated_class_files_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("generate", "--family", "random-real", "--functions", 4,
@@ -801,8 +853,17 @@ def test_malformed_documents_exit_2(thr_file, tmp_path, capsys, command, doc,
     (["dim", "--kind", "fat", "--gamma", "1e-10"],
      "gamma must exceed the two-sided witness slack"),
     (["thresholds", "--gamma", 150], "gamma must lie in (0, 100], got 150.0"),
+    # below 2**-52 a discretization's labels would round off 1..K
+    (["dp-learn", "--gamma", "1e-300", "--target", 0, "--epsilon", 0.5,
+      "--delta", 0.01, "--alpha", 0.2, "--beta", 0.2, "--seed", 1],
+     "gamma must be at least 2**-52, got 1e-300"),
+    (["thresholds", "--gamma", "2e-17"],
+     "gamma must be at least 50 * 2**-52, got 2e-17"),
+    (["thresholds", "--gamma", "1e-300"],
+     "gamma must be at least 50 * 2**-52, got 1e-300"),
 ], ids=["dim-fat", "thresholds", "dp-learn", "check-negative", "check-nan",
-        "dim-fat-inf", "dim-fat-slack", "thresholds-above-100"])
+        "dim-fat-inf", "dim-fat-slack", "thresholds-above-100",
+        "dp-learn-below-grid", "thresholds-below-grid", "thresholds-1e-300"])
 def test_nan_or_negative_scale_exits_2(tmp_path, capsys, argv, message):
     real = tmp_path / "real.json"
     classfile.save_class(RealFunctionClass([[0.0, 0.5], [1.0, 0.25]]), real)
@@ -920,6 +981,65 @@ def test_experiment_rejects_unknown_command(tmp_path, capsys):
     assert run_cli("experiment", "--config", cfg) == 2
     assert ("error: experiment: config field 'command' is invalid: 'bogus'"
             in capsys.readouterr().err)
+
+
+# each command with small values for its options, mostly valid; dp-learn is
+# left out, as its batch count can reach MAX_BATCHES
+_tolerance = st.sampled_from([0, 0, 1, 2, -1])
+_gamma = st.sampled_from([0.25, 0.5, 1.0, 0, "nan"])
+EXPERIMENT_PARAMS = {
+    "dim": ({}, {"kind": st.sampled_from(["ldim", "fat", "pdim", "bogus"]),
+                 "tolerance": _tolerance, "gamma": _gamma}),
+    "soa": ({"sequence": st.sampled_from(["seq.json", "missing.json"])},
+            {"tolerance": _tolerance}),
+    "adversary": ({}, {"tolerance": _tolerance, "learner": st.sampled_from(
+        ["soa", "majority", "const:1", "const:x"])}),
+    "thresholds": ({}, {"tolerance": _tolerance, "gamma": _gamma,
+                        "certificate": st.just("missing.json")}),
+    "gs": ({"target": st.integers(-1, 2), "alpha": st.sampled_from([0.5, 0.9, 0]),
+            "trials": st.integers(0, 4)}, {}),
+    "check": ({}, {"scales": st.sampled_from(["0.5", "0.25,1", "-1", "x"])}),
+}
+
+
+@st.composite
+def experiment_configs(draw):
+    command = draw(st.sampled_from(sorted(EXPERIMENT_PARAMS)))
+    required, optional = EXPERIMENT_PARAMS[command]
+    generator = draw(st.fixed_dictionaries({
+        "family": st.sampled_from(["threshold", "constants", "random-mc",
+                                   "random-real", "complete"]),
+        "points": st.integers(1, 3), "labels": st.integers(2, 3),
+        "functions": st.integers(1, 4)}))
+    return {"command": command,
+            "seed": draw(st.sampled_from([None, 0, 1, 2, 3])),
+            "class": {"generator": generator},
+            "params": draw(st.fixed_dictionaries(required, optional=optional))}
+
+
+@no_fixture_check
+@given(experiment_configs())
+def test_random_experiment_config_exits_0_1_or_2(tmp_path, doc):
+    classfile.save_sequence([0, 1], [1, 2], tmp_path / "seq.json")
+    params = doc["params"]
+    for key in ("sequence", "certificate"):
+        if key in params:
+            params[key] = str(tmp_path / params[key])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = quiet_cli("experiment", "--config", cfg)
+    assert code in (0, 1, 2)
+    event(f"{doc['command']} exit {code}")
+
+
+def test_experiment_config_cannot_run_an_experiment(tmp_path, capsys):
+    # a config naming itself would recurse without end
+    cfg = tmp_path / "self.json"
+    cfg.write_text(json.dumps({"command": "experiment",
+                               "params": {"config": str(cfg)}}))
+    assert run_cli("experiment", "--config", cfg) == 2
+    assert ("error: experiment: config field 'command' is invalid: "
+            "'experiment'" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("K, command, message", [

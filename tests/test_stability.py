@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -12,7 +10,7 @@ from tolerantlearn.generators import constants_class, threshold_class
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, GRunResult,
+from tolerantlearn.stability import (GRunResult,
                                      _support_entry, estimate_stability,
                                      g_parameters, run_g, sample_dk_mc)
 
@@ -520,28 +518,51 @@ def test_support_decision_fires_on_identified_targets(H, target, support, fires)
             assert s.failed
 
 
-def test_closure_past_the_limit_runs_the_sampler(point_class):
+def test_many_mask_failing_support_runs_the_sampler(point_class):
     # every version space reachable from the all-1 target predicts all 1s,
-    # so every tournament fails, but the closure holds 2^d - 1 of them
-    d = CLOSURE_LIMIT.bit_length()
-    H = point_class(d)
+    # so every tournament fails, but the 11 points' masks differ: the
+    # support is not decided, and the sampler runs into the cap
+    H = point_class(11)
     D = FiniteDistribution.uniform(H, 0)
-    assert 2 ** d - 1 > CLOSURE_LIMIT
     assert not always_fails(H, D)
     for k in (1, 2):
         for seed in range(3):
             assert assert_matches_reference(k, D, H, 2, 60, seed).failed
-    with mock.patch.object(stability, "CLOSURE_LIMIT", 2 ** d):
-        H = point_class(d)
-        assert always_fails(H, FiniteDistribution.uniform(H, 0))
+
+
+def test_support_builds_no_predictor_table():
+    H = threshold_class(7)
+    assert not always_fails(H, FiniteDistribution.uniform(H, 4))
+    assert H._predictor_cache == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 8), st.integers(1, 6), st.data())
+def test_support_decision_is_one_shared_mask(K, rows, dom, data):
+    # the rows consistent with each drawable point, read off H.table
+    labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
+    H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
+                                              max_size=rows)))
+    if data.draw(st.booleans()):
+        target = H.table[data.draw(st.integers(0, H.num_rows - 1))]
+    else:
+        target = np.array(data.draw(labels))
+    w = np.array(data.draw(st.lists(st.integers(0, 2), min_size=dom,
+                                    max_size=dom)), dtype=np.float64)
+    w[-1] += w.sum() == 0
+    D = FiniteDistribution(w / w.sum(), target)
+    drawn = {frozenset(np.flatnonzero(H.table[:, x] == target[x]).tolist())
+             for x in range(dom) if w[x] > 0}
+    shared = len(drawn) == 1 and drawn != {frozenset()}
+    assert always_fails(H, D) == shared
+    event(f"decided: {shared}")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 5), st.data(),
-       st.sampled_from([1, 3, CLOSURE_LIMIT]), st.integers(0, 2**32 - 1))
-def test_support_decision_matches_reference(K, rows, dom, data, limit, seed):
-    # random classes and targets, realizable or not, with zero-weight points;
-    # a small CLOSURE_LIMIT sends decidable supports through the sampler
+       st.integers(0, 2**32 - 1))
+def test_support_decision_matches_reference(K, rows, dom, data, seed):
+    # random classes and targets, realizable or not, with zero-weight points
     labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
     H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
                                               max_size=rows)))
@@ -556,9 +577,8 @@ def test_support_decision_matches_reference(K, rows, dom, data, limit, seed):
     k = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 4))
     N = data.draw(st.integers(1, 300))
-    with mock.patch.object(stability, "CLOSURE_LIMIT", limit):
-        assert_matches_reference(k, D, H, n, N, seed)
-        event(f"decided: {always_fails(H, D)}, limit {limit}")
+    assert_matches_reference(k, D, H, n, N, seed)
+    event(f"decided: {always_fails(H, D)}")
 
 
 # --- the stable learner ----------------------------------------------------------
