@@ -11,15 +11,19 @@ it only, since the capped sampler's output law is the uncapped law cut off
 at the cap N, which is computable.
 
 Some supports make every tournament fail, and that is decided without
-drawing: if every drawable point has the same consistent-row mask and it
-is nonzero, every n-draw window ANDs to that mask, so both halves of every
-k = 1 round end in the same version space and SOA_0's predictors tie.
-Level 1 then reads whole rounds up to N - N % 2n draws with no label drawn
-and trips on the next one, and every deeper level starts by recursing into
-level 1.  So `sample_dk_mc` returns a decided Fail without building a
-sampler or drawing, with the budget rule's count for level 1 started at
-the last whole round; `run_g` and `estimate_stability` never use the
-generator after a Fail.  Other supports run the sampler.  The decision
+drawing.  If the target is realizable on supp(D) (the AND of the support
+points' consistent-row masks is nonzero), the version space a round half
+reaches by folding its n >= 1 target-labeled draws is the AND of their
+masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
+`predictor_table` is the same at every mask of that closure, every k = 1
+round has f0 == f1: level 1 reads whole rounds up to N - N % 2n draws
+with no label drawn and trips on the next one, and every deeper level
+starts by recursing into level 1.  So `sample_dk_mc` returns a decided
+Fail without building a sampler or drawing, with the budget rule's count
+for level 1 started at the last whole round; `run_g` and
+`estimate_stability` never use the generator after a Fail.  The closure
+is searched breadth-first and stops at the first predictor that differs;
+above CLOSURE_LIMIT version spaces the sampler just runs.  The decision
 and the points' consistent-row masks are cached on the class per
 distribution, together with the check that the distribution labels the
 class's points, so each (H, D) pair is checked once.
@@ -100,6 +104,45 @@ class TournamentSample:
     state: Optional[SoaState] = None
 
 
+# Largest AND-closure of the support's masks searched for the k = 1
+# impossibility decision; past it the sampler runs.  The closure of m
+# support points can hold 2^m - 1 version spaces, each costing one
+# `predictor_table` call.
+CLOSURE_LIMIT = 1024
+
+
+def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
+    """True if SOA_0's predictor is one table on the AND-closure of `masks`.
+
+    `masks` are the support points' consistent-row masks.  Unless their AND
+    is nonzero (the target is realizable on the support) and the closure
+    fits in CLOSURE_LIMIT, nothing is decided and False returns.
+    """
+    floor = H.full_mask
+    for m in masks:
+        floor &= m
+    if not floor:
+        return False
+    basis = list(dict.fromkeys(masks))
+    seen = set(basis)
+    level = basis
+    first = predictor_table(H, 0, basis[0])
+    while level:
+        if len(seen) > CLOSURE_LIMIT:
+            return False
+        if any(predictor_table(H, 0, m) != first for m in level):
+            return False
+        grown = []
+        for m in level:
+            for b in basis:
+                c = m & b
+                if c not in seen:
+                    seen.add(c)
+                    grown.append(c)
+        level = grown
+    return True
+
+
 class _Support:
     """What the sampler needs of one (H, D) pair, checked and built once.
 
@@ -127,8 +170,8 @@ class _Support:
         self.labels = self.target.tolist()
         cols = H.col_masks()
         self.masks = [cols[x].get(y, 0) for x, y in enumerate(self.labels)]
-        drawn = {m for m, w in zip(self.masks, D.weights.tolist()) if w > 0}
-        self.always_fails = len(drawn) == 1 and 0 not in drawn
+        drawn = [m for m, w in zip(self.masks, D.weights.tolist()) if w > 0]
+        self.always_fails = _tournaments_fail(H, drawn)
         size = -(-H.num_rows // 64) * 8
         words = np.frombuffer(
             b"".join(m.to_bytes(size, "little") for m in self.masks),

@@ -637,6 +637,23 @@ def test_gs_subcommand(tmp_path):
     assert all(v["passed"] for v in doc["verdicts"])
 
 
+def test_gs_decides_a_complete_class_at_its_all_1_row(tmp_path):
+    # every k >= 1 tournament fails and the support decides it, so no
+    # sampler runs; one would read to the cap, about 8.8e7 draws a trial
+    cls = tmp_path / "c.json"
+    assert run_cli("generate", "--family", "complete", "--points", 6,
+                   "--out", cls) == 0
+    out = tmp_path / "r.json"
+    with mock.patch("tolerantlearn.stability._Sampler",
+                    side_effect=AssertionError("a sampler was built")):
+        code = run_cli("gs", "--input", cls, "--target", 0, "--alpha", 0.1,
+                       "--trials", 20, "--seed", 7, "--out", out)
+    assert code == 0
+    agg = json.loads(out.read_text())["aggregates"]
+    assert 0 < agg["fail_count"] < 20
+    assert agg["modal_table"] == [1] * 6
+
+
 @pytest.mark.parametrize("trials, claimed", [(72, False), (73, True)])
 def test_gs_claims_the_frequency_only_when_it_can_fail(tmp_path, trials,
                                                        claimed):

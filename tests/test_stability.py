@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -6,11 +8,12 @@ from .conftest import inverse_cdf_draws
 from tolerantlearn import stability
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    TolerantZeroOne, evaluate_loss)
-from tolerantlearn.generators import constants_class, threshold_class
+from tolerantlearn.generators import (complete_binary, constants_class,
+                                      threshold_class)
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (GRunResult,
+from tolerantlearn.stability import (CLOSURE_LIMIT, GRunResult,
                                      _support_entry, estimate_stability,
                                      g_parameters, run_g, sample_dk_mc)
 
@@ -518,51 +521,54 @@ def test_support_decision_fires_on_identified_targets(H, target, support, fires)
             assert s.failed
 
 
-def test_many_mask_failing_support_runs_the_sampler(point_class):
-    # every version space reachable from the all-1 target predicts all 1s,
-    # so every tournament fails, but the 11 points' masks differ: the
-    # support is not decided, and the sampler runs into the cap
-    H = point_class(11)
+def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
+    # the 6 points' masks all differ, yet SOA_0 predicts all 1s at every
+    # version space they reach: label 2 is ruled out where observed and
+    # ties go to label 1 elsewhere.  The closure (63 version spaces) decides
+    # it; a sampler would read to the cap, about 8.8e7 draws at alpha 0.1
+    H = complete_binary(6)
     D = FiniteDistribution.uniform(H, 0)
+    assert len(set(_support_entry(H, D).masks)) == 6
+    assert always_fails(H, D)
+    for k in (1, 2):
+        for N in (1, 17, 60):
+            assert assert_matches_reference(k, D, H, 2, N, N).failed
+
+    def no_sampler(*args):
+        raise AssertionError("a decided Fail built a sampler")
+
+    monkeypatch.setattr(stability, "_Sampler", no_sampler)
+    d, n, cap = g_parameters(H, 0.1)
+    assert cap > 8 * 10 ** 7
+    for k in range(1, d + 2):
+        rng = trial_rng(5, "decided", k)
+        state = rng.bit_generator.state
+        assert sample_dk_mc(k, D, H, n, cap, rng).failed
+        assert rng.bit_generator.state == state
+
+
+def test_closure_past_the_limit_runs_the_sampler(point_class):
+    # every version space reachable from the all-1 target predicts all 1s,
+    # so every tournament fails, but the closure holds 2^d - 1 of them
+    d = CLOSURE_LIMIT.bit_length()
+    H = point_class(d)
+    D = FiniteDistribution.uniform(H, 0)
+    assert 2 ** d - 1 > CLOSURE_LIMIT
     assert not always_fails(H, D)
     for k in (1, 2):
         for seed in range(3):
             assert assert_matches_reference(k, D, H, 2, 60, seed).failed
-
-
-def test_support_builds_no_predictor_table():
-    H = threshold_class(7)
-    assert not always_fails(H, FiniteDistribution.uniform(H, 4))
-    assert H._predictor_cache == {}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 8), st.integers(1, 6), st.data())
-def test_support_decision_is_one_shared_mask(K, rows, dom, data):
-    # the rows consistent with each drawable point, read off H.table
-    labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
-    H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
-                                              max_size=rows)))
-    if data.draw(st.booleans()):
-        target = H.table[data.draw(st.integers(0, H.num_rows - 1))]
-    else:
-        target = np.array(data.draw(labels))
-    w = np.array(data.draw(st.lists(st.integers(0, 2), min_size=dom,
-                                    max_size=dom)), dtype=np.float64)
-    w[-1] += w.sum() == 0
-    D = FiniteDistribution(w / w.sum(), target)
-    drawn = {frozenset(np.flatnonzero(H.table[:, x] == target[x]).tolist())
-             for x in range(dom) if w[x] > 0}
-    shared = len(drawn) == 1 and drawn != {frozenset()}
-    assert always_fails(H, D) == shared
-    event(f"decided: {shared}")
+    with mock.patch.object(stability, "CLOSURE_LIMIT", 2 ** d):
+        H = point_class(d)
+        assert always_fails(H, FiniteDistribution.uniform(H, 0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 5), st.data(),
-       st.integers(0, 2**32 - 1))
-def test_support_decision_matches_reference(K, rows, dom, data, seed):
-    # random classes and targets, realizable or not, with zero-weight points
+       st.sampled_from([1, 3, CLOSURE_LIMIT]), st.integers(0, 2**32 - 1))
+def test_support_decision_matches_reference(K, rows, dom, data, limit, seed):
+    # random classes and targets, realizable or not, with zero-weight points;
+    # a small CLOSURE_LIMIT sends decidable supports through the sampler
     labels = st.lists(st.integers(1, K), min_size=dom, max_size=dom)
     H = HypothesisClass(K, data.draw(st.lists(labels, min_size=rows,
                                               max_size=rows)))
@@ -577,8 +583,9 @@ def test_support_decision_matches_reference(K, rows, dom, data, seed):
     k = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 4))
     N = data.draw(st.integers(1, 300))
-    assert_matches_reference(k, D, H, n, N, seed)
-    event(f"decided: {always_fails(H, D)}")
+    with mock.patch.object(stability, "CLOSURE_LIMIT", limit):
+        assert_matches_reference(k, D, H, n, N, seed)
+        event(f"decided: {always_fails(H, D)}, limit {limit}")
 
 
 # --- the stable learner ----------------------------------------------------------
