@@ -24,9 +24,9 @@ from .privacy import (HistogramOutput, PipelineResult, PrivacyLedger,
                       private_learn_reg, release_probability,
                       selection_probabilities, selection_sample_size,
                       stable_histogram, stability_eta)
-from .stability import (GRunResult, GsEstimate, TournamentSample,
-                        estimate_stability, g_parameters, run_g,
-                        sample_dk_mc)
+from .stability import (DataSource, GRunResult, GsEstimate,
+                        TournamentSample, estimate_stability, g_parameters,
+                        run_g, sample_dk_mc)
 from .thresholds import (ThresholdFamily, color_and_choose,
                          extract_thresholds_mc, extract_thresholds_reg,
                          max_mono_subtree, verify_thresholds)

@@ -33,7 +33,10 @@ GRID_RULE = "a number in [2**-52, 2]"
 # won from 128 (7-point uniform on a 2-vCPU host: 11 draws 3.6 -> 5.8 us,
 # 128 draws 5.3 -> 4.2 us, 512 draws 16.7 -> 7.8 us).  A distribution
 # whose table would need more than GUIDE_BUCKETS buckets keeps the binary
-# search.
+# search.  The sampler's data source draws blocks that start at its first
+# request (n or 2n draws) and double, so only its first blocks at small n
+# are binary-searched; `run_g`'s tail is a window of those blocks, not a
+# call of its own.
 GUIDE_DRAWS = 128
 GUIDE_BUCKETS = 2 ** 16
 

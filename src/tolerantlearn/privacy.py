@@ -246,8 +246,11 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
     gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
     declared (eps, delta).  Both halves are debited, and the total checked,
-    before the prune, so both returns carry them.  Batches whose stable run
-    fails contribute a sentinel item that pruning removes.  A run of more
+    before the prune, so both returns carry them.  Batch i reads its
+    examples from `trial_rng(seed, "batch", i)`, and every batch's coins
+    come from one stream, `trial_rng(seed, "batch")`: each batch's k in one
+    draw, then the tournament labels in batch order.  Batches whose stable
+    run fails contribute a sentinel item that pruning removes.  A run of more
     than `MAX_BATCHES` batches, over an hour at 20-250 us a batch (2-vCPU
     host), is refused before any runs; d = 1 at K = 2**20 would need 1.4e9.
     """
@@ -268,8 +271,12 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     ledger = PrivacyLedger()
     half_eps = _exact_budget(priv.eps) / 2
 
-    items = [run_g(H, D, alpha / 2.0, trial_rng(seed, "batch", i), d=d).table
-             for i in range(k)]
+    coins = trial_rng(seed, "batch")
+    depths = coins.integers(0, d + 1, size=k)
+    items = [run_g(H, D, alpha / 2.0,
+                   functools.partial(trial_rng, seed, "batch", i), coins, d,
+                   int(j)).table
+             for i, j in enumerate(depths)]
     fail_batches = items.count(None)
 
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),

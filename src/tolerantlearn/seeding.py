@@ -14,6 +14,24 @@ already uniformly mixed, so it needs no further hashing.  No ambient
 entropy is used anywhere in the package: nothing builds a seed sequence
 without a seed.
 
+The package's stream paths, after the seed:
+
+    "g"                       `estimate_stability`'s coins: every trial's k,
+                              then the tournament labels in trial order
+    "g", i                    trial i's examples
+    "batch"                   `private_learn_mc`'s coins, as for "g"
+    "batch", i                batch i's examples
+    "hist"                    the stable histogram's noise
+    "sprime"                  the selection sample
+    "select"                  the exponential selection's draw
+    "random-mc", rows, points, K
+    "random-real", rows, points
+                              the random class generators
+    (none)                    `as_generator(seed)`, a seed given directly
+
+A stream of examples is made on its first read, so a run that reads none
+makes no stream.
+
 `numpy.random` is imported on the first draw, not with the package, so the
 commands that never draw do not load it.
 """

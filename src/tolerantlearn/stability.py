@@ -19,33 +19,35 @@ masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
 round has f0 == f1: level 1 reads whole rounds up to N - N % 2n draws
 with no label drawn and trips on the next one, and every deeper level
 starts by recursing into level 1.  So `sample_dk_mc` returns a decided
-Fail without building a sampler or drawing, with the budget rule's count
-for level 1 started at the last whole round; `run_g` and
-`estimate_stability` never use the generator after a Fail.  The closure
-is searched breadth-first and stops at the first predictor that differs;
-above CLOSURE_LIMIT version spaces the sampler just runs.  The decision
-and the points' consistent-row masks are cached on the class per
-distribution, together with the check that the distribution labels the
-class's points, so each (H, D) pair is checked once.
+Fail without building a sampler, reading an example or drawing a coin,
+with the budget rule's count for level 1 started at the last whole round.
+The closure is searched breadth-first and stops at the first predictor
+that differs; above CLOSURE_LIMIT version spaces the sampler just runs.
+The decision and the points' consistent-row masks are cached on the class
+per distribution, together with the check that the distribution labels
+the class's points, so each (H, D) pair is checked once.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
-may have any number of rows.  One `_Sampler` object owns a draw's
-stream: the buffer, its window masks, the draws used and the budget N,
-which one rule (`_overflow`) checks for a half-round (n draws) and a
-k = 1 round (2n) alike.  Every request the sampler makes is n draws or a
-multiple of them, so the draw stream splits into n-draw windows, and a
-window's mask is the AND of its points' consistent-row masks.  Each
-point's mask is also kept as ceil(num_rows / 64) uint64 words, so one
-`np.bitwise_and.reduceat` per draw chunk gives every window the chunk
-completes its mask.  The words take at most 1/64 of the class's own int64
-table plus 8 bytes a point.  Buffer refills stay lazy: the generator is
-shared with the tournament labels, so drawing a chunk before a round needs
-it would change every later label.  A chunk's 512 draws come from the
-distribution's guide table, one gather and one compare each; `run_g`'s
-n-draw tail does too if n >= `classes.GUIDE_DRAWS`, and is binary-searched
-otherwise, as is every call on a distribution refused a table.  Both give
-the inverse CDF's indices at the same uniforms (see
-`FiniteDistribution.draw_indices`).
+may have any number of rows.  A run of G reads two sources, as BLM20's
+learner reads an example sequence and has coins of its own (Bun, Livni
+and Moran, FOCS 2020).  Its coins, a generator the caller passes, draw k
+and the tournament labels.  Its examples come from a `DataSource`, the
+run's own generator read in n-draw windows, which it makes on its first
+read: a decided Fail makes none.  The source draws a block at a time, the
+first as large as the first request and each next one twice as large, up
+to BLOCK_CAP draws.  One generator serves the whole example sequence, so
+the block sizes change no output, only how many numpy calls a refill
+pays.  Every request is n draws or a multiple of them, so the stream
+splits into n-draw windows, and a window's mask is the AND of its points'
+consistent-row masks.  Each point's mask is also kept as
+ceil(num_rows / 64) uint64 words, so one `np.bitwise_and.reduceat` per
+block gives each of its windows its mask.  The words take at most 1/64 of
+the class's own int64 table plus 8 bytes a point.  A block's draws come
+from `FiniteDistribution.draw_indices`: from its guide table for a block
+of at least `classes.GUIDE_DRAWS` draws, binary-searched below that, both
+the inverse CDF's indices at the same uniforms.  `_Sampler` keeps the
+draws used and the budget N, which one rule (`_overflow`) checks for a
+half-round (n draws) and a k = 1 round (2n) alike.
 
 At k = 1 no tournament label is drawn between rounds, so every round in
 the buffer (and within the budget) is scored before the stream advances,
@@ -57,8 +59,7 @@ fold each round's n fresh draws into it: a realizable state that stays
 realizable by one AND with the window mask, else the draw that breaks
 realizability and the ones after it through the fold.  A sample hands
 SOA_0's state after it to the stable learner, so `run_g` folds only its n
-tail draws into that state, by the same fold, with their mask ANDed in
-Python.
+tail draws, the source's next window, into that state by the same fold.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -240,68 +242,107 @@ def _overflow(n: int, m: int, left: int) -> int:
     return n if left < n else m
 
 
+# Most draws one refill of a data source reads.  Blocks double from the
+# first request up to this, since each refill pays about a dozen numpy
+# calls whatever its size.  A 40-trial estimate on threshold_class(7)
+# (alpha 0.1) took a median 70 ms of CPU at 512, 47 ms at 4096, 45 ms at
+# 8192 and 52 ms at 16384 (2-vCPU host).
+BLOCK_CAP = 4096
+_NO_DRAWS = np.zeros(0, np.int64)    # never written: a refill replaces it
+
+
+class DataSource:
+    """The example sequence one run of G reads, as n-draw windows.
+
+    `seed` gives the run's own generator: a generator, a seed for
+    `as_generator`, or a function of no arguments that returns one.  It is
+    used on the first read, so a run that reads nothing makes no stream.
+    Reads are whole windows, so the unread buffer starts on a window
+    boundary; `wins[i]` is the mask of the window `buf[i*n:(i+1)*n]`.
+    A refill draws a block of the first request's size, then of twice the
+    last one, up to BLOCK_CAP rounded down to whole windows (one window at
+    least).  Every draw comes from the one generator, so the blocks change
+    no window.
+    """
+
+    __slots__ = ("support", "D", "n", "seed", "rng", "buf", "pos", "wins",
+                 "block")
+
+    def __init__(self, H: HypothesisClass, D: FiniteDistribution, n: int,
+                 seed):
+        if n < 1:
+            raise ValueError(f"a window needs n >= 1 draws, got n = {n}")
+        self.support = _support_entry(H, D)
+        self.D = D
+        self.n = n
+        self.seed = seed
+        self.rng = None
+        self.buf = _NO_DRAWS
+        self.pos = 0
+        self.wins = []
+        self.block = 0
+
+    def fill(self, m: int):
+        """Buffer at least m unread draws, a multiple of n."""
+        n = self.n
+        while len(self.buf) - self.pos < m:
+            if self.rng is None:
+                seed = self.seed
+                self.rng = seed() if callable(seed) else as_generator(seed)
+            self.block = (min(2 * self.block, max(BLOCK_CAP // n, 1) * n)
+                          if self.block else m)
+            fresh = self.D.draw_indices(self.rng, self.block)
+            rest = self.buf[self.pos:]
+            self.buf = np.concatenate((rest, fresh)) if len(rest) else fresh
+            del self.wins[:self.pos // n]
+            self.wins += self.support.window_masks(fresh, n)
+            self.pos = 0
+
+    def take(self) -> tuple:
+        """The next window: its n draws and their mask."""
+        n = self.n
+        self.fill(n)
+        i = self.pos
+        self.pos = i + n
+        return self.buf[i:i + n].tolist(), self.wins[i // n]
+
+
 class _Sampler:
-    """One draw of the capped tournament sampler: its draw stream, the
-    budget N on it and the levels of the recursion.
+    """One draw of the capped tournament sampler: the budget N on its reads
+    of a `DataSource`, its coins and the levels of the recursion.
 
     A sample is kept as a list of domain points (every point but the
     tournament ones labeled by the target) plus the tournament positions
     and labels, together with the `SoaState` of SOA_0 after it.  A round
     folds only its n fresh draws into the state its child sample carried
-    up, so no prefix is ever replayed.
-
-    Draws are pregenerated in chunks of CHUNK indices; `used` only
-    advances by what the sampler reads, so the budget semantics match
-    example-by-example sampling.  A chunk is drawn only when a read needs
-    it: the generator is shared with the tournament labels, so drawing
-    ahead would change every later label.  Every read is a multiple of n
-    draws, so the unread buffer starts on a window boundary.  `_wins[i]`
-    is the mask of the window `_buf[i*n:(i+1)*n]`, made by the chunk's one
-    AND pass when its last draw arrives.
+    up, so no prefix is ever replayed.  `used` counts the draws read, so
+    the budget semantics match example-by-example sampling.
     """
 
-    CHUNK = 512
-    _buf = np.zeros(0, np.int64)    # never written: a refill replaces it
-
-    def __init__(self, H: HypothesisClass, D: FiniteDistribution,
-                 rng: np.random.Generator, n: int, budget: int,
-                 support: _Support):
+    def __init__(self, H: HypothesisClass, data: DataSource,
+                 coins: np.random.Generator, budget: int):
         self.H = H
-        self.D = D
-        self.rng = rng
-        self.n = n
+        self.data = data
+        self.coins = coins
+        self.n = data.n
         self.budget = budget
-        self.support = support
-        self.fold = support.fold
+        self.fold = data.support.fold
         self.used = 0
-        self._pos = 0
-        self._wins = []
 
     def reserve(self, m: int) -> int:
-        """Buffer the next m (n or 2n) draws and return the budget left;
-        if fewer are left, count their `_overflow` and raise _Fail."""
-        n, left = self.n, self.budget - self.used
+        """The budget left if the next m (n or 2n) draws fit in it; else
+        count their `_overflow` and raise _Fail."""
+        left = self.budget - self.used
         if left < m:
-            self.used += _overflow(n, m, left)
+            self.used += _overflow(self.n, m, left)
             raise _Fail
-        while len(self._buf) - self._pos < m:
-            del self._wins[:self._pos // n]
-            fresh = self.D.draw_indices(self.rng, self.CHUNK)
-            self._buf = np.concatenate((self._buf[self._pos:], fresh))
-            self._pos = 0
-            done, size = len(self._wins) * n, len(self._buf)
-            self._wins += self.support.window_masks(
-                self._buf[done:size - size % n], n)
         return left
 
     def take(self) -> tuple:
-        """The next window: its n draws and their mask."""
-        n = self.n
-        self.reserve(n)
-        i = self._pos
-        self._pos += n
-        self.used += n
-        return self._buf[i:i + n].tolist(), self._wins[i // n]
+        """The next window within the budget: its n draws and their mask."""
+        self.reserve(self.n)
+        self.used += self.n
+        return self.data.take()
 
     def accept(self, sides, f0: tuple, f1: tuple):
         """Draw a label at the first disagreement x; keep the side that errs.
@@ -311,7 +352,7 @@ class _Sampler:
         disagrees with the drawn label at x, so SOA errs there.
         """
         x = next(i for i in range(self.H.domain_size) if f0[i] != f1[i])
-        y = int(self.rng.integers(1, self.H.K + 1))
+        y = int(self.coins.integers(1, self.H.K + 1))
         prefix, t, positions, labels, state = sides[0] if f0[x] != y else sides[1]
         xs = prefix + t + [x]
         state.observe(x, y)
@@ -328,31 +369,32 @@ class _Sampler:
         round its states; only a half with an empty mask (unrealizable
         draws: SOA freezes and patches) is walked through the SOA fold.
         """
-        H, n = self.H, self.n
+        H, n, data = self.H, self.n, self.data
         two_n = 2 * n
         while True:
             left = self.reserve(two_n)
-            pos, buf = self._pos, self._buf
-            count = min(len(buf) - pos, left) // two_n * 2
-            wins = self._wins[pos // n:pos // n + count]
-            end = count * n
-            for j, m0, m1 in zip(range(pos, pos + end, two_n), wins[::2],
-                                 wins[1::2]):
+            data.fill(two_n)
+            pos, buf, wins = data.pos, data.buf, data.wins
+            first = pos // n
+            stop = first + min(len(buf) - pos, left) // two_n * 2
+            for i in range(first, stop, 2):
+                m0, m1 = wins[i], wins[i + 1]
                 if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
                                   == predictor_table(H, 0, m1)):
                     continue
+                j = i * n
                 t0, t1 = buf[j:j + n].tolist(), buf[j + n:j + two_n].tolist()
                 st0 = self.fold(SoaState(H), t0, m0)
                 st1 = self.fold(SoaState(H), t1, m1)
                 f0, f1 = st0.predictor(), st1.predictor()
                 if f0 == f1:
                     continue
-                self._pos = j + two_n
+                data.pos = j + two_n
                 self.used += j + two_n - pos
                 return self.accept([([], t0, [], [], st0),
                                     ([], t1, [], [], st1)], f0, f1)
-            self._pos += end
-            self.used += end
+            data.pos = stop * n
+            self.used += stop * n - pos
 
     def level(self, k: int):
         """A sample of depth k >= 1: (points, positions, labels, state)."""
@@ -372,19 +414,24 @@ class _Sampler:
 
 
 def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
-                 N: int, seed) -> TournamentSample:
+                 N: int, data, coins) -> TournamentSample:
     """Draw once from the capped tournament distribution.
 
+    `data` is the example sequence: a `DataSource` of (H, D, n), or a seed
+    for one; `coins` (a generator or a seed) draws the tournament labels.
     k = 0 returns the empty sample.  The global draw counter covers the
     whole recursive generation; exceeding N yields the Fail outcome, which
     is a value, not an error.  A Fail decided from the support (see the
-    module docstring) is returned without a sampler or a draw, with the
+    module docstring) is returned without a sampler or a read, with the
     budget rule's count for level 1 started at its last whole round.
     """
     if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
     support = _support_entry(H, D)
-    rng = as_generator(seed)
+    coins = as_generator(coins)
+    source = isinstance(data, DataSource)
+    if source and (data.support is not support or data.n != n):
+        raise ValueError("the data source reads another (H, D) or window size")
     if k == 0:
         return TournamentSample(np.zeros(0, np.int64), np.zeros(0, np.int64),
                                 False, 0, [], SoaState(H))
@@ -393,7 +440,9 @@ def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
         left = N % (2 * n)
         return TournamentSample(None, None, True,
                                 N - left + _overflow(n, 2 * n, left), [])
-    sampler = _Sampler(H, D, rng, n, N, support)
+    if not source:
+        data = DataSource(H, D, n, data)
+    sampler = _Sampler(H, data, coins, N)
     try:
         xs, positions, labels, state = sampler.level(k)
     except _Fail:
@@ -432,25 +481,28 @@ def g_parameters(H: HypothesisClass, alpha: float, d: Optional[int] = None):
     return d, n, cap
 
 
-def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, seed,
-          d: Optional[int] = None) -> GRunResult:
+def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, data,
+          coins, d: Optional[int] = None,
+          k: Optional[int] = None) -> GRunResult:
     """One run of the stable learner: draw k uniformly, play SOA on S o T.
 
-    The n tail draws T are folded into the SOA_0 state the sample S ends
-    in, so S is never replayed.
+    `coins` (a generator or a seed) draws k, unless it is given, and the
+    tournament labels; `data` is the run's `DataSource`, or its seed.  The
+    n tail draws T are the source's next window after the sample S, folded
+    into the SOA_0 state S ends in, so S is never replayed.
     """
     d, n, cap = g_parameters(H, alpha, d)
-    rng = as_generator(seed)
-    k = int(rng.integers(0, d + 1))
-    sample = sample_dk_mc(k, D, H, n, cap, rng)
+    coins = as_generator(coins)
+    if k is None:
+        k = int(coins.integers(0, d + 1))
+    if n and not isinstance(data, DataSource):
+        data = DataSource(H, D, n, data)
+    sample = sample_dk_mc(k, D, H, n, cap, data, coins)
     if sample.failed:
         return GRunResult(None, True, k, n, sample.draw_count)
-    tail = D.draw_indices(rng, n).tolist()
-    support = _support_entry(H, D)
-    window = H.full_mask
-    for x in tail:
-        window &= support.masks[x]
-    state = support.fold(sample.state, tail, window)
+    state = sample.state
+    if n:       # n = 0 when d = 0 or K = 1: then k = 0 and T is empty
+        state = data.support.fold(state, *data.take())
     return GRunResult(state.predictor(), False, k, n, sample.draw_count)
 
 
@@ -474,14 +526,20 @@ def estimate_stability(H: HypothesisClass, D: FiniteDistribution, alpha: float,
                        trials: int, seed: int) -> GsEstimate:
     """Tally exact-table equality of stable-learner outputs over seeded trials.
 
-    Fail outcomes are tallied separately and stay in the frequency
-    denominator.  Ties for the mode break toward the smallest table.
+    Trial i reads its examples from `trial_rng(seed, "g", i)`.  The coins
+    are one stream, `trial_rng(seed, "g")`: every trial's k in one draw,
+    then the tournament labels in trial order.  Fail outcomes are tallied
+    separately and stay in the frequency denominator.  Ties for the mode
+    break toward the smallest table.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     d, _, _ = g_parameters(H, alpha)
-    counts = Counter(run_g(H, D, alpha, trial_rng(seed, "g", i), d=d).table
-                     for i in range(trials))
+    coins = trial_rng(seed, "g")
+    ks = coins.integers(0, d + 1, size=trials)
+    counts = Counter(run_g(H, D, alpha, partial(trial_rng, seed, "g", i),
+                           coins, d, int(k)).table
+                     for i, k in enumerate(ks))
     fails = counts.pop(None, 0)
     if not counts:
         return GsEstimate(None, 0.0, trials, None, fails, counts)

@@ -180,13 +180,15 @@ def test_a08_expected_draws():
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)
     d, n, cap = g_parameters(H, 0.1)
+    coins = trial_rng(8, "a8")
     lines = []
     impossible = []
     for k in sorted({0, 1, d}):
         draws = []
         attempts = 0
         while len(draws) < 500 and attempts < 3000:
-            s = sample_dk_mc(k, D, H, n, cap, trial_rng(8, "a8", k, attempts))
+            s = sample_dk_mc(k, D, H, n, cap, trial_rng(8, "a8", k, attempts),
+                             coins)
             if not s.failed:
                 draws.append(s.draw_count)
             attempts += 1

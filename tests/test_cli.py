@@ -670,6 +670,20 @@ def test_gs_claims_the_frequency_only_when_it_can_fail(tmp_path, trials,
     assert "gs-loss" in names
 
 
+def test_gs_frequency_claim_holds_on_a_success_path(tmp_path):
+    # threshold_class(3), target 1: d = 2 and eta = 1/24, so 208 trials
+    # pass 9 (1 - eta) / eta = 207 and the claim is printed; tournaments
+    # succeed at k = 1, so successful samples feed the modal table
+    cls = tmp_path / "c.json"
+    classfile.save_class(threshold_class(3), cls)
+    out = tmp_path / "r.json"
+    assert run_cli("gs", "--input", cls, "--target", 1, "--alpha", 0.1,
+                   "--trials", 208, "--seed", 7, "--out", out) == 0
+    verdicts = {v["name"]: v["passed"]
+                for v in json.loads(out.read_text())["verdicts"]}
+    assert verdicts["gs-frequency"]
+
+
 def test_adversary_shortfall_fails_its_verdict(thr_file, tmp_path, capsys):
     # a loss that never counts a mistake: the verdict, not an assertion
     # inside the adversary, reports the shortfall
@@ -1326,13 +1340,13 @@ def test_reports_deterministic_up_to_wall_clock(tmp_path):
 
 GS_PINS = [  # (points, target, alpha, trials, seed, report digest)
     (7, 4, 0.1, 40, 3,
-     "e5e261ced8ffd7766a7ea1b2c990752ad7e195166ec5a571d4b60d2a26619975"),
+     "fd8e750becf40ffba7409424ff2e3d23e174d53d85f962196f6280a19306f489"),
     (7, 4, 0.1, 40, 8,
-     "2831a1d37b02e10b1ae8e1505a3e72411f5962cf49ceb7dd2c30abc63ff979c4"),
+     "7848714e7f659419239165394c52921fd15f019c890884bd39f8744d2fb01771"),
     (100, 50, 0.5, 20, 3,
-     "89c3be0dd270ad7b2cbdf14d2b3a545a732ecd1257067ac65582f11f5fd03298"),
+     "3d2a963ad95891056cea6d680399d85c956b7c8bbc43afa9512cac22ae1c7b2e"),
     (100, 50, 0.5, 20, 8,
-     "52e5396a246f321a3a85e1582e59e678b42bb16bf84007c6a204d21cd4326331"),
+     "c7c2e0e7eec50048b26a60aec4722b26cd8fddeae957281871652358ee15e2aa"),
 ]
 
 
@@ -1371,14 +1385,14 @@ DP_FLAGS = ["--delta", 0.01, "--alpha", 0.2, "--beta", 0.2]
 @pytest.mark.parametrize("cls, flags, digest", [
     (constants_class(3, 3), ["--target", 0, "--epsilon", 0.5, *DP_FLAGS,
                              "--seed", 4],
-     "291795b236f601bb23bec5c52b7ae77f0d148172d60d4ca969df73457f7b6a38"),
+     "5692ec4a758bd533a5cd1ec09e6b84ec8bc5e7ecc122614eb2ec43031fb16d5a"),
     (threshold_class(3), ["--target", 2, "--epsilon", 0.9, *DP_FLAGS,
                           "--seed", 4],
-     "5da5560f4b871f2028191fed1a21eb59e9bcd073c121dfd915b45b90927d78b0"),
+     "e7b4f0023fc3ae359c9ec961be3e2c72558abff216ae43c63881d224ca2aca5d"),
     (two_point_steps(), ["--target", 1, "--gamma", 0.5, "--epsilon", 0.9,
                          "--delta", 0.05, "--alpha", 0.3, "--beta", 0.3,
                          "--seed", 1],
-     "6a6d65f223d2798968436ef9d4302377c841ac3051d42faef845b8505c75a1b6"),
+     "393e33944f0937a0b35840f62e22abb0b1fb4b3f3f988ceb8ab502187cd2472e"),
 ], ids=["constants-3-3", "threshold-3", "regression-steps"])
 def test_dp_learn_report_is_pinned(tmp_path, monkeypatch, cls, flags, digest):
     # constants: every k = 1 batch is a decided Fail, the rest are k = 0;

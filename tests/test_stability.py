@@ -13,7 +13,7 @@ from tolerantlearn.generators import (complete_binary, constants_class,
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, GRunResult,
+from tolerantlearn.stability import (CLOSURE_LIMIT, DataSource, GRunResult,
                                      _support_entry, estimate_stability,
                                      g_parameters, run_g, sample_dk_mc)
 
@@ -30,7 +30,7 @@ def threshold_setup():
 def test_k_zero_empty_sample():
     H = constants_class(2, 2)
     D = FiniteDistribution.uniform(H, 0)
-    s = sample_dk_mc(0, D, H, 3, 100, 1)
+    s = sample_dk_mc(0, D, H, 3, 100, *streams(1))
     assert not s.failed
     assert s.xs.tolist() == s.ys.tolist() == []
     assert s.draw_count == 0
@@ -39,7 +39,7 @@ def test_k_zero_empty_sample():
 def test_singleton_class_always_fails():
     H = HypothesisClass(2, [[1, 2]])
     D = FiniteDistribution.uniform(H, 0)
-    s = sample_dk_mc(1, D, H, 2, 60, 5)
+    s = sample_dk_mc(1, D, H, 2, 60, *streams(5))
     assert s.failed
     assert s.draw_count > 60
 
@@ -51,7 +51,7 @@ def test_identified_classes_fail_at_any_k():
     H = HypothesisClass(2, [[1], [2]])
     D = FiniteDistribution.uniform(H, 0)
     for seed in range(10):
-        s = sample_dk_mc(1, D, H, 2, 100, seed)
+        s = sample_dk_mc(1, D, H, 2, 100, *streams(seed))
         assert s.failed
 
 
@@ -60,7 +60,7 @@ def test_threshold_sample_structure(threshold_setup):
     n = 3
     found = 0
     for seed in range(40):
-        s = sample_dk_mc(1, D, H, n, 500, seed)
+        s = sample_dk_mc(1, D, H, n, 500, *streams(seed))
         if s.failed:
             continue
         found += 1
@@ -75,7 +75,7 @@ def test_soa_errs_at_every_tournament_position(threshold_setup):
     for k in (1, 2):
         checked = 0
         for seed in range(60):
-            s = sample_dk_mc(k, D, H, 3, 2000, seed)
+            s = sample_dk_mc(k, D, H, 3, 2000, *streams(seed))
             if s.failed:
                 continue
             t = soa_run(H, 0, s.xs, s.ys)
@@ -93,7 +93,7 @@ def test_expected_draws_bound(threshold_setup):
         draws = []
         seed = 0
         while len(draws) < 120 and seed < 2000:
-            s = sample_dk_mc(k, D, H, n, 4000, seed)
+            s = sample_dk_mc(k, D, H, n, 4000, *streams(seed))
             if not s.failed:
                 draws.append(s.draw_count)
             seed += 1
@@ -103,8 +103,8 @@ def test_expected_draws_bound(threshold_setup):
 
 def test_sampler_deterministic(threshold_setup):
     H, D = threshold_setup
-    a = sample_dk_mc(2, D, H, 3, 2000, 17)
-    b = sample_dk_mc(2, D, H, 3, 2000, 17)
+    a = sample_dk_mc(2, D, H, 3, 2000, *streams(17))
+    b = sample_dk_mc(2, D, H, 3, 2000, *streams(17))
     assert a.xs.tolist() == b.xs.tolist() and a.ys.tolist() == b.ys.tolist()
     assert a.draw_count == b.draw_count
     assert a.tournament_positions == b.tournament_positions
@@ -113,9 +113,9 @@ def test_sampler_deterministic(threshold_setup):
 def test_sampler_validates_arguments(threshold_setup):
     H, D = threshold_setup
     with pytest.raises(ValueError):
-        sample_dk_mc(-1, D, H, 3, 100, 0)
+        sample_dk_mc(-1, D, H, 3, 100, *streams(0))
     with pytest.raises(ValueError):
-        sample_dk_mc(1, D, H, 0, 100, 0)
+        sample_dk_mc(1, D, H, 0, 100, *streams(0))
 
 
 @pytest.mark.parametrize("D", [
@@ -127,9 +127,9 @@ def test_sampler_rejects_distribution_off_the_class(D):
     H = HypothesisClass(2, [[1, 2], [2, 1]])
     for k in (0, 1, 2):
         with pytest.raises(ValueError):
-            sample_dk_mc(k, D, H, 2, 100, k)
+            sample_dk_mc(k, D, H, 2, 100, *streams(k))
     with pytest.raises(ValueError):
-        run_g(H, D, 0.3, 0)
+        run_g(H, D, 0.3, *streams(0))
     with pytest.raises(ValueError):
         estimate_stability(H, D, 0.3, 3, 0)
     with pytest.raises(ValueError):
@@ -143,13 +143,13 @@ def test_distribution_off_the_class_raises_on_every_call():
     bad = FiniteDistribution(np.full(2, 0.5), np.array([7, 1]))
     for _ in range(2):
         with pytest.raises(ValueError, match="integers in 1..2"):
-            sample_dk_mc(1, bad, H, 2, 100, 0)
+            sample_dk_mc(1, bad, H, 2, 100, *streams(0))
         with pytest.raises(ValueError, match="integers in 1..2"):
-            run_g(H, bad, 0.3, 0)
+            run_g(H, bad, 0.3, *streams(0))
     assert bad not in H._support_cache
     good = FiniteDistribution.uniform(H, 0)
     entry = _support_entry(H, good)
-    run_g(H, good, 0.3, 0)
+    run_g(H, good, 0.3, *streams(0))
     assert _support_entry(H, good) is entry
     # an equal but distinct distribution gets its own entry
     assert _support_entry(H, FiniteDistribution.uniform(H, 0)) is not entry
@@ -161,30 +161,32 @@ class _CapTripped(Exception):
     pass
 
 
-def reference_sample(k, D, H, n, N, seed):
+def streams(seed):
+    """A data generator and a coin generator, both from `seed`."""
+    return trial_rng(seed, "data"), trial_rng(seed, "coins")
+
+
+def reference_sample(k, D, H, n, N, data, coins):
     """The tournament sampler as defined: one round at a time, SOA replayed.
 
-    Draws come from `inverse_cdf_draws` in 512-draw chunks, each drawn only
-    when a request needs it (the same generator draws the tournament
-    labels).  A request of m draws first counts them; if the count then
-    exceeds N the cap trips with that count.  Every round folds SOA_0 over
-    the whole labeled prefix of each side.  Returns (xs, ys, positions,
-    failed, draw_count) in `sample_dk_mc`'s conventions, with lists for
-    arrays.
+    A request of m draws first counts them; if the count then exceeds N
+    the cap trips with that count.  Otherwise it reads exactly m draws
+    from the data generator by `inverse_cdf_draws`.  The coin generator
+    draws the tournament labels.  Every round folds SOA_0 over the whole
+    labeled prefix of each side.  Returns (xs, ys, positions, failed,
+    draw_count) in `sample_dk_mc`'s conventions, with lists for arrays.
     """
-    rng = as_generator(seed)
+    data, coins = as_generator(data), as_generator(coins)
     if k == 0:
         return [], [], [], False, 0
-    buf, used = [], 0
+    used = 0
 
     def take(m):
-        nonlocal buf, used
+        nonlocal used
         used += m
         if used > N:
             raise _CapTripped
-        while len(buf) < m:
-            buf += inverse_cdf_draws(D, rng, 512).tolist()
-        t, buf = buf[:m], buf[m:]
+        t = inverse_cdf_draws(D, data, m).tolist()
         return t, [int(D.target[x]) for x in t]
 
     def rec(k):
@@ -202,7 +204,7 @@ def reference_sample(k, D, H, n, N, seed):
             if f0 == f1:
                 continue
             x = next(i for i in range(H.domain_size) if f0[i] != f1[i])
-            y = int(rng.integers(1, H.K + 1))
+            y = int(coins.integers(1, H.K + 1))
             xs, ys, positions = ((xs0, ys0, p0) if f0[x] != y
                                  else (xs1, ys1, p1))
             return xs + [x], ys + [y], positions + [len(xs)]
@@ -215,11 +217,12 @@ def reference_sample(k, D, H, n, N, seed):
 
 
 def assert_matches_reference(k, D, H, n, N, seed):
-    s = sample_dk_mc(k, D, H, n, N, seed)
+    s = sample_dk_mc(k, D, H, n, N, *streams(seed))
     got = (None if s.failed else s.xs.tolist(),
            None if s.failed else s.ys.tolist(),
            s.tournament_positions, s.failed, s.draw_count)
-    assert got == reference_sample(k, D, H, n, N, seed), (k, n, N, seed)
+    assert got == reference_sample(k, D, H, n, N, *streams(seed)), (
+        k, n, N, seed)
     return s
 
 
@@ -282,8 +285,10 @@ def test_sampler_matches_reference_on_non_realizable_break():
 
 
 def test_sampler_matches_reference_across_chunks():
-    # n = 300: one round needs 600 draws, more than one 512-draw chunk; the
-    # rare points 1 and 2 keep some of the k = 1 rounds undecided
+    # n = 300: the data source's blocks grow 600, 1200, 2400 and 3900
+    # draws, the last 13 windows, so the 14th k = 1 round reads its halves
+    # from two blocks; the rare points 1 and 2 keep some of the k = 1
+    # rounds undecided
     H = threshold_class(4)
     w = np.array([0.497, 0.003, 0.002, 0.498])
     outcomes = set()
@@ -345,46 +350,30 @@ def test_sampler_matches_reference_when_one_draw_reaches_the_floor(K, target):
     assert {(1, False), (2, False)} <= outcomes
 
 
-def floor_then_chunk_boundary(D, H, n, seed, draws):
-    """Whether a k = 1 half-round among the first `draws` draws of `seed`
-    reaches the support's floor and then crosses a 512-draw chunk boundary.
-    """
-    rng = as_generator(seed)
-    xs = np.concatenate([inverse_cdf_draws(D, rng, 512)
-                         for _ in range(-(-draws // 512))])
-    floor = consistent_rows(H, D.target, np.flatnonzero(D.weights))
-    for start in range(0, draws - n + 1, n):
-        for i in range(start, start + n):
-            if consistent_rows(H, D.target, xs[start:i + 1]) == floor:
-                if i // 512 < (start + n - 1) // 512:
-                    return True
-                break
-    return False
-
-
 @pytest.mark.parametrize("n, w, ks, N", [
     (7, [0.05, 0.45, 0.45, 0.05], (1, 2), 8000),
     (300, [0.495, 0.005, 0.005, 0.495], (1, 2), 30000),
 ], ids=["n7", "n300"])
-def test_sampler_matches_reference_past_the_floor_across_chunks(n, w, ks, N):
+def test_sampler_matches_reference_past_the_floor_across_chunks(
+        n, w, ks, N, monkeypatch):
     # the floor of target row 2 needs points 1 and 2, so k = 1 rounds are
-    # rejected until a half misses one of them; 512 is no multiple of 2n,
-    # and some half-rounds reach the floor and then run into the next chunk
+    # rejected until a half misses one of them.  With blocks of one window
+    # every k = 1 round after the first reads its halves from two blocks
     H = threshold_class(4)
     D = FiniteDistribution(np.array(w), H.table[2])
-    outcomes, crossed = set(), False
-    for k in ks:
-        for seed in range(10):
-            s = assert_matches_reference(k, D, H, n, N, seed)
-            outcomes.add((k, s.failed))
-            if k == 1 and not crossed:
-                crossed = floor_then_chunk_boundary(D, H, n, seed,
-                                                    min(s.draw_count, N))
-    assert crossed
-    assert all((k, False) in outcomes for k in ks)
+    for cap in (1, stability.BLOCK_CAP):
+        monkeypatch.setattr(stability, "BLOCK_CAP", cap)
+        outcomes, crossed = set(), False
+        for k in ks:
+            for seed in range(10):
+                s = assert_matches_reference(k, D, H, n, N, seed)
+                outcomes.add((k, s.failed))
+                crossed |= k == 1 and s.draw_count > 2 * n
+        assert crossed
+        assert all((k, False) in outcomes for k in ks)
 
 
-# --- n-draw windows: one AND pass per chunk gives every window its mask --------
+# --- n-draw windows: one AND pass per block gives every window its mask --------
 
 def rows_of(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -442,24 +431,25 @@ def test_sampler_matches_reference_on_multiword_keys(realizable):
 
 @pytest.mark.parametrize("n", [511, 512, 513, 1100])
 def test_sampler_matches_reference_on_windows_across_chunks(n):
-    # a window straddles a 512-draw chunk (511, 513), fills it (512) or
-    # spans three (1100); the unrealizable target leaves some window masks
-    # empty, so those halves go through the fold
+    # BLOCK_CAP holds 8 windows at n = 511 and 512, 7 at 513 and 3 at
+    # 1100, so at the last two some k = 1 rounds read their halves from two
+    # blocks; the unrealizable target leaves some window masks empty, so
+    # those halves go through the fold
     H = threshold_class(4)
     w = np.array([0.4985, 0.0015, 0.001, 0.499])
     outcomes = set()
     for target in (H.table[2], np.array([2, 1, 2, 1])):
         D = FiniteDistribution(w, target)
         for k in (1, 2):
-            for seed in range(4):
+            for seed in range(6):
                 s = assert_matches_reference(k, D, H, n, 40 * n, seed)
                 outcomes.add((k, s.failed))
     assert {(1, False), (2, False), (2, True)} <= outcomes
 
 
 def test_run_g_matches_reference_on_windows_across_chunks():
-    # the stable learner on top of windows past a chunk, with the tail
-    # folded into the state the sample ends in
+    # the stable learner at n = 463 (alpha 0.003), with the tail, the
+    # source's next window, folded into the state the sample ends in
     H = threshold_class(4)
     D = FiniteDistribution(np.array([0.4985, 0.0015, 0.001, 0.499]),
                            np.array([2, 1, 2, 1]))
@@ -468,6 +458,97 @@ def test_run_g_matches_reference_on_windows_across_chunks():
         res = assert_run_g_matches_reference(H, D, 0.003, seed, d=2)
         outcomes.add((res.k, res.failed))
     assert {(1, False), (2, False)} <= outcomes
+
+
+# --- the data source's blocks change no output -----------------------------------
+
+# one window a block, the default, and one block past any read
+BLOCK_CAPS = [1, stability.BLOCK_CAP, 10 ** 9]
+
+
+def same_under_block_caps(monkeypatch, run):
+    """`run()` under each cap in BLOCK_CAPS, which must all agree."""
+    outs = []
+    for cap in BLOCK_CAPS:
+        monkeypatch.setattr(stability, "BLOCK_CAP", cap)
+        outs.append(run())
+    assert all(out == outs[0] for out in outs)
+    return outs[0]
+
+
+def sample_with_streams(k, D, H, n, N, seed):
+    """A sample with its draw count, the coins' state after it and the
+    data source's next window after it."""
+    data, coins = streams(seed)
+    source = DataSource(H, D, n, data)
+    s = sample_dk_mc(k, D, H, n, N, source, coins)
+    return (None if s.failed else s.xs.tolist(),
+            None if s.failed else s.ys.tolist(), s.tournament_positions,
+            s.failed, s.draw_count, coins.bit_generator.state, source.take())
+
+
+def run_g_with_streams(H, D, alpha, seed, d):
+    """A run of G, the coins' state after it and the data source's next
+    window after it."""
+    data, coins = streams(seed)
+    source = DataSource(H, D, g_parameters(H, alpha, d)[1], data)
+    res = run_g(H, D, alpha, source, coins, d)
+    return res, coins.bit_generator.state, source.take()
+
+
+@pytest.mark.parametrize("n", [511, 513, 1100])
+def test_block_size_changes_no_sample(n, monkeypatch):
+    # windows straddle no block at any cap, but at one window a block every
+    # k = 1 round after the first reads its halves from two blocks
+    H = threshold_class(4)
+    w = np.array([0.4985, 0.0015, 0.001, 0.499])
+    outcomes = set()
+    for target in (H.table[2], np.array([2, 1, 2, 1])):
+        D = FiniteDistribution(w, target)
+        for k in (1, 2):
+            for seed in range(3):
+                out = same_under_block_caps(monkeypatch, lambda: (
+                    sample_with_streams(k, D, H, n, 40 * n, seed)))
+                outcomes.add((k, out[3]))
+    assert {(1, False), (2, False)} <= outcomes
+
+
+@pytest.mark.parametrize("realizable", [True, False])
+def test_block_size_changes_no_sample_past_64_rows(realizable, monkeypatch):
+    # 91 rows take two mask words, so every window of a block becomes an int
+    H = threshold_class(90)
+    target = H.table[45] if realizable else np.where(np.arange(90) % 7, 1, 2)
+    D = FiniteDistribution(rare_middle(90, range(42, 48)), target)
+    outcomes = set()
+    for k in (1, 2, 3):
+        for n in (3, 7):
+            for seed in range(2):
+                out = same_under_block_caps(monkeypatch, lambda: (
+                    sample_with_streams(k, D, H, n, 3000, seed)))
+                outcomes.add((k, out[3]))
+    assert {(1, False), (2, False)} <= outcomes
+
+
+def test_block_size_changes_no_run_of_g(monkeypatch):
+    # n = 463 on threshold_class(4) and n = 9 on threshold_class(90), each
+    # at d = 2; then two seeded estimates, the CLI's gs pins
+    H = threshold_class(4)
+    D = FiniteDistribution(np.array([0.4985, 0.0015, 0.001, 0.499]),
+                           np.array([2, 1, 2, 1]))
+    H90 = threshold_class(90)
+    D90 = FiniteDistribution(rare_middle(90, range(42, 48)), H90.table[45])
+    outcomes = set()
+    for H, D, alpha in ((H, D, 0.003), (H90, D90, 0.5)):
+        for seed in range(6):
+            res = same_under_block_caps(monkeypatch, lambda: (
+                run_g_with_streams(H, D, alpha, seed, 2)))[0]
+            outcomes.add((res.k, res.failed))
+    assert {(0, False), (1, False), (2, False)} <= outcomes
+    for points, target, alpha, trials in ((7, 4, 0.1, 40), (100, 50, 0.5, 20)):
+        H = threshold_class(points)
+        D = FiniteDistribution.uniform(H, target)
+        same_under_block_caps(monkeypatch, lambda: (
+            estimate_stability(H, D, alpha, trials, seed=3)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -511,11 +592,13 @@ def test_support_decision_fires_on_identified_targets(H, target, support, fires)
     assert always_fails(H, D) == fires
     d, n, cap = g_parameters(H, 0.1)
     for k in range(1, d + 2):
-        rng = trial_rng(5, "decided", k)
-        state = rng.bit_generator.state
-        s = sample_dk_mc(k, D, H, n, cap, rng)
-        # a decided Fail draws nothing, so the generator is where it was
-        assert (rng.bit_generator.state == state) == fires
+        data, coins = streams(5 + k)
+        states = data.bit_generator.state, coins.bit_generator.state
+        s = sample_dk_mc(k, D, H, n, cap, data, coins)
+        # a decided Fail reads no example and draws no coin, so both
+        # generators are where they were
+        assert (states == (data.bit_generator.state,
+                           coins.bit_generator.state)) == fires
         assert_matches_reference(k, D, H, n, cap, 5 + k)
         if fires:
             assert s.failed
@@ -537,14 +620,18 @@ def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
     def no_sampler(*args):
         raise AssertionError("a decided Fail built a sampler")
 
+    def no_stream():
+        raise AssertionError("a decided Fail made a data stream")
+
     monkeypatch.setattr(stability, "_Sampler", no_sampler)
     d, n, cap = g_parameters(H, 0.1)
     assert cap > 8 * 10 ** 7
+    coins = trial_rng(5, "coins")
+    state = coins.bit_generator.state
     for k in range(1, d + 2):
-        rng = trial_rng(5, "decided", k)
-        state = rng.bit_generator.state
-        assert sample_dk_mc(k, D, H, n, cap, rng).failed
-        assert rng.bit_generator.state == state
+        assert sample_dk_mc(k, D, H, n, cap, no_stream, coins).failed
+        assert run_g(H, D, 0.1, no_stream, coins, d, k).failed
+    assert coins.bit_generator.state == state
 
 
 def test_closure_past_the_limit_runs_the_sampler(point_class):
@@ -599,7 +686,7 @@ def test_singleton_class_returns_its_hypothesis():
     H = HypothesisClass(3, [[2, 3, 1]])
     D = FiniteDistribution.uniform(H, 0)
     for seed in range(5):
-        res = run_g(H, D, 0.2, seed)
+        res = run_g(H, D, 0.2, *streams(seed))
         assert not res.failed
         assert res.table == (2, 3, 1)
     est = estimate_stability(H, D, 0.2, 50, seed=1)
@@ -630,24 +717,26 @@ def test_generalization_bound(threshold_setup):
             assert loss <= bound + 1e-12
 
 
-def reference_run_g(H, D, alpha, seed, d=None):
-    """The stable learner as defined: sample S, draw the tail T, replay SOA_0
-    over S o T from scratch."""
+def reference_run_g(H, D, alpha, data, coins, d=None):
+    """The stable learner as defined: k from the coins, the sample S by
+    `reference_sample`, then the tail T as the data generator's next n
+    draws, and SOA_0 replayed over S o T from scratch."""
     d, n, cap = g_parameters(H, alpha, d)
-    rng = as_generator(seed)
-    k = int(rng.integers(0, d + 1))
-    sample = sample_dk_mc(k, D, H, n, cap, rng)
-    if sample.failed:
-        return GRunResult(None, True, k, n, sample.draw_count)
-    tail_xs = inverse_cdf_draws(D, rng, n)
-    table = soa_final_predictor(H, np.concatenate([sample.xs, tail_xs]),
-                                np.concatenate([sample.ys, D.target[tail_xs]]))
-    return GRunResult(table, False, k, n, sample.draw_count)
+    data, coins = as_generator(data), as_generator(coins)
+    k = int(coins.integers(0, d + 1))
+    xs, ys, _, failed, draw_count = reference_sample(k, D, H, n, cap, data,
+                                                     coins)
+    if failed:
+        return GRunResult(None, True, k, n, draw_count)
+    tail = inverse_cdf_draws(D, data, n).tolist()
+    table = soa_final_predictor(H, xs + tail,
+                                ys + [int(D.target[x]) for x in tail])
+    return GRunResult(table, False, k, n, draw_count)
 
 
 def assert_run_g_matches_reference(H, D, alpha, seed, d=None):
-    got = run_g(H, D, alpha, trial_rng(seed, "g"), d)
-    assert got == reference_run_g(H, D, alpha, trial_rng(seed, "g"), d)
+    got = run_g(H, D, alpha, *streams(seed), d)
+    assert got == reference_run_g(H, D, alpha, *streams(seed), d)
     return got
 
 
@@ -698,6 +787,6 @@ def test_run_g_matches_reference(K, rows, dom, data, seed):
 
 def test_run_g_deterministic(threshold_setup):
     H, D = threshold_setup
-    a = run_g(H, D, 0.3, trial_rng(4, "x"))
-    b = run_g(H, D, 0.3, trial_rng(4, "x"))
+    a = run_g(H, D, 0.3, *streams(4))
+    b = run_g(H, D, 0.3, *streams(4))
     assert a.table == b.table and a.k == b.k
