@@ -24,7 +24,7 @@ from .privacy import (HistogramOutput, PipelineResult, PrivacyLedger,
                       private_learn_reg, release_probability,
                       selection_probabilities, selection_sample_size,
                       stable_histogram, stability_eta)
-from .stability import (DataSource, GRunResult, GsEstimate,
+from .stability import (DataSource, GRunResult, GsEstimate, Support,
                         TournamentSample, estimate_stability, g_parameters,
                         run_g, sample_dk_mc)
 from .thresholds import (ThresholdFamily, color_and_choose,

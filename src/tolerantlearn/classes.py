@@ -10,7 +10,6 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -148,13 +147,13 @@ class HypothesisClass:
 
     Labels are 1-based; domain points are indexed 0..domain_size-1.
     Duplicate rows are collapsed at construction (`row_map` records the
-    collapse).  Instances are immutable; the lazily filled dimension caches
-    are append-only and safe under concurrent readers.
+    collapse).  Instances are immutable; the lazily filled mask, dimension
+    and predictor caches are append-only and safe under concurrent readers.
+    The sampler's `stability.Support` of (H, D) is built per run, not here.
     """
 
     __slots__ = ("K", "table", "num_rows", "domain_size", "row_map",
-                 "_col_masks", "_ldim_cache", "_predictor_cache",
-                 "_support_cache")
+                 "_col_masks", "_ldim_cache", "_predictor_cache")
 
     def __init__(self, K: int, table):
         # K = 1 only arises from degenerate discretization (gamma = 2); the
@@ -192,9 +191,6 @@ class HypothesisClass:
         self._col_masks = None       # per-column {label: row bitmask}
         self._ldim_cache = {}        # tau -> Ldim_tau split engine
         self._predictor_cache = {}   # (tau, mask) -> predictor label tuple
-        # FiniteDistribution -> the sampler's checked support data; weak,
-        # so an entry goes with its distribution
-        self._support_cache = weakref.WeakKeyDictionary()
 
     def col_masks(self):
         """Per-column map label -> bitmask of rows carrying that label,

@@ -14,10 +14,16 @@ RANDOM_ROWS_CAP = 4096
 RANDOM_POINTS_CAP = 4096
 
 
+def _check_count(family: str, noun: str, value: int, floor: int, cap: int):
+    """Refuse a count outside floor..cap, naming the floor, then the cap."""
+    if not floor <= value <= cap:
+        raise ValueError(f"{family} classes need {noun} >= {floor}, capped "
+                         f"at {cap}, got {value}")
+
+
 def complete_binary(num_points: int) -> HypothesisClass:
     """All 2^n binary labelings of n points (labels 1 and 2)."""
-    if not 1 <= num_points <= COMPLETE_POINTS_CAP:
-        raise ValueError(f"complete classes are capped at {COMPLETE_POINTS_CAP} points")
+    _check_count("complete", "points", num_points, 1, COMPLETE_POINTS_CAP)
     n = num_points
     rows = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) + 1
     return HypothesisClass(2, rows)
@@ -25,8 +31,7 @@ def complete_binary(num_points: int) -> HypothesisClass:
 
 def threshold_class(num_points: int) -> HypothesisClass:
     """The n+1 step functions h_j(x_i) = 2 iff i >= j over n ordered points."""
-    if not 1 <= num_points <= THRESHOLD_POINTS_CAP:
-        raise ValueError(f"threshold classes are capped at {THRESHOLD_POINTS_CAP} points")
+    _check_count("threshold", "points", num_points, 1, THRESHOLD_POINTS_CAP)
     n = num_points
     rows = np.where(np.arange(n)[None, :] >= np.arange(n + 1)[:, None], 2, 1)
     return HypothesisClass(2, rows)
@@ -34,8 +39,8 @@ def threshold_class(num_points: int) -> HypothesisClass:
 
 def constants_class(K: int, num_points: int) -> HypothesisClass:
     """The K constant functions over the given domain."""
-    if not (2 <= K <= CONSTANTS_CAP and 1 <= num_points <= CONSTANTS_CAP):
-        raise ValueError(f"constants classes are capped at {CONSTANTS_CAP}")
+    _check_count("constants", "labels", K, 2, CONSTANTS_CAP)
+    _check_count("constants", "points", num_points, 1, CONSTANTS_CAP)
     rows = np.tile(np.arange(1, K + 1)[:, None], (1, num_points))
     return HypothesisClass(K, rows)
 

@@ -27,7 +27,7 @@ from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
                       label_to_midpoint, row_mask, value_to_label)
 from .dimensions import DimensionReport, ldim_value, pdim
 from .seeding import as_generator, trial_rng
-from .stability import _support_entry, run_g
+from .stability import DataSource, Support, g_parameters, run_g
 
 # Sample-size constants behind the O(.) bounds; calibration choices, not
 # derived quantities.  Surfaced in every pipeline result.
@@ -246,11 +246,13 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
     gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
     declared (eps, delta).  Both halves are debited, and the total checked,
-    before the prune, so both returns carry them.  Batch i reads its
-    examples from `trial_rng(seed, "batch", i)`, and every batch's coins
-    come from one stream, `trial_rng(seed, "batch")`: each batch's k in one
-    draw, then the tournament labels in batch order.  Batches whose stable
-    run fails contribute a sentinel item that pruning removes.  A run of more
+    before the prune, so both returns carry them.  The run's plan is made
+    once: d, n and the cap, and one `Support` that every batch's
+    `DataSource` shares.  Batch i reads its examples from
+    `trial_rng(seed, "batch", i)`, and every batch's coins come from one
+    stream, `trial_rng(seed, "batch")`: each batch's k in one draw, then
+    the tournament labels in batch order.  Batches whose stable run fails
+    contribute a sentinel item that pruning removes.  A run of more
     than `MAX_BATCHES` batches, over an hour at 20-250 us a batch (2-vCPU
     host), is refused before any runs; d = 1 at K = 2**20 would need 1.4e9.
     """
@@ -263,9 +265,10 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
         raise ValueError(f"the private learner needs K >= 2 labels, "
                          f"got K = {H.K}")
     d = ldim_value(H, 0)
+    _, n, cap = g_parameters(H, alpha / 2.0, d)
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
-    _support_entry(H, D)        # the sampler refuses bad input first
+    support = Support(H, D)     # the sampler refuses bad input first
     if k > MAX_BATCHES:
         raise ValueError(f"num_batches = {k} exceeds the limit of {MAX_BATCHES}")
     ledger = PrivacyLedger()
@@ -273,9 +276,9 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
 
     coins = trial_rng(seed, "batch")
     depths = coins.integers(0, d + 1, size=k)
-    items = [run_g(H, D, alpha / 2.0,
-                   functools.partial(trial_rng, seed, "batch", i), coins, d,
-                   int(j)).table
+    items = [run_g(DataSource(support, n,
+                              functools.partial(trial_rng, seed, "batch", i)),
+                   cap, coins, int(j)).table
              for i, j in enumerate(depths)]
     fail_batches = items.count(None)
 

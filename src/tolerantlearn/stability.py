@@ -23,9 +23,9 @@ Fail without building a sampler, reading an example or drawing a coin,
 with the budget rule's count for level 1 started at the last whole round.
 The closure is searched breadth-first and stops at the first predictor
 that differs; above CLOSURE_LIMIT version spaces the sampler just runs.
-The decision and the points' consistent-row masks are cached on the class
-per distribution, together with the check that the distribution labels
-the class's points, so each (H, D) pair is checked once.
+The decision, the points' consistent-row masks and the check that the
+distribution labels the class's points make one `Support`, checked once
+per run and shared by its data sources.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  A run of G reads two sources, as BLM20's
@@ -145,17 +145,18 @@ def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
     return True
 
 
-class _Support:
+class Support:
     """What the sampler needs of one (H, D) pair, checked and built once.
 
     `masks[x]` is the bitmask of rows consistent with (x, target(x)),
     `words[x]` the same mask as ceil(num_rows / 64) little-endian uint64
     words (one uint64, and `words` 1-D, when the class has at most 64
     rows), `labels` the target as a list of ints and `target` as an int64
-    array.
+    array.  A D that does not label H's points raises ValueError.
     """
 
-    __slots__ = ("masks", "words", "labels", "target", "always_fails")
+    __slots__ = ("H", "D", "masks", "words", "labels", "target",
+                 "always_fails")
 
     def __init__(self, H: HypothesisClass, D: FiniteDistribution):
         if H.K >= 2 ** 63:
@@ -167,6 +168,7 @@ class _Support:
                 and np.all(np.mod(t, 1) == 0)):
             raise ValueError(f"the distribution must label the class's "
                              f"{H.domain_size} points with integers in 1..{H.K}")
+        self.H, self.D = H, D
         # a float-stored target must not put 1.0 into SOA's patches
         self.target = D.target.astype(np.int64)
         self.labels = self.target.tolist()
@@ -224,19 +226,6 @@ class _Support:
         return state
 
 
-def _support_entry(H: HypothesisClass, D: FiniteDistribution) -> _Support:
-    """The `_Support` of (H, D), cached on H by the distribution itself.
-
-    `FiniteDistribution` hashes by identity and its arrays are read-only,
-    so the check that D labels H's points runs once per D; a D that fails
-    it is not cached and raises ValueError on every call.
-    """
-    hit = H._support_cache.get(D)
-    if hit is None:
-        hit = H._support_cache[D] = _Support(H, D)
-    return hit
-
-
 def _overflow(n: int, m: int, left: int) -> int:
     """Draws counted when m = n or 2n exceeds `left`: the overflowing half."""
     return n if left < n else m
@@ -248,15 +237,17 @@ def _overflow(n: int, m: int, left: int) -> int:
 # (alpha 0.1) took a median 70 ms of CPU at 512, 47 ms at 4096, 45 ms at
 # 8192 and 52 ms at 16384 (2-vCPU host).
 BLOCK_CAP = 4096
-_NO_DRAWS = np.zeros(0, np.int64)    # never written: a refill replaces it
+_NO_DRAWS = np.zeros(0, np.int64)    # the empty buffer and k = 0 sample
+_NO_DRAWS.flags.writeable = False
 
 
 class DataSource:
     """The example sequence one run of G reads, as n-draw windows.
 
-    `seed` gives the run's own generator: a generator, a seed for
-    `as_generator`, or a function of no arguments that returns one.  It is
-    used on the first read, so a run that reads nothing makes no stream.
+    `support` gives D and the window masks, and every run over one (H, D)
+    shares it.  `seed` gives the run's own generator: a generator, a seed
+    for `as_generator`, or a function of no arguments that returns one.  It
+    is used on the first read, so a run that reads nothing makes no stream.
     Reads are whole windows, so the unread buffer starts on a window
     boundary; `wins[i]` is the mask of the window `buf[i*n:(i+1)*n]`.
     A refill draws a block of the first request's size, then of twice the
@@ -265,15 +256,10 @@ class DataSource:
     no window.
     """
 
-    __slots__ = ("support", "D", "n", "seed", "rng", "buf", "pos", "wins",
-                 "block")
+    __slots__ = ("support", "n", "seed", "rng", "buf", "pos", "wins", "block")
 
-    def __init__(self, H: HypothesisClass, D: FiniteDistribution, n: int,
-                 seed):
-        if n < 1:
-            raise ValueError(f"a window needs n >= 1 draws, got n = {n}")
-        self.support = _support_entry(H, D)
-        self.D = D
+    def __init__(self, support: Support, n: int, seed):
+        self.support = support
         self.n = n
         self.seed = seed
         self.rng = None
@@ -291,7 +277,7 @@ class DataSource:
                 self.rng = seed() if callable(seed) else as_generator(seed)
             self.block = (min(2 * self.block, max(BLOCK_CAP // n, 1) * n)
                           if self.block else m)
-            fresh = self.D.draw_indices(self.rng, self.block)
+            fresh = self.support.D.draw_indices(self.rng, self.block)
             rest = self.buf[self.pos:]
             self.buf = np.concatenate((rest, fresh)) if len(rest) else fresh
             del self.wins[:self.pos // n]
@@ -319,9 +305,9 @@ class _Sampler:
     the budget semantics match example-by-example sampling.
     """
 
-    def __init__(self, H: HypothesisClass, data: DataSource,
-                 coins: np.random.Generator, budget: int):
-        self.H = H
+    def __init__(self, data: DataSource, coins: np.random.Generator,
+                 budget: int):
+        self.H = data.support.H
         self.data = data
         self.coins = coins
         self.n = data.n
@@ -413,36 +399,30 @@ class _Sampler:
                                 (xs1, t1, pos1, lab1, st1)], f0, f1)
 
 
-def sample_dk_mc(k: int, D: FiniteDistribution, H: HypothesisClass, n: int,
-                 N: int, data, coins) -> TournamentSample:
+def sample_dk_mc(k: int, data: DataSource, N: int, coins) -> TournamentSample:
     """Draw once from the capped tournament distribution.
 
-    `data` is the example sequence: a `DataSource` of (H, D, n), or a seed
-    for one; `coins` (a generator or a seed) draws the tournament labels.
-    k = 0 returns the empty sample.  The global draw counter covers the
-    whole recursive generation; exceeding N yields the Fail outcome, which
-    is a value, not an error.  A Fail decided from the support (see the
-    module docstring) is returned without a sampler or a read, with the
-    budget rule's count for level 1 started at its last whole round.
+    `data` is the example sequence, a `DataSource`, which gives H, D and
+    the window size n; `coins` (a generator or a seed) draws the tournament
+    labels.  k = 0 returns the empty sample.  The global draw counter
+    covers the whole recursive generation; exceeding N yields the Fail
+    outcome, which is a value, not an error.  A Fail decided from the
+    support (see the module docstring) is returned without a sampler or a
+    read, with the budget rule's count for level 1 started at its last
+    whole round.
     """
-    if k < 0 or n < 1 and k > 0 or N < 1 and k > 0:
+    support, n = data.support, data.n
+    if k < 0 or k > 0 and (n < 1 or N < 1):
         raise ValueError("need k >= 0 and, for k >= 1, n >= 1 and N >= 1")
-    support = _support_entry(H, D)
-    coins = as_generator(coins)
-    source = isinstance(data, DataSource)
-    if source and (data.support is not support or data.n != n):
-        raise ValueError("the data source reads another (H, D) or window size")
     if k == 0:
-        return TournamentSample(np.zeros(0, np.int64), np.zeros(0, np.int64),
-                                False, 0, [], SoaState(H))
+        return TournamentSample(_NO_DRAWS, _NO_DRAWS, False, 0, [],
+                                SoaState(support.H))
     if support.always_fails:
         # level 1 reads whole rounds, all rejected, and trips on the next
         left = N % (2 * n)
         return TournamentSample(None, None, True,
                                 N - left + _overflow(n, 2 * n, left), [])
-    if not source:
-        data = DataSource(H, D, n, data)
-    sampler = _Sampler(H, data, coins, N)
+    sampler = _Sampler(data, as_generator(coins), N)
     try:
         xs, positions, labels, state = sampler.level(k)
     except _Fail:
@@ -481,29 +461,21 @@ def g_parameters(H: HypothesisClass, alpha: float, d: Optional[int] = None):
     return d, n, cap
 
 
-def run_g(H: HypothesisClass, D: FiniteDistribution, alpha: float, data,
-          coins, d: Optional[int] = None,
-          k: Optional[int] = None) -> GRunResult:
-    """One run of the stable learner: draw k uniformly, play SOA on S o T.
+def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
+    """One run of the stable learner at depth k: play SOA on S o T.
 
-    `coins` (a generator or a seed) draws k, unless it is given, and the
-    tournament labels; `data` is the run's `DataSource`, or its seed.  The
-    n tail draws T are the source's next window after the sample S, folded
-    into the SOA_0 state S ends in, so S is never replayed.
+    The sample S comes from `sample_dk_mc(k, data, N, coins)`.  The n tail
+    draws T are the source's next window after it, folded into the SOA_0
+    state S ends in, so S is never replayed.  The caller draws k uniformly
+    from 0..d and takes n and the cap N from `g_parameters`.
     """
-    d, n, cap = g_parameters(H, alpha, d)
-    coins = as_generator(coins)
-    if k is None:
-        k = int(coins.integers(0, d + 1))
-    if n and not isinstance(data, DataSource):
-        data = DataSource(H, D, n, data)
-    sample = sample_dk_mc(k, D, H, n, cap, data, coins)
+    sample = sample_dk_mc(k, data, N, coins)
     if sample.failed:
-        return GRunResult(None, True, k, n, sample.draw_count)
+        return GRunResult(None, True, k, data.n, sample.draw_count)
     state = sample.state
-    if n:       # n = 0 when d = 0 or K = 1: then k = 0 and T is empty
+    if data.n:  # n = 0 when d = 0 or K = 1: then k = 0 and T is empty
         state = data.support.fold(state, *data.take())
-    return GRunResult(state.predictor(), False, k, n, sample.draw_count)
+    return GRunResult(state.predictor(), False, k, data.n, sample.draw_count)
 
 
 @dataclass
@@ -526,19 +498,22 @@ def estimate_stability(H: HypothesisClass, D: FiniteDistribution, alpha: float,
                        trials: int, seed: int) -> GsEstimate:
     """Tally exact-table equality of stable-learner outputs over seeded trials.
 
-    Trial i reads its examples from `trial_rng(seed, "g", i)`.  The coins
-    are one stream, `trial_rng(seed, "g")`: every trial's k in one draw,
-    then the tournament labels in trial order.  Fail outcomes are tallied
-    separately and stay in the frequency denominator.  Ties for the mode
-    break toward the smallest table.
+    The run's plan is made once: d, n and the cap, and one `Support` that
+    every trial's `DataSource` shares.  Trial i reads its examples from
+    `trial_rng(seed, "g", i)`.  The coins are one stream, `trial_rng(seed,
+    "g")`: every trial's k in one draw, then the tournament labels in trial
+    order.  Fail outcomes are tallied separately and stay in the frequency
+    denominator.  Ties for the mode break toward the smallest table.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    d, _, _ = g_parameters(H, alpha)
+    d, n, cap = g_parameters(H, alpha)
+    support = Support(H, D)
     coins = trial_rng(seed, "g")
     ks = coins.integers(0, d + 1, size=trials)
-    counts = Counter(run_g(H, D, alpha, partial(trial_rng, seed, "g", i),
-                           coins, d, int(k)).table
+    counts = Counter(run_g(DataSource(support, n,
+                                      partial(trial_rng, seed, "g", i)),
+                           cap, coins, int(k)).table
                      for i, k in enumerate(ks))
     fails = counts.pop(None, 0)
     if not counts:

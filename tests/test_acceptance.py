@@ -29,7 +29,8 @@ from tolerantlearn.privacy import (PrivacyParams, generic_private_learner,
                                    stable_histogram)
 from tolerantlearn.reports import binomial_slack
 from tolerantlearn.seeding import trial_rng
-from tolerantlearn.stability import estimate_stability, g_parameters, sample_dk_mc
+from tolerantlearn.stability import (DataSource, Support, estimate_stability,
+                                     g_parameters, sample_dk_mc)
 from tolerantlearn.thresholds import extract_thresholds_mc, verify_thresholds
 from tolerantlearn.trees import complete_binary_certificate
 
@@ -180,6 +181,7 @@ def test_a08_expected_draws():
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)
     d, n, cap = g_parameters(H, 0.1)
+    support = Support(H, D)
     coins = trial_rng(8, "a8")
     lines = []
     impossible = []
@@ -187,8 +189,8 @@ def test_a08_expected_draws():
         draws = []
         attempts = 0
         while len(draws) < 500 and attempts < 3000:
-            s = sample_dk_mc(k, D, H, n, cap, trial_rng(8, "a8", k, attempts),
-                             coins)
+            data = DataSource(support, n, trial_rng(8, "a8", k, attempts))
+            s = sample_dk_mc(k, data, cap, coins)
             if not s.failed:
                 draws.append(s.draw_count)
             attempts += 1

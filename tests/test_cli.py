@@ -559,6 +559,22 @@ def test_generate_random_checks_its_shape_exits_2(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "complete", "--points", 0],
+     "complete classes need points >= 1, capped at 16, got 0"),
+    (["--family", "threshold", "--points", -3],
+     "threshold classes need points >= 1, capped at 4096, got -3"),
+    (["--family", "constants", "--labels", 1, "--points", 3],
+     "constants classes need labels >= 2, capped at 1024, got 1"),
+], ids=["complete-no-points", "threshold-negative-points", "constants-one-label"])
+def test_generate_names_the_missed_floor_exits_2(tmp_path, capsys, argv,
+                                                 message):
+    out = tmp_path / "x.json"
+    assert run_cli("generate", *argv, "--out", out) == 2
+    assert f"error: generate: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_rejects_oversize(tmp_path, capsys):
     code = run_cli("generate", "--family", "complete", "--points", 30,
                    "--out", tmp_path / "x.json")

@@ -14,7 +14,7 @@ from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
 from tolerantlearn.stability import (CLOSURE_LIMIT, DataSource, GRunResult,
-                                     _support_entry, estimate_stability,
+                                     Support, estimate_stability,
                                      g_parameters, run_g, sample_dk_mc)
 
 
@@ -30,16 +30,19 @@ def threshold_setup():
 def test_k_zero_empty_sample():
     H = constants_class(2, 2)
     D = FiniteDistribution.uniform(H, 0)
-    s = sample_dk_mc(0, D, H, 3, 100, *streams(1))
+    s = sample(0, D, H, 3, 100, *streams(1))
     assert not s.failed
     assert s.xs.tolist() == s.ys.tolist() == []
     assert s.draw_count == 0
+    # every empty sample shares one read-only array
+    assert s.xs is s.ys is sample(0, D, H, 1, 1, *streams(2)).xs
+    assert not s.xs.flags.writeable
 
 
 def test_singleton_class_always_fails():
     H = HypothesisClass(2, [[1, 2]])
     D = FiniteDistribution.uniform(H, 0)
-    s = sample_dk_mc(1, D, H, 2, 60, *streams(5))
+    s = sample(1, D, H, 2, 60, *streams(5))
     assert s.failed
     assert s.draw_count > 60
 
@@ -51,7 +54,7 @@ def test_identified_classes_fail_at_any_k():
     H = HypothesisClass(2, [[1], [2]])
     D = FiniteDistribution.uniform(H, 0)
     for seed in range(10):
-        s = sample_dk_mc(1, D, H, 2, 100, *streams(seed))
+        s = sample(1, D, H, 2, 100, *streams(seed))
         assert s.failed
 
 
@@ -60,7 +63,7 @@ def test_threshold_sample_structure(threshold_setup):
     n = 3
     found = 0
     for seed in range(40):
-        s = sample_dk_mc(1, D, H, n, 500, *streams(seed))
+        s = sample(1, D, H, n, 500, *streams(seed))
         if s.failed:
             continue
         found += 1
@@ -75,7 +78,7 @@ def test_soa_errs_at_every_tournament_position(threshold_setup):
     for k in (1, 2):
         checked = 0
         for seed in range(60):
-            s = sample_dk_mc(k, D, H, 3, 2000, *streams(seed))
+            s = sample(k, D, H, 3, 2000, *streams(seed))
             if s.failed:
                 continue
             t = soa_run(H, 0, s.xs, s.ys)
@@ -93,7 +96,7 @@ def test_expected_draws_bound(threshold_setup):
         draws = []
         seed = 0
         while len(draws) < 120 and seed < 2000:
-            s = sample_dk_mc(k, D, H, n, 4000, *streams(seed))
+            s = sample(k, D, H, n, 4000, *streams(seed))
             if not s.failed:
                 draws.append(s.draw_count)
             seed += 1
@@ -103,8 +106,8 @@ def test_expected_draws_bound(threshold_setup):
 
 def test_sampler_deterministic(threshold_setup):
     H, D = threshold_setup
-    a = sample_dk_mc(2, D, H, 3, 2000, *streams(17))
-    b = sample_dk_mc(2, D, H, 3, 2000, *streams(17))
+    a = sample(2, D, H, 3, 2000, *streams(17))
+    b = sample(2, D, H, 3, 2000, *streams(17))
     assert a.xs.tolist() == b.xs.tolist() and a.ys.tolist() == b.ys.tolist()
     assert a.draw_count == b.draw_count
     assert a.tournament_positions == b.tournament_positions
@@ -113,9 +116,9 @@ def test_sampler_deterministic(threshold_setup):
 def test_sampler_validates_arguments(threshold_setup):
     H, D = threshold_setup
     with pytest.raises(ValueError):
-        sample_dk_mc(-1, D, H, 3, 100, *streams(0))
+        sample(-1, D, H, 3, 100, *streams(0))
     with pytest.raises(ValueError):
-        sample_dk_mc(1, D, H, 0, 100, *streams(0))
+        sample(1, D, H, 0, 100, *streams(0))
 
 
 @pytest.mark.parametrize("D", [
@@ -127,9 +130,9 @@ def test_sampler_rejects_distribution_off_the_class(D):
     H = HypothesisClass(2, [[1, 2], [2, 1]])
     for k in (0, 1, 2):
         with pytest.raises(ValueError):
-            sample_dk_mc(k, D, H, 2, 100, *streams(k))
+            sample(k, D, H, 2, 100, *streams(k))
     with pytest.raises(ValueError):
-        run_g(H, D, 0.3, *streams(0))
+        run_g_drawn(H, D, 0.3, *streams(0))
     with pytest.raises(ValueError):
         estimate_stability(H, D, 0.3, 3, 0)
     with pytest.raises(ValueError):
@@ -137,22 +140,43 @@ def test_sampler_rejects_distribution_off_the_class(D):
 
 
 def test_distribution_off_the_class_raises_on_every_call():
-    # the check runs once per distribution, and only a distribution that
-    # passes it is cached
+    # every support built from a bad distribution checks it again
     H = HypothesisClass(2, [[1, 2], [2, 1]])
     bad = FiniteDistribution(np.full(2, 0.5), np.array([7, 1]))
     for _ in range(2):
         with pytest.raises(ValueError, match="integers in 1..2"):
-            sample_dk_mc(1, bad, H, 2, 100, *streams(0))
+            sample(1, bad, H, 2, 100, *streams(0))
         with pytest.raises(ValueError, match="integers in 1..2"):
-            run_g(H, bad, 0.3, *streams(0))
-    assert bad not in H._support_cache
-    good = FiniteDistribution.uniform(H, 0)
-    entry = _support_entry(H, good)
-    run_g(H, good, 0.3, *streams(0))
-    assert _support_entry(H, good) is entry
-    # an equal but distinct distribution gets its own entry
-    assert _support_entry(H, FiniteDistribution.uniform(H, 0)) is not entry
+            run_g_drawn(H, bad, 0.3, *streams(0))
+
+
+def test_one_support_per_run(monkeypatch):
+    # a run checks its (H, D) once and every trial's or batch's data source
+    # reads that one support
+    built, read = [], []
+    support_init, source_init = Support.__init__, DataSource.__init__
+
+    def counting_support(self, H, D):
+        built.append(self)
+        support_init(self, H, D)
+
+    def recording_source(self, support, n, seed):
+        read.append(support)
+        source_init(self, support, n, seed)
+
+    monkeypatch.setattr(Support, "__init__", counting_support)
+    monkeypatch.setattr(DataSource, "__init__", recording_source)
+    H, H3 = threshold_class(4), constants_class(3, 3)
+    for run in (lambda: estimate_stability(
+                    H, FiniteDistribution.uniform(H, 2), 0.3, 30, seed=1),
+                lambda: private_learn_mc(
+                    H3, FiniteDistribution.uniform(H3, 0),
+                    PrivacyParams(0.5, 0.01), 0.2, 0.2, 11)):
+        built.clear()
+        read.clear()
+        run()
+        assert len(built) == 1
+        assert len(read) > 1 and all(s is built[0] for s in read)
 
 
 # --- the sampler against its definition -----------------------------------------
@@ -164,6 +188,25 @@ class _CapTripped(Exception):
 def streams(seed):
     """A data generator and a coin generator, both from `seed`."""
     return trial_rng(seed, "data"), trial_rng(seed, "coins")
+
+
+def source(H, D, n, data):
+    """The data source of (H, D) in n-draw windows, read from `data`."""
+    return DataSource(Support(H, D), n, data)
+
+
+def sample(k, D, H, n, N, data, coins):
+    """`sample_dk_mc` on a data source of (H, D, n) read from `data`."""
+    return sample_dk_mc(k, source(H, D, n, data), N, coins)
+
+
+def run_g_drawn(H, D, alpha, data, coins, d=None):
+    """`run_g` at `g_parameters`' n and cap, with k drawn from the coins
+    first, as the trial and batch loops draw it."""
+    d, n, cap = g_parameters(H, alpha, d)
+    coins = as_generator(coins)
+    k = int(coins.integers(0, d + 1))
+    return run_g(source(H, D, n, data), cap, coins, k)
 
 
 def reference_sample(k, D, H, n, N, data, coins):
@@ -217,7 +260,7 @@ def reference_sample(k, D, H, n, N, data, coins):
 
 
 def assert_matches_reference(k, D, H, n, N, seed):
-    s = sample_dk_mc(k, D, H, n, N, *streams(seed))
+    s = sample(k, D, H, n, N, *streams(seed))
     got = (None if s.failed else s.xs.tolist(),
            None if s.failed else s.ys.tolist(),
            s.tournament_positions, s.failed, s.draw_count)
@@ -398,7 +441,7 @@ def test_window_masks_are_the_per_draw_and(K, shape, realizable, n, seed):
     H = HypothesisClass(K, table)
     D = FiniteDistribution(w / w.sum(), target)
     draws = rs.integers(0, dom, size=n * int(rs.integers(0, 40)))
-    support = _support_entry(H, D)
+    support = Support(H, D)
     assert [rows_of(m) for m in support.window_masks(draws, n)] == [
         consistent_rows(H, D.target, draws[i:i + n])
         for i in range(0, len(draws), n)]
@@ -419,7 +462,7 @@ def test_sampler_matches_reference_on_multiword_keys(realizable):
     H = threshold_class(90)
     target = H.table[45] if realizable else np.where(np.arange(90) % 7, 1, 2)
     D = FiniteDistribution(rare_middle(90, range(42, 48)), target)
-    assert _support_entry(H, D).words.shape == (90, 2)
+    assert Support(H, D).words.shape == (90, 2)
     outcomes = set()
     for k in (1, 2, 3):
         for n in (1, 7, 40):
@@ -480,20 +523,21 @@ def sample_with_streams(k, D, H, n, N, seed):
     """A sample with its draw count, the coins' state after it and the
     data source's next window after it."""
     data, coins = streams(seed)
-    source = DataSource(H, D, n, data)
-    s = sample_dk_mc(k, D, H, n, N, source, coins)
+    src = source(H, D, n, data)
+    s = sample_dk_mc(k, src, N, coins)
     return (None if s.failed else s.xs.tolist(),
             None if s.failed else s.ys.tolist(), s.tournament_positions,
-            s.failed, s.draw_count, coins.bit_generator.state, source.take())
+            s.failed, s.draw_count, coins.bit_generator.state, src.take())
 
 
 def run_g_with_streams(H, D, alpha, seed, d):
     """A run of G, the coins' state after it and the data source's next
     window after it."""
     data, coins = streams(seed)
-    source = DataSource(H, D, g_parameters(H, alpha, d)[1], data)
-    res = run_g(H, D, alpha, source, coins, d)
-    return res, coins.bit_generator.state, source.take()
+    d, n, cap = g_parameters(H, alpha, d)
+    src = source(H, D, n, data)
+    res = run_g(src, cap, coins, int(coins.integers(0, d + 1)))
+    return res, coins.bit_generator.state, src.take()
 
 
 @pytest.mark.parametrize("n", [511, 513, 1100])
@@ -575,7 +619,7 @@ def test_cap_trips_on_the_half_round_that_overflows(k, monkeypatch):
 # --- k >= 1 impossibility decided from the support ------------------------------
 
 def always_fails(H, D):
-    return _support_entry(H, D).always_fails
+    return Support(H, D).always_fails
 
 
 @pytest.mark.parametrize("H, target, support, fires", [
@@ -594,7 +638,7 @@ def test_support_decision_fires_on_identified_targets(H, target, support, fires)
     for k in range(1, d + 2):
         data, coins = streams(5 + k)
         states = data.bit_generator.state, coins.bit_generator.state
-        s = sample_dk_mc(k, D, H, n, cap, data, coins)
+        s = sample(k, D, H, n, cap, data, coins)
         # a decided Fail reads no example and draws no coin, so both
         # generators are where they were
         assert (states == (data.bit_generator.state,
@@ -611,7 +655,7 @@ def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
     # it; a sampler would read to the cap, about 8.8e7 draws at alpha 0.1
     H = complete_binary(6)
     D = FiniteDistribution.uniform(H, 0)
-    assert len(set(_support_entry(H, D).masks)) == 6
+    assert len(set(Support(H, D).masks)) == 6
     assert always_fails(H, D)
     for k in (1, 2):
         for N in (1, 17, 60):
@@ -629,8 +673,8 @@ def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
     coins = trial_rng(5, "coins")
     state = coins.bit_generator.state
     for k in range(1, d + 2):
-        assert sample_dk_mc(k, D, H, n, cap, no_stream, coins).failed
-        assert run_g(H, D, 0.1, no_stream, coins, d, k).failed
+        assert sample(k, D, H, n, cap, no_stream, coins).failed
+        assert run_g(source(H, D, n, no_stream), cap, coins, k).failed
     assert coins.bit_generator.state == state
 
 
@@ -686,7 +730,7 @@ def test_singleton_class_returns_its_hypothesis():
     H = HypothesisClass(3, [[2, 3, 1]])
     D = FiniteDistribution.uniform(H, 0)
     for seed in range(5):
-        res = run_g(H, D, 0.2, *streams(seed))
+        res = run_g_drawn(H, D, 0.2, *streams(seed))
         assert not res.failed
         assert res.table == (2, 3, 1)
     est = estimate_stability(H, D, 0.2, 50, seed=1)
@@ -735,7 +779,7 @@ def reference_run_g(H, D, alpha, data, coins, d=None):
 
 
 def assert_run_g_matches_reference(H, D, alpha, seed, d=None):
-    got = run_g(H, D, alpha, *streams(seed), d)
+    got = run_g_drawn(H, D, alpha, *streams(seed), d)
     assert got == reference_run_g(H, D, alpha, *streams(seed), d)
     return got
 
@@ -787,6 +831,6 @@ def test_run_g_matches_reference(K, rows, dom, data, seed):
 
 def test_run_g_deterministic(threshold_setup):
     H, D = threshold_setup
-    a = run_g(H, D, 0.3, *streams(4))
-    b = run_g(H, D, 0.3, *streams(4))
+    a = run_g_drawn(H, D, 0.3, *streams(4))
+    b = run_g_drawn(H, D, 0.3, *streams(4))
     assert a.table == b.table and a.k == b.k
