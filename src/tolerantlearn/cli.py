@@ -54,7 +54,10 @@ def _make_learner(spec: str, H: HypothesisClass, tau: int):
     if spec == "majority":
         return MajorityLearner(H)
     if spec.startswith("const:"):
-        return ConstantLearner(int(spec.split(":", 1)[1]))
+        k = int(spec.split(":", 1)[1])
+        if not 1 <= k <= H.K:
+            raise ValueError(f"const:<k> needs a label k in 1..{H.K}, got {k}")
+        return ConstantLearner(k)
     raise ValueError(f"unknown learner {spec!r} "
                      "(use soa, majority, or const:<k>)")
 

@@ -255,6 +255,8 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     contribute a sentinel item that pruning removes.  A run of more
     than `MAX_BATCHES` batches, over an hour at 20-250 us a batch (2-vCPU
     host), is refused before any runs; d = 1 at K = 2**20 would need 1.4e9.
+    A batch on a settled support (see `stability`) is a decided Fail or,
+    at k = 0, the settled table, and costs about 1 us instead.
     """
     for name, v in (("eps", priv.eps), ("delta", priv.delta),
                     ("alpha", alpha), ("beta", beta)):

@@ -10,22 +10,28 @@ needs exact output probabilities, which are not computable; that holds for
 it only, since the capped sampler's output law is the uncapped law cut off
 at the cap N, which is computable.
 
-Some supports make every tournament fail, and that is decided without
+On some supports the stable learner's whole law is decided without
 drawing.  If the target is realizable on supp(D) (the AND of the support
-points' consistent-row masks is nonzero), the version space a round half
-reaches by folding its n >= 1 target-labeled draws is the AND of their
+points' consistent-row masks is nonzero), the version space that n >= 1
+target-labeled draws fold SOA_0 into from scratch is the AND of their
 masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
-`predictor_table` is the same at every mask of that closure, every k = 1
-round has f0 == f1: level 1 reads whole rounds up to N - N % 2n draws
-with no label drawn and trips on the next one, and every deeper level
-starts by recursing into level 1.  So `sample_dk_mc` returns a decided
-Fail without building a sampler, reading an example or drawing a coin,
-with the budget rule's count for level 1 started at the last whole round.
+`predictor_table` is one table at every mask of that closure, the support
+is settled on that table, and both halves of G's law follow from it:
+- at k = 0, G folds only its n tail draws into a fresh state, so
+  `run_g` returns the settled table without reading an example or making
+  the run's data stream;
+- at k >= 1, every k = 1 round has f0 == f1: level 1 reads whole rounds
+  up to N - N % 2n draws with no label drawn and trips on the next one,
+  and every deeper level starts by recursing into level 1.  So
+  `sample_dk_mc` returns a decided Fail without building a sampler,
+  reading an example or drawing a coin, with the budget rule's count for
+  level 1 started at the last whole round.
 The closure is searched breadth-first and stops at the first predictor
-that differs; above CLOSURE_LIMIT version spaces the sampler just runs.
-The decision, the points' consistent-row masks and the check that the
-distribution labels the class's points make one `Support`, checked once
-per run and shared by its data sources.
+that differs; above CLOSURE_LIMIT version spaces nothing is settled and
+the sampler and the tail just run.  The settled table, the points'
+consistent-row masks and the check that the distribution labels the
+class's points make one `Support`, checked once per run and shared by its
+data sources.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  A run of G reads two sources, as BLM20's
@@ -33,11 +39,11 @@ learner reads an example sequence and has coins of its own (Bun, Livni
 and Moran, FOCS 2020).  Its coins, a generator the caller passes, draw k
 and the tournament labels.  Its examples come from a `DataSource`, the
 run's own generator read in n-draw windows, which it makes on its first
-read: a decided Fail makes none.  The source draws a block at a time, the
-first as large as the first request and each next one twice as large, up
-to BLOCK_CAP draws.  One generator serves the whole example sequence, so
-the block sizes change no output, only how many numpy calls a refill
-pays.  Every request is n draws or a multiple of them, so the stream
+read: a decided Fail or a settled k = 0 run makes none.  The source draws
+a block at a time, the first as large as the first request and each next
+one twice as large, up to BLOCK_CAP draws.  One generator serves the
+whole example sequence, so the block sizes change no output, only how
+many numpy calls a refill pays.  Every request is n draws or a multiple of them, so the stream
 splits into n-draw windows, and a window's mask is the AND of its points'
 consistent-row masks.  Each point's mask is also kept as
 ceil(num_rows / 64) uint64 words, so one `np.bitwise_and.reduceat` per
@@ -106,34 +112,34 @@ class TournamentSample:
     state: Optional[SoaState] = None
 
 
-# Largest AND-closure of the support's masks searched for the k = 1
-# impossibility decision; past it the sampler runs.  The closure of m
+# Largest AND-closure of the support's masks searched for the settled
+# table; past it the sampler and the tail run.  The closure of m
 # support points can hold 2^m - 1 version spaces, each costing one
 # `predictor_table` call.
 CLOSURE_LIMIT = 1024
 
 
-def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
-    """True if SOA_0's predictor is one table on the AND-closure of `masks`.
+def _settled_table(H: HypothesisClass, masks: list) -> Optional[tuple]:
+    """SOA_0's predictor if it is one table on the AND-closure of `masks`.
 
     `masks` are the support points' consistent-row masks.  Unless their AND
     is nonzero (the target is realizable on the support) and the closure
-    fits in CLOSURE_LIMIT, nothing is decided and False returns.
+    fits in CLOSURE_LIMIT, nothing is decided and None returns.
     """
     floor = H.full_mask
     for m in masks:
         floor &= m
     if not floor:
-        return False
+        return None
     basis = list(dict.fromkeys(masks))
     seen = set(basis)
     level = basis
     first = predictor_table(H, 0, basis[0])
     while level:
         if len(seen) > CLOSURE_LIMIT:
-            return False
+            return None
         if any(predictor_table(H, 0, m) != first for m in level):
-            return False
+            return None
         grown = []
         for m in level:
             for b in basis:
@@ -142,7 +148,7 @@ def _tournaments_fail(H: HypothesisClass, masks: list) -> bool:
                     seen.add(c)
                     grown.append(c)
         level = grown
-    return True
+    return first
 
 
 class Support:
@@ -152,11 +158,13 @@ class Support:
     `words[x]` the same mask as ceil(num_rows / 64) little-endian uint64
     words (one uint64, and `words` 1-D, when the class has at most 64
     rows), `labels` the target as a list of ints and `target` as an int64
-    array.  A D that does not label H's points raises ValueError.
+    array.  `settled` is the one table SOA_0 ends in after any window of
+    draws from D, folded from scratch (see the module docstring), or None.
+    A D that does not label H's points raises ValueError.
     """
 
     __slots__ = ("H", "D", "masks", "words", "labels", "target",
-                 "always_fails")
+                 "settled")
 
     def __init__(self, H: HypothesisClass, D: FiniteDistribution):
         if H.K >= 2 ** 63:
@@ -175,7 +183,7 @@ class Support:
         cols = H.col_masks()
         self.masks = [cols[x].get(y, 0) for x, y in enumerate(self.labels)]
         drawn = [m for m, w in zip(self.masks, D.weights.tolist()) if w > 0]
-        self.always_fails = _tournaments_fail(H, drawn)
+        self.settled = _settled_table(H, drawn)
         size = -(-H.num_rows // 64) * 8
         words = np.frombuffer(
             b"".join(m.to_bytes(size, "little") for m in self.masks),
@@ -417,7 +425,7 @@ def sample_dk_mc(k: int, data: DataSource, N: int, coins) -> TournamentSample:
     if k == 0:
         return TournamentSample(_NO_DRAWS, _NO_DRAWS, False, 0, [],
                                 SoaState(support.H))
-    if support.always_fails:
+    if support.settled is not None:
         # level 1 reads whole rounds, all rejected, and trips on the next
         left = N % (2 * n)
         return TournamentSample(None, None, True,
@@ -466,9 +474,14 @@ def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
 
     The sample S comes from `sample_dk_mc(k, data, N, coins)`.  The n tail
     draws T are the source's next window after it, folded into the SOA_0
-    state S ends in, so S is never replayed.  The caller draws k uniformly
-    from 0..d and takes n and the cap N from `g_parameters`.
+    state S ends in, so S is never replayed.  At k = 0 on a settled
+    support, T's version space is one window mask of the closure, so the
+    settled table returns and the source is never read.  The caller draws
+    k uniformly from 0..d and takes n and the cap N from `g_parameters`.
     """
+    settled = data.support.settled
+    if k == 0 and data.n and settled is not None:
+        return GRunResult(settled, False, 0, data.n, 0)
     sample = sample_dk_mc(k, data, N, coins)
     if sample.failed:
         return GRunResult(None, True, k, data.n, sample.draw_count)

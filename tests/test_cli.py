@@ -1155,6 +1155,20 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     assert err.count("\n") == 1 and f"error: {message.format(**paths)}" in err
 
 
+@pytest.mark.parametrize("k", [0, 4, 99])
+def test_constant_learner_outside_the_labels_exits_2(tmp_path, capsys, k):
+    # both ends of 1..K on the 3-label constants class, refused before a
+    # round is played
+    cls, out = tmp_path / "c.json", tmp_path / "r.json"
+    classfile.save_class(constants_class(3, 3), cls)
+    assert run_cli("adversary", "--input", cls, "--learner", f"const:{k}",
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (
+        f"error: adversary: const:<k> needs a label k in 1..3, got {k}" in err)
+    assert not out.exists()
+
+
 # --- the parser as the one description of each subcommand -------------------
 
 @pytest.fixture()

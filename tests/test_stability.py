@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from .conftest import inverse_cdf_draws
-from tolerantlearn import stability
+from tolerantlearn import privacy, stability
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    TolerantZeroOne, evaluate_loss)
 from tolerantlearn.generators import (complete_binary, constants_class,
@@ -619,7 +619,22 @@ def test_cap_trips_on_the_half_round_that_overflows(k, monkeypatch):
 # --- k >= 1 impossibility decided from the support ------------------------------
 
 def always_fails(H, D):
-    return Support(H, D).always_fails
+    return Support(H, D).settled is not None
+
+
+def first_points(H, target, support):
+    """D uniform on H's first `support` points, labeled by row `target`."""
+    w = np.zeros(H.domain_size)
+    w[:support] = 1 / support
+    return FiniteDistribution(w, H.table[target])
+
+
+def no_sampler(*args):
+    raise AssertionError("a decided run built a sampler")
+
+
+def no_stream():
+    raise AssertionError("a decided run made a data stream")
 
 
 @pytest.mark.parametrize("H, target, support, fires", [
@@ -630,9 +645,7 @@ def always_fails(H, D):
     (threshold_class(7), 4, 1, True),
 ], ids=["constants-3-3", "constants-4-2", "threshold-7", "threshold-7-one-point"])
 def test_support_decision_fires_on_identified_targets(H, target, support, fires):
-    w = np.zeros(H.domain_size)
-    w[:support] = 1 / support
-    D = FiniteDistribution(w, H.table[target])
+    D = first_points(H, target, support)
     assert always_fails(H, D) == fires
     d, n, cap = g_parameters(H, 0.1)
     for k in range(1, d + 2):
@@ -660,13 +673,6 @@ def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
     for k in (1, 2):
         for N in (1, 17, 60):
             assert assert_matches_reference(k, D, H, 2, N, N).failed
-
-    def no_sampler(*args):
-        raise AssertionError("a decided Fail built a sampler")
-
-    def no_stream():
-        raise AssertionError("a decided Fail made a data stream")
-
     monkeypatch.setattr(stability, "_Sampler", no_sampler)
     d, n, cap = g_parameters(H, 0.1)
     assert cap > 8 * 10 ** 7
@@ -761,13 +767,14 @@ def test_generalization_bound(threshold_setup):
             assert loss <= bound + 1e-12
 
 
-def reference_run_g(H, D, alpha, data, coins, d=None):
-    """The stable learner as defined: k from the coins, the sample S by
-    `reference_sample`, then the tail T as the data generator's next n
-    draws, and SOA_0 replayed over S o T from scratch."""
+def reference_run_g(H, D, alpha, data, coins, d=None, k=None):
+    """The stable learner as defined: k from the coins (unless given), the
+    sample S by `reference_sample`, then the tail T as the data generator's
+    next n draws, and SOA_0 replayed over S o T from scratch."""
     d, n, cap = g_parameters(H, alpha, d)
     data, coins = as_generator(data), as_generator(coins)
-    k = int(coins.integers(0, d + 1))
+    if k is None:
+        k = int(coins.integers(0, d + 1))
     xs, ys, _, failed, draw_count = reference_sample(k, D, H, n, cap, data,
                                                      coins)
     if failed:
@@ -834,3 +841,90 @@ def test_run_g_deterministic(threshold_setup):
     a = run_g_drawn(H, D, 0.3, *streams(4))
     b = run_g_drawn(H, D, 0.3, *streams(4))
     assert a.table == b.table and a.k == b.k
+
+
+# --- k = 0 settled from the support ----------------------------------------------
+
+SETTLED = pytest.mark.parametrize("H, target, support", [
+    (constants_class(3, 3), 0, 3),
+    (constants_class(4, 2), 1, 2),
+    # six distinct masks: settled only through their closure
+    (complete_binary(6), 0, 6),
+    (threshold_class(7), 4, 1),
+], ids=["constants-3-3", "constants-4-2", "complete-6", "threshold-7-one-point"])
+
+
+@SETTLED
+def test_settled_k_zero_run_reads_no_example(H, target, support, monkeypatch):
+    # the tail's version space is the AND of n drawn masks, which lies in the
+    # closure, so the drawn reference ends in the settled table
+    D = first_points(H, target, support)
+    settled = Support(H, D).settled
+    assert settled is not None
+    monkeypatch.setattr(stability, "_Sampler", no_sampler)
+    d, n, cap = g_parameters(H, 0.1)
+    for seed in range(6):
+        coins = trial_rng(seed, "coins")
+        state = coins.bit_generator.state
+        got = run_g(source(H, D, n, no_stream), cap, coins, 0)
+        assert got == GRunResult(settled, False, 0, n, 0)
+        assert got == reference_run_g(H, D, 0.1, *streams(seed), k=0)
+        assert coins.bit_generator.state == state
+
+
+def test_unsettled_k_zero_run_reads_its_tail():
+    H = threshold_class(7)
+    D = first_points(H, 4, 7)
+    assert Support(H, D).settled is None
+    d, n, cap = g_parameters(H, 0.1)
+    with pytest.raises(AssertionError, match="made a data stream"):
+        run_g(source(H, D, n, no_stream), cap, trial_rng(0, "coins"), 0)
+    for seed in range(6):
+        got = run_g(source(H, D, n, trial_rng(seed, "data")), cap,
+                    trial_rng(seed, "coins"), 0)
+        assert got == reference_run_g(H, D, 0.1, *streams(seed), k=0)
+
+
+def counting_streams(monkeypatch):
+    """The (seed, path) of every stream `trial_rng` makes for the stable
+    and the private learner, in order."""
+    made = []
+
+    def counting(seed, *path):
+        made.append((seed,) + path)
+        return trial_rng(seed, *path)
+
+    monkeypatch.setattr(stability, "trial_rng", counting)
+    monkeypatch.setattr(privacy, "trial_rng", counting)
+    return made
+
+
+@SETTLED
+def test_settled_estimate_tallies_k_exactly(H, target, support, monkeypatch):
+    # every k = 0 trial is the settled table and every k >= 1 trial a
+    # decided Fail, so the counts are the coins' k draws, and only the coin
+    # stream is made
+    D = first_points(H, target, support)
+    settled = Support(H, D).settled
+    d, _, _ = g_parameters(H, 0.1)
+    trials, seed = 60, 7
+    ks = trial_rng(seed, "g").integers(0, d + 1, size=trials)
+    zeros = int((ks == 0).sum())
+    assert 0 < zeros < trials
+    made = counting_streams(monkeypatch)
+    est = estimate_stability(H, D, 0.1, trials, seed)
+    assert dict(est.counts) == {settled: zeros}
+    assert est.fail_count == trials - zeros
+    assert made == [(seed, "g")]
+
+
+def test_settled_private_learner_makes_four_streams(monkeypatch):
+    # the batch coins, the histogram, the selection sample and the selection:
+    # none of the 2,423 batches makes a stream of its own
+    made = counting_streams(monkeypatch)
+    H = constants_class(3, 3)
+    res = private_learn_mc(H, FiniteDistribution.uniform(H, 0),
+                           PrivacyParams(0.5, 0.01), 0.2, 0.2, 11)
+    assert not res.failed
+    assert made == [(11, "batch"), (11, "hist"), (11, "sprime"),
+                    (11, "select")]
