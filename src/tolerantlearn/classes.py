@@ -119,27 +119,37 @@ def _dedup_rows(table: np.ndarray):
 
     Returns (deduped table, row_map) where row_map[i] is the surviving row
     index that original row i collapsed into.  Rows are equal when their
-    bytes are, so 0.0 and -0.0 stay distinct.  One stable sort of the rows,
-    each taken as a single void scalar, groups equal rows with the first
-    occurrence at the head of its group; labels are sorted as the narrowest
-    unsigned type that holds the largest.
+    bytes are, so 0.0 and -0.0 stay distinct.  Each row is keyed by
+    integer words: a float row by its values' bit patterns, a row of
+    labels in 1..max by its labels as base-(max + 1) digits, as many to an
+    int64 word as keep the word below 2**63.  One stable sort of the words
+    groups equal rows with each group's first occurrence at its head.
     """
-    keys = table if table.dtype.kind == "f" else table.astype(
-        np.min_scalar_type(table.max()))
-    keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
-    order = np.argsort(rows, kind="stable")
-    ranked = rows[order]
-    starts = np.empty(len(rows), bool)   # where each group of equal rows begins
-    starts[0] = True
-    starts[1:] = ranked[1:] != ranked[:-1]
-    first = order[starts]
-    kept = np.zeros(len(rows), bool)
-    kept[first] = True
+    n, width = table.shape
+    if table.dtype.kind == "f":
+        keys = table.view(np.uint64).T
+    else:
+        base, per = int(table.max()) + 1, 1
+        while per < width and base ** (per + 1) <= 2 ** 63:
+            per += 1
+        powers = np.array([base ** k for k in range(per)], np.int64)
+        keys = np.array([np.dot(table[:, c:c + per], powers[:width - c])
+                         for c in range(0, width, per)])
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
+    starts = np.empty(n, np.intp)   # 1 where each group of equal rows begins
+    starts[0] = 1
+    # a wrapping difference of integer words is nonzero iff they differ
+    starts[1:] = (ranked[:, 1:] - ranked[:, :-1]).any(0)
+    first = order[starts.nonzero()[0]]
+    kept = np.zeros(n, np.intp)
+    kept[first] = 1
     # a group's id is its first occurrence's rank among the first occurrences
-    row_map = np.empty(len(rows), np.int64)
-    row_map[order] = (np.cumsum(kept) - 1)[first][np.cumsum(starts) - 1]
-    return table[kept], row_map
+    # (the int counts accumulate faster than booleans would)
+    row_map = np.empty(n, np.int64)
+    row_map[order] = ((np.add.accumulate(kept) - 1)[first]
+                      [np.add.accumulate(starts) - 1])
+    return table[kept.nonzero()[0]], row_map
 
 
 class HypothesisClass:

@@ -7,10 +7,13 @@ the tree's `kind` and its heap-order lists (`trees.tree_to_dict`).  All
 writers emit keys in a fixed order at full float precision, so identical
 inputs produce byte-identical files.  Class and certificate files are
 written on one line; an indented one still loads, as JSON ignores
-whitespace.  A one-line multiclass class file, the layout `save_class`
-writes, is read straight into the label table, without `json`'s Python
-object per label; an indented, reordered or real class file goes through
-`json` at its old cost, and the class is the same either way.
+whitespace.  A one-line multiclass class file with one-digit labels, the
+layout `save_class` writes for K <= 9, is read in place at fixed stride
+(`_one_line_rows`), without `json`'s Python object per label: the
+thresholds-cb16 benchmark's 65,536 x 16 file loads in about 25 ms instead
+of 0.13-0.18 s on a 2-vCPU host.  A label of two or more digits, or an
+indented, reordered or real class file, goes through `json`, and the class
+is the same either way.
 A malformed document is a ValueError naming the file and the key.
 """
 
@@ -79,21 +82,25 @@ def save_class(cls, path) -> None:
 
 _ROWS_KEY = b', "rows": [['
 _HEAD_KEYS = ["format", "kind", "K", "domain_size"]
+_ROW_GAP = b"], ["
 
 
 def _one_line_rows(data: bytes):
     """(K, int64 table) of a multiclass class file in the one-line layout
-    `save_class` writes, read without a Python object per label, or None.
+    `save_class` writes, with one-digit labels, or None.
 
     Never raises, and returns only what the json route would build.  The
     header must parse on its own to `save_class`'s four keys in its order.
-    The rows body may hold only digits, ", " between labels and "], ["
-    between rows, `domain_size` labels a row, with no empty field and no
-    leading zero.  `np.fromstring` saturates a label of 2**63 or more to
-    the int64 maximum, so K must lie below that and no label above K.
+    With w = `domain_size`, row r's label j sits at byte r*(3w+2) + 3j of
+    the rows body, then ", " or, after a row's last label, "], [".  Each
+    byte is checked in place at its position: a label must be a digit in
+    1..K, so one of two or more digits sends the file to `json`.  A
+    65,536 x 16 file takes about 4 ms, 30 ms before this reader (2-vCPU).
     """
-    tail = data.rstrip(b" \t\n\r")    # JSON's whitespace, not bytes.rstrip()'s
-    if not tail.endswith(b"]]}"):
+    end = len(data)
+    while end and data[end - 1] in b" \t\n\r":    # JSON's whitespace only
+        end -= 1
+    if not data.endswith(b"]]}", 0, end):
         return None
     try:
         cut = data.index(_ROWS_KEY)
@@ -106,27 +113,28 @@ def _one_line_rows(data: bytes):
             or head["kind"] != "multiclass"):
         return None
     K, width = head["K"], head["domain_size"]
-    # a K below 1 is refused with the labels, which are all at least 1
-    if (type(K) is not int or K >= np.iinfo(np.int64).max
-            or type(width) is not int or width < 1):
+    if type(K) is not int or type(width) is not int or width < 1:
         return None
-    body = tail[cut + len(_ROWS_KEY):-len(b"]]}")]
-    del tail    # each copy of a megabyte file goes once used
-    # everything but the digits must be the separators of whole rows
-    seps = body.translate(None, b"0123456789")
-    rows, extra = divmod(len(seps) + len(b"], ["), 2 * width + 2)
-    if extra or seps != b"], [".join([b", " * (width - 1)] * rows):
+    gap = len(_ROW_GAP)
+    start, stride = cut + len(_ROWS_KEY), 3 * width + 2   # a row and a gap
+    rows, extra = divmod(end - len(b"]]}") - start + gap, stride)
+    if extra or rows < 1:
         return None
-    del seps
-    labels = body.translate(None, b" []")    # one "," between labels
-    del body
-    if (not labels or labels[0] in b",0" or labels[-1] == ord(",")
-            or b",," in labels or b",0" in labels):
+    # read-only views of the body, which numpy checks lie inside `data`
+    cells = np.ndarray((rows, stride - gap), np.uint8, data, start, (stride, 1))
+    gaps = np.ndarray((rows - 1, gap), np.uint8, data, start + stride - gap,
+                      (stride, 1))
+    digits = cells[:, ::3]
+    # a K below 1 is refused with the labels, which must be at least 1
+    if not ((cells[:, 1::3] == ord(",")).all()
+            and (cells[:, 2::3] == ord(" ")).all()
+            and gaps.tobytes() == _ROW_GAP * (rows - 1)
+            and digits.min() >= ord("1")
+            and digits.max() <= ord("0") + min(K, 9)):
         return None
-    table = np.fromstring(labels, dtype=np.int64, sep=",")
-    if table.max() > K:
-        return None
-    return K, table.reshape(rows, width)
+    labels = digits.astype(np.int64)
+    labels -= ord("0")
+    return K, labels
 
 
 def load_class(path):

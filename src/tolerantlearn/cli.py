@@ -54,7 +54,11 @@ def _make_learner(spec: str, H: HypothesisClass, tau: int):
     if spec == "majority":
         return MajorityLearner(H)
     if spec.startswith("const:"):
-        k = int(spec.split(":", 1)[1])
+        digits = spec[len("const:"):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"--learner const:<k> needs k in decimal digits, "
+                             f"got {digits!r}")
+        k = int(digits)
         if not 1 <= k <= H.K:
             raise ValueError(f"const:<k> needs a label k in 1..{H.K}, got {k}")
         return ConstantLearner(k)

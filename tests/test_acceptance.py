@@ -161,6 +161,11 @@ def test_a06_threshold_extraction_at_depth_16():
 
 
 def test_a07_stability_bound():
+    """G's modal table on constants_class(3, 3) has frequency at least eta
+    less its slack, and loss at most alpha.  The class's support is
+    settled, so no k >= 1 tournament runs: G's law is exactly {settled
+    table: 1/(d+1), Fail: d/(d+1)}, here 1/2 each (d = 1), against
+    eta = 1/9."""
     start = time.monotonic()
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)
@@ -177,6 +182,11 @@ def test_a07_stability_bound():
 
 
 def test_a08_expected_draws():
+    """A successful k-tournament takes at most 4^(k+1) n draws on average,
+    for k in {0, 1, d}.  On constants_class(3, 3), whose support is
+    settled, no k >= 1 tournament runs (each call is a decided Fail), so
+    only k = 0 has draws and the test is an expected failure; G's law
+    there is exactly {settled table: 1/(d+1), Fail: d/(d+1)}, 1/2 each."""
     start = time.monotonic()
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)
@@ -273,6 +283,12 @@ def test_a10_selection_accuracy():
 
 
 def test_a11_end_to_end_private_learner():
+    """The private learner on constants_class(3, 3) reaches loss at most
+    alpha in 3/4 of 200 seeds, within its list and budget bounds.  The
+    class's support is settled, so no k >= 1 tournament runs: each batch's
+    G has the exact law {settled table: 1/(d+1), Fail: d/(d+1)}, 1/2 each
+    (d = 1), and the test exercises the histogram, the selection and the
+    ledger around it, not the sampler."""
     start = time.monotonic()
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)

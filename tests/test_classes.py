@@ -109,6 +109,61 @@ def test_dedup_rows_matches_reference(table):
     assert np.array_equal(got_map, want_map)
 
 
+def labels_per_word(K):
+    """How many labels of 1..K an int64 word holds as base-(K + 1) digits."""
+    per = 1
+    while (K + 1) ** (per + 1) <= 2 ** 63:
+        per += 1
+    return per
+
+
+def packing_edge_table(K, width):
+    """Rows of the labels 1, 2, K - 1 and K, with an all-K row (every word
+    at its largest key), near twins that swap one label 1 <-> K - 1 or
+    2 <-> K (an even difference, which a word that wrapped past 2**64
+    could lose), and repeats of the rows."""
+    rng = np.random.default_rng([K % 2**32, width])
+    pool = rng.choice(np.array([1, 2, K - 1, K], np.int64), (4, width))
+    pool[0] = K
+    swap = {1: K - 1, K - 1: 1, 2: K, K: 2}
+    twins = []
+    for row in pool:
+        for j in range(width):
+            twin = row.copy()
+            twin[j] = swap[int(twin[j])]
+            twins.append(twin)
+    rows = np.concatenate([pool, twins, pool[::2], twins[1::3]])
+    return rows[rng.permutation(len(rows))]
+
+
+PACKING_EDGES = {"2**21-1": 2**21 - 1, "2**21": 2**21, "2**31": 2**31,
+                 "2**62": 2**62}
+DEDUP_EDGES = [
+    pytest.param(packing_edge_table(K, width), id=f"K={name}-width={width}")
+    for name, K in PACKING_EDGES.items()
+    for width in sorted({1, labels_per_word(K), labels_per_word(K) + 1, 70})
+] + [
+    pytest.param(np.array([[0.0], [-0.0], [0.0], [-0.0]]), id="signed-zeros"),
+    pytest.param(np.array([[0.0, -0.0] * 35, [-0.0, 0.0] * 35,
+                           [0.0, -0.0] * 35, [0.0, 0.0] * 35]),
+                 id="signed-zeros-width-70"),
+    pytest.param(np.array([[0.5, -1.0, 1.0], [0.5, -1.0, -1.0]] * 3),
+                 id="duplicated-rows"),
+    pytest.param(np.array([[-0.0, 0.25]]), id="single-float-row"),
+    pytest.param(np.array([[3, 1, 2]], np.int64), id="single-label-row"),
+]
+
+
+@pytest.mark.parametrize("table", DEDUP_EDGES)
+def test_dedup_rows_at_key_boundaries(table):
+    # widths of one word, of one word and a label, and of many words
+    got, got_map = _dedup_rows(table)
+    want, want_map = reference_dedup_rows(table)
+    assert got.dtype == want.dtype and got_map.dtype == want_map.dtype
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert np.array_equal(got_map, want_map)
+
+
 def test_dedup_rows_keeps_signed_zeros_apart():
     F = RealFunctionClass([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]])
     assert F.num_rows == 2 and list(F.row_map) == [0, 1, 0]

@@ -42,17 +42,18 @@ def thr_file(tmp_path):
 
 @st.composite
 def generated_classes(draw):
-    """A class from one of the generators, a real one possibly off-grid."""
+    """A class from one of the generators, a real one possibly off-grid;
+    a multiclass one may have labels of one digit or of two."""
     rows, points, seed = (draw(st.integers(1, 12)), draw(st.integers(1, 6)),
                           draw(st.integers(0, 99)))
     family = draw(st.sampled_from(["multiclass", "real", "threshold",
                                    "constants"]))
     if family == "multiclass":
-        return random_multiclass(rows, points, draw(st.integers(2, 6)), seed)
+        return random_multiclass(rows, points, draw(st.integers(2, 12)), seed)
     if family == "threshold":
         return threshold_class(points)
     if family == "constants":
-        return constants_class(draw(st.integers(2, 6)), points)
+        return constants_class(draw(st.integers(2, 12)), points)
     cls = random_real(rows, points, draw(st.sampled_from([0.1, 0.25, 0.5, 2.0])),
                       seed)
     return RealFunctionClass(cls.table) if draw(st.booleans()) else cls
@@ -67,9 +68,10 @@ def test_class_file_round_trip(tmp_path, cls):
     text = path.read_text()
     assert text.count("\n") == 1 and text.endswith("\n")   # one line
     indented.write_text(json.dumps(json.loads(text), indent=2))
-    # a multiclass file takes the one-line reader, the indented copy json
-    assert (classfile._one_line_rows(path.read_bytes()) is None) == (
-        isinstance(cls, RealFunctionClass))
+    # a multiclass file takes the one-line reader iff its labels are one
+    # digit each, the indented copy json
+    assert (classfile._one_line_rows(path.read_bytes()) is not None) == (
+        isinstance(cls, HypothesisClass) and cls.table.max() < 10)
     assert classfile._one_line_rows(indented.read_bytes()) is None
     for back in (classfile.load_class(path), classfile.load_class(indented)):
         assert type(back) is type(cls)
@@ -200,6 +202,26 @@ def test_one_line_reader_matches_json_route(tmp_path, mutation, cls, data):
     fast = class_outcome(path)
     with mock.patch.object(classfile, "_one_line_rows", lambda data: None):
         assert fast == class_outcome(path)
+
+
+@pytest.mark.parametrize("K", [0, 9, 12])
+@pytest.mark.parametrize("rows", [[[1]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+def test_one_line_reader_checks_every_body_byte(tmp_path, K, rows):
+    # each byte of the rows body replaced in turn, by a digit, a separator's
+    # byte or a byte next to the digits: the one-line reader declines the
+    # file or builds what json builds, error for error
+    path = tmp_path / "c.json"
+    classfile.save_class(HypothesisClass(9, rows), path)
+    doc = path.read_bytes().replace(b'"K": 9', b'"K": %d' % K)
+    start, end = doc.index(b"[[") + 2, doc.rindex(b"]]}")
+    for i in range(start, end):
+        for byte in (b"0", b"1", b"9", b",", b" ", b"]", b"[", b";", b"/",
+                     b":", b"A", b"\xff"):
+            path.write_bytes(doc[:i] + byte + doc[i + 1:])
+            fast = class_outcome(path)
+            with mock.patch.object(classfile, "_one_line_rows",
+                                   lambda data: None):
+                assert fast == class_outcome(path), (i, byte)
 
 
 def test_class_file_rejects_wrong_format(tmp_path):
@@ -1166,6 +1188,20 @@ def test_constant_learner_outside_the_labels_exits_2(tmp_path, capsys, k):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and (
         f"error: adversary: const:<k> needs a label k in 1..3, got {k}" in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["x", "1.5", "", " 2"])
+def test_constant_learner_without_decimal_digits_exits_2(tmp_path, capsys, k):
+    # int() would take " 2" and name neither the option nor its form
+    cls, out = tmp_path / "c.json", tmp_path / "r.json"
+    classfile.save_class(constants_class(3, 3), cls)
+    assert run_cli("adversary", "--input", cls, "--learner", f"const:{k}",
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (
+        f"error: adversary: --learner const:<k> needs k in decimal digits, "
+        f"got {k!r}" in err)
     assert not out.exists()
 
 
