@@ -32,9 +32,9 @@ from .dimensions import fat_gamma, ldim_tau, ldim_value, log_star, pdim
 from .online import (ConstantLearner, MajorityLearner, SoaLearner,
                      adversary_force, soa_run)
 from .privacy import (PrivacyParams, check_conditions, private_learn_mc,
-                      private_learn_reg, stability_eta)
+                      private_learn_reg)
 from .reports import RunReport, binomial_slack, write_report
-from .stability import estimate_stability
+from .stability import estimate_stability, stability_eta
 from .thresholds import extract_thresholds_mc, extract_thresholds_reg, verify_thresholds
 from .trees import tree_to_dict
 
@@ -79,6 +79,8 @@ def _report(args) -> RunReport:
 
 
 def cmd_dim(args) -> RunReport:
+    if args.gamma is not None and args.kind != "fat":
+        raise ValueError(f"--gamma is read only by --kind fat, not {args.kind}")
     report = _report(args)
     if args.kind == "ldim":
         H = _load_class(args.input)
@@ -147,6 +149,8 @@ def cmd_adversary(args) -> RunReport:
 def cmd_thresholds(args) -> RunReport:
     report = _report(args)
     if args.gamma is not None:
+        if args.certificate:
+            raise ValueError("--certificate is read only without --gamma")
         F = _load_class(args.input, RealFunctionClass)
         fam, trace = extract_thresholds_reg(F, args.gamma)
     else:
@@ -469,12 +473,12 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         report = handler(args)
+        report.wall_clock_s = time.monotonic() - start
+        print(report.render())
+        path = write_report(report, getattr(args, "out", None))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
-    report.wall_clock_s = time.monotonic() - start
-    print(report.render())
-    path = write_report(report, getattr(args, "out", None))
     if path:
         print(f"report written to {path}")
     return 0 if report.all_pass else 1

@@ -27,7 +27,9 @@ from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
                       label_to_midpoint, row_mask, value_to_label)
 from .dimensions import DimensionReport, ldim_value, pdim
 from .seeding import as_generator, trial_rng
-from .stability import DataSource, Support, g_parameters, run_g
+from .stability import Support, stability_eta, stable_tables
+# bound only for bench/tracing.py, which wraps it under this name
+from .stability import run_g  # noqa: F401
 
 # Sample-size constants behind the O(.) bounds; calibration choices, not
 # derived quantities.  Surfaced in every pipeline result.
@@ -218,11 +220,6 @@ class PipelineResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def stability_eta(K: int, d: int) -> float:
-    """The guaranteed output frequency of the stable learner."""
-    return (K - 1) / ((d + 1) * K ** (d + 1))
-
-
 def batch_count(eta: float, beta: float, delta: float, eps: float) -> int:
     """Stable-learner batches the histogram needs at frequency eta.
 
@@ -246,15 +243,12 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
     gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
     declared (eps, delta).  Both halves are debited, and the total checked,
-    before the prune, so both returns carry them.  The run's plan is made
-    once: d, n and the cap, and one `Support` that every batch's
-    `DataSource` shares.  Batch i reads its examples from
-    `trial_rng(seed, "batch", i)`, and every batch's coins come from one
-    stream, `trial_rng(seed, "batch")`: each batch's k in one draw, then
-    the tournament labels in batch order.  Batches whose stable run fails
-    contribute a sentinel item that pruning removes.  A run of more
-    than `MAX_BATCHES` batches, over an hour at 20-250 us a batch (2-vCPU
-    host), is refused before any runs; d = 1 at K = 2**20 would need 1.4e9.
+    before the prune, so both returns carry them.  The batches are
+    `stable_tables` at alpha/2 on the "batch" stream, over one `Support`.
+    Batches whose stable run fails contribute a sentinel item that pruning
+    removes.  A run of more than `MAX_BATCHES` batches, over an hour at
+    20-250 us a batch (2-vCPU host), is refused before any runs; d = 1 at
+    K = 2**20 would need 1.4e9.
     A batch on a settled support (see `stability`) is a decided Fail or,
     at k = 0, the settled table, and costs about 1 us instead.
     """
@@ -267,7 +261,6 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
         raise ValueError(f"the private learner needs K >= 2 labels, "
                          f"got K = {H.K}")
     d = ldim_value(H, 0)
-    _, n, cap = g_parameters(H, alpha / 2.0, d)
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
     support = Support(H, D)     # the sampler refuses bad input first
@@ -276,12 +269,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     ledger = PrivacyLedger()
     half_eps = _exact_budget(priv.eps) / 2
 
-    coins = trial_rng(seed, "batch")
-    depths = coins.integers(0, d + 1, size=k)
-    items = [run_g(DataSource(support, n,
-                              functools.partial(trial_rng, seed, "batch", i)),
-                   cap, coins, int(j)).table
-             for i, j in enumerate(depths)]
+    items = stable_tables(support, alpha / 2.0, k, seed, "batch")
     fail_batches = items.count(None)
 
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),

@@ -16,11 +16,9 @@ without a seed.
 
 The package's stream paths, after the seed:
 
-    "g"                       `estimate_stability`'s coins: every trial's k,
-                              then the tournament labels in trial order
-    "g", i                    trial i's examples
-    "batch"                   `private_learn_mc`'s coins, as for "g"
-    "batch", i                batch i's examples
+    "g" / "batch" [, i]       `stability.stable_tables` for `gs` / `dp-learn`:
+                              without i every run's coins, with i run i's
+                              examples
     "hist"                    the stable histogram's noise
     "sprime"                  the selection sample
     "select"                  the exponential selection's draw

@@ -454,19 +454,22 @@ class GRunResult:
     draw_count: int
 
 
-def g_parameters(H: HypothesisClass, alpha: float, d: Optional[int] = None):
-    """(d, n, N) used by the stable learner at accuracy alpha.
-
-    n = ceil(d * ln(K) / alpha); the natural log matches the e^{-n*alpha}
-    generalization argument.  N = (4K)^(d+1) * n caps the sampler.
+def g_parameters(H: HypothesisClass, alpha: float):
+    """(d, n, N) used by the stable learner at accuracy alpha: d = Ldim_0,
+    n = ceil(d * ln(K) / alpha), where the natural log matches the
+    e^{-n*alpha} generalization argument, and the cap N = (4K)^(d+1) * n.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if d is None:
-        d = ldim_value(H, 0)
+    d = ldim_value(H, 0)
     n = math.ceil(d * math.log(H.K) / alpha)
     cap = (4 * H.K) ** (d + 1) * n
     return d, n, cap
+
+
+def stability_eta(K: int, d: int) -> float:
+    """The guaranteed output frequency of the stable learner."""
+    return (K - 1) / ((d + 1) * K ** (d + 1))
 
 
 def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
@@ -476,8 +479,7 @@ def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
     draws T are the source's next window after it, folded into the SOA_0
     state S ends in, so S is never replayed.  At k = 0 on a settled
     support, T's version space is one window mask of the closure, so the
-    settled table returns and the source is never read.  The caller draws
-    k uniformly from 0..d and takes n and the cap N from `g_parameters`.
+    settled table returns and the source is never read.
     """
     settled = data.support.settled
     if k == 0 and data.n and settled is not None:
@@ -507,27 +509,35 @@ class GsEstimate:
         return self.fail_count / self.trials
 
 
+def stable_tables(support: Support, alpha: float, runs: int, seed,
+                  stream: str) -> list:
+    """The tables of `runs` seeded runs of G on `support` at accuracy
+    alpha, in run order, None for a Fail: the one loop over runs of G.
+
+    d, n and the cap N come from `g_parameters`.  The coins are one stream,
+    `trial_rng(seed, stream)`: every run's k, uniform on 0..d, in one draw,
+    then the tournament labels in run order.  Run i reads its examples from
+    a `DataSource` over `support` on `trial_rng(seed, stream, i)`, made on
+    its first read.  `gs` runs on "g" and `dp-learn` on "batch".
+    """
+    d, n, cap = g_parameters(support.H, alpha)
+    coins = trial_rng(seed, stream)
+    ks = coins.integers(0, d + 1, size=runs)
+    return [run_g(DataSource(support, n, partial(trial_rng, seed, stream, i)),
+                  cap, coins, int(k)).table
+            for i, k in enumerate(ks)]
+
+
 def estimate_stability(H: HypothesisClass, D: FiniteDistribution, alpha: float,
                        trials: int, seed: int) -> GsEstimate:
-    """Tally exact-table equality of stable-learner outputs over seeded trials.
+    """Tally exact-table equality of `trials` runs of G on the "g" stream.
 
-    The run's plan is made once: d, n and the cap, and one `Support` that
-    every trial's `DataSource` shares.  Trial i reads its examples from
-    `trial_rng(seed, "g", i)`.  The coins are one stream, `trial_rng(seed,
-    "g")`: every trial's k in one draw, then the tournament labels in trial
-    order.  Fail outcomes are tallied separately and stay in the frequency
+    Fail outcomes are tallied separately and stay in the frequency
     denominator.  Ties for the mode break toward the smallest table.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    d, n, cap = g_parameters(H, alpha)
-    support = Support(H, D)
-    coins = trial_rng(seed, "g")
-    ks = coins.integers(0, d + 1, size=trials)
-    counts = Counter(run_g(DataSource(support, n,
-                                      partial(trial_rng, seed, "g", i)),
-                           cap, coins, int(k)).table
-                     for i, k in enumerate(ks))
+    counts = Counter(stable_tables(Support(H, D), alpha, trials, seed, "g"))
     fails = counts.pop(None, 0)
     if not counts:
         return GsEstimate(None, 0.0, trials, None, fails, counts)

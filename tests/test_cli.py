@@ -1159,8 +1159,16 @@ def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
     (["experiment"], {"command": "gs", "params": {"trials": "many"}},
      "experiment: invalid parameters for 'gs': argument --trials: invalid "
      "int value: 'many'"),
+    # an option the mode would ignore
+    (["thresholds", "--input", "{real}", "--gamma", "0.5", "--certificate",
+      "c.json"], None, "thresholds: --certificate is read only without --gamma"),
+    (["dim", "--kind", "ldim", "--gamma", "0.5", "--input", "{mc}"], None,
+     "dim: --gamma is read only by --kind fat, not ldim"),
+    (["dim", "--kind", "pdim", "--gamma", "0.5", "--input", "{real}"], None,
+     "dim: --gamma is read only by --kind fat, not pdim"),
 ], ids=["class-kind", "learner", "fat-without-gamma", "family",
-        "generator-fields", "experiment-parameters", "experiment-trials"])
+        "generator-fields", "experiment-parameters", "experiment-trials",
+        "thresholds-gamma-certificate", "ldim-gamma", "pdim-gamma"])
 def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     paths = {"mc": tmp_path / "thr.json", "real": tmp_path / "real.json"}
     classfile.save_class(threshold_class(3), paths["mc"])
@@ -1175,6 +1183,24 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     err = capsys.readouterr().err
     # one line: no argparse usage block
     assert err.count("\n") == 1 and f"error: {message.format(**paths)}" in err
+
+
+@pytest.mark.parametrize("out, report_dir", [
+    ("nonexistent/r.json", None), (".", None), (None, "thr3.json"),
+], ids=["missing-directory", "out-is-a-directory", "report-dir-is-a-file"])
+def test_unwritable_report_exits_2(tmp_path, capsys, monkeypatch, out,
+                                   report_dir):
+    # the run completes, then its report cannot be written: exit 2, the
+    # code of a refused input, not 1, that of a failed verdict
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(threshold_class(3), "thr3.json")
+    if report_dir:
+        monkeypatch.setenv("TOLERANTLEARN_REPORT_DIR", report_dir)
+    argv = ["dim", "--input", "thr3.json"] + (["--out", out] if out else [])
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: dim: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("k", [0, 4, 99])

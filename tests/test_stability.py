@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from .conftest import inverse_cdf_draws
 from tolerantlearn import privacy, stability
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    TolerantZeroOne, evaluate_loss)
+from tolerantlearn.dimensions import ldim_value
 from tolerantlearn.generators import (complete_binary, constants_class,
                                       threshold_class)
 from tolerantlearn.online import soa_final_predictor, soa_run
@@ -200,10 +203,19 @@ def sample(k, D, H, n, N, data, coins):
     return sample_dk_mc(k, source(H, D, n, data), N, coins)
 
 
+def pinned_parameters(H, alpha, d=None):
+    """`g_parameters` with d pinned: n = ceil(d ln K / alpha) and the cap
+    N = (4K)^(d+1) n by the formula.  Without d, the library's own."""
+    if d is None:
+        return g_parameters(H, alpha)
+    n = math.ceil(d * math.log(H.K) / alpha)
+    return d, n, (4 * H.K) ** (d + 1) * n
+
+
 def run_g_drawn(H, D, alpha, data, coins, d=None):
-    """`run_g` at `g_parameters`' n and cap, with k drawn from the coins
-    first, as the trial and batch loops draw it."""
-    d, n, cap = g_parameters(H, alpha, d)
+    """`run_g` at n and the cap for d, by default Ldim_0, with k drawn
+    from the coins first, as `stable_tables` draws it."""
+    d, n, cap = pinned_parameters(H, alpha, d)
     coins = as_generator(coins)
     k = int(coins.integers(0, d + 1))
     return run_g(source(H, D, n, data), cap, coins, k)
@@ -534,7 +546,7 @@ def run_g_with_streams(H, D, alpha, seed, d):
     """A run of G, the coins' state after it and the data source's next
     window after it."""
     data, coins = streams(seed)
-    d, n, cap = g_parameters(H, alpha, d)
+    d, n, cap = pinned_parameters(H, alpha, d)
     src = source(H, D, n, data)
     res = run_g(src, cap, coins, int(coins.integers(0, d + 1)))
     return res, coins.bit_generator.state, src.take()
@@ -730,6 +742,7 @@ def test_support_decision_matches_reference(K, rows, dom, data, limit, seed):
 def test_g_parameters_three_constants():
     H = constants_class(3, 3)
     assert g_parameters(H, 0.1) == (1, 11, 1584)
+    assert pinned_parameters(H, 0.1, 1) == (1, 11, 1584)
 
 
 def test_singleton_class_returns_its_hypothesis():
@@ -771,7 +784,7 @@ def reference_run_g(H, D, alpha, data, coins, d=None, k=None):
     """The stable learner as defined: k from the coins (unless given), the
     sample S by `reference_sample`, then the tail T as the data generator's
     next n draws, and SOA_0 replayed over S o T from scratch."""
-    d, n, cap = g_parameters(H, alpha, d)
+    d, n, cap = pinned_parameters(H, alpha, d)
     data, coins = as_generator(data), as_generator(coins)
     if k is None:
         k = int(coins.integers(0, d + 1))
@@ -928,3 +941,49 @@ def test_settled_private_learner_makes_four_streams(monkeypatch):
     assert not res.failed
     assert made == [(11, "batch"), (11, "hist"), (11, "sprime"),
                     (11, "select")]
+
+
+def hand_loop(H, D, alpha, runs, seed, stream):
+    """Runs of G written out from their definition: n and N by the formula
+    at d = Ldim_0, every run's k from one draw of the coin stream
+    `trial_rng(seed, stream)`, and run i's examples from `trial_rng(seed,
+    stream, i)`."""
+    d, n, cap = pinned_parameters(H, alpha, ldim_value(H, 0))
+    support = Support(H, D)
+    coins = trial_rng(seed, stream)
+    ks = coins.integers(0, d + 1, size=runs)
+    return [run_g(DataSource(support, n, trial_rng(seed, stream, i)), cap,
+                  coins, int(k)).table for i, k in enumerate(ks)]
+
+
+def test_unsettled_estimate_follows_the_stream_protocol():
+    # tournaments succeed below the top k here, so the coins draw labels
+    H = threshold_class(7)
+    D = FiniteDistribution.uniform(H, 4)
+    assert Support(H, D).settled is None
+    tables = Counter(hand_loop(H, D, 0.1, 40, 3, "g"))
+    fails = tables.pop(None, 0)
+    est = estimate_stability(H, D, 0.1, 40, 3)
+    assert dict(est.counts) == dict(tables)
+    assert est.fail_count == fails
+    assert 0 < fails < 40
+
+
+def test_unsettled_private_learner_follows_the_stream_protocol(monkeypatch):
+    # the histogram's input is the batch tables of the "batch" stream at
+    # alpha / 2, in batch order
+    H = threshold_class(3)
+    D = FiniteDistribution.uniform(H, 2)
+    assert Support(H, D).settled is None
+    seen = []
+    histogram = privacy.stable_histogram
+
+    def recording(items, priv, seed):
+        seen.append(list(items))
+        return histogram(items, priv, seed)
+
+    monkeypatch.setattr(privacy, "stable_histogram", recording)
+    res = private_learn_mc(H, D, PrivacyParams(0.9, 0.01), 0.2, 0.2, 11)
+    assert len(seen) == 1 and len(seen[0]) == res.num_batches
+    assert seen[0] == hand_loop(H, D, 0.1, res.num_batches, 11, "batch")
+    assert 0 < res.fail_batches < res.num_batches
