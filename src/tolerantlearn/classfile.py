@@ -13,7 +13,11 @@ layout `save_class` writes for K <= 9, is read in place at fixed stride
 thresholds-cb16 benchmark's 65,536 x 16 file loads in about 25 ms instead
 of 0.13-0.18 s on a 2-vCPU host.  A label of two or more digits, or an
 indented, reordered or real class file, goes through `json`, and the class
-is the same either way.
+is the same either way.  Likewise a one-line multiclass certificate file,
+the layout `save_certificate` writes, has its header parsed alone and its
+list bodies checked byte by byte, then parsed by numpy (`_one_line_tree`):
+the benchmark's 65,535-node certificate loads in about 7 ms instead of
+21 ms.  Any other certificate goes through `json`, to the same tree.
 A malformed document is a ValueError naming the file and the key.
 """
 
@@ -42,7 +46,7 @@ def _dump(doc: dict, path, indent: int | None = 2) -> None:
 
 
 def read_json_object(path, expected: str | None = None, lists=(),
-                     text: str | None = None) -> dict:
+                     text: str | bytes | None = None) -> dict:
     """The JSON object at `path` (parsed from `text` if the caller has read
     the file), of format `expected` unless that is None, whose keys `lists`
     hold JSON lists."""
@@ -80,8 +84,32 @@ def save_class(cls, path) -> None:
            "rows": cls.table.tolist()}, path, indent=None)
 
 
+def _one_line_head(data: bytes, key: bytes, tail: bytes, keys: list,
+                   fmt: str):
+    """(header, body start, body end) of a one-line multiclass file of
+    format `fmt`, or None.  `data`, less JSON's trailing whitespace, must
+    end in `tail`, and its text before the first `key` must parse on its
+    own to a header of `keys`, in that order, whose kind is "multiclass".
+    The body runs from `key` to `tail`."""
+    end = len(data)
+    while end and data[end - 1] in b" \t\n\r":    # JSON's whitespace only
+        end -= 1
+    if not data.endswith(tail, 0, end):
+        return None
+    try:
+        cut = data.index(key)
+        # "}" closes the header only if the cut is a key of the top object,
+        # and JSON ending in "}" is an object
+        head = json.loads(data[:cut].decode() + "}")
+    except (ValueError, RecursionError):   # no such key, or no such header
+        return None
+    if list(head) != keys or head["format"] != fmt or head["kind"] != "multiclass":
+        return None
+    return head, cut + len(key), end - len(tail)
+
+
 _ROWS_KEY = b', "rows": [['
-_HEAD_KEYS = ["format", "kind", "K", "domain_size"]
+_CLASS_HEAD_KEYS = ["format", "kind", "K", "domain_size"]
 _ROW_GAP = b"], ["
 
 
@@ -97,27 +125,16 @@ def _one_line_rows(data: bytes):
     1..K, so one of two or more digits sends the file to `json`.  A
     65,536 x 16 file takes about 4 ms, 30 ms before this reader (2-vCPU).
     """
-    end = len(data)
-    while end and data[end - 1] in b" \t\n\r":    # JSON's whitespace only
-        end -= 1
-    if not data.endswith(b"]]}", 0, end):
+    found = _one_line_head(data, _ROWS_KEY, b"]]}", _CLASS_HEAD_KEYS,
+                           CLASS_FORMAT)
+    if found is None:
         return None
-    try:
-        cut = data.index(_ROWS_KEY)
-        # "}" closes the header only if the cut is a key of the top object,
-        # and JSON ending in "}" is an object
-        head = json.loads(data[:cut].decode() + "}")
-    except (ValueError, RecursionError):   # no such key, or no such header
-        return None
-    if (list(head) != _HEAD_KEYS or head["format"] != CLASS_FORMAT
-            or head["kind"] != "multiclass"):
-        return None
+    head, start, end = found
     K, width = head["K"], head["domain_size"]
     if type(K) is not int or type(width) is not int or width < 1:
         return None
-    gap = len(_ROW_GAP)
-    start, stride = cut + len(_ROWS_KEY), 3 * width + 2   # a row and a gap
-    rows, extra = divmod(end - len(b"]]}") - start + gap, stride)
+    gap, stride = len(_ROW_GAP), 3 * width + 2   # a row and a gap
+    rows, extra = divmod(end - start + gap, stride)
     if extra or rows < 1:
         return None
     # read-only views of the body, which numpy checks lie inside `data`
@@ -146,6 +163,7 @@ def load_class(path):
     fast = _one_line_rows(data)
     kind, param, rows = (("multiclass", *fast) if fast is not None
                          else _parse_class(path, data))
+    del data    # no route's rows view the bytes: drop them before the peak
     try:
         if kind == "multiclass":
             return HypothesisClass(param, rows)
@@ -226,9 +244,79 @@ def save_certificate(tree: MistakeTree, path, params: dict | None = None) -> Non
           path, indent=None)
 
 
+_X_KEY = b', "x": ['
+_CERT_HEAD_KEYS = ["format", "params", "kind"]
+_LABEL_KEYS = (b'], "left_label": [', b'], "right_label": [')
+# every byte of a list body as "0" (a digit), "," or " ", else "#"
+_SHAPE = bytes(ord("0") if b in b"0123456789" else b if b in b", " else ord("#")
+               for b in range(256))
+
+
+def _int_list(body: bytes):
+    """The int64 array of the JSON list body `body`, if it is non-negative
+    integers below 10^17 without leading zeros, each after the first after
+    ", "; else None.  The bytes are checked before numpy parses them, as
+    `np.fromstring` reads "1, , 2" as [1, 0, 2] and stops at "1 2" with a
+    warning or an error, by numpy version."""
+    shape = body.translate(_SHAPE)
+    gaps = shape.count(b",")
+    if (not shape.startswith(b"0") or b"#" in shape
+            # each comma starts ", " and a value; there are no other spaces
+            or shape.count(b", 0") != gaps or shape.count(b" ") != gaps
+            or body[0] == ord("0") and shape[1:2] == b"0"
+            or b" 0" in body and (body.count(b" 0") != body.count(b" 0,")
+                                  + body.endswith(b" 0"))):
+        return None
+    values = np.fromstring(body, np.int64, sep=",")
+    # parsing saturates at 2^63 - 1, so the bound refuses every longer value
+    if len(values) != gaps + 1 or values.max() >= 10**17:
+        return None
+    return values
+
+
+def _one_line_tree(data: bytes):
+    """The multiclass tree of a certificate file in the one-line layout
+    `save_certificate` writes, or None.
+
+    Never raises, and returns only what the json route would build.  The
+    header must parse on its own to `save_certificate`'s three keys in its
+    order, of a multiclass tree; then come the `x`, `left_label` and
+    `right_label` bodies, each read by `_int_list`, of one length 2^h - 1.
+    The thresholds-cb16 benchmark's 65,535-node file takes about 7 ms,
+    21 ms through `json` (2-vCPU).
+    """
+    found = _one_line_head(data, _X_KEY, b"]}", _CERT_HEAD_KEYS, CERT_FORMAT)
+    if found is None:
+        return None
+    _, start, end = found
+    bodies = []
+    for key in _LABEL_KEYS:
+        stop = data.find(key, start, end)
+        if stop < 0:
+            return None
+        bodies.append(data[start:stop])
+        start = stop + len(key)
+    bodies.append(data[start:end])
+    lists = [_int_list(body) for body in bodies]
+    if any(values is None for values in lists):
+        return None
+    n = len(lists[0])
+    if n & (n + 1) or {len(values) for values in lists} != {n}:
+        return None
+    return MistakeTree(*lists)
+
+
 def load_certificate(path) -> MistakeTree:
-    """A certificate tree; a list of the wrong length or type is a ValueError."""
-    doc = read_json_object(path, CERT_FORMAT, lists=("x",))
+    """A certificate tree.  A one-line multiclass file, the layout
+    `save_certificate` writes, is read by `_one_line_tree`; any other
+    file, and every malformed one, is parsed by `json`, where a list of the
+    wrong length or type is a ValueError."""
+    data = Path(path).read_bytes()
+    tree = _one_line_tree(data)
+    if tree is not None:
+        return tree
+    doc = read_json_object(path, CERT_FORMAT, lists=("x",), text=data)
+    del data    # as in `load_class`: the bytes need not outlive the parse
     try:
         return tree_from_dict(doc)
     except ValueError as exc:

@@ -9,7 +9,8 @@ re-checks the family pattern from its definition.
 The monochromatic search runs on the tree's heap-order arrays: a coloring is
 one color per node, the (node, color) table is filled bottom-up one depth
 level (`trees.level`) at a time, and the subtree is gathered top-down a
-level at a time.
+level at a time, each chosen node found by a descent that the table's
+branch maxima steer, without another sweep of the tree.
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ def max_mono_subtree(tree: MistakeTree, coloring):
     (color, subtree) where the subtree's nodes keep their original
     instances and edge labels.
 
-    The (node, color) table is filled bottom-up one depth level at a time.
-    The subtree is then gathered top-down a level at a time: below each
-    chosen node, the child on each side is the first node in preorder in
-    that branch whose subtree of the color is tall enough.
+    The (node, color) table is filled bottom-up one depth level at a time,
+    with `best`, the max of m over each branch.  The subtree is then
+    gathered top-down a level at a time: below each chosen node, the child
+    on each side is the first node in preorder in that branch whose subtree
+    of the color is tall enough, found by a descent from the branch's top
+    that keeps a node v if m[v] >= h, else goes left if best[left] >= h,
+    else right; each level's descents run together.
     """
     coloring = np.asarray(coloring)
     if tree.height == 0:
@@ -57,35 +61,33 @@ def max_mono_subtree(tree: MistakeTree, coloring):
     colors, own = np.unique(coloring, return_inverse=True)
     own = own[:, None] == np.arange(len(colors))
     n = len(coloring)
-    depths = range(tree.height - 1, -1, -1)
     m = np.zeros((n, len(colors)), np.int64)   # best c-subtree rooted at v
     # max of m under v; the rows past n stand for the absent children of leaves
     best = np.zeros((2 * n + 1, len(colors)), np.int64)
-    for d in depths:
+    for d in range(tree.height - 1, -1, -1):
         ids, (lefts, rights) = level(d), children(d)
         bl, br = best[lefts], best[rights]
         m[ids] = mv = np.where(own[ids], 1 + np.minimum(bl, br), 0)
         best[ids] = np.maximum(mv, np.maximum(bl, br))
     ci = int(best[0].argmax())                 # first maximum: smallest color
     top = int(best[0, ci])
+    m, best = m[:, ci], best[:, ci]
 
-    def first_reaching(h):
-        """For each id, the first id of its subtree in preorder with
-        m >= h (-1 if none): the node itself, else its left branch's,
-        else its right branch's."""
-        first = np.full(2 * n + 1, -1)
-        for d in depths:
-            ids, (lefts, rights) = level(d), children(d)
-            fl, fr = first[lefts], first[rights]
-            first[ids] = np.where(m[ids, ci] >= h, np.arange(ids.start, ids.stop),
-                                  np.where(fl >= 0, fl, fr))
-        return first
+    def first_reaching(ids, h):
+        """Moves each id, whose branch holds a node with m >= h, in place
+        to the first such node of the branch in preorder: the node itself,
+        else the first of its left branch if that holds one (best >= h),
+        else the first of its right branch."""
+        while (low := m[ids] < h).any():
+            down = ids[low]
+            ids[low] = child(down, best[child(down, False)] < h)
+        return ids
 
-    chosen = [first_reaching(top)[:1]]         # heap order, level by level
+    chosen = [first_reaching(np.zeros(1, np.int64), top)]   # level by level
     for h in range(top - 1, 0, -1):
-        nxt, above = first_reaching(h), chosen[-1]
-        chosen.append(np.stack((nxt[child(above, False)], nxt[child(above, True)]),
-                               axis=1).ravel())
+        above = chosen[-1]
+        chosen.append(first_reaching(
+            np.stack((child(above, False), child(above, True)), axis=1).ravel(), h))
     return int(colors[ci]), tree.take(np.concatenate(chosen))
 
 

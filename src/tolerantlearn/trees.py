@@ -192,14 +192,17 @@ def _check(cls, tree: MistakeTree, edges, unrealized, *faults):
         i = bad[preorder_rank(tree.height)[bad].argmin()]
         return False, next(message(i) for b, message in faults if b[i])
 
-    rows = np.arange(cls.num_rows)
-    at = np.zeros(cls.num_rows, np.int64)    # node each surviving row sits at
+    # each surviving row as the flat offset of its first value, and its node
+    table, width = cls.table.ravel(), cls.domain_size
+    rows = np.arange(0, cls.num_rows * width, width)
+    at = np.zeros(cls.num_rows, np.int64)
     for _ in range(tree.height - 1):
-        go_left, go_right = edges(cls.table[rows, xs[at]], at)
+        go_left, go_right = edges(table[rows + xs[at]], at)
+        at = child(at, go_right)
         moving = go_left | go_right
-        rows = rows[moving]
-        at = child(at, go_right)[moving]
-    go_left, go_right = edges(cls.table[rows, xs[at]], at)
+        if not moving.all():
+            rows, at = rows[moving], at[moving]
+    go_left, go_right = edges(table[rows + xs[at]], at)
     # the last level's heap order is its preorder
     leaves = level(tree.height - 1)
     reached = np.zeros((leaves.stop - leaves.start, 2), bool)

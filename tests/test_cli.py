@@ -293,14 +293,16 @@ def test_certificate_round_trip(tmp_path):
 
 
 @st.composite
-def heap_trees(draw):
+def heap_trees(draw, values=int64s):
+    """A real or multiclass tree whose instances and edge labels are drawn
+    by `values`."""
     n = 2 ** draw(st.integers(0, 6)) - 1
-    x = draw(st.lists(int64s, min_size=n, max_size=n))
+    x = draw(st.lists(values, min_size=n, max_size=n))
     if draw(st.booleans()):
         return MistakeTree(x, witness=draw(st.lists(
             st.floats(allow_nan=False, allow_infinity=False),
             min_size=n, max_size=n)))
-    labels = st.lists(int64s, min_size=n, max_size=n)
+    labels = st.lists(values, min_size=n, max_size=n)
     return MistakeTree(x, draw(labels), draw(labels))
 
 
@@ -381,6 +383,165 @@ def test_edited_certificate_loads_as_json_reads_or_exits_2(tmp_path, thr_file,
             assert json.dumps(got) == json.dumps([float(v) for v in doc[f]])
         else:
             assert got == doc[f]
+
+
+def cert_routes(path):
+    """What `load_certificate` makes of `path` with its one-line reader and
+    through json alone: each the tree's arrays, or its error."""
+    def outcome():
+        try:
+            tree = classfile.load_certificate(path)
+        except ValueError as exc:
+            return str(exc)
+        return [(f, getattr(tree, f).dtype, getattr(tree, f).tobytes())
+                for f in tree.fields]
+
+    fast = outcome()
+    with mock.patch.object(classfile, "_one_line_tree", lambda data: None):
+        return fast, outcome()
+
+
+# What an edit writes in place of one list entry: a value json refuses, one
+# the one-line reader leaves to json, or a break in the ", " layout.
+LIST_TOKENS = [b"00", b"01", b"-0", b"-1", b"+1", b"1.0", b"2.5", b"1e2",
+               b"true", b"false", b"null", b"", b" 1", b"1 ", b"1,", b",1",
+               b"1, , 1", b"1,1", b"1 ,1", b"1,  1", b"\t1", b"\xb2",
+               b"\xef\xbc\x91", b"99999999999999999", b"100000000000000000",
+               b"9223372036854775807", b"9223372036854775808", b"1" * 20]
+LIST_ENTRY = rb"(?<=[\[ ])-?[0-9]+(?=[,\]])"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=heap_trees(st.integers(0, 20) | st.integers(0, 10**17 - 1)),
+       data=st.data())
+def test_one_line_certificate_reader_matches_json_route(tmp_path, tree, data):
+    # the one-line reader may decline a file, but whatever it returns the
+    # json route returns too, and the json route makes every error
+    path = tmp_path / "cert.json"
+    classfile.save_certificate(tree, path,
+                               params=data.draw(st.sampled_from([{}, {"tau": 0}])))
+    doc = path.read_bytes()
+    entries = [m.span() for m in re.finditer(LIST_ENTRY, doc)]
+    edit = data.draw(st.sampled_from(["none", "entry", "file"]))
+    if edit == "entry" and entries:
+        i, j = data.draw(st.sampled_from(entries))
+        doc = doc[:i] + data.draw(st.sampled_from(LIST_TOKENS)) + doc[j:]
+    elif edit == "file":
+        doc = _cert_edits(doc, data)
+    path.write_bytes(doc)
+    event("one line" if classfile._one_line_tree(doc) is not None else "json")
+    fast, ref = cert_routes(path)
+    assert fast == ref
+
+
+@pytest.mark.parametrize("x, left, right", [
+    ([0], [1], [2]), ([3, 10, 0], [1, 12, 1], [20, 2, 305])])
+def test_one_line_certificate_reader_checks_every_body_byte(tmp_path, x, left,
+                                                             right):
+    # each byte of the list bodies replaced in turn, by a digit, a
+    # separator's byte or a byte of another JSON value: the one-line reader
+    # declines the file or builds what json builds, error for error
+    path = tmp_path / "cert.json"
+    classfile.save_certificate(MistakeTree(x, left, right), path)
+    doc = path.read_bytes()
+    assert classfile._one_line_tree(doc) is not None
+    start, end = doc.index(b'"x": [') + len(b'"x": ['), doc.rindex(b"]}")
+    for i in range(start, end):
+        for byte in (b"0", b"1", b"9", b",", b" ", b"]", b"[", b'"', b"-",
+                     b".", b"e", b"\t", b"A", b"\xff"):
+            path.write_bytes(doc[:i] + byte + doc[i + 1:])
+            fast, ref = cert_routes(path)
+            assert fast == ref, (i, byte)
+
+
+def cert_text(x="0", left="1", right="2"):
+    """A one-line multiclass certificate with these list bodies."""
+    return ('{"format": "certfile/2", "params": {}, "kind": "multiclass", '
+            f'"x": [{x}], "left_label": [{left}], "right_label": [{right}]}}\n')
+
+
+def test_cert_text_is_the_saved_layout(tmp_path):
+    path = tmp_path / "cert.json"
+    classfile.save_certificate(MistakeTree([0, 10, 2], [1, 1, 1], [2, 2, 2]),
+                               path)
+    assert path.read_text() == cert_text("0, 10, 2", "1, 1, 1", "2, 2, 2")
+
+
+@pytest.mark.parametrize("x, left, right, read_by", [
+    ("0, 10, 2", "1, 1, 1", "2, 2, 2", "one line"),
+    ("0", "1", "2", "one line"),
+    ("7", "1", "2", "one line"),                     # outside most domains
+    ("99999999999999999", "1", "2", "one line"),     # 10^17 - 1
+    ("01", "1", "2", "Expecting ',' delimiter"),     # leading zeros
+    ("0, 1, 02", "1, 1, 1", "2, 2, 2", "Expecting ',' delimiter"),
+    ("0", "00", "2", "Expecting ',' delimiter"),
+    ("-1", "1", "2", "json"),
+    ("0", "1", "-2", "json"),
+    ("100000000000000000", "1", "2", "json"),        # 10^17
+    ("9223372036854775807", "1", "2", "json"),       # 2^63 - 1
+    ("9223372036854775808", "1", "2", "does not fit in 64 bits"),   # 2^63
+    ("0", "1", "1" * 20, "does not fit in 64 bits"),
+    ("true", "1", "2", "must list numbers of type int"),
+    ("0", "1", "false", "must list numbers of type int"),
+    ("2.5", "1", "2", "must list numbers of type int"),
+    ("0", "1.0", "2", "must list numbers of type int"),
+    ("0, 1", "1, 1", "2, 2", "do not make a complete tree"),
+    ("0, 1, 1", "1, 1", "2, 2, 2", "1-D of one length"),
+    ("0, , 2", "1, 1, 1", "2, 2, 2", "Expecting value"),    # an empty entry
+    ("0, 1, 2", "1, 1, 1", ", 2, 2", "Expecting value"),
+    ("0, 1, 2,", "1, 1, 1", "2, 2, 2", "cert.json: "),   # worded by Python
+    ("0,1, 2", "1, 1, 1", "2, 2, 2", "json"),          # JSON, not the layout
+    ("0, 1 , 2", "1, 1, 1", "2, 2, 2", "json"),
+    ("0, 1,  2", "1, 1, 1", "2, 2, 2", "json"),
+    ("0, 1 2", "1, 1, 1", "2, 2, 2", "Expecting ',' delimiter"),
+    ("", "", "", "json"),                            # the empty tree
+])
+def test_one_line_certificate_reader_cases(tmp_path, x, left, right, read_by):
+    # what the one-line reader reads, and what it leaves to json, which
+    # loads the file or names its fault
+    path = tmp_path / "cert.json"
+    path.write_text(cert_text(x, left, right))
+    assert ((classfile._one_line_tree(path.read_bytes()) is not None)
+            == (read_by == "one line"))
+    fast, ref = cert_routes(path)
+    assert fast == ref
+    if read_by in ("one line", "json"):
+        assert not isinstance(fast, str), fast
+    else:
+        assert isinstance(fast, str) and read_by in fast
+
+
+def test_certificate_reader_leaves_other_layouts_to_json(tmp_path):
+    path = tmp_path / "cert.json"
+    tree = MistakeTree([0, 1, 1], [1, 1, 1], [2, 3, 2])
+    classfile.save_certificate(tree, path, params={"tau": 0})
+    doc = json.loads(path.read_text())
+    keys = ["format", "params", "kind", "x", "right_label", "left_label"]
+    layouts = [json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":")),
+               json.dumps({k: doc[k] for k in keys}),
+               json.dumps({k: doc[k] for k in ["kind", *keys[:2], *keys[3:]]})]
+    for text in layouts:
+        path.write_text(text)
+        assert classfile._one_line_tree(path.read_bytes()) is None
+        assert tree_to_dict(classfile.load_certificate(path)) == tree_to_dict(tree)
+    real = MistakeTree([0, 1, 1], witness=[0.5, 0.0, 1.0])
+    classfile.save_certificate(real, path)
+    assert classfile._one_line_tree(path.read_bytes()) is None
+    assert tree_to_dict(classfile.load_certificate(path)) == tree_to_dict(real)
+
+
+@pytest.mark.parametrize("x", ["-1", "7"])
+def test_certificate_instance_outside_domain_exits_2(tmp_path, thr_file,
+                                                      capsys, x):
+    # a negative instance loads through json and one past the domain on
+    # one line; `thresholds` names either when it checks the tree
+    path = tmp_path / "cert.json"
+    path.write_text(cert_text(x))
+    assert classfile.load_certificate(path).x.tolist() == [int(x)]
+    assert run_cli("thresholds", "--input", thr_file, "--certificate", path,
+                   "--out", tmp_path / "fam.json") == 2
+    assert f"instance {x} outside the domain" in capsys.readouterr().err
 
 
 @st.composite

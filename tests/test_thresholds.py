@@ -596,6 +596,35 @@ def test_check_mc_tree_matches_reference(height, K, data, faults, seed):
         assert tree_to_dict(sub) == tree_to_dict(ref_sub)
 
 
+@pytest.mark.parametrize("height", [6, 7, 8, 9])
+def test_mono_subtree_matches_reference_on_taller_trees(height):
+    # colorings where one color is rare: a rare winner's tall subtrees sit
+    # deep, and rare nodes break a common color's, so the descent to a
+    # chosen node walks several levels (node i has instance i, so a chosen
+    # node's depth shows in the subtree)
+    n = 2**height - 1
+    tree = MistakeTree(np.arange(n), np.ones(n, int), np.full(n, 2))
+    depth = [(v + 1).bit_length() - 1 for v in range(n)]
+    walked = 0
+    for seed in range(6):
+        rng = trial_rng(seed, "rare", height)
+        for rare, colors in ((0.05, (1, 2)), (0.2, (1, 2)), (0.1, (3, 1, 2)),
+                             (0.7, (2, 1))):
+            common = rng.integers(1, len(colors), n)
+            coloring = np.where(rng.random(n) < rare, colors[0],
+                                np.asarray(colors)[common])
+            color, sub = max_mono_subtree(tree, coloring)
+            ref_color, ref_sub = reference_max_mono_subtree(tree, coloring)
+            assert color == ref_color
+            assert tree_to_dict(sub) == tree_to_dict(ref_sub)
+            # levels from each chosen node's chosen parent (the root's at -1)
+            ids = sub.x.tolist()
+            walked = max(walked, depth[ids[0]] + 1,
+                         *(depth[ids[i]] - depth[ids[(i - 1) // 2]]
+                           for i in range(1, len(ids))))
+    assert walked >= 3
+
+
 def test_single_faults_are_named_like_the_reference():
     # every fault kind, alone, on trees of every height: the same message
     rng = np.random.default_rng(11)
@@ -625,6 +654,17 @@ def test_check_mc_tree_names_faults_in_documented_order():
     assert check_mc_tree(H, tree, 0) == (False, "label 3 outside 1..2")
     tree.x[1] = 5
     assert check_mc_tree(H, tree, 0) == (False, "instance 5 outside the domain")
+
+
+def test_check_mc_tree_drops_a_row_off_both_edges():
+    # row [3, 2] follows neither root edge; carried on below the root it
+    # would realize the left child's right edge, which no other row does
+    tree = MistakeTree([0, 1, 1], [1, 1, 1], [2, 2, 2])
+    H = HypothesisClass(3, [[1, 1], [2, 1], [2, 2], [3, 2]])
+    assert check_mc_tree(H, tree, 0) == (
+        False, "path ending with (1 -> 2) is realized by no hypothesis")
+    assert check_mc_tree(HypothesisClass(3, [*H.table, [1, 2]]), tree, 0) == (
+        True, "ok")
 
 
 def test_check_mc_tree_rejects_negative_tolerance():
