@@ -181,17 +181,7 @@ class HypothesisClass:
         # a huge K admits float or uint64 labels that int64 cannot hold
         if raw.dtype.kind != "i" and raw.max() >= 2.0 ** 63:
             raise ValueError("labels must lie below 2**63")
-        self._fill(K, *_dedup_rows(raw.astype(np.int64, copy=False)))
-
-    @classmethod
-    def _of_distinct_rows(cls, K: int, table: np.ndarray) -> "HypothesisClass":
-        """The class of an int64 table whose rows are distinct and in 1..K,
-        such as rows taken from a class's table: no checks, no dedup."""
-        self = cls.__new__(cls)
-        self._fill(K, table, np.arange(len(table)))
-        return self
-
-    def _fill(self, K: int, arr: np.ndarray, row_map: np.ndarray) -> None:
+        arr, row_map = _dedup_rows(raw.astype(np.int64, copy=False))
         arr.setflags(write=False)
         self.K = int(K)
         self.table = arr

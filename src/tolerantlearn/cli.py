@@ -81,6 +81,8 @@ def _report(args) -> RunReport:
 def cmd_dim(args) -> RunReport:
     if args.gamma is not None and args.kind != "fat":
         raise ValueError(f"--gamma is read only by --kind fat, not {args.kind}")
+    if args.tolerance and args.kind != "ldim":
+        raise ValueError(f"--tolerance is read only by --kind ldim, not {args.kind}")
     report = _report(args)
     if args.kind == "ldim":
         H = _load_class(args.input)
@@ -151,6 +153,8 @@ def cmd_thresholds(args) -> RunReport:
     if args.gamma is not None:
         if args.certificate:
             raise ValueError("--certificate is read only without --gamma")
+        if args.tolerance:
+            raise ValueError("--tolerance is read only without --gamma")
         F = _load_class(args.input, RealFunctionClass)
         fam, trace = extract_thresholds_reg(F, args.gamma)
     else:

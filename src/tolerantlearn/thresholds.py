@@ -1,10 +1,11 @@
 """Threshold-family extraction from shattered trees.
 
 One refinement step colors a shattered tree by a hypothesis, descends into
-the tallest monochromatic subtree and restricts the class by the chosen
-edge label.  Iterating the step and keeping the longest run with a constant
-label pair yields a family of two-block threshold functions; a verifier
-re-checks the family pattern from its definition.
+the tallest monochromatic subtree and keeps the rows of the input class
+that carry the chosen edge label.  Iterating the step and keeping the
+longest run with a constant label pair yields a family of two-block
+threshold functions; a verifier re-checks the family pattern from its
+definition.
 
 The monochromatic search runs on the tree's heap-order arrays: a coloring is
 one color per node, the (node, color) table is filled bottom-up one depth
@@ -100,14 +101,19 @@ class ChooseResult:
     k: int                     # color of the tallest monochromatic subtree
     k_prime: int               # edge label at its root with 2|k - k'| > tau
     x0: int                    # root instance of the monochromatic subtree
-    restricted: HypothesisClass
-    restricted_rows: np.ndarray  # positions of the surviving rows in the input
+    rows: np.ndarray           # the given rows labeled k' at x0, in order
     subtree: MistakeTree
 
 
-def color_and_choose(H: HypothesisClass, tree: MistakeTree,
+def color_and_choose(H: HypothesisClass, rows: np.ndarray, tree: MistakeTree,
                      tau: int) -> ChooseResult:
     """One coloring/descent step on a tolerance-tau shattered tree.
+
+    `rows` index `H.table` and must shatter the tree at tolerance tau,
+    which the step does not check; the tree is colored by row rows[0].
+    The returned rows shatter the returned subtree: its paths, after the
+    chosen edge, are paths of the monochromatic subtree, and those extend
+    to paths of the given tree.
 
     The gap test at the chosen edge is 2|k - k'| > tau, the integer form of
     |k - k'| > tau/2.  When both edges qualify the left one wins: the
@@ -115,12 +121,8 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree,
     """
     if tree.height < 1:
         raise ValueError("need a shattered tree of height >= 1")
-    ok, msg = check_mc_tree(H, tree, tau)
-    if not ok:
-        raise ValueError(f"input tree is not shattered at tolerance {tau}: {msg}")
 
-    # color by row 0 of the input
-    k, mono = max_mono_subtree(tree, color_by_hypothesis(tree, H.table[0]))
+    k, mono = max_mono_subtree(tree, color_by_hypothesis(tree, H.table[rows[0]]))
     x0 = int(mono.x[0])
 
     # (edge label, which edge) at the subtree's root
@@ -132,13 +134,10 @@ def color_and_choose(H: HypothesisClass, tree: MistakeTree,
         raise AssertionError("no edge label clears the tau/2 gap")
     k_prime, right = options[0]
 
-    sel = np.flatnonzero(H.table[:, x0] == k_prime)
-    if sel.size == 0:
+    kept = rows[H.table[rows, x0] == k_prime]
+    if kept.size == 0:
         raise AssertionError("shattered tree admits no hypothesis on the chosen edge")
-    # rows of a deduplicated table are distinct
-    restricted = HypothesisClass._of_distinct_rows(H.K, H.table[sel])
-    subtree = mono.subtree(child(0, right))
-    return ChooseResult(k, k_prime, x0, restricted, sel, subtree)
+    return ChooseResult(k, k_prime, x0, kept, mono.subtree(child(0, right)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +235,23 @@ def extract_thresholds_mc(H: HypothesisClass, tau: int,
     Returns (family, trace).  The family is the longest subsequence of steps
     sharing one (k, k') pair; its gap is tau, and `meta["row_ids"]` names
     the rows of H its functions are.  With no tree supplied the
-    tolerance-2*tau certificate is computed by `ldim_tau`.
+    tolerance-2*tau certificate is computed by `ldim_tau`.  The tree is
+    checked once, here: each step's pair is shattered by construction.
     """
     if tree is None:
         tree = ldim_tau(H, 2 * tau).certificate
+    ok, msg = check_mc_tree(H, tree, 2 * tau)
+    if not ok:
+        raise ValueError(f"input tree is not shattered at tolerance {2 * tau}: {msg}")
     trace = ExtractionTrace()
-    row_ids = np.arange(H.num_rows)
-    cur_H, cur_T = H, tree
-    by_pair = {}  # (k, k') -> [(original row id of h_n, x_n)]
-    while cur_T.height >= 1:
-        res = color_and_choose(cur_H, cur_T, 2 * tau)
+    rows = np.arange(H.num_rows)
+    by_pair = {}  # (k, k') -> [(row id of h_n, x_n)]
+    while tree.height >= 1:
+        res = color_and_choose(H, rows, tree, 2 * tau)
         trace.pairs.append((res.k, res.k_prime))
         trace.heights.append(res.subtree.height)
-        by_pair.setdefault((res.k, res.k_prime), []).append((int(row_ids[0]), res.x0))
-        row_ids = row_ids[res.restricted_rows]
-        cur_H, cur_T = res.restricted, res.subtree
+        by_pair.setdefault((res.k, res.k_prime), []).append((int(rows[0]), res.x0))
+        rows, tree = res.rows, res.subtree
 
     if not by_pair:
         return ThresholdFamily("multiclass", [], [], labels=None, gap=tau), trace

@@ -23,8 +23,8 @@ from tolerantlearn.generators import (complete_binary, constants_class,
                                       threshold_class)
 from tolerantlearn.privacy import MAX_BATCHES, batch_count, stability_eta
 from tolerantlearn.thresholds import ThresholdFamily, verify_thresholds
-from tolerantlearn.trees import (MistakeTree, threshold_class_certificate,
-                                 tree_to_dict)
+from tolerantlearn.trees import (MistakeTree, complete_binary_certificate,
+                                 threshold_class_certificate, tree_to_dict)
 
 
 def run_cli(*argv):
@@ -542,6 +542,18 @@ def test_certificate_instance_outside_domain_exits_2(tmp_path, thr_file,
     assert run_cli("thresholds", "--input", thr_file, "--certificate", path,
                    "--out", tmp_path / "fam.json") == 2
     assert f"instance {x} outside the domain" in capsys.readouterr().err
+
+
+def test_certificate_of_another_class_exits_2(tmp_path, capsys):
+    # the tree is checked once, before the first refinement step
+    classfile.save_class(threshold_class(12), tmp_path / "thr12.json")
+    classfile.save_certificate(complete_binary_certificate(12), tmp_path / "cb.cert.json")
+    assert run_cli("thresholds", "--input", tmp_path / "thr12.json", "--certificate",
+                   tmp_path / "cb.cert.json", "--out", tmp_path / "fam.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: thresholds: input tree is not shattered at tolerance 0: ")
+    assert not (tmp_path / "fam.json").exists()
 
 
 @st.composite
@@ -1327,9 +1339,16 @@ def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
      "dim: --gamma is read only by --kind fat, not ldim"),
     (["dim", "--kind", "pdim", "--gamma", "0.5", "--input", "{real}"], None,
      "dim: --gamma is read only by --kind fat, not pdim"),
+    (["dim", "--kind", "fat", "--gamma", "0.5", "--tolerance", "3", "--input",
+      "{real}"], None, "dim: --tolerance is read only by --kind ldim, not fat"),
+    (["dim", "--kind", "pdim", "--tolerance", "3", "--input", "{real}"], None,
+     "dim: --tolerance is read only by --kind ldim, not pdim"),
+    (["thresholds", "--input", "{real}", "--gamma", "0.5", "--tolerance", "4"],
+     None, "thresholds: --tolerance is read only without --gamma"),
 ], ids=["class-kind", "learner", "fat-without-gamma", "family",
         "generator-fields", "experiment-parameters", "experiment-trials",
-        "thresholds-gamma-certificate", "ldim-gamma", "pdim-gamma"])
+        "thresholds-gamma-certificate", "ldim-gamma", "pdim-gamma",
+        "fat-tolerance", "pdim-tolerance", "thresholds-gamma-tolerance"])
 def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     paths = {"mc": tmp_path / "thr.json", "real": tmp_path / "real.json"}
     classfile.save_class(threshold_class(3), paths["mc"])

@@ -65,35 +65,33 @@ def test_mono_subtree_paths_stay_shattered():
 
 # --- one refinement step ---------------------------------------------------------
 
+def all_rows(H):
+    return np.arange(H.num_rows)
+
+
 def test_color_and_choose_complete_two_points():
     H = complete_binary(2)
     tree = complete_binary_certificate(2)
-    res = color_and_choose(H, tree, 0)
-    assert res.restricted.num_rows >= 1
+    res = color_and_choose(H, all_rows(H), tree, 0)
+    assert res.rows.size >= 1
     assert res.subtree.height >= 1
     assert 2 * abs(res.k - res.k_prime) > 0
 
 
 def test_color_and_choose_restricts_without_dedup():
+    # the kept rows are positions into H, duplicates of a row included
     H = HypothesisClass(2, complete_binary(6).table[::-1])
-    res = color_and_choose(H, complete_binary_certificate(6), 0)
-    want = HypothesisClass(H.K, H.table[res.restricted_rows])
-    assert res.restricted == want
-    assert np.array_equal(res.restricted.row_map, want.row_map)
-    assert not res.restricted.table.flags.writeable
+    rows = np.repeat(all_rows(H), 2)
+    res = color_and_choose(H, rows, complete_binary_certificate(6), 0)
+    want = rows[H.table[rows, res.x0] == res.k_prime]
+    assert np.array_equal(res.rows, want)
+    assert np.array_equal(res.rows[::2], res.rows[1::2])
 
 
 def test_color_and_choose_rejects_height_zero():
     H = HypothesisClass(2, [[1]])
     with pytest.raises(ValueError):
-        color_and_choose(H, MistakeTree([], [], []), 0)
-
-
-def test_color_and_choose_rejects_unshattered():
-    H = HypothesisClass(2, [[1, 1]])
-    bogus = MistakeTree([0], [1], [2])
-    with pytest.raises(ValueError):
-        color_and_choose(H, bogus, 0)
+        color_and_choose(H, all_rows(H), MistakeTree([], [], []), 0)
 
 
 def test_color_and_choose_height_bound(mc_corpus):
@@ -102,8 +100,36 @@ def test_color_and_choose_height_bound(mc_corpus):
         rep = ldim_tau(H, 0)
         if rep.value < 1:
             continue
-        res = color_and_choose(H, rep.certificate, 0)
+        res = color_and_choose(H, all_rows(H), rep.certificate, 0)
         assert res.subtree.height >= -(-rep.value // H.K) - 1
+
+
+def refinement_cases(mc_corpus):
+    for H in mc_corpus:
+        for tau in (0, 1):
+            yield H, tau, ldim_tau(H, 2 * tau).certificate
+    base = complete_binary(10).table
+    for seed in (0, 1):
+        H = HypothesisClass(2, base[np.random.default_rng(seed).permutation(len(base))])
+        yield H, 0, complete_binary_certificate(10)
+
+
+def test_each_step_keeps_a_shattered_pair(mc_corpus):
+    # the invariant that lets extract_thresholds_mc check its tree once:
+    # each step's rows, taken as a class, shatter its subtree
+    steps = 0
+    for H, tau, tree in refinement_cases(mc_corpus):
+        assert check_mc_tree(H, tree, 2 * tau)[0]
+        rows = all_rows(H)
+        while tree.height >= 1:
+            res = color_and_choose(H, rows, tree, 2 * tau)
+            assert np.array_equal(res.rows, rows[H.table[rows, res.x0] == res.k_prime])
+            ok, msg = check_mc_tree(HypothesisClass(H.K, H.table[res.rows]),
+                                    res.subtree, 2 * tau)
+            assert ok, msg
+            rows, tree = res.rows, res.subtree
+            steps += 1
+    assert steps >= 50
 
 
 # --- iterated extraction ----------------------------------------------------------
@@ -137,6 +163,16 @@ def test_extract_threshold_class():
     assert len(fam) >= 1
     assert fam.labels in ((1, 2), (2, 1))
     assert verify_thresholds(fam).ok
+
+
+def test_extract_rejects_unshattered():
+    # the one check of the input tree; no step checks again
+    H = HypothesisClass(2, [[1, 1]])
+    for bogus, fault in ((MistakeTree([0], [1], [2]), "is realized by no hypothesis"),
+                         (MistakeTree([0], witness=[0.5]), "not a multiclass tree")):
+        with pytest.raises(ValueError, match="input tree is not shattered at "
+                                             f"tolerance 0: .*{fault}"):
+            extract_thresholds_mc(H, 0, tree=bogus)
 
 
 def test_extract_singleton_empty_family():
