@@ -25,8 +25,9 @@ from .privacy import (HistogramOutput, PipelineResult, PrivacyLedger,
                       selection_probabilities, selection_sample_size,
                       stable_histogram)
 from .stability import (DataSource, GRunResult, GsEstimate, Support,
-                        TournamentSample, estimate_stability, g_parameters,
-                        run_g, sample_dk_mc, stability_eta, stable_tables)
+                        TournamentSample, block_labels, estimate_stability,
+                        g_parameters, run_g, sample_dk_mc, stability_eta,
+                        stable_tables)
 from .thresholds import (ThresholdFamily, color_and_choose,
                          extract_thresholds_mc, extract_thresholds_reg,
                          max_mono_subtree, verify_thresholds)

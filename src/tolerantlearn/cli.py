@@ -181,8 +181,7 @@ def cmd_gs(args) -> RunReport:
     H = _load_class(args.input)
     D = FiniteDistribution.uniform(H, args.target)
     est = estimate_stability(H, D, args.alpha, args.trials, args.seed)
-    d = ldim_value(H, 0)
-    eta = stability_eta(H.K, d)
+    eta = stability_eta(H.K, est.d)
     slack = binomial_slack(eta, args.trials)
     report = _report(args)
     report.records = [{"table": list(t), "count": c}

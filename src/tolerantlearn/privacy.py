@@ -25,10 +25,11 @@ import numpy as np
 from .classes import (FiniteDistribution, HypothesisClass, RealFunctionClass,
                       TolerantZeroOne, discretize, evaluate_loss,
                       label_to_midpoint, row_mask, value_to_label)
-from .dimensions import DimensionReport, ldim_value, pdim
+from .dimensions import DimensionReport, pdim
 from .seeding import as_generator, trial_rng
-from .stability import Support, stability_eta, stable_tables
-# bound only for bench/tracing.py, which wraps it under this name
+from .stability import Support, g_parameters, stability_eta, stable_tables
+# bound only for bench/tracing.py, which wraps them under these names
+from .dimensions import ldim_value  # noqa: F401
 from .stability import run_g  # noqa: F401
 
 # Sample-size constants behind the O(.) bounds; calibration choices, not
@@ -244,7 +245,8 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
     declared (eps, delta).  Both halves are debited, and the total checked,
     before the prune, so both returns carry them.  The batches are
-    `stable_tables` at alpha/2 on the "batch" stream, over one `Support`.
+    `stable_tables` on the "batch" stream, over one `Support`, planned by
+    `g_parameters` at alpha/2, whose d also gives eta.
     Batches whose stable run fails contribute a sentinel item that pruning
     removes.  A run of more than `MAX_BATCHES` batches, over an hour at
     20-250 us a batch (2-vCPU host), is refused before any runs; d = 1 at
@@ -260,7 +262,8 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
         # eta = (K - 1) / ... is 0 at K = 1, so no batch count reaches it
         raise ValueError(f"the private learner needs K >= 2 labels, "
                          f"got K = {H.K}")
-    d = ldim_value(H, 0)
+    plan = g_parameters(H, alpha / 2.0)
+    d = plan[0]
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
     support = Support(H, D)     # the sampler refuses bad input first
@@ -269,7 +272,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     ledger = PrivacyLedger()
     half_eps = _exact_budget(priv.eps) / 2
 
-    items = stable_tables(support, alpha / 2.0, k, seed, "batch")
+    items = stable_tables(support, plan, k, seed, "batch")
     fail_batches = items.count(None)
 
     hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),

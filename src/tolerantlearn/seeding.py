@@ -17,8 +17,11 @@ without a seed.
 The package's stream paths, after the seed:
 
     "g" / "batch" [, i]       `stability.stable_tables` for `gs` / `dp-learn`:
-                              without i every run's coins, with i run i's
-                              examples
+                              without i the coins, every run's k in one
+                              draw, then the tournament labels in run
+                              order, LABEL_BLOCK at a time, which gives
+                              the labels of one draw each; with i run
+                              i's examples
     "hist"                    the stable histogram's noise
     "sprime"                  the selection sample
     "select"                  the exponential selection's draw

@@ -36,14 +36,17 @@ data sources.
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  A run of G reads two sources, as BLM20's
 learner reads an example sequence and has coins of its own (Bun, Livni
-and Moran, FOCS 2020).  Its coins, a generator the caller passes, draw k
-and the tournament labels.  Its examples come from a `DataSource`, the
-run's own generator read in n-draw windows, which it makes on its first
-read: a decided Fail or a settled k = 0 run makes none.  The source draws
-a block at a time, the first as large as the first request and each next
-one twice as large, up to BLOCK_CAP draws.  One generator serves the
-whole example sequence, so the block sizes change no output, only how
-many numpy calls a refill pays.  Every request is n draws or a multiple of them, so the stream
+and Moran, FOCS 2020).  Its coins draw k and, through a label source,
+the tournament labels.  `stable_tables` reads its coin stream's labels
+LABEL_BLOCK at a time (`block_labels`), which gives the labels that one
+draw each would, in the same order, and hands them out across its runs.
+Its examples come from a `DataSource`, the run's own generator read in
+n-draw windows, which it makes on its first read: a decided Fail or a
+settled k = 0 run makes none.  The source draws a block at a time, the
+first as large as the first request and each next one twice as large, up
+to BLOCK_CAP draws.  One generator serves the whole example sequence, so
+the block sizes change no output, only how many numpy calls a refill
+pays.  Every request is n draws or a multiple of them, so the stream
 splits into n-draw windows, and a window's mask is the AND of its points'
 consistent-row masks.  Each point's mask is also kept as
 ceil(num_rows / 64) uint64 words, so one `np.bitwise_and.reduceat` per
@@ -59,13 +62,16 @@ At k = 1 no tournament label is drawn between rounds, so every round in
 the buffer (and within the budget) is scored before the stream advances,
 each half by its window mask.  A nonempty mask is the version space SOA_0
 ends the half in, so two of them are compared by their cached predictor
-tables, and only a half with an empty mask is walked through the SOA fold.
-Deeper levels carry SOA's `online.SoaState` up from the child sample and
-fold each round's n fresh draws into it: a realizable state that stays
-realizable by one AND with the window mask, else the draw that breaks
-realizability and the ones after it through the fold.  A sample hands
-SOA_0's state after it to the stable learner, so `run_g` folds only its n
-tail draws, the source's next window, into that state by the same fold.
+tables.  Those tables also give an accepted round its disagreement, its
+label and its kept half, so only the kept half gets a state, one
+`SoaState` at its mask that observes the label.  Only a round with an
+empty mask walks both halves through the SOA fold.  Deeper levels carry
+SOA's `online.SoaState` up from the child sample and fold each round's n
+fresh draws into it: a realizable state that stays realizable by one AND
+with the window mask, else the draw that breaks realizability and the ones
+after it through the fold.  A sample hands SOA_0's state after it to the
+stable learner, so `run_g` folds only its n tail draws, the source's next
+window, into that state by the same fold.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -301,9 +307,29 @@ class DataSource:
         return self.buf[i:i + n].tolist(), self.wins[i // n]
 
 
+# Tournament labels one read of the coins draws; `stable_tables` hands them
+# out in order across its runs.
+LABEL_BLOCK = 1024
+
+
+def block_labels(coins: np.random.Generator, K: int) -> Iterator[int]:
+    """The tournament labels, uniform on 1..K, read from `coins`
+    LABEL_BLOCK at a time, the first on the first label asked for.
+
+    They are the labels of one `coins.integers(1, K + 1)` call each, in the
+    same order: below a range of 2^32 numpy draws an array one
+    `next_uint32` a value (rejections included), as it draws one value,
+    and PCG64 keeps the spare half of a 64-bit output in the bit generator;
+    at 2^32 and above it draws one `next_uint64` a value either way.  After
+    a whole number of blocks `coins` is where as many single calls leave it.
+    """
+    while True:
+        yield from coins.integers(1, K + 1, size=LABEL_BLOCK).tolist()
+
+
 class _Sampler:
     """One draw of the capped tournament sampler: the budget N on its reads
-    of a `DataSource`, its coins and the levels of the recursion.
+    of a `DataSource`, its label source and the levels of the recursion.
 
     A sample is kept as a list of domain points (every point but the
     tournament ones labeled by the target) plus the tournament positions
@@ -313,11 +339,10 @@ class _Sampler:
     the budget semantics match example-by-example sampling.
     """
 
-    def __init__(self, data: DataSource, coins: np.random.Generator,
-                 budget: int):
+    def __init__(self, data: DataSource, labels: Iterator[int], budget: int):
         self.H = data.support.H
         self.data = data
-        self.coins = coins
+        self.labels = labels
         self.n = data.n
         self.budget = budget
         self.fold = data.support.fold
@@ -338,19 +363,14 @@ class _Sampler:
         self.used += self.n
         return self.data.take()
 
-    def accept(self, sides, f0: tuple, f1: tuple):
-        """Draw a label at the first disagreement x; keep the side that errs.
-
-        Each side is (child points, round draws, positions, labels, state),
-        the draws already folded into the state.  The kept side's predictor
-        disagrees with the drawn label at x, so SOA errs there.
-        """
+    def accept(self, f0: tuple, f1: tuple) -> tuple:
+        """(x, y, keep0): the first disagreement x of the two sides'
+        predictors, the label y drawn there, and whether side 0 is the one
+        kept.  The kept side's predictor disagrees with y at x, so SOA errs
+        there."""
         x = next(i for i in range(self.H.domain_size) if f0[i] != f1[i])
-        y = int(self.coins.integers(1, self.H.K + 1))
-        prefix, t, positions, labels, state = sides[0] if f0[x] != y else sides[1]
-        xs = prefix + t + [x]
-        state.observe(x, y)
-        return xs, positions + [len(xs) - 1], labels + [y], state
+        y = next(self.labels)
+        return x, y, f0[x] != y
 
     def first_level(self):
         """k = 1: rounds scored a buffered block at a time.
@@ -359,9 +379,10 @@ class _Sampler:
         that fits both in the buffer and in the remaining budget is scored
         before the stream advances: each half by its window mask.  A
         nonempty mask is the version space SOA_0 ends the half in, so two
-        are compared by their cached predictor tables and give an accepted
-        round its states; only a half with an empty mask (unrealizable
-        draws: SOA freezes and patches) is walked through the SOA fold.
+        are compared by their cached predictor tables, which also decide an
+        accepted round; only its kept half then gets a state, at its mask.
+        A round with an empty mask (unrealizable draws: SOA freezes and
+        patches) walks both halves through the SOA fold.
         """
         H, n, data = self.H, self.n, self.data
         two_n = 2 * n
@@ -373,20 +394,27 @@ class _Sampler:
             stop = first + min(len(buf) - pos, left) // two_n * 2
             for i in range(first, stop, 2):
                 m0, m1 = wins[i], wins[i + 1]
-                if m0 and m1 and (m0 == m1 or predictor_table(H, 0, m0)
-                                  == predictor_table(H, 0, m1)):
-                    continue
                 j = i * n
-                t0, t1 = buf[j:j + n].tolist(), buf[j + n:j + two_n].tolist()
-                st0 = self.fold(SoaState(H), t0, m0)
-                st1 = self.fold(SoaState(H), t1, m1)
-                f0, f1 = st0.predictor(), st1.predictor()
-                if f0 == f1:
-                    continue
+                if m0 and m1:
+                    if m0 == m1 or ((f0 := predictor_table(H, 0, m0))
+                                    == (f1 := predictor_table(H, 0, m1))):
+                        continue
+                    st0 = st1 = None
+                else:
+                    st0 = self.fold(SoaState(H), buf[j:j + n].tolist(), m0)
+                    st1 = self.fold(SoaState(H), buf[j + n:j + two_n].tolist(),
+                                    m1)
+                    f0, f1 = st0.predictor(), st1.predictor()
+                    if f0 == f1:
+                        continue
                 data.pos = j + two_n
                 self.used += j + two_n - pos
-                return self.accept([([], t0, [], [], st0),
-                                    ([], t1, [], [], st1)], f0, f1)
+                x, y, keep0 = self.accept(f0, f1)
+                at, mask, state = (j, m0, st0) if keep0 else (j + n, m1, st1)
+                if state is None:   # the mask is the half's version space
+                    state = SoaState(H, 0, mask)
+                state.observe(x, y)
+                return buf[at:at + n].tolist() + [x], [n], [y], state
             data.pos = stop * n
             self.used += stop * n - pos
 
@@ -403,21 +431,27 @@ class _Sampler:
             f1 = self.fold(st1, t1, w1).predictor()
             if f0 == f1:
                 continue
-            return self.accept([(xs0, t0, pos0, lab0, st0),
-                                (xs1, t1, pos1, lab1, st1)], f0, f1)
+            x, y, keep0 = self.accept(f0, f1)
+            xs, t, positions, labels, state = (
+                (xs0, t0, pos0, lab0, st0) if keep0 else
+                (xs1, t1, pos1, lab1, st1))
+            xs = xs + t + [x]
+            state.observe(x, y)
+            return xs, positions + [len(xs) - 1], labels + [y], state
 
 
-def sample_dk_mc(k: int, data: DataSource, N: int, coins) -> TournamentSample:
+def sample_dk_mc(k: int, data: DataSource, N: int,
+                 labels: Iterator[int]) -> TournamentSample:
     """Draw once from the capped tournament distribution.
 
     `data` is the example sequence, a `DataSource`, which gives H, D and
-    the window size n; `coins` (a generator or a seed) draws the tournament
-    labels.  k = 0 returns the empty sample.  The global draw counter
-    covers the whole recursive generation; exceeding N yields the Fail
-    outcome, which is a value, not an error.  A Fail decided from the
-    support (see the module docstring) is returned without a sampler or a
-    read, with the budget rule's count for level 1 started at its last
-    whole round.
+    the window size n; `labels` gives the tournament labels in order, each
+    uniform on 1..K (`block_labels`).  k = 0 returns the empty sample.  The
+    global draw counter covers the whole recursive generation; exceeding N
+    yields the Fail outcome, which is a value, not an error.  A Fail
+    decided from the support (see the module docstring) is returned
+    without a sampler, a read or a label, with the budget rule's count for
+    level 1 started at its last whole round.
     """
     support, n = data.support, data.n
     if k < 0 or k > 0 and (n < 1 or N < 1):
@@ -430,7 +464,7 @@ def sample_dk_mc(k: int, data: DataSource, N: int, coins) -> TournamentSample:
         left = N % (2 * n)
         return TournamentSample(None, None, True,
                                 N - left + _overflow(n, 2 * n, left), [])
-    sampler = _Sampler(data, as_generator(coins), N)
+    sampler = _Sampler(data, labels, N)
     try:
         xs, positions, labels, state = sampler.level(k)
     except _Fail:
@@ -455,14 +489,23 @@ class GRunResult:
 
 
 def g_parameters(H: HypothesisClass, alpha: float):
-    """(d, n, N) used by the stable learner at accuracy alpha: d = Ldim_0,
-    n = ceil(d * ln(K) / alpha), where the natural log matches the
+    """(d, n, N), the plan of the stable learner at accuracy alpha: d =
+    Ldim_0, n = ceil(d * ln(K) / alpha), where the natural log matches the
     e^{-n*alpha} generalization argument, and the cap N = (4K)^(d+1) * n.
+
+    A k = 1 round reads 2n draws as one int64 array, so an alpha that makes
+    2n past the int64 range is refused here.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     d = ldim_value(H, 0)
-    n = math.ceil(d * math.log(H.K) / alpha)
+    window = d * math.log(H.K) / alpha
+    if not 2 * window < 2 ** 63:
+        raise ValueError(f"the stable learner at alpha = {alpha:g} needs "
+                         f"windows of n = ceil(d ln K / alpha) = {window:.3g} "
+                         f"draws, and a round of 2n draws must fit an int64 "
+                         f"array")
+    n = math.ceil(window)
     cap = (4 * H.K) ** (d + 1) * n
     return d, n, cap
 
@@ -472,10 +515,11 @@ def stability_eta(K: int, d: int) -> float:
     return (K - 1) / ((d + 1) * K ** (d + 1))
 
 
-def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
+def run_g(data: DataSource, N: int, labels: Iterator[int],
+          k: int) -> GRunResult:
     """One run of the stable learner at depth k: play SOA on S o T.
 
-    The sample S comes from `sample_dk_mc(k, data, N, coins)`.  The n tail
+    The sample S comes from `sample_dk_mc(k, data, N, labels)`.  The n tail
     draws T are the source's next window after it, folded into the SOA_0
     state S ends in, so S is never replayed.  At k = 0 on a settled
     support, T's version space is one window mask of the closure, so the
@@ -484,7 +528,7 @@ def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
     settled = data.support.settled
     if k == 0 and data.n and settled is not None:
         return GRunResult(settled, False, 0, data.n, 0)
-    sample = sample_dk_mc(k, data, N, coins)
+    sample = sample_dk_mc(k, data, N, labels)
     if sample.failed:
         return GRunResult(None, True, k, data.n, sample.draw_count)
     state = sample.state
@@ -495,8 +539,10 @@ def run_g(data: DataSource, N: int, coins, k: int) -> GRunResult:
 
 @dataclass
 class GsEstimate:
-    """Monte-Carlo estimate of the stability guarantee."""
+    """Monte-Carlo estimate of the stability guarantee, with the d = Ldim_0
+    of its plan."""
 
+    d: int
     modal_table: Optional[tuple]
     frequency: float             # modal count / all trials (Fail included)
     trials: int
@@ -509,38 +555,44 @@ class GsEstimate:
         return self.fail_count / self.trials
 
 
-def stable_tables(support: Support, alpha: float, runs: int, seed,
+def stable_tables(support: Support, plan: tuple, runs: int, seed,
                   stream: str) -> list:
-    """The tables of `runs` seeded runs of G on `support` at accuracy
-    alpha, in run order, None for a Fail: the one loop over runs of G.
+    """The tables of `runs` seeded runs of G on `support`, in run order,
+    None for a Fail: the one loop over runs of G.
 
-    d, n and the cap N come from `g_parameters`.  The coins are one stream,
-    `trial_rng(seed, stream)`: every run's k, uniform on 0..d, in one draw,
-    then the tournament labels in run order.  Run i reads its examples from
-    a `DataSource` over `support` on `trial_rng(seed, stream, i)`, made on
-    its first read.  `gs` runs on "g" and `dp-learn` on "batch".
+    `plan` is `g_parameters`' (d, n, N) for the run's accuracy.  The coins
+    are one stream, `trial_rng(seed, stream)`: every run's k, uniform on
+    0..d, in one draw, then the tournament labels in run order, read
+    LABEL_BLOCK at a time by `block_labels`, which gives the labels one at
+    a time would.  Run i reads its examples from a `DataSource` over
+    `support` on `trial_rng(seed, stream, i)`, made on its first read.
+    `gs` runs on "g" and `dp-learn` on "batch".
     """
-    d, n, cap = g_parameters(support.H, alpha)
+    d, n, cap = plan
     coins = trial_rng(seed, stream)
     ks = coins.integers(0, d + 1, size=runs)
+    labels = block_labels(coins, support.H.K)
     return [run_g(DataSource(support, n, partial(trial_rng, seed, stream, i)),
-                  cap, coins, int(k)).table
+                  cap, labels, int(k)).table
             for i, k in enumerate(ks)]
 
 
 def estimate_stability(H: HypothesisClass, D: FiniteDistribution, alpha: float,
                        trials: int, seed: int) -> GsEstimate:
-    """Tally exact-table equality of `trials` runs of G on the "g" stream.
+    """Tally exact-table equality of `trials` runs of G on the "g" stream,
+    planned by `g_parameters` at alpha.
 
     Fail outcomes are tallied separately and stay in the frequency
     denominator.  Ties for the mode break toward the smallest table.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    counts = Counter(stable_tables(Support(H, D), alpha, trials, seed, "g"))
+    plan = g_parameters(H, alpha)
+    counts = Counter(stable_tables(Support(H, D), plan, trials, seed, "g"))
     fails = counts.pop(None, 0)
     if not counts:
-        return GsEstimate(None, 0.0, trials, None, fails, counts)
+        return GsEstimate(plan[0], None, 0.0, trials, None, fails, counts)
     modal = min(counts, key=lambda t: (-counts[t], t))
     loss = evaluate_loss(np.array(modal), D, TolerantZeroOne(0))
-    return GsEstimate(modal, counts[modal] / trials, trials, loss, fails, counts)
+    return GsEstimate(plan[0], modal, counts[modal] / trials, trials, loss,
+                      fails, counts)

@@ -29,8 +29,9 @@ from tolerantlearn.privacy import (PrivacyParams, generic_private_learner,
                                    stable_histogram)
 from tolerantlearn.reports import binomial_slack
 from tolerantlearn.seeding import trial_rng
-from tolerantlearn.stability import (DataSource, Support, estimate_stability,
-                                     g_parameters, sample_dk_mc)
+from tolerantlearn.stability import (DataSource, Support, block_labels,
+                                     estimate_stability, g_parameters,
+                                     sample_dk_mc)
 from tolerantlearn.thresholds import extract_thresholds_mc, verify_thresholds
 from tolerantlearn.trees import complete_binary_certificate
 
@@ -192,7 +193,7 @@ def test_a08_expected_draws():
     D = FiniteDistribution.uniform(H, 0)
     d, n, cap = g_parameters(H, 0.1)
     support = Support(H, D)
-    coins = trial_rng(8, "a8")
+    labels = block_labels(trial_rng(8, "a8"), H.K)
     lines = []
     impossible = []
     for k in sorted({0, 1, d}):
@@ -200,7 +201,7 @@ def test_a08_expected_draws():
         attempts = 0
         while len(draws) < 500 and attempts < 3000:
             data = DataSource(support, n, trial_rng(8, "a8", k, attempts))
-            s = sample_dk_mc(k, data, cap, coins)
+            s = sample_dk_mc(k, data, cap, labels)
             if not s.failed:
                 draws.append(s.draw_count)
             attempts += 1

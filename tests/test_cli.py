@@ -1345,10 +1345,20 @@ def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
      "dim: --tolerance is read only by --kind ldim, not pdim"),
     (["thresholds", "--input", "{real}", "--gamma", "0.5", "--tolerance", "4"],
      None, "thresholds: --tolerance is read only without --gamma"),
+    # a window of n = ceil(d ln K / alpha) draws past any int64 array length
+    (["gs", "--input", "{mc}", "--target", "2", "--alpha", "1e-300",
+      "--trials", "3", "--seed", "1"], None,
+     "gs: the stable learner at alpha = 1e-300 needs windows of n = "
+     "ceil(d ln K / alpha) = 1.39e+300 draws"),
+    (["dp-learn", "--input", "{mc}", "--target", "2", "--epsilon", "0.5",
+      "--delta", "0.01", "--alpha", "1e-300", "--beta", "0.2", "--seed", "1"],
+     None, "dp-learn: the stable learner at alpha = 5e-301 needs windows of "
+     "n = ceil(d ln K / alpha) = 2.77e+300 draws"),
 ], ids=["class-kind", "learner", "fat-without-gamma", "family",
         "generator-fields", "experiment-parameters", "experiment-trials",
         "thresholds-gamma-certificate", "ldim-gamma", "pdim-gamma",
-        "fat-tolerance", "pdim-tolerance", "thresholds-gamma-tolerance"])
+        "fat-tolerance", "pdim-tolerance", "thresholds-gamma-tolerance",
+        "gs-tiny-alpha", "dp-learn-tiny-alpha"])
 def test_bad_arguments_exit_2(tmp_path, capsys, argv, config, message):
     paths = {"mc": tmp_path / "thr.json", "real": tmp_path / "real.json"}
     classfile.save_class(threshold_class(3), paths["mc"])
@@ -1622,6 +1632,17 @@ GS_PINS = [  # (points, target, alpha, trials, seed, report digest)
 ]
 
 
+def gs_report_digest(tmp_path, monkeypatch, H, name, *flags):
+    """The SHA-256 of `gs`'s report on H, saved as `name` in `tmp_path`, the
+    working directory, less its wall clock; the report names the file."""
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(H, name)
+    assert run_cli("gs", "--input", name, *flags, "--out", "gs.json") == 0
+    doc = json.loads((tmp_path / "gs.json").read_text())
+    doc.pop("wall_clock_s")
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "points, target, alpha, trials, seed, digest", GS_PINS,
     ids=[f"threshold-{points}-{seed}" for points, _, _, _, seed, _ in GS_PINS])
@@ -1633,15 +1654,18 @@ def test_gs_report_is_pinned(tmp_path, monkeypatch, points, target, alpha,
     # and the n = 9 tail draws cannot cover 100 points, so the output also
     # depends on the state the sample ends in.  A speedup must leave these
     # bytes alone
-    monkeypatch.chdir(tmp_path)
-    classfile.save_class(threshold_class(points), "thr.json")
-    assert run_cli("gs", "--input", "thr.json", "--target", target,
-                   "--alpha", alpha, "--trials", trials, "--seed", seed,
-                   "--out", "gs.json") == 0
-    doc = json.loads((tmp_path / "gs.json").read_text())
-    doc.pop("wall_clock_s")
-    text = json.dumps(doc, sort_keys=True).encode()
-    assert hashlib.sha256(text).hexdigest() == digest
+    assert gs_report_digest(tmp_path, monkeypatch, threshold_class(points),
+                            "thr.json", "--target", target, "--alpha", alpha,
+                            "--trials", trials, "--seed", seed) == digest
+
+
+def test_gs_report_on_three_labels_is_pinned(tmp_path, monkeypatch):
+    # K = 3 and d = 3: tournament labels are drawn from three values, and
+    # 2 of the 40 runs fail
+    assert gs_report_digest(
+        tmp_path, monkeypatch, random_multiclass(12, 5, 3, 1), "mc.json",
+        "--target", 0, "--alpha", 0.3, "--trials", 40, "--seed", 3) == (
+        "e9635abdd045b3714b4ec7027600b68ae2ef9dbf1ef090f33aeca7fcce55fe3e")
 
 
 def two_point_steps():

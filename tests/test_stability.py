@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from unittest import mock
@@ -12,13 +13,14 @@ from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    TolerantZeroOne, evaluate_loss)
 from tolerantlearn.dimensions import ldim_value
 from tolerantlearn.generators import (complete_binary, constants_class,
-                                      threshold_class)
+                                      random_multiclass, threshold_class)
 from tolerantlearn.online import soa_final_predictor, soa_run
 from tolerantlearn.privacy import PrivacyParams, private_learn_mc
 from tolerantlearn.seeding import as_generator, trial_rng
-from tolerantlearn.stability import (CLOSURE_LIMIT, DataSource, GRunResult,
-                                     Support, estimate_stability,
-                                     g_parameters, run_g, sample_dk_mc)
+from tolerantlearn.stability import (CLOSURE_LIMIT, LABEL_BLOCK, DataSource,
+                                     GRunResult, Support, block_labels,
+                                     estimate_stability, g_parameters, run_g,
+                                     sample_dk_mc)
 
 
 @pytest.fixture(scope="module")
@@ -198,9 +200,18 @@ def source(H, D, n, data):
     return DataSource(Support(H, D), n, data)
 
 
+def one_at_a_time(coins, K):
+    """Tournament labels from `coins` (a generator or a seed), one
+    `integers(1, K + 1)` call each, so the coins' state after a sample is
+    that of the labels it drew."""
+    coins = as_generator(coins)
+    return iter(lambda: int(coins.integers(1, K + 1)), None)
+
+
 def sample(k, D, H, n, N, data, coins):
-    """`sample_dk_mc` on a data source of (H, D, n) read from `data`."""
-    return sample_dk_mc(k, source(H, D, n, data), N, coins)
+    """`sample_dk_mc` on a data source of (H, D, n) read from `data`, with
+    labels drawn from `coins` one at a time."""
+    return sample_dk_mc(k, source(H, D, n, data), N, one_at_a_time(coins, H.K))
 
 
 def pinned_parameters(H, alpha, d=None):
@@ -218,7 +229,7 @@ def run_g_drawn(H, D, alpha, data, coins, d=None):
     d, n, cap = pinned_parameters(H, alpha, d)
     coins = as_generator(coins)
     k = int(coins.integers(0, d + 1))
-    return run_g(source(H, D, n, data), cap, coins, k)
+    return run_g(source(H, D, n, data), cap, one_at_a_time(coins, H.K), k)
 
 
 def reference_sample(k, D, H, n, N, data, coins):
@@ -536,7 +547,7 @@ def sample_with_streams(k, D, H, n, N, seed):
     data source's next window after it."""
     data, coins = streams(seed)
     src = source(H, D, n, data)
-    s = sample_dk_mc(k, src, N, coins)
+    s = sample_dk_mc(k, src, N, one_at_a_time(coins, H.K))
     return (None if s.failed else s.xs.tolist(),
             None if s.failed else s.ys.tolist(), s.tournament_positions,
             s.failed, s.draw_count, coins.bit_generator.state, src.take())
@@ -548,7 +559,8 @@ def run_g_with_streams(H, D, alpha, seed, d):
     data, coins = streams(seed)
     d, n, cap = pinned_parameters(H, alpha, d)
     src = source(H, D, n, data)
-    res = run_g(src, cap, coins, int(coins.integers(0, d + 1)))
+    k = int(coins.integers(0, d + 1))
+    res = run_g(src, cap, one_at_a_time(coins, H.K), k)
     return res, coins.bit_generator.state, src.take()
 
 
@@ -692,7 +704,8 @@ def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
     state = coins.bit_generator.state
     for k in range(1, d + 2):
         assert sample(k, D, H, n, cap, no_stream, coins).failed
-        assert run_g(source(H, D, n, no_stream), cap, coins, k).failed
+        assert run_g(source(H, D, n, no_stream), cap,
+                     one_at_a_time(coins, H.K), k).failed
     assert coins.bit_generator.state == state
 
 
@@ -879,7 +892,8 @@ def test_settled_k_zero_run_reads_no_example(H, target, support, monkeypatch):
     for seed in range(6):
         coins = trial_rng(seed, "coins")
         state = coins.bit_generator.state
-        got = run_g(source(H, D, n, no_stream), cap, coins, 0)
+        got = run_g(source(H, D, n, no_stream), cap,
+                    one_at_a_time(coins, H.K), 0)
         assert got == GRunResult(settled, False, 0, n, 0)
         assert got == reference_run_g(H, D, 0.1, *streams(seed), k=0)
         assert coins.bit_generator.state == state
@@ -891,10 +905,11 @@ def test_unsettled_k_zero_run_reads_its_tail():
     assert Support(H, D).settled is None
     d, n, cap = g_parameters(H, 0.1)
     with pytest.raises(AssertionError, match="made a data stream"):
-        run_g(source(H, D, n, no_stream), cap, trial_rng(0, "coins"), 0)
+        run_g(source(H, D, n, no_stream), cap,
+              one_at_a_time(trial_rng(0, "coins"), H.K), 0)
     for seed in range(6):
         got = run_g(source(H, D, n, trial_rng(seed, "data")), cap,
-                    trial_rng(seed, "coins"), 0)
+                    one_at_a_time(trial_rng(seed, "coins"), H.K), 0)
         assert got == reference_run_g(H, D, 0.1, *streams(seed), k=0)
 
 
@@ -946,27 +961,56 @@ def test_settled_private_learner_makes_four_streams(monkeypatch):
 def hand_loop(H, D, alpha, runs, seed, stream):
     """Runs of G written out from their definition: n and N by the formula
     at d = Ldim_0, every run's k from one draw of the coin stream
-    `trial_rng(seed, stream)`, and run i's examples from `trial_rng(seed,
-    stream, i)`."""
+    `trial_rng(seed, stream)`, then the tournament labels from it one draw
+    each, and run i's examples from `trial_rng(seed, stream, i)`."""
     d, n, cap = pinned_parameters(H, alpha, ldim_value(H, 0))
     support = Support(H, D)
     coins = trial_rng(seed, stream)
     ks = coins.integers(0, d + 1, size=runs)
+    labels = one_at_a_time(coins, H.K)
     return [run_g(DataSource(support, n, trial_rng(seed, stream, i)), cap,
-                  coins, int(k)).table for i, k in enumerate(ks)]
+                  labels, int(k)).table for i, k in enumerate(ks)]
 
 
 def test_unsettled_estimate_follows_the_stream_protocol():
-    # tournaments succeed below the top k here, so the coins draw labels
-    H = threshold_class(7)
-    D = FiniteDistribution.uniform(H, 4)
-    assert Support(H, D).settled is None
-    tables = Counter(hand_loop(H, D, 0.1, 40, 3, "g"))
-    fails = tables.pop(None, 0)
-    est = estimate_stability(H, D, 0.1, 40, 3)
-    assert dict(est.counts) == dict(tables)
-    assert est.fail_count == fails
-    assert 0 < fails < 40
+    # tournaments succeed below the top k on the first two classes, so the
+    # coins draw labels, at K = 2 and K = 3, and some runs fail.  The last
+    # target is no row of its class, so k = 1 rounds with an empty window
+    # mask fold both halves; every tournament there succeeds
+    H7 = threshold_class(7)
+    H3 = random_multiclass(12, 5, 3, 1)
+    unrealizable = FiniteDistribution(np.full(5, 0.2), np.array([1, 2, 3, 1, 2]))
+    assert not unrealizable.realizable_by(H3)
+    for H, D, alpha, some_fail in (
+            (H7, FiniteDistribution.uniform(H7, 4), 0.1, True),
+            (H3, FiniteDistribution.uniform(H3, 0), 0.3, True),
+            (H3, unrealizable, 0.6, False)):
+        assert Support(H, D).settled is None
+        tables = Counter(hand_loop(H, D, alpha, 40, 3, "g"))
+        fails = tables.pop(None, 0)
+        est = estimate_stability(H, D, alpha, 40, 3)
+        assert dict(est.counts) == dict(tables)
+        assert est.fail_count == fails
+        assert est.d == ldim_value(H, 0)
+        assert (fails > 0) == some_fail and fails < 40
+
+
+@pytest.mark.parametrize("K", [2, 3, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                               2 ** 40])
+def test_block_labels_are_the_labels_drawn_one_at_a_time(K):
+    # below a range of 2**32 numpy draws 32 bits a label and PCG64 keeps the
+    # spare half of a 64-bit output, at 2**32 and above 64 bits a label; the
+    # counts cross block boundaries, and after whole blocks the two
+    # generators must be in one state
+    for count in (1, LABEL_BLOCK - 1, LABEL_BLOCK, LABEL_BLOCK + 1,
+                  2 * LABEL_BLOCK, 2 * LABEL_BLOCK + 7):
+        block, single = trial_rng(count, "coins"), trial_rng(count, "coins")
+        got = list(itertools.islice(block_labels(block, K), count))
+        want = list(itertools.islice(one_at_a_time(single, K), count))
+        assert got == want and 1 <= min(got) and max(got) <= K
+        if count % LABEL_BLOCK == 0:
+            assert block.bit_generator.state == single.bit_generator.state
+
 
 
 def test_unsettled_private_learner_follows_the_stream_protocol(monkeypatch):
