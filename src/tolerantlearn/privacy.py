@@ -252,7 +252,7 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     20-250 us a batch (2-vCPU host), is refused before any runs; d = 1 at
     K = 2**20 would need 1.4e9.
     A batch on a settled support (see `stability`) is a decided Fail or,
-    at k = 0, the settled table, and costs about 1 us instead.
+    at k = 0, the settled table, read off its k draw alone.
     """
     for name, v in (("eps", priv.eps), ("delta", priv.delta),
                     ("alpha", alpha), ("beta", beta)):

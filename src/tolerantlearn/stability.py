@@ -26,6 +26,10 @@ is settled on that table, and both halves of G's law follow from it:
   `sample_dk_mc` returns a decided Fail without building a sampler,
   reading an example or drawing a coin, with the budget rule's count for
   level 1 started at the last whole round.
+So on a settled support with n >= 1 every run's answer is fixed by its k,
+and `stable_tables` answers each run from the coins' k draw alone: it makes
+no `DataSource` and calls neither `run_g` nor `sample_dk_mc`.  Those two
+keep their settled branches and give the same answers to direct callers.
 The closure is searched breadth-first and stops at the first predictor
 that differs; above CLOSURE_LIMIT version spaces nothing is settled and
 the sampler and the tail just run.  The settled table, the points'
@@ -567,10 +571,19 @@ def stable_tables(support: Support, plan: tuple, runs: int, seed,
     a time would.  Run i reads its examples from a `DataSource` over
     `support` on `trial_rng(seed, stream, i)`, made on its first read.
     `gs` runs on "g" and `dp-learn` on "batch".
+
+    On a settled support with n >= 1 each run is decided by its k alone:
+    the settled table at k = 0 and a Fail at k >= 1, as `run_g` answers,
+    with no `DataSource`, no label drawn and no call of `run_g` or
+    `sample_dk_mc`.  The n = 0 plans (d = 0 or K = 1) go through `run_g`,
+    whose k = 0 run ends in a fresh SOA_0's table.
     """
     d, n, cap = plan
     coins = trial_rng(seed, stream)
     ks = coins.integers(0, d + 1, size=runs)
+    settled = support.settled
+    if n and settled is not None:
+        return [None if k else settled for k in ks.tolist()]
     labels = block_labels(coins, support.H.K)
     return [run_g(DataSource(support, n, partial(trial_rng, seed, stream, i)),
                   cap, labels, int(k)).table

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -922,6 +923,47 @@ def test_dp_learn_subcommand(tmp_path):
     names = {v["name"]: v["passed"] for v in doc["verdicts"]}
     # the ledger is checked inside the learner, so it is no verdict
     assert "dp-budget" not in names and names["dp-list-size"]
+
+
+def laplace_above(x, b):
+    """P[Lap(b) > x]."""
+    return 0.5 * math.exp(-x / b) if x >= 0 else 1 - 0.5 * math.exp(x / b)
+
+
+def test_dp_learn_succeeds_on_settled_constants_with_exact_probability(
+        tmp_path):
+    # constants_class(3, 3) is settled at d = 1: each of the k batches is the
+    # target's table with probability 1/(d+1) = 1/2, else a Fail, so the
+    # table's count c is Bin(k, 1/2).  The run returns the table iff c >= 1
+    # and c/k + Lap(b) clears both the histogram threshold t and the prune
+    # at 0.75 eta; the selection then has that one hypothesis.  At k = 2,423
+    # the sum reads 1 - 6.9e-13: its complement, summed term by term, is
+    # 8.8e-54, and the gap is the rounding of lgamma terms near 1.6e4
+    cls = tmp_path / "c.json"
+    classfile.save_class(constants_class(3, 3), cls)
+    out = tmp_path / "r.json"
+    eps, delta, beta = 0.5, 0.01, 0.2
+    assert run_cli("dp-learn", "--input", cls, "--target", 0,
+                   "--epsilon", eps, "--delta", delta, "--alpha", 0.2,
+                   "--beta", beta, "--seed", 11, "--out", out) == 0
+    agg = json.loads(out.read_text())["aggregates"]
+    assert agg["output"] == [1, 1, 1]
+    k = agg["num_batches"]
+    eta = 2 / (2 * 3 ** 2)   # (K - 1) / ((d + 1) K^(d + 1)) at K = 3, d = 1
+    assert agg["eta"] == pytest.approx(eta)
+    hist_eps = eps / 2
+    t = 2 * math.log(2 / delta) / (hist_eps * k) + 1 / k
+    b = 2 / (hist_eps * k)
+    cut = max(t, 0.75 * eta)
+    # terms past 20 standard deviations (sqrt(k) / 2 each) of k/2 are below
+    # e^-800
+    wide = math.ceil(10 * math.sqrt(k))
+    log_choose = math.lgamma(k + 1) + k * math.log(0.5)
+    success = sum(
+        math.exp(log_choose - math.lgamma(c + 1) - math.lgamma(k - c + 1))
+        * laplace_above(cut - c / k, b)
+        for c in range(max(1, k // 2 - wide), min(k, k // 2 + wide) + 1))
+    assert success >= 1 - beta
 
 
 def test_sampler_runs_past_64_rows(tmp_path, point_class):

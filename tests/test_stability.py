@@ -20,7 +20,7 @@ from tolerantlearn.seeding import as_generator, trial_rng
 from tolerantlearn.stability import (CLOSURE_LIMIT, LABEL_BLOCK, DataSource,
                                      GRunResult, Support, block_labels,
                                      estimate_stability, g_parameters, run_g,
-                                     sample_dk_mc)
+                                     sample_dk_mc, stable_tables)
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +156,8 @@ def test_distribution_off_the_class_raises_on_every_call():
 
 
 def test_one_support_per_run(monkeypatch):
-    # a run checks its (H, D) once and every trial's or batch's data source
-    # reads that one support
+    # a run checks its (H, D) once and every trial's data source reads that
+    # one support; on the settled constants class no batch makes a source
     built, read = [], []
     support_init, source_init = Support.__init__, DataSource.__init__
 
@@ -172,16 +172,14 @@ def test_one_support_per_run(monkeypatch):
     monkeypatch.setattr(Support, "__init__", counting_support)
     monkeypatch.setattr(DataSource, "__init__", recording_source)
     H, H3 = threshold_class(4), constants_class(3, 3)
-    for run in (lambda: estimate_stability(
-                    H, FiniteDistribution.uniform(H, 2), 0.3, 30, seed=1),
-                lambda: private_learn_mc(
-                    H3, FiniteDistribution.uniform(H3, 0),
-                    PrivacyParams(0.5, 0.01), 0.2, 0.2, 11)):
-        built.clear()
-        read.clear()
-        run()
-        assert len(built) == 1
-        assert len(read) > 1 and all(s is built[0] for s in read)
+    estimate_stability(H, FiniteDistribution.uniform(H, 2), 0.3, 30, seed=1)
+    assert len(built) == 1
+    assert len(read) > 1 and all(s is built[0] for s in read)
+    built.clear()
+    read.clear()
+    private_learn_mc(H3, FiniteDistribution.uniform(H3, 0),
+                     PrivacyParams(0.5, 0.01), 0.2, 0.2, 11)
+    assert len(built) == 1 and read == []
 
 
 # --- the sampler against its definition -----------------------------------------
@@ -970,6 +968,47 @@ def hand_loop(H, D, alpha, runs, seed, stream):
     labels = one_at_a_time(coins, H.K)
     return [run_g(DataSource(support, n, trial_rng(seed, stream, i)), cap,
                   labels, int(k)).table for i, k in enumerate(ks)]
+
+
+def no_run(*args):
+    raise AssertionError("a settled run was not decided from its k")
+
+
+@SETTLED
+@pytest.mark.parametrize("stream", ["g", "batch"])
+def test_settled_tables_are_the_runs_of_g(H, target, support, stream,
+                                          monkeypatch):
+    # one run_g a run gives the settled table at k = 0 and a Fail at k >= 1;
+    # the loop gives the same tables from the k draw alone
+    D = first_points(H, target, support)
+    want = hand_loop(H, D, 0.1, 60, 5, stream)
+    assert None in want and Support(H, D).settled in want
+    for name in ("run_g", "sample_dk_mc", "DataSource"):
+        monkeypatch.setattr(stability, name, no_run)
+    assert stable_tables(Support(H, D), g_parameters(H, 0.1), 60, 5,
+                         stream) == want
+
+
+@pytest.mark.parametrize("H", [HypothesisClass(3, [[2, 1, 3, 1]]),
+                               HypothesisClass(1, [[1, 1, 1]])],
+                         ids=["one-row", "one-label"])
+@pytest.mark.parametrize("stream", ["g", "batch"])
+def test_window_free_plans_run_g(H, stream, monkeypatch):
+    # d = 0 or K = 1 gives n = 0: the settled support is not decided from k,
+    # and every run goes through run_g
+    D = FiniteDistribution.uniform(H, 0)
+    plan = g_parameters(H, 0.1)
+    assert plan[1] == 0 and Support(H, D).settled is not None
+    want = hand_loop(H, D, 0.1, 20, 5, stream)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_g(*args)
+
+    monkeypatch.setattr(stability, "run_g", counting)
+    assert stable_tables(Support(H, D), plan, 20, 5, stream) == want
+    assert len(calls) == 20 and want == [tuple(H.table[0].tolist())] * 20
 
 
 def test_unsettled_estimate_follows_the_stream_protocol():
