@@ -30,9 +30,6 @@ The package's stream paths, after the seed:
                               the random class generators
     (none)                    `as_generator(seed)`, a seed given directly
 
-A stream of examples is made on its first read, so a run that reads none
-makes no stream.
-
 `numpy.random` is imported on the first draw, not with the package, so the
 commands that never draw do not load it.
 """

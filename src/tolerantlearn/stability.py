@@ -16,26 +16,18 @@ points' consistent-row masks is nonzero), the version space that n >= 1
 target-labeled draws fold SOA_0 into from scratch is the AND of their
 masks, so it lies in the AND-closure of the support's masks.  If SOA_0's
 `predictor_table` is one table at every mask of that closure, the support
-is settled on that table, and both halves of G's law follow from it:
-- at k = 0, G folds only its n tail draws into a fresh state, so
-  `run_g` returns the settled table without reading an example or making
-  the run's data stream;
-- at k >= 1, every k = 1 round has f0 == f1: level 1 reads whole rounds
-  up to N - N % 2n draws with no label drawn and trips on the next one,
-  and every deeper level starts by recursing into level 1.  So
-  `sample_dk_mc` returns a decided Fail without building a sampler,
-  reading an example or drawing a coin, with the budget rule's count for
-  level 1 started at the last whole round.
-So on a settled support with n >= 1 every run's answer is fixed by its k,
-and `stable_tables` answers each run from the coins' k draw alone: it makes
-no `DataSource` and calls neither `run_g` nor `sample_dk_mc`.  Those two
-keep their settled branches and give the same answers to direct callers.
-The closure is searched breadth-first and stops at the first predictor
-that differs; above CLOSURE_LIMIT version spaces nothing is settled and
-the sampler and the tail just run.  The settled table, the points'
-consistent-row masks and the check that the distribution labels the
-class's points make one `Support`, checked once per run and shared by its
-data sources.
+is settled on that table.  A k = 0 run then folds its n tail draws into a
+fresh state and ends in that table; at k >= 1 every k = 1 round has
+f0 == f1, so level 1 runs to the cap with no label drawn, and every deeper
+level starts in level 1.  So with n >= 1 every run's answer is fixed by
+its k, and `stable_tables` answers each run from the coins' k draw alone,
+with no data stream, no label and no sampler.  `run_g` and `sample_dk_mc`
+reach the same answers by running.  The closure is searched breadth-first
+and stops at the first predictor that differs; above CLOSURE_LIMIT
+version spaces nothing is settled and the sampler and the tail just run.
+The settled table, the points' consistent-row masks and the check that
+the distribution labels the class's points make one `Support`, checked
+once per run and shared by its data sources.
 
 Row subsets are Python-int bitmasks here as in every module, so a class
 may have any number of rows.  A run of G reads two sources, as BLM20's
@@ -45,13 +37,12 @@ the tournament labels.  `stable_tables` reads its coin stream's labels
 LABEL_BLOCK at a time (`block_labels`), which gives the labels that one
 draw each would, in the same order, and hands them out across its runs.
 Its examples come from a `DataSource`, the run's own generator read in
-n-draw windows, which it makes on its first read: a decided Fail or a
-settled k = 0 run makes none.  The source draws a block at a time, the
-first as large as the first request and each next one twice as large, up
-to BLOCK_CAP draws.  One generator serves the whole example sequence, so
-the block sizes change no output, only how many numpy calls a refill
-pays.  Every request is n draws or a multiple of them, so the stream
-splits into n-draw windows, and a window's mask is the AND of its points'
+n-draw windows.  The source draws a block at a time, the first as large
+as the first request and each next one twice as large, up to BLOCK_CAP
+draws.  One generator serves the whole example sequence, so the block
+sizes change no output, only how many numpy calls a refill pays.  Every
+request is n draws or a multiple of them, so the stream splits into
+n-draw windows, and a window's mask is the AND of its points'
 consistent-row masks.  Each point's mask is also kept as
 ceil(num_rows / 64) uint64 words, so one `np.bitwise_and.reduceat` per
 block gives each of its windows its mask.  The words take at most 1/64 of
@@ -59,7 +50,7 @@ the class's own int64 table plus 8 bytes a point.  A block's draws come
 from `FiniteDistribution.draw_indices`: from its guide table for a block
 of at least `classes.GUIDE_DRAWS` draws, binary-searched below that, both
 the inverse CDF's indices at the same uniforms.  `_Sampler` keeps the
-draws used and the budget N, which one rule (`_overflow`) checks for a
+draws used and the budget N, which one rule (`reserve`) checks for a
 half-round (n draws) and a k = 1 round (2n) alike.
 
 At k = 1 no tournament label is drawn between rounds, so every round in
@@ -83,7 +74,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -244,11 +234,6 @@ class Support:
         return state
 
 
-def _overflow(n: int, m: int, left: int) -> int:
-    """Draws counted when m = n or 2n exceeds `left`: the overflowing half."""
-    return n if left < n else m
-
-
 # Most draws one refill of a data source reads.  Blocks double from the
 # first request up to this, since each refill pays about a dozen numpy
 # calls whatever its size.  A 40-trial estimate on threshold_class(7)
@@ -263,24 +248,22 @@ class DataSource:
     """The example sequence one run of G reads, as n-draw windows.
 
     `support` gives D and the window masks, and every run over one (H, D)
-    shares it.  `seed` gives the run's own generator: a generator, a seed
-    for `as_generator`, or a function of no arguments that returns one.  It
-    is used on the first read, so a run that reads nothing makes no stream.
-    Reads are whole windows, so the unread buffer starts on a window
-    boundary; `wins[i]` is the mask of the window `buf[i*n:(i+1)*n]`.
+    shares it.  `rng` is the run's own generator, or a seed for
+    `as_generator`.  Reads are whole windows, so the unread buffer starts on
+    a window boundary; `wins[i]` is the mask of the window
+    `buf[i*n:(i+1)*n]`.
     A refill draws a block of the first request's size, then of twice the
     last one, up to BLOCK_CAP rounded down to whole windows (one window at
     least).  Every draw comes from the one generator, so the blocks change
     no window.
     """
 
-    __slots__ = ("support", "n", "seed", "rng", "buf", "pos", "wins", "block")
+    __slots__ = ("support", "n", "rng", "buf", "pos", "wins", "block")
 
-    def __init__(self, support: Support, n: int, seed):
+    def __init__(self, support: Support, n: int, rng):
         self.support = support
         self.n = n
-        self.seed = seed
-        self.rng = None
+        self.rng = as_generator(rng)
         self.buf = _NO_DRAWS
         self.pos = 0
         self.wins = []
@@ -290,9 +273,6 @@ class DataSource:
         """Buffer at least m unread draws, a multiple of n."""
         n = self.n
         while len(self.buf) - self.pos < m:
-            if self.rng is None:
-                seed = self.seed
-                self.rng = seed() if callable(seed) else as_generator(seed)
             self.block = (min(2 * self.block, max(BLOCK_CAP // n, 1) * n)
                           if self.block else m)
             fresh = self.support.D.draw_indices(self.rng, self.block)
@@ -354,10 +334,11 @@ class _Sampler:
 
     def reserve(self, m: int) -> int:
         """The budget left if the next m (n or 2n) draws fit in it; else
-        count their `_overflow` and raise _Fail."""
+        count the draws through the half (n draws) that overflows and raise
+        _Fail."""
         left = self.budget - self.used
         if left < m:
-            self.used += _overflow(self.n, m, left)
+            self.used += self.n if left < self.n else m
             raise _Fail
         return left
 
@@ -452,10 +433,7 @@ def sample_dk_mc(k: int, data: DataSource, N: int,
     the window size n; `labels` gives the tournament labels in order, each
     uniform on 1..K (`block_labels`).  k = 0 returns the empty sample.  The
     global draw counter covers the whole recursive generation; exceeding N
-    yields the Fail outcome, which is a value, not an error.  A Fail
-    decided from the support (see the module docstring) is returned
-    without a sampler, a read or a label, with the budget rule's count for
-    level 1 started at its last whole round.
+    yields the Fail outcome, which is a value, not an error.
     """
     support, n = data.support, data.n
     if k < 0 or k > 0 and (n < 1 or N < 1):
@@ -463,11 +441,6 @@ def sample_dk_mc(k: int, data: DataSource, N: int,
     if k == 0:
         return TournamentSample(_NO_DRAWS, _NO_DRAWS, False, 0, [],
                                 SoaState(support.H))
-    if support.settled is not None:
-        # level 1 reads whole rounds, all rejected, and trips on the next
-        left = N % (2 * n)
-        return TournamentSample(None, None, True,
-                                N - left + _overflow(n, 2 * n, left), [])
     sampler = _Sampler(data, labels, N)
     try:
         xs, positions, labels, state = sampler.level(k)
@@ -525,13 +498,8 @@ def run_g(data: DataSource, N: int, labels: Iterator[int],
 
     The sample S comes from `sample_dk_mc(k, data, N, labels)`.  The n tail
     draws T are the source's next window after it, folded into the SOA_0
-    state S ends in, so S is never replayed.  At k = 0 on a settled
-    support, T's version space is one window mask of the closure, so the
-    settled table returns and the source is never read.
+    state S ends in, so S is never replayed.
     """
-    settled = data.support.settled
-    if k == 0 and data.n and settled is not None:
-        return GRunResult(settled, False, 0, data.n, 0)
     sample = sample_dk_mc(k, data, N, labels)
     if sample.failed:
         return GRunResult(None, True, k, data.n, sample.draw_count)
@@ -569,14 +537,14 @@ def stable_tables(support: Support, plan: tuple, runs: int, seed,
     0..d, in one draw, then the tournament labels in run order, read
     LABEL_BLOCK at a time by `block_labels`, which gives the labels one at
     a time would.  Run i reads its examples from a `DataSource` over
-    `support` on `trial_rng(seed, stream, i)`, made on its first read.
+    `support` on `trial_rng(seed, stream, i)`.
     `gs` runs on "g" and `dp-learn` on "batch".
 
     On a settled support with n >= 1 each run is decided by its k alone:
-    the settled table at k = 0 and a Fail at k >= 1, as `run_g` answers,
-    with no `DataSource`, no label drawn and no call of `run_g` or
-    `sample_dk_mc`.  The n = 0 plans (d = 0 or K = 1) go through `run_g`,
-    whose k = 0 run ends in a fresh SOA_0's table.
+    the settled table at k = 0 and a Fail at k >= 1, the answers `run_g`
+    reaches, with no `DataSource` and no label drawn.  The n = 0 plans
+    (d = 0 or K = 1) go through `run_g`, whose k = 0 run ends in a fresh
+    SOA_0's table.
     """
     d, n, cap = plan
     coins = trial_rng(seed, stream)
@@ -585,8 +553,8 @@ def stable_tables(support: Support, plan: tuple, runs: int, seed,
     if n and settled is not None:
         return [None if k else settled for k in ks.tolist()]
     labels = block_labels(coins, support.H.K)
-    return [run_g(DataSource(support, n, partial(trial_rng, seed, stream, i)),
-                  cap, labels, int(k)).table
+    return [run_g(DataSource(support, n, trial_rng(seed, stream, i)), cap,
+                  labels, int(k)).table
             for i, k in enumerate(ks)]
 
 

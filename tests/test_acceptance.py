@@ -182,12 +182,31 @@ def test_a07_stability_bound():
         f"loss {est.population_loss}", elapsed)
 
 
+def test_a07_stability_bound_on_an_unsettled_class():
+    """A7 where tournaments run: threshold_class(3) at target 2 is not
+    settled, so G's law is that of the capped sampler, estimated from 600
+    trials (d = 2, eta = 1/24)."""
+    start = time.monotonic()
+    H = threshold_class(3)
+    D = FiniteDistribution.uniform(H, 2)
+    assert Support(H, D).settled is None
+    est = estimate_stability(H, D, 0.1, 600, seed=20260810)
+    eta = stability_eta(2, est.d)
+    slack = binomial_slack(eta, 600)
+    ok = (est.frequency >= eta - slack
+          and est.population_loss is not None and est.population_loss <= 0.1)
+    elapsed = time.monotonic() - start
+    assert criterion(
+        "A7 (unsettled)", ok and elapsed < 60,
+        f"modal frequency {est.frequency:.3f} >= {eta - slack:.4f}, "
+        f"loss {est.population_loss}", elapsed)
+
+
 def test_a08_expected_draws():
     """A successful k-tournament takes at most 4^(k+1) n draws on average,
     for k in {0, 1, d}.  On constants_class(3, 3), whose support is
-    settled, no k >= 1 tournament runs (each call is a decided Fail), so
-    only k = 0 has draws and the test is an expected failure; G's law
-    there is exactly {settled table: 1/(d+1), Fail: d/(d+1)}, 1/2 each."""
+    settled, each k >= 1 call runs to its cap and fails, so only k = 0 has
+    draws and the test is an expected failure."""
     start = time.monotonic()
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)
@@ -308,6 +327,32 @@ def test_a11_end_to_end_private_learner():
         "A11", good >= 0.75 * trials and elapsed < 600,
         f"loss <= alpha in {good}/{trials} trials; list and budget bounds "
         "held in every trial", elapsed)
+
+
+def test_a11_private_learner_on_an_unsettled_class():
+    """A11 where tournaments run: on threshold_class(3) at target 2 some
+    batches succeed at k >= 1 and some fail (d = 2, eta = 1/24), so the
+    histogram reads the sampler's outputs.  Four seeds, each of 4,008
+    batches, reach loss at most alpha within the list and budget bounds."""
+    start = time.monotonic()
+    H = threshold_class(3)
+    D = FiniteDistribution.uniform(H, 2)
+    priv = PrivacyParams(0.9, 0.01)
+    eta = stability_eta(2, 2)
+    losses = []
+    for seed in range(4):
+        res = private_learn_mc(H, D, priv, 0.2, 0.2, seed=seed)
+        assert 0 < res.fail_batches < res.num_batches
+        assert res.pruned_list_size <= 2.0 / eta
+        assert res.ledger.matches(priv)
+        assert not res.failed
+        losses.append(evaluate_loss(np.array(res.table), D,
+                                    TolerantZeroOne(0)))
+    elapsed = time.monotonic() - start
+    assert criterion(
+        "A11 (unsettled)", max(losses) <= 0.2 and elapsed < 60,
+        f"losses {losses} <= alpha; list and budget bounds held in every "
+        "trial", elapsed)
 
 
 def test_a12_discretized_ldim_below_pdim():

@@ -1710,6 +1710,22 @@ def test_gs_report_on_three_labels_is_pinned(tmp_path, monkeypatch):
         "e9635abdd045b3714b4ec7027600b68ae2ef9dbf1ef090f33aeca7fcce55fe3e")
 
 
+@pytest.mark.parametrize("H, digest", [
+    (complete_binary(6),
+     "9391db13a1da7cc459e54fb479772c7709e590b5f31c641924a133e203b4c09c"),
+    (random_multiclass(1, 4, 3, 2),
+     "51b4bb7991729626e5417292eb15582619394247100d4e24dfd391063d83f44e"),
+], ids=["complete-6", "one-row"])
+def test_gs_report_on_settled_classes_is_pinned(tmp_path, monkeypatch, H,
+                                                digest):
+    # complete_binary(6) at row 0 is settled only through the AND-closure of
+    # its six masks, so its runs are decided from k; the one-row class has
+    # d = 0, so n = 0 and every run goes through run_g
+    assert gs_report_digest(
+        tmp_path, monkeypatch, H, "cls.json", "--target", 0, "--alpha", 0.1,
+        "--trials", 40, "--seed", 3) == digest
+
+
 def two_point_steps():
     # three real step functions over two points; gamma 0.5 discretizes them
     # into a class of Littlestone dimension 1 whose tournaments can succeed
@@ -1731,9 +1747,13 @@ DP_FLAGS = ["--delta", 0.01, "--alpha", 0.2, "--beta", 0.2]
                          "--delta", 0.05, "--alpha", 0.3, "--beta", 0.3,
                          "--seed", 1],
      "393e33944f0937a0b35840f62e22abb0b1fb4b3f3f988ceb8ab502187cd2472e"),
-], ids=["constants-3-3", "threshold-3", "regression-steps"])
+    (random_multiclass(1, 4, 3, 2), ["--target", 0, "--epsilon", 0.5,
+                                     *DP_FLAGS, "--seed", 11],
+     "242deabaf3c8add914c234bae6ee1ad39849096dbfa802dea81770be85edcc56"),
+], ids=["constants-3-3", "threshold-3", "regression-steps", "one-row"])
 def test_dp_learn_report_is_pinned(tmp_path, monkeypatch, cls, flags, digest):
     # constants: every k = 1 batch is a decided Fail, the rest are k = 0;
+    # one row: d = 0, so every batch is an n = 0 run of run_g;
     # threshold_class(3) and the step class: tournaments succeed, so the
     # stable learner's final fold feeds the histogram; a speedup must leave
     # these bytes alone

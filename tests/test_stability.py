@@ -618,18 +618,12 @@ def test_block_size_changes_no_run_of_g(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_cap_trips_on_the_half_round_that_overflows(k, monkeypatch):
+def test_cap_trips_on_the_half_round_that_overflows(k):
     # a constant class never disagrees, so every round is rejected and the
     # cap trips: on the first half of a round when fewer than n draws are
-    # left, on the second half otherwise.  One row decides that from the
-    # support, so no sampler may be built
+    # left, on the second half otherwise
     H = HypothesisClass(2, [[1, 1]])
     D = FiniteDistribution.uniform(H, 0)
-
-    def no_sampler(*args):
-        raise AssertionError("a decided Fail built a sampler")
-
-    monkeypatch.setattr(stability, "_Sampler", no_sampler)
     n = 3
     for N in range(1, 40):
         s = assert_matches_reference(k, D, H, n, N, N)
@@ -651,12 +645,17 @@ def first_points(H, target, support):
     return FiniteDistribution(w, H.table[target])
 
 
-def no_sampler(*args):
-    raise AssertionError("a decided run built a sampler")
-
-
-def no_stream():
-    raise AssertionError("a decided run made a data stream")
+def decided_from_k(monkeypatch, H, D, plan, runs, seed):
+    """Whether `stable_tables` answers `runs` runs on (H, D) at `plan`
+    with no stream but its coins and no tournament label, so that the
+    coins stand where the k draw left them."""
+    rngs = []
+    made = counting_streams(monkeypatch, rngs)
+    stable_tables(Support(H, D), plan, runs, seed, "g")
+    after_k = trial_rng(seed, "g")
+    after_k.integers(0, plan[0] + 1, size=runs)
+    return (made == [(seed, "g")]
+            and rngs[0].bit_generator.state == after_k.bit_generator.state)
 
 
 @pytest.mark.parametrize("H, target, support, fires", [
@@ -666,21 +665,17 @@ def no_stream():
     # one drawable point: every version space is that point's mask
     (threshold_class(7), 4, 1, True),
 ], ids=["constants-3-3", "constants-4-2", "threshold-7", "threshold-7-one-point"])
-def test_support_decision_fires_on_identified_targets(H, target, support, fires):
+def test_support_decision_fires_on_identified_targets(H, target, support, fires,
+                                                     monkeypatch):
+    # the sampler runs to a cap of 30 rounds as defined and fails wherever
+    # the support is settled; the bulk path decides those runs from k alone
     D = first_points(H, target, support)
     assert always_fails(H, D) == fires
-    d, n, cap = g_parameters(H, 0.1)
+    d, n, _ = g_parameters(H, 0.1)
     for k in range(1, d + 2):
-        data, coins = streams(5 + k)
-        states = data.bit_generator.state, coins.bit_generator.state
-        s = sample(k, D, H, n, cap, data, coins)
-        # a decided Fail reads no example and draws no coin, so both
-        # generators are where they were
-        assert (states == (data.bit_generator.state,
-                           coins.bit_generator.state)) == fires
-        assert_matches_reference(k, D, H, n, cap, 5 + k)
-        if fires:
-            assert s.failed
+        s = assert_matches_reference(k, D, H, n, 60 * n, 5 + k)
+        assert s.failed or not fires
+    assert decided_from_k(monkeypatch, H, D, (d, n, 60 * n), 20, 5) == fires
 
 
 def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
@@ -690,21 +685,15 @@ def test_closure_decides_a_complete_class_at_its_all_1_row(monkeypatch):
     # it; a sampler would read to the cap, about 8.8e7 draws at alpha 0.1
     H = complete_binary(6)
     D = FiniteDistribution.uniform(H, 0)
-    assert len(set(Support(H, D).masks)) == 6
-    assert always_fails(H, D)
+    support = Support(H, D)
+    assert len(set(support.masks)) == 6
+    assert support.settled == (1,) * 6
     for k in (1, 2):
         for N in (1, 17, 60):
             assert assert_matches_reference(k, D, H, 2, N, N).failed
-    monkeypatch.setattr(stability, "_Sampler", no_sampler)
-    d, n, cap = g_parameters(H, 0.1)
-    assert cap > 8 * 10 ** 7
-    coins = trial_rng(5, "coins")
-    state = coins.bit_generator.state
-    for k in range(1, d + 2):
-        assert sample(k, D, H, n, cap, no_stream, coins).failed
-        assert run_g(source(H, D, n, no_stream), cap,
-                     one_at_a_time(coins, H.K), k).failed
-    assert coins.bit_generator.state == state
+    plan = g_parameters(H, 0.1)
+    assert plan[2] > 8 * 10 ** 7
+    assert decided_from_k(monkeypatch, H, D, plan, 40, 5)
 
 
 def test_closure_past_the_limit_runs_the_sampler(point_class):
@@ -879,22 +868,18 @@ SETTLED = pytest.mark.parametrize("H, target, support", [
 
 
 @SETTLED
-def test_settled_k_zero_run_reads_no_example(H, target, support, monkeypatch):
+def test_settled_k_zero_run_ends_in_the_settled_table(H, target, support):
     # the tail's version space is the AND of n drawn masks, which lies in the
-    # closure, so the drawn reference ends in the settled table
+    # closure, so the run, like the drawn reference, ends in the settled table
     D = first_points(H, target, support)
     settled = Support(H, D).settled
     assert settled is not None
-    monkeypatch.setattr(stability, "_Sampler", no_sampler)
     d, n, cap = g_parameters(H, 0.1)
     for seed in range(6):
-        coins = trial_rng(seed, "coins")
-        state = coins.bit_generator.state
-        got = run_g(source(H, D, n, no_stream), cap,
-                    one_at_a_time(coins, H.K), 0)
+        got = run_g(source(H, D, n, trial_rng(seed, "data")), cap,
+                    one_at_a_time(trial_rng(seed, "coins"), H.K), 0)
         assert got == GRunResult(settled, False, 0, n, 0)
         assert got == reference_run_g(H, D, 0.1, *streams(seed), k=0)
-        assert coins.bit_generator.state == state
 
 
 def test_unsettled_k_zero_run_reads_its_tail():
@@ -902,23 +887,26 @@ def test_unsettled_k_zero_run_reads_its_tail():
     D = first_points(H, 4, 7)
     assert Support(H, D).settled is None
     d, n, cap = g_parameters(H, 0.1)
-    with pytest.raises(AssertionError, match="made a data stream"):
-        run_g(source(H, D, n, no_stream), cap,
-              one_at_a_time(trial_rng(0, "coins"), H.K), 0)
     for seed in range(6):
-        got = run_g(source(H, D, n, trial_rng(seed, "data")), cap,
-                    one_at_a_time(trial_rng(seed, "coins"), H.K), 0)
+        data, coins = streams(seed)
+        state = data.bit_generator.state
+        got = run_g(source(H, D, n, data), cap, one_at_a_time(coins, H.K), 0)
+        assert data.bit_generator.state != state
         assert got == reference_run_g(H, D, 0.1, *streams(seed), k=0)
 
 
-def counting_streams(monkeypatch):
+def counting_streams(monkeypatch, rngs=None):
     """The (seed, path) of every stream `trial_rng` makes for the stable
-    and the private learner, in order."""
+    and the private learner, in order; the streams themselves go to
+    `rngs` if given."""
     made = []
 
     def counting(seed, *path):
         made.append((seed,) + path)
-        return trial_rng(seed, *path)
+        rng = trial_rng(seed, *path)
+        if rngs is not None:
+            rngs.append(rng)
+        return rng
 
     monkeypatch.setattr(stability, "trial_rng", counting)
     monkeypatch.setattr(privacy, "trial_rng", counting)
@@ -956,12 +944,13 @@ def test_settled_private_learner_makes_four_streams(monkeypatch):
                     (11, "select")]
 
 
-def hand_loop(H, D, alpha, runs, seed, stream):
+def hand_loop(H, D, alpha, runs, seed, stream, plan=None):
     """Runs of G written out from their definition: n and N by the formula
-    at d = Ldim_0, every run's k from one draw of the coin stream
-    `trial_rng(seed, stream)`, then the tournament labels from it one draw
-    each, and run i's examples from `trial_rng(seed, stream, i)`."""
-    d, n, cap = pinned_parameters(H, alpha, ldim_value(H, 0))
+    at d = Ldim_0 unless `plan` gives (d, n, N), every run's k from one
+    draw of the coin stream `trial_rng(seed, stream)`, then the tournament
+    labels from it one draw each, and run i's examples from
+    `trial_rng(seed, stream, i)`."""
+    d, n, cap = plan or pinned_parameters(H, alpha, ldim_value(H, 0))
     support = Support(H, D)
     coins = trial_rng(seed, stream)
     ks = coins.integers(0, d + 1, size=runs)
@@ -978,15 +967,17 @@ def no_run(*args):
 @pytest.mark.parametrize("stream", ["g", "batch"])
 def test_settled_tables_are_the_runs_of_g(H, target, support, stream,
                                           monkeypatch):
-    # one run_g a run gives the settled table at k = 0 and a Fail at k >= 1;
-    # the loop gives the same tables from the k draw alone
+    # one run_g a run, capped at 30 rounds, gives the settled table at k = 0
+    # and a Fail at k >= 1; the loop gives the same tables from the k draw
+    # alone
     D = first_points(H, target, support)
-    want = hand_loop(H, D, 0.1, 60, 5, stream)
+    d, n, _ = g_parameters(H, 0.1)
+    plan = (d, n, 60 * n)
+    want = hand_loop(H, D, 0.1, 60, 5, stream, plan)
     assert None in want and Support(H, D).settled in want
     for name in ("run_g", "sample_dk_mc", "DataSource"):
         monkeypatch.setattr(stability, name, no_run)
-    assert stable_tables(Support(H, D), g_parameters(H, 0.1), 60, 5,
-                         stream) == want
+    assert stable_tables(Support(H, D), plan, 60, 5, stream) == want
 
 
 @pytest.mark.parametrize("H", [HypothesisClass(3, [[2, 1, 3, 1]]),
