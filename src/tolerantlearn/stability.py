@@ -20,11 +20,13 @@ is settled on that table.  A k = 0 run then folds its n tail draws into a
 fresh state and ends in that table; at k >= 1 every k = 1 round has
 f0 == f1, so level 1 runs to the cap with no label drawn, and every deeper
 level starts in level 1.  So with n >= 1 every run's answer is fixed by
-its k, and `stable_tables` answers each run from the coins' k draw alone,
-with no data stream, no label and no sampler.  `run_g` and `sample_dk_mc`
-reach the same answers by running.  The closure is searched breadth-first
-and stops at the first predictor that differs; above CLOSURE_LIMIT
-version spaces nothing is settled and the sampler and the tail just run.
+its k, as it is in an n = 0 plan, which only a one-row class has (d = 0,
+so every k is 0 and the run ends in the row).  `stable_tables` answers
+all such runs from the coins' k draw alone, with no data stream, no label
+and no sampler.  `run_g` and `sample_dk_mc` reach the same answers by
+running.  The closure is searched breadth-first and stops at the first
+predictor that differs; above CLOSURE_LIMIT version spaces nothing is
+settled and the sampler and the tail just run.
 The settled table, the points' consistent-row masks and the check that
 the distribution labels the class's points make one `Support`, checked
 once per run and shared by its data sources.
@@ -37,21 +39,18 @@ the tournament labels.  `stable_tables` reads its coin stream's labels
 LABEL_BLOCK at a time (`block_labels`), which gives the labels that one
 draw each would, in the same order, and hands them out across its runs.
 Its examples come from a `DataSource`, the run's own generator read in
-n-draw windows.  The source draws a block at a time, the first as large
-as the first request and each next one twice as large, up to BLOCK_CAP
-draws.  One generator serves the whole example sequence, so the block
-sizes change no output, only how many numpy calls a refill pays.  Every
+n-draw windows, BLOCK_DRAWS draws a refill, rounded down to whole windows.
+One generator serves the whole example sequence, so the block size
+changes no output, only how many numpy calls a refill pays.  Every
 request is n draws or a multiple of them, so the stream splits into
 n-draw windows, and a window's mask is the AND of its points'
 consistent-row masks.  Each point's mask is also kept as
 ceil(num_rows / 64) uint64 words, so one `np.bitwise_and.reduceat` per
 block gives each of its windows its mask.  The words take at most 1/64 of
-the class's own int64 table plus 8 bytes a point.  A block's draws come
-from `FiniteDistribution.draw_indices`: from its guide table for a block
-of at least `classes.GUIDE_DRAWS` draws, binary-searched below that, both
-the inverse CDF's indices at the same uniforms.  `_Sampler` keeps the
-draws used and the budget N, which one rule (`reserve`) checks for a
-half-round (n draws) and a k = 1 round (2n) alike.
+the class's own int64 table plus 8 bytes a point.  A block's draws are
+the inverse-CDF indices of `FiniteDistribution.draw_indices`.  `_Sampler`
+keeps the draws used and the budget N, which one rule (`reserve`) checks
+for a half-round (n draws) and a k = 1 round (2n) alike.
 
 At k = 1 no tournament label is drawn between rounds, so every round in
 the buffer (and within the budget) is scored before the stream advances,
@@ -234,12 +233,15 @@ class Support:
         return state
 
 
-# Most draws one refill of a data source reads.  Blocks double from the
-# first request up to this, since each refill pays about a dozen numpy
-# calls whatever its size.  A 40-trial estimate on threshold_class(7)
-# (alpha 0.1) took a median 70 ms of CPU at 512, 47 ms at 4096, 45 ms at
-# 8192 and 52 ms at 16384 (2-vCPU host).
-BLOCK_CAP = 4096
+# Draws one refill of a data source reads, rounded down to whole windows
+# (one window at least); each refill pays about a dozen numpy calls
+# whatever its size.  Against blocks doubling from the first request up to
+# 4096 draws, fixed blocks of 1024 / 2048 / 4096 / 8192 draws took
+# 1.19 / 1.08 / 0.96 / 0.99 times as long on `gs` over threshold_class(7)
+# (alpha 0.1), 1.03 / 1.01 / 1.25 / 1.63 over threshold_class(100) (alpha
+# 0.5, n = 9) and 0.77 / 0.68 / 0.74 / 0.80 on `dp-learn` over
+# threshold_class(3) (eps 0.9): median ratios, in process, 2-vCPU host.
+BLOCK_DRAWS = 4096
 _NO_DRAWS = np.zeros(0, np.int64)    # the empty buffer and k = 0 sample
 _NO_DRAWS.flags.writeable = False
 
@@ -251,14 +253,11 @@ class DataSource:
     shares it.  `rng` is the run's own generator, or a seed for
     `as_generator`.  Reads are whole windows, so the unread buffer starts on
     a window boundary; `wins[i]` is the mask of the window
-    `buf[i*n:(i+1)*n]`.
-    A refill draws a block of the first request's size, then of twice the
-    last one, up to BLOCK_CAP rounded down to whole windows (one window at
-    least).  Every draw comes from the one generator, so the blocks change
-    no window.
+    `buf[i*n:(i+1)*n]`.  A refill reads BLOCK_DRAWS draws rounded down to
+    whole windows (one window at least).
     """
 
-    __slots__ = ("support", "n", "rng", "buf", "pos", "wins", "block")
+    __slots__ = ("support", "n", "rng", "buf", "pos", "wins")
 
     def __init__(self, support: Support, n: int, rng):
         self.support = support
@@ -267,15 +266,13 @@ class DataSource:
         self.buf = _NO_DRAWS
         self.pos = 0
         self.wins = []
-        self.block = 0
 
     def fill(self, m: int):
         """Buffer at least m unread draws, a multiple of n."""
         n = self.n
         while len(self.buf) - self.pos < m:
-            self.block = (min(2 * self.block, max(BLOCK_CAP // n, 1) * n)
-                          if self.block else m)
-            fresh = self.support.D.draw_indices(self.rng, self.block)
+            fresh = self.support.D.draw_indices(
+                self.rng, max(BLOCK_DRAWS // n, 1) * n)
             rest = self.buf[self.pos:]
             self.buf = np.concatenate((rest, fresh)) if len(rest) else fresh
             del self.wins[:self.pos // n]
@@ -540,19 +537,21 @@ def stable_tables(support: Support, plan: tuple, runs: int, seed,
     `support` on `trial_rng(seed, stream, i)`.
     `gs` runs on "g" and `dp-learn` on "batch".
 
-    On a settled support with n >= 1 each run is decided by its k alone:
-    the settled table at k = 0 and a Fail at k >= 1, the answers `run_g`
-    reaches, with no `DataSource` and no label drawn.  The n = 0 plans
-    (d = 0 or K = 1) go through `run_g`, whose k = 0 run ends in a fresh
-    SOA_0's table.
+    A run whose table is fixed before any read is decided by its k alone,
+    the settled table at k = 0 and a Fail at k >= 1, with no `DataSource`
+    and no label drawn: every run on a settled support with n >= 1, and
+    every run of an n = 0 plan, which only a one-row class (d = 0) has, so
+    every k is 0 and the table is a fresh SOA_0's.  `run_g` reaches the
+    same answers by running.
     """
     d, n, cap = plan
+    H = support.H
     coins = trial_rng(seed, stream)
     ks = coins.integers(0, d + 1, size=runs)
-    settled = support.settled
-    if n and settled is not None:
-        return [None if k else settled for k in ks.tolist()]
-    labels = block_labels(coins, support.H.K)
+    decided = support.settled if n else predictor_table(H, 0, H.full_mask)
+    if decided is not None:
+        return [None if k else decided for k in ks.tolist()]
+    labels = block_labels(coins, H.K)
     return [run_g(DataSource(support, n, trial_rng(seed, stream, i)), cap,
                   labels, int(k)).table
             for i, k in enumerate(ks)]

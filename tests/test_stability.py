@@ -349,10 +349,9 @@ def test_sampler_matches_reference_on_non_realizable_break():
 
 
 def test_sampler_matches_reference_across_chunks():
-    # n = 300: the data source's blocks grow 600, 1200, 2400 and 3900
-    # draws, the last 13 windows, so the 14th k = 1 round reads its halves
-    # from two blocks; the rare points 1 and 2 keep some of the k = 1
-    # rounds undecided
+    # n = 300: the data source's blocks are 13 windows, 3,900 draws, so
+    # the 7th k = 1 round reads its halves from two blocks; the rare points
+    # 1 and 2 keep some of the k = 1 rounds undecided
     H = threshold_class(4)
     w = np.array([0.497, 0.003, 0.002, 0.498])
     outcomes = set()
@@ -422,11 +421,11 @@ def test_sampler_matches_reference_past_the_floor_across_chunks(
         n, w, ks, N, monkeypatch):
     # the floor of target row 2 needs points 1 and 2, so k = 1 rounds are
     # rejected until a half misses one of them.  With blocks of one window
-    # every k = 1 round after the first reads its halves from two blocks
+    # every k = 1 round reads its halves from two blocks
     H = threshold_class(4)
     D = FiniteDistribution(np.array(w), H.table[2])
-    for cap in (1, stability.BLOCK_CAP):
-        monkeypatch.setattr(stability, "BLOCK_CAP", cap)
+    for size in (1, stability.BLOCK_DRAWS):
+        monkeypatch.setattr(stability, "BLOCK_DRAWS", size)
         outcomes, crossed = set(), False
         for k in ks:
             for seed in range(10):
@@ -493,19 +492,25 @@ def test_sampler_matches_reference_on_multiword_keys(realizable):
     assert {(1, False), (2, False)} <= outcomes
 
 
-@pytest.mark.parametrize("n", [511, 512, 513, 1100])
+@pytest.mark.parametrize("n", [511, 512, 513, 1100, 4097])
 def test_sampler_matches_reference_on_windows_across_chunks(n):
-    # BLOCK_CAP holds 8 windows at n = 511 and 512, 7 at 513 and 3 at
-    # 1100, so at the last two some k = 1 rounds read their halves from two
-    # blocks; the unrealizable target leaves some window masks empty, so
-    # those halves go through the fold
+    # a block holds 8 windows at n = 511 and 512, 7 at 513, 3 at 1100 and
+    # one at 4097, so at 513 and 1100 some k = 1 rounds read their halves
+    # from two blocks, and at 4097 every one does; the unrealizable target
+    # leaves some window masks empty, so those halves go through the fold.
+    # At 4097 the rare points 1 and 2 fall as often a window as at 511,
+    # about 0.77 and 0.51 times, and three seeds keep the case short
     H = threshold_class(4)
-    w = np.array([0.4985, 0.0015, 0.001, 0.499])
+    if n < stability.BLOCK_DRAWS:
+        w, seeds = np.array([0.4985, 0.0015, 0.001, 0.499]), range(6)
+    else:
+        w = np.array([0.5 - 0.77 / n, 0.77 / n, 0.51 / n, 0.5 - 0.51 / n])
+        seeds = range(3)
     outcomes = set()
     for target in (H.table[2], np.array([2, 1, 2, 1])):
         D = FiniteDistribution(w, target)
         for k in (1, 2):
-            for seed in range(6):
+            for seed in seeds:
                 s = assert_matches_reference(k, D, H, n, 40 * n, seed)
                 outcomes.add((k, s.failed))
     assert {(1, False), (2, False), (2, True)} <= outcomes
@@ -526,15 +531,15 @@ def test_run_g_matches_reference_on_windows_across_chunks():
 
 # --- the data source's blocks change no output -----------------------------------
 
-# one window a block, the default, and one block past any read
-BLOCK_CAPS = [1, stability.BLOCK_CAP, 10 ** 9]
+# one window a block, the default, and 16 times the default
+BLOCK_SIZES = [1, stability.BLOCK_DRAWS, 2 ** 16]
 
 
-def same_under_block_caps(monkeypatch, run):
-    """`run()` under each cap in BLOCK_CAPS, which must all agree."""
+def same_under_block_sizes(monkeypatch, run):
+    """`run()` under each BLOCK_DRAWS in BLOCK_SIZES, which must all agree."""
     outs = []
-    for cap in BLOCK_CAPS:
-        monkeypatch.setattr(stability, "BLOCK_CAP", cap)
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(stability, "BLOCK_DRAWS", size)
         outs.append(run())
     assert all(out == outs[0] for out in outs)
     return outs[0]
@@ -564,8 +569,8 @@ def run_g_with_streams(H, D, alpha, seed, d):
 
 @pytest.mark.parametrize("n", [511, 513, 1100])
 def test_block_size_changes_no_sample(n, monkeypatch):
-    # windows straddle no block at any cap, but at one window a block every
-    # k = 1 round after the first reads its halves from two blocks
+    # windows straddle no block at any size, but at one window a block
+    # every k = 1 round reads its halves from two blocks
     H = threshold_class(4)
     w = np.array([0.4985, 0.0015, 0.001, 0.499])
     outcomes = set()
@@ -573,7 +578,7 @@ def test_block_size_changes_no_sample(n, monkeypatch):
         D = FiniteDistribution(w, target)
         for k in (1, 2):
             for seed in range(3):
-                out = same_under_block_caps(monkeypatch, lambda: (
+                out = same_under_block_sizes(monkeypatch, lambda: (
                     sample_with_streams(k, D, H, n, 40 * n, seed)))
                 outcomes.add((k, out[3]))
     assert {(1, False), (2, False)} <= outcomes
@@ -589,7 +594,7 @@ def test_block_size_changes_no_sample_past_64_rows(realizable, monkeypatch):
     for k in (1, 2, 3):
         for n in (3, 7):
             for seed in range(2):
-                out = same_under_block_caps(monkeypatch, lambda: (
+                out = same_under_block_sizes(monkeypatch, lambda: (
                     sample_with_streams(k, D, H, n, 3000, seed)))
                 outcomes.add((k, out[3]))
     assert {(1, False), (2, False)} <= outcomes
@@ -606,14 +611,14 @@ def test_block_size_changes_no_run_of_g(monkeypatch):
     outcomes = set()
     for H, D, alpha in ((H, D, 0.003), (H90, D90, 0.5)):
         for seed in range(6):
-            res = same_under_block_caps(monkeypatch, lambda: (
+            res = same_under_block_sizes(monkeypatch, lambda: (
                 run_g_with_streams(H, D, alpha, seed, 2)))[0]
             outcomes.add((res.k, res.failed))
     assert {(0, False), (1, False), (2, False)} <= outcomes
     for points, target, alpha, trials in ((7, 4, 0.1, 40), (100, 50, 0.5, 20)):
         H = threshold_class(points)
         D = FiniteDistribution.uniform(H, target)
-        same_under_block_caps(monkeypatch, lambda: (
+        same_under_block_sizes(monkeypatch, lambda: (
             estimate_stability(H, D, alpha, trials, seed=3)))
 
 
@@ -932,6 +937,44 @@ def test_settled_estimate_tallies_k_exactly(H, target, support, monkeypatch):
     assert made == [(seed, "g")]
 
 
+def binomial_two_sided_p(count, trials, p):
+    """The exact two-sided p-value of `count` in Bin(trials, p): the mass
+    of the outcomes no likelier than `count`, from `math.lgamma` terms."""
+    def log_pmf(i):
+        return (math.lgamma(trials + 1) - math.lgamma(i + 1)
+                - math.lgamma(trials - i + 1) + i * math.log(p)
+                + (trials - i) * math.log1p(-p))
+
+    cut = log_pmf(count) + 1e-7   # outcomes as likely, up to rounding
+    return min(1.0, sum(math.exp(v) for v in map(log_pmf, range(trials + 1))
+                        if v <= cut))
+
+
+def test_binomial_two_sided_p_by_hand():
+    # Bin(4, 1/2) has masses 1, 4, 6, 4, 1 over 16; Bin(2, 1/4) 9, 6, 1
+    # over 16
+    assert binomial_two_sided_p(2, 4, 0.5) == pytest.approx(1.0)
+    assert binomial_two_sided_p(1, 4, 0.5) == pytest.approx(10 / 16)
+    assert binomial_two_sided_p(0, 4, 0.5) == pytest.approx(2 / 16)
+    assert binomial_two_sided_p(1, 2, 0.25) == pytest.approx(7 / 16)
+    assert binomial_two_sided_p(2, 2, 0.25) == pytest.approx(1 / 16)
+
+
+@SETTLED
+def test_settled_table_has_probability_one_over_d_plus_1(H, target, support):
+    # G ends in the settled table exactly when its k, uniform on 0..d, is
+    # 0, so the pooled tally of 64 estimates of 100 trials is
+    # Bin(6400, 1/(d+1)); a p-value under 1e-6 refutes that law
+    D = first_points(H, target, support)
+    settled = Support(H, D).settled
+    count = 0
+    for seed in range(64):
+        est = estimate_stability(H, D, 0.1, 100, seed)
+        assert set(est.counts) <= {settled}
+        count += est.counts[settled]
+    assert binomial_two_sided_p(count, 6400, 1 / (est.d + 1)) >= 1e-6
+
+
 def test_settled_private_learner_makes_four_streams(monkeypatch):
     # the batch coins, the histogram, the selection sample and the selection:
     # none of the 2,423 batches makes a stream of its own
@@ -960,7 +1003,8 @@ def hand_loop(H, D, alpha, runs, seed, stream, plan=None):
 
 
 def no_run(*args):
-    raise AssertionError("a settled run was not decided from its k")
+    raise AssertionError("a run fixed before any read was not decided "
+                         "from its k")
 
 
 @SETTLED
@@ -984,22 +1028,20 @@ def test_settled_tables_are_the_runs_of_g(H, target, support, stream,
                                HypothesisClass(1, [[1, 1, 1]])],
                          ids=["one-row", "one-label"])
 @pytest.mark.parametrize("stream", ["g", "batch"])
-def test_window_free_plans_run_g(H, stream, monkeypatch):
-    # d = 0 or K = 1 gives n = 0: the settled support is not decided from k,
-    # and every run goes through run_g
+def test_window_free_plans_are_decided_from_k(H, stream, monkeypatch):
+    # d = 0 or K = 1 gives n = 0, which only a one-row class has: every k is
+    # 0, and run_g, run by the hand loop, returns the row.  The loop gives
+    # the same tables from the k draw alone and makes only its coin stream
     D = FiniteDistribution.uniform(H, 0)
     plan = g_parameters(H, 0.1)
-    assert plan[1] == 0 and Support(H, D).settled is not None
+    assert plan[:2] == (0, 0)
     want = hand_loop(H, D, 0.1, 20, 5, stream)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return run_g(*args)
-
-    monkeypatch.setattr(stability, "run_g", counting)
+    assert want == [tuple(H.table[0].tolist())] * 20
+    for name in ("run_g", "sample_dk_mc", "DataSource"):
+        monkeypatch.setattr(stability, name, no_run)
+    made = counting_streams(monkeypatch)
     assert stable_tables(Support(H, D), plan, 20, 5, stream) == want
-    assert len(calls) == 20 and want == [tuple(H.table[0].tolist())] * 20
+    assert made == [(5, stream)]
 
 
 def test_unsettled_estimate_follows_the_stream_protocol():
