@@ -18,8 +18,8 @@ from .dimensions import (DimensionReport, fat_gamma, ldim_brute_force,
 from .online import (ConstantLearner, MajorityLearner, OnlineTranscript,
                      SoaLearner, adversary_force, soa_final_predictor,
                      soa_run)
-from .privacy import (HistogramOutput, PipelineResult, PrivacyLedger,
-                      PrivacyParams, check_conditions, covering_number,
+from .privacy import (HistogramOutput, PipelineResult, PrivacyParams,
+                      check_conditions, covering_number,
                       generic_private_learner, private_learn_mc,
                       private_learn_reg, release_probability,
                       selection_probabilities, selection_sample_size,

@@ -238,7 +238,7 @@ def cmd_dp_learn(args) -> RunReport:
         "fail_batches": res.fail_batches,
         "pruned_list_size": res.pruned_list_size,
         "select_sample_size": res.select_sample_size,
-        "ledger": res.ledger.entries,
+        "ledger": res.ledger,
         "diagnostics": res.diagnostics,
     }
     report.add_verdict("dp-loss", f"population loss <= {loss_bound}",

@@ -6,9 +6,7 @@ to (eps, delta); items absent from the input are never released.  The
 generic learner samples a hypothesis with probability proportional to
 exp(-eps * n * loss / 2), the exponential mechanism at empirical-loss
 sensitivity 1/n.  The composed learner runs the stable learner on batches,
-publishes frequent outputs, prunes, and selects.  Every mechanism invocation
-debits a budget ledger that the pipeline totals against its declared
-parameters.
+publishes frequent outputs, prunes, and selects, each mechanism at eps/2.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +33,6 @@ from .stability import run_g  # noqa: F401
 # derived quantities.  Surfaced in every pipeline result.
 BATCH_CONSTANT = 16.0      # batches k = ceil(C1 * ln(1/(eta*beta*delta)) / (eta*eps))
 SELECT_CONSTANT = 8.0      # n' = ceil(C * (ln|L| + ln(1/beta)) / (alpha*eps))
-MAX_BATCHES = 10 ** 7      # num_batches a run may start (see private_learn_mc)
 
 
 @dataclass(frozen=True)
@@ -54,49 +50,6 @@ class PrivacyParams:
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, "
                              f"got {self.delta}")
-
-
-def _exact_budget(v) -> Fraction:
-    """A budget as the decimal it was written as (its shortest float repr).
-
-    Fractions pass through, so a mechanism can be charged an exact share of
-    a declared budget.
-    """
-    return v if isinstance(v, Fraction) else Fraction(repr(float(v)))
-
-
-@dataclass
-class PrivacyLedger:
-    """Append-only record of mechanism invocations and their budgets.
-
-    Budgets are kept as the decimals they were written as, so three debits
-    of 0.1 match a declared 0.3; `entries` and the totals are their floats.
-    """
-
-    records: list = field(default_factory=list)
-
-    def debit(self, mechanism: str, eps, delta):
-        self.records.append((mechanism, _exact_budget(eps), _exact_budget(delta)))
-
-    @property
-    def entries(self) -> list:
-        return [(m, float(e), float(d)) for m, e, d in self.records]
-
-    def _totals(self) -> tuple:
-        return (sum(e for _, e, _ in self.records),
-                sum(d for _, _, d in self.records))
-
-    @property
-    def total_eps(self) -> float:
-        return float(self._totals()[0])
-
-    @property
-    def total_delta(self) -> float:
-        return float(self._totals()[1])
-
-    def matches(self, priv: PrivacyParams) -> bool:
-        return self._totals() == (_exact_budget(priv.eps),
-                                  _exact_budget(priv.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +170,7 @@ class PipelineResult:
     raw_list_size: int
     pruned_list_size: int
     select_sample_size: int
-    ledger: PrivacyLedger
+    ledger: tuple       # (mechanism, eps, delta), one entry each
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -242,17 +195,12 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     """Stable-learner batches -> stable histogram -> prune -> selection.
 
     The histogram gets (eps/2, delta) at accuracy eta/8, the selection step
-    gets eps/2 at accuracy (alpha/2, beta/3); simple composition totals the
-    declared (eps, delta).  Both halves are debited, and the total checked,
-    before the prune, so both returns carry them.  The batches are
-    `stable_tables` on the "batch" stream, over one `Support`, planned by
-    `g_parameters` at alpha/2, whose d also gives eta.
+    gets eps/2 at accuracy (alpha/2, beta/3); basic composition totals the
+    declared (eps, delta).  `ledger` lists both halves on every return.
+    The batches are `stable_tables` on the "batch" stream, over one
+    `Support`, planned by `g_parameters` at alpha/2, whose d also gives eta.
     Batches whose stable run fails contribute a sentinel item that pruning
-    removes.  A run of more than `MAX_BATCHES` batches, over an hour at
-    20-250 us a batch (2-vCPU host), is refused before any runs; d = 1 at
-    K = 2**20 would need 1.4e9.
-    A batch on a settled support (see `stability`) is a decided Fail or,
-    at k = 0, the settled table, read off its k draw alone.
+    removes.  `stable_tables` refuses more than `MAX_BATCHES` batches.
     """
     for name, v in (("eps", priv.eps), ("delta", priv.delta),
                     ("alpha", alpha), ("beta", beta)):
@@ -266,21 +214,15 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
     d = plan[0]
     eta = stability_eta(H.K, d)
     k = batch_count(eta, beta, priv.delta, priv.eps)
-    support = Support(H, D)     # the sampler refuses bad input first
-    if k > MAX_BATCHES:
-        raise ValueError(f"num_batches = {k} exceeds the limit of {MAX_BATCHES}")
-    ledger = PrivacyLedger()
-    half_eps = _exact_budget(priv.eps) / 2
+    half = priv.eps / 2.0
+    ledger = (("stable-histogram", half, priv.delta),
+              ("generic-learner", half, 0.0))
 
-    items = stable_tables(support, plan, k, seed, "batch")
+    # the sampler refuses bad input, then stable_tables too many batches
+    items = stable_tables(Support(H, D), plan, k, seed, "batch")
     fail_batches = items.count(None)
-
-    hist = stable_histogram(items, PrivacyParams(priv.eps / 2.0, priv.delta),
+    hist = stable_histogram(items, PrivacyParams(half, priv.delta),
                             trial_rng(seed, "hist"))
-    ledger.debit("stable-histogram", half_eps, priv.delta)
-    ledger.debit("generic-learner", half_eps, 0.0)
-    if not ledger.matches(priv):
-        raise AssertionError("privacy ledger does not total the declared budget")
 
     pruned = [(it, est) for it, est in zip(hist.items, hist.estimates)
               if it is not None and est > 0.75 * eta]
@@ -300,9 +242,9 @@ def private_learn_mc(H: HypothesisClass, D: FiniteDistribution,
 
     tables = [it for it, _ in pruned]
     n_prime = selection_sample_size(len(tables), alpha / 2.0, beta / 3.0,
-                                    priv.eps / 2.0)
+                                    half)
     sel_sample = D.draw_sample(trial_rng(seed, "sprime"), n_prime)
-    chosen = generic_private_learner(tables, sel_sample, priv.eps / 2.0,
+    chosen = generic_private_learner(tables, sel_sample, half,
                                      trial_rng(seed, "select"))
     return PipelineResult(chosen, False, eta, k, fail_batches,
                           len(hist.items), len(tables), n_prime, ledger,

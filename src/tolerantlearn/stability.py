@@ -291,6 +291,10 @@ class DataSource:
 # Tournament labels one read of the coins draws; `stable_tables` hands them
 # out in order across its runs.
 LABEL_BLOCK = 1024
+# Runs of G one `stable_tables` call may start: past it the runs would
+# take over an hour at 20-250 us each (2-vCPU host), and their k draw
+# alone 80 MB.
+MAX_BATCHES = 10 ** 7
 
 
 def block_labels(coins: np.random.Generator, K: int) -> Iterator[int]:
@@ -535,7 +539,8 @@ def stable_tables(support: Support, plan: tuple, runs: int, seed,
     LABEL_BLOCK at a time by `block_labels`, which gives the labels one at
     a time would.  Run i reads its examples from a `DataSource` over
     `support` on `trial_rng(seed, stream, i)`.
-    `gs` runs on "g" and `dp-learn` on "batch".
+    `gs` runs on "g" and `dp-learn` on "batch".  More than `MAX_BATCHES`
+    runs are refused before any coin is drawn.
 
     A run whose table is fixed before any read is decided by its k alone,
     the settled table at k = 0 and a Fail at k >= 1, with no `DataSource`
@@ -544,6 +549,9 @@ def stable_tables(support: Support, plan: tuple, runs: int, seed,
     every k is 0 and the table is a fresh SOA_0's.  `run_g` reaches the
     same answers by running.
     """
+    if runs > MAX_BATCHES:
+        raise ValueError(f"{runs} runs of the stable learner exceed the "
+                         f"limit of {MAX_BATCHES}")
     d, n, cap = plan
     H = support.H
     coins = trial_rng(seed, stream)

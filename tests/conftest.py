@@ -15,6 +15,12 @@ def inverse_cdf_draws(D, rng, n):
     return np.searchsorted(D._cum, rng.random(n), side="right")
 
 
+def ledger_total(ledger):
+    """The (eps, delta) that a pipeline's ledger entries add up to."""
+    return (sum(eps for _, eps, _ in ledger),
+            sum(delta for _, _, delta in ledger))
+
+
 class StubRng:
     """Stands in for a generator whose uniform draws are `u`: one number
     for every draw, or an array of exactly the draws asked for."""

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from .conftest import ledger_total
 from tolerantlearn.classes import (FiniteDistribution, HypothesisClass,
                                    RealFunctionClass, TolerantZeroOne,
                                    discretize, evaluate_loss)
@@ -307,8 +308,8 @@ def test_a11_end_to_end_private_learner():
     alpha in 3/4 of 200 seeds, within its list and budget bounds.  The
     class's support is settled, so no k >= 1 tournament runs: each batch's
     G has the exact law {settled table: 1/(d+1), Fail: d/(d+1)}, 1/2 each
-    (d = 1), and the test exercises the histogram, the selection and the
-    ledger around it, not the sampler."""
+    (d = 1), and the test exercises the histogram and the selection, not
+    the sampler."""
     start = time.monotonic()
     H = constants_class(3, 3)
     D = FiniteDistribution.uniform(H, 0)
@@ -318,7 +319,7 @@ def test_a11_end_to_end_private_learner():
     for seed in range(trials):
         res = private_learn_mc(H, D, priv, 0.2, 0.2, seed=seed)
         assert res.pruned_list_size <= 2.0 / eta
-        assert res.ledger.matches(priv)
+        assert ledger_total(res.ledger) == (priv.eps, priv.delta)
         if not res.failed:
             loss = evaluate_loss(np.array(res.table), D, TolerantZeroOne(0))
             good += loss <= 0.2
@@ -344,7 +345,7 @@ def test_a11_private_learner_on_an_unsettled_class():
         res = private_learn_mc(H, D, priv, 0.2, 0.2, seed=seed)
         assert 0 < res.fail_batches < res.num_batches
         assert res.pruned_list_size <= 2.0 / eta
-        assert res.ledger.matches(priv)
+        assert ledger_total(res.ledger) == (priv.eps, priv.delta)
         assert not res.failed
         losses.append(evaluate_loss(np.array(res.table), D,
                                     TolerantZeroOne(0)))

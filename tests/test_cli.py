@@ -15,14 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from tolerantlearn import classfile
+from .conftest import ledger_total
+from tolerantlearn import classfile, privacy, stability
 from tolerantlearn.classes import HypothesisClass, RealFunctionClass
 from tolerantlearn.cli import HANDLERS, build_parser, float_list, main
 from tolerantlearn.dimensions import ldim_tau
 from tolerantlearn.generators import (complete_binary, constants_class,
                                       random_multiclass, random_real,
                                       threshold_class)
-from tolerantlearn.privacy import MAX_BATCHES, batch_count, stability_eta
+from tolerantlearn.privacy import batch_count, stability_eta
+from tolerantlearn.seeding import trial_rng
+from tolerantlearn.stability import MAX_BATCHES
 from tolerantlearn.thresholds import ThresholdFamily, verify_thresholds
 from tolerantlearn.trees import (MistakeTree, complete_binary_certificate,
                                  threshold_class_certificate, tree_to_dict)
@@ -921,7 +924,8 @@ def test_dp_learn_subcommand(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     names = {v["name"]: v["passed"] for v in doc["verdicts"]}
-    # the ledger is checked inside the learner, so it is no verdict
+    # the ledger is checked against the mechanisms' budgets by the tests,
+    # so it is no verdict
     assert "dp-budget" not in names and names["dp-list-size"]
 
 
@@ -1331,10 +1335,10 @@ def test_experiment_config_cannot_run_an_experiment(tmp_path, capsys):
     (2 ** 63, "dp-learn", "the sampler needs K < 2**63"),
     (10 ** 400, "dp-learn", "needs more stable-learner batches than a float "
                             "can count"),
-    (2 ** 20, "dp-learn", f"num_batches = "
-     f"{batch_count(stability_eta(2 ** 20, 1), 0.2, 0.01, 0.5)} exceeds the "
-     f"limit of {MAX_BATCHES}\n"),
-    (2 ** 62, "dp-learn", f"exceeds the limit of {MAX_BATCHES}\n"),
+    (2 ** 20, "dp-learn",
+     f"{batch_count(stability_eta(2 ** 20, 1), 0.2, 0.01, 0.5)} runs of the "
+     f"stable learner exceed the limit of {MAX_BATCHES}\n"),
+    (2 ** 62, "dp-learn", f"exceed the limit of {MAX_BATCHES}\n"),
 ], ids=["gs-K-past-int64", "dp-learn-K-past-int64", "dp-learn-eta-underflow",
         "dp-learn-batches-K-2**20", "dp-learn-batches-K-2**62"])
 def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
@@ -1350,6 +1354,47 @@ def test_sampler_boundaries_exit_2(tmp_path, capsys, K, command, message):
                    *argv, "--out", tmp_path / "r.json") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {command}: " in err and message in err
+
+
+@pytest.mark.parametrize("command, flags, runs", [
+    ("gs", ["--alpha", 0.1, "--trials", 40], 40),
+    ("dp-learn", ["--epsilon", 0.5, "--delta", 0.01, "--alpha", 0.2,
+                  "--beta", 0.2], batch_count(stability_eta(3, 1), 0.2, 0.01,
+                                              0.5)),
+], ids=["gs", "dp-learn"])
+def test_runs_at_and_past_the_cap(tmp_path, monkeypatch, capsys, command,
+                                  flags, runs):
+    # the cap patched down to the run count passes, and one below it is
+    # refused before any stream is made; constants_class(3, 3) is settled,
+    # so its 40 gs trials and 2,423 dp-learn batches are decided from k
+    cls = tmp_path / "c.json"
+    classfile.save_class(constants_class(3, 3), cls)
+    streams = []
+    monkeypatch.setattr(stability, "trial_rng",
+                        lambda *key: streams.append(key) or trial_rng(*key))
+    for limit, code in ((runs, 0), (runs - 1, 2)):
+        monkeypatch.setattr(stability, "MAX_BATCHES", limit)
+        streams.clear()
+        assert run_cli(command, "--input", cls, "--target", 0, "--seed", 4,
+                       *flags, "--out", tmp_path / "r.json") == code
+    assert capsys.readouterr().err == (
+        f"error: {command}: {runs} runs of the stable learner exceed the "
+        f"limit of {runs - 1}\n")
+    assert streams == []
+
+
+@pytest.mark.parametrize("trials", [MAX_BATCHES + 1, 10 ** 23])
+def test_gs_past_the_runs_cap_exits_2(tmp_path, capsys, trials):
+    # refused before the coins draw every run's k: 10**23 of them is past
+    # numpy's largest array
+    cls = tmp_path / "c.json"
+    classfile.save_class(threshold_class(3), cls)
+    assert run_cli("gs", "--input", cls, "--target", 1, "--alpha", 0.1,
+                   "--trials", trials, "--seed", 3,
+                   "--out", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == (
+        f"error: gs: {trials} runs of the stable learner exceed the limit "
+        f"of {MAX_BATCHES}\n")
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -1765,6 +1810,53 @@ def test_dp_learn_report_is_pinned(tmp_path, monkeypatch, cls, flags, digest):
     doc.pop("wall_clock_s")
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cls, flags, released", [
+    (constants_class(3, 3), ["--target", 0, "--epsilon", 0.5, *DP_FLAGS,
+                             "--seed", 4], True),
+    (threshold_class(3), ["--target", 2, "--epsilon", 0.9, *DP_FLAGS,
+                          "--seed", 4], True),
+    (two_point_steps(), ["--target", 1, "--gamma", 0.5, "--epsilon", 0.9,
+                         "--delta", 0.05, "--alpha", 0.3, "--beta", 0.3,
+                         "--seed", 1], True),
+    (constants_class(3, 3), ["--target", 0, "--epsilon", 0.5, *DP_FLAGS,
+                             "--seed", 4], False),
+], ids=["settled", "tournaments", "regression-steps", "nothing-released"])
+def test_dp_learn_budgets_compose_to_the_declared_budget(
+        tmp_path, monkeypatch, cls, flags, released):
+    # each mechanism's budget, read where it is called, is the one the
+    # report's ledger lists for it, and the listed budgets add up to the
+    # declared (eps, delta) exactly, as basic composition needs.  When the
+    # histogram releases nothing (every noise draw below the threshold, an
+    # outcome of positive probability) the selection never runs, but the
+    # ledger still lists both halves
+    calls = []
+    histogram = privacy.stable_histogram
+    selection = privacy.generic_private_learner
+
+    def recorded_histogram(items, priv, seed):
+        calls.append(["stable-histogram", priv.eps, priv.delta])
+        out = histogram(items, priv, seed)
+        return out if released else privacy.HistogramOutput([], [],
+                                                            out.threshold)
+
+    def recorded_selection(hypotheses, sample, eps, seed):
+        calls.append(["generic-learner", eps, 0.0])     # pure eps-DP
+        return selection(hypotheses, sample, eps, seed)
+
+    monkeypatch.setattr(privacy, "stable_histogram", recorded_histogram)
+    monkeypatch.setattr(privacy, "generic_private_learner", recorded_selection)
+    monkeypatch.chdir(tmp_path)
+    classfile.save_class(cls, "cls.json")
+    assert run_cli("dp-learn", "--input", "cls.json", *flags,
+                   "--out", "dp.json") == (0 if released else 1)
+    doc = json.loads((tmp_path / "dp.json").read_text())
+    ledger = doc["aggregates"]["ledger"]
+    assert [m for m, _, _ in ledger] == ["stable-histogram", "generic-learner"]
+    assert calls == (ledger if released else ledger[:1])
+    declared = doc["config"]["epsilon"], doc["config"]["delta"]
+    assert ledger_total(ledger) == declared
 
 
 @pytest.mark.parametrize("cls, flags, digest", [

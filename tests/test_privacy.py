@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from .conftest import StubRng
+from .conftest import StubRng, ledger_total
 from tolerantlearn import privacy
 from tolerantlearn.classes import (AbsoluteLoss, FiniteDistribution,
                                    HypothesisClass, RealFunctionClass,
                                    TolerantZeroOne, absolute_loss,
                                    evaluate_loss, tolerant_loss)
 from tolerantlearn.generators import constants_class, random_real
-from tolerantlearn.privacy import (COVER_ROW_CAP, PrivacyLedger,
-                                   PrivacyParams, check_conditions,
-                                   covering_number, generic_private_learner,
+from tolerantlearn.privacy import (COVER_ROW_CAP, PrivacyParams,
+                                   check_conditions, covering_number,
+                                   generic_private_learner,
                                    histogram_noise_scale, histogram_threshold,
                                    private_learn_mc, private_learn_reg,
                                    release_probability, selection_probabilities,
@@ -284,30 +284,7 @@ def test_selection_accuracy_battery():
     assert good >= (1 - beta) * trials
 
 
-# --- ledger and pipeline -------------------------------------------------------------
-
-def test_ledger_totals():
-    led = PrivacyLedger()
-    led.debit("a", 0.25, 0.01)
-    led.debit("b", 0.25, 0.0)
-    assert led.entries == [("a", 0.25, 0.01), ("b", 0.25, 0.0)]
-    assert led.total_eps == 0.5
-    assert led.total_delta == 0.01
-    assert led.matches(PrivacyParams(0.5, 0.01))
-    assert not led.matches(PrivacyParams(0.6, 0.01))
-
-
-def test_ledger_matches_exact_decimal_totals():
-    led = PrivacyLedger()
-    for _ in range(3):
-        led.debit("m", 0.1, 0.0)
-    assert led.matches(PrivacyParams(0.3))
-    led = PrivacyLedger()
-    led.debit("a", 0.1, 0.0)
-    led.debit("b", 0.2, 0.0)
-    assert not led.matches(PrivacyParams(0.31))
-    assert led.matches(PrivacyParams(0.3))
-
+# --- pipeline -------------------------------------------------------------
 
 def test_pipeline_singleton():
     H = HypothesisClass(2, [[1, 2, 1]])
@@ -315,7 +292,7 @@ def test_pipeline_singleton():
     res = private_learn_mc(H, D, PrivacyParams(0.5, 0.01), 0.2, 0.2, seed=1)
     assert not res.failed
     assert res.table == (1, 2, 1)
-    assert res.ledger.matches(PrivacyParams(0.5, 0.01))
+    assert ledger_total(res.ledger) == (0.5, 0.01)
 
 
 def test_pipeline_three_constants():
@@ -327,7 +304,7 @@ def test_pipeline_three_constants():
     for seed in range(6):
         res = private_learn_mc(H, D, priv, 0.2, 0.2, seed=seed)
         assert res.pruned_list_size <= 2.0 / eta
-        assert res.ledger.matches(priv)
+        assert ledger_total(res.ledger) == (priv.eps, priv.delta)
         if not res.failed:
             loss = evaluate_loss(np.array(res.table), D, TolerantZeroOne(0))
             good += loss <= 0.2
